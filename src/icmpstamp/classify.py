@@ -343,8 +343,18 @@ def fingerprint_observation(
     """Full fingerprint for one observation: classes + timekeeping + correctness.
 
     Flags record soft conditions: missing prerequisite replies, the
-    all-zero reflection ambiguity, tampered or duplicate replies.
+    all-zero reflection ambiguity, tampered or duplicate replies.  An
+    observation with no clean reply gets {UNKNOWN}, incorrect, no
+    timezone and the ``all_replies_tampered`` flag.
     """
+    if not obs.clean_pairs():
+        return Fingerprint(
+            target=obs.target,
+            classes=frozenset({ImplClass.UNKNOWN}),
+            timekeeping=Timekeeping.UNKNOWN,
+            correctness=Correctness.INCORRECT,
+            flags=frozenset({"all_replies_tampered"}),
+        )
     if policy is None:
         policy = CorrectnessPolicy()
     if table is None:

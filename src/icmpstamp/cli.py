@@ -14,8 +14,6 @@ from icmpstamp import reports, results
 from icmpstamp.classify import (
     AmbiguousTimezone,
     CorrectnessPolicy,
-    Fingerprint,
-    NoCleanReplies,
     fingerprint_observation,
 )
 from icmpstamp.clock import OffsetTable
@@ -85,23 +83,12 @@ def _cmd_classify(args) -> int:
     reclassified = []
     for rec in records:
         obs = results.observation_from_record(rec)
-        try:
-            fp = fingerprint_observation(obs, policy, table)
-        except NoCleanReplies:
-            fp = Fingerprint(
-                target=rec.target,
-                classes=rec.fingerprint.classes,
-                timekeeping=rec.fingerprint.timekeeping,
-                correctness=rec.fingerprint.correctness,
-                tz_offset=rec.fingerprint.tz_offset,
-                flags=rec.fingerprint.flags | {"all_replies_tampered"},
-            )
         reclassified.append(
             results.ResultRecord(
                 target=rec.target,
                 vantage=rec.vantage,
                 outcomes=rec.outcomes,
-                fingerprint=fp,
+                fingerprint=fingerprint_observation(obs, policy, table),
                 duplicate_replies=rec.duplicate_replies,
             )
         )

@@ -23,14 +23,9 @@ from ipaddress import IPv4Address
 
 from icmpstamp import wire
 from icmpstamp.classify import (
-    Correctness,
     CorrectnessPolicy,
-    Fingerprint,
     HostObservation,
-    ImplClass,
-    NoCleanReplies,
     ObservedPair,
-    Timekeeping,
     fingerprint_observation,
 )
 from icmpstamp.clock import OffsetTable
@@ -126,12 +121,11 @@ class RateLimiter:
 
 
 class _TargetState:
-    __slots__ = ("outcomes", "round_one_anchor", "last_send", "duplicate_replies")
+    __slots__ = ("outcomes", "round_one_anchor", "duplicate_replies")
 
     def __init__(self):
         self.outcomes: list[_PendingProbe] = []
         self.round_one_anchor: datetime | None = None
-        self.last_send: datetime | None = None
         self.duplicate_replies = 0
 
 
@@ -278,7 +272,6 @@ def run_scan(
         register(pending)
         st = state[dest]
         st.outcomes.append(pending)
-        st.last_send = now
         # The duplicate round is anchored on the standard probe when one was
         # sent, else on the target's first round-one probe.
         if kind is ProbeKind.STANDARD or (
@@ -331,17 +324,6 @@ def run_scan(
             vantage=cfg.vantage,
             duplicate_replies=st.duplicate_replies,
         )
-        try:
-            fp = fingerprint_observation(obs, policy, table)
-        except NoCleanReplies:
-            fp = Fingerprint(
-                target=target,
-                classes=frozenset({ImplClass.UNKNOWN}),
-                timekeeping=Timekeeping.UNKNOWN,
-                correctness=Correctness.INCORRECT,
-                tz_offset=None,
-                flags=frozenset({"all_replies_tampered"}),
-            )
         yield ResultRecord(
             target=target,
             vantage=cfg.vantage,
@@ -349,7 +331,7 @@ def run_scan(
                 ProbeOutcome(p.probe, p.reply, p.arrival, p.tamper)
                 for p in st.outcomes
             ),
-            fingerprint=fp,
+            fingerprint=fingerprint_observation(obs, policy, table),
             duplicate_replies=st.duplicate_replies,
         )
 

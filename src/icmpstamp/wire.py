@@ -16,30 +16,14 @@ significant bit is set, in which case the value is non-standard.  The
 codec deals only with the ICMP payload; IP headers belong to the
 transport layer.
 
-The checksum and byte-swap kernels come from the compiled ``_speedups``
-extension when it is available, otherwise from the pure-Python
-``_kernels_py`` module.  Set ``ICMPSTAMP_PURE=1`` to force the fallback.
+The checksum and byte swap are plain Python: a message is 20 bytes, and
+one ``struct.unpack`` over its 16-bit words does the checksum's sum.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field, replace
-
-if os.environ.get("ICMPSTAMP_PURE"):
-    from icmpstamp import _kernels_py as _kernels
-
-    _BACKEND = "pure"
-else:
-    try:
-        from icmpstamp import _speedups as _kernels  # type: ignore[no-redef]
-
-        _BACKEND = "compiled"
-    except ImportError:
-        from icmpstamp import _kernels_py as _kernels  # type: ignore[no-redef]
-
-        _BACKEND = "pure"
 
 TIMESTAMP_REQUEST = 13
 TIMESTAMP_REPLY = 14
@@ -63,8 +47,11 @@ class NotATimestamp(WireError):
 
 
 def kernel_backend() -> str:
-    """Which kernel implementation is active: ``"compiled"`` or ``"pure"``."""
-    return _BACKEND
+    """Always ``"pure"``: the kernels have one, pure-Python, implementation.
+
+    Kept because the benchmark prints it in every run's header.
+    """
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -144,27 +131,47 @@ def decode(buf) -> TimestampMessage:
     return TimestampMessage(*fields, trailing_data=len(view) > MESSAGE_LEN)
 
 
+def _ones_complement_sum(data) -> int:
+    """Sum of ``data``'s big-endian 16-bit words, carries folded back in.
+
+    Odd-length input is padded with one zero byte for summation.
+    """
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    if len(data) & 1:
+        data += b"\x00"
+    total = sum(struct.unpack("!%dH" % (len(data) >> 1), data))
+    while total > _U16:
+        total = (total & _U16) + (total >> 16)
+    return total
+
+
 def internet_checksum(data) -> int:
     """RFC 1071 ones'-complement checksum of ``data``.
 
     Placing the result in the message's checksum field makes the
     ones'-complement sum over the whole message fold to 0xFFFF.
     """
-    return _kernels.internet_checksum(data)
+    return ~_ones_complement_sum(data) & _U16
 
 
 def verify_checksum(msg_bytes) -> bool:
     """True iff the checksum over the full message (field included) holds."""
     if len(msg_bytes) < MESSAGE_LEN:
         raise TruncatedMessage(f"need {MESSAGE_LEN} bytes, got {len(msg_bytes)}")
-    return _kernels.checksum_valid(msg_bytes)
+    return _ones_complement_sum(msg_bytes) == _U16
 
 
 def byte_swap_32(x: int) -> int:
     """Reverse the four bytes of ``x``; involutive."""
     if not 0 <= x <= _U32:
         raise ValueError(f"not a 32-bit unsigned value: {x}")
-    return _kernels.byte_swap_32(x)
+    return (
+        ((x & 0x000000FF) << 24)
+        | ((x & 0x0000FF00) << 8)
+        | ((x >> 8) & 0x0000FF00)
+        | ((x >> 24) & 0x000000FF)
+    )
 
 
 def fill_checksum(msg: TimestampMessage) -> TimestampMessage:

@@ -2,7 +2,7 @@
 
 reference_checksum is an independent re-implementation of the Internet
 checksum (byte-at-a-time with immediate end-around carry) used to check
-the production kernels; keep it naive on purpose.
+the production checksum; keep it naive on purpose.
 """
 
 from __future__ import annotations

@@ -262,6 +262,14 @@ class TestImplementationClasses:
         )
         with pytest.raises(NoCleanReplies):
             classify_implementation(obs, POLICY, TABLE)
+        assert fingerprint_observation(obs, POLICY, TABLE) == Fingerprint(
+            target=DEST,
+            classes=frozenset({ImplClass.UNKNOWN}),
+            timekeeping=Timekeeping.UNKNOWN,
+            correctness=Correctness.INCORRECT,
+            tz_offset=None,
+            flags=frozenset({"all_replies_tampered"}),
+        )
 
 
 class TestClassSetInvariants:

@@ -1,4 +1,4 @@
-"""Byte-level codec tests: exact layouts, checksum math, both kernel backends."""
+"""Byte-level codec tests: exact layouts, checksum math, byte swap."""
 
 import struct
 
@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from builders import reference_checksum
-from icmpstamp import _kernels_py, wire
+from icmpstamp import wire
 from icmpstamp.wire import (
     NotATimestamp,
     TimestampMessage,
@@ -20,20 +20,6 @@ from icmpstamp.wire import (
     internet_checksum,
     verify_checksum,
 )
-
-KERNELS = [_kernels_py]
-try:
-    from icmpstamp import _speedups
-
-    KERNELS.append(_speedups)
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=KERNELS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def kernels(request):
-    return request.param
-
 
 messages = st.builds(
     TimestampMessage,
@@ -104,6 +90,24 @@ class TestDecode:
     def test_accepts_bytearray(self):
         assert decode(bytearray(encode(TimestampMessage(13)))).icmp_type == 13
 
+    # Random bytes seldom start with type 13 or 14, so real messages with
+    # a random tail are drawn beside them.
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(lambda m, tail: encode(m) + tail, messages, st.binary(max_size=44)),
+        )
+    )
+    def test_arbitrary_bytes(self, buf):
+        # Any input either fails as a WireError or decodes to a message
+        # whose wire image is the first 20 bytes.
+        try:
+            msg = decode(buf)
+        except WireError:
+            return
+        assert encode(msg) == buf[:20]
+        assert msg.trailing_data == (len(buf) > 20)
+
 
 class TestInternetChecksum:
     def test_known_vector(self):
@@ -115,22 +119,17 @@ class TestInternetChecksum:
     def test_odd_length_padded(self):
         assert internet_checksum(b"\x0d") == internet_checksum(b"\x0d\x00")
 
-    @given(st.binary(min_size=20, max_size=20))
+    @given(st.binary(max_size=64))
     def test_matches_reference(self, buf):
         assert internet_checksum(buf) == reference_checksum(buf)
 
-    def test_thousand_random_buffers(self, kernels):
+    def test_thousand_random_buffers(self):
         import random
 
         rng = random.Random(1071)
         for _ in range(1000):
             buf = rng.randbytes(20)
-            assert kernels.internet_checksum(buf) == reference_checksum(buf)
-
-    @given(st.binary(min_size=0, max_size=64))
-    def test_backends_agree(self, buf):
-        results = {k.internet_checksum(buf) for k in KERNELS}
-        assert len(results) == 1
+            assert internet_checksum(buf) == reference_checksum(buf)
 
 
 class TestVerifyChecksum:
@@ -187,12 +186,12 @@ class TestByteSwap:
             byte_swap_32(1 << 32)
 
     @given(st.integers(0, 0xFFFFFFFF))
-    def test_backends_agree(self, x):
-        assert len({k.byte_swap_32(x) for k in KERNELS}) == 1
+    def test_matches_struct(self, x):
+        assert byte_swap_32(x) == struct.unpack("<I", struct.pack(">I", x))[0]
 
 
 def test_backend_reports_something():
-    assert wire.kernel_backend() in ("compiled", "pure")
+    assert wire.kernel_backend() == "pure"
 
 
 def test_fill_checksum_round_trips_valid():
