@@ -28,7 +28,7 @@ from icmpstamp.clock import (
     ms_since_utc_midnight,
     offset_millis,
 )
-from icmpstamp.probes import ProbeKind, ProbeRecord, TamperVerdict
+from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.wire import TIMESTAMP_REQUEST, TimestampMessage, byte_swap_32
 
 MSB = 1 << 31
@@ -90,29 +90,23 @@ class CorrectnessPolicy:
             raise ValueError(f"margin_ms out of range: {self.margin_ms}")
 
 
-@dataclass(frozen=True)
-class ObservedPair:
-    """A probe, the reply bound to it, and when the reply arrived."""
-
-    probe: ProbeRecord
-    reply: TimestampMessage
-    recv_instant: datetime
-    tamper: TamperVerdict
-
-
 @dataclass
 class HostObservation:
-    """Everything collected for one target address during a scan."""
+    """Everything collected for one target address during a scan.
+
+    ``pairs`` holds only the answered outcomes: each has a reply, an
+    arrival instant and a tamper verdict.
+    """
 
     target: str
-    pairs: list[ObservedPair]
+    pairs: list[ProbeOutcome]
     vantage: str = ""
     duplicate_replies: int = 0
 
-    def clean_pairs(self) -> list[ObservedPair]:
+    def clean_pairs(self) -> list[ProbeOutcome]:
         return [p for p in self.pairs if p.tamper is TamperVerdict.CLEAN]
 
-    def first_clean(self, kind: ProbeKind) -> ObservedPair | None:
+    def first_clean(self, kind: ProbeKind) -> ProbeOutcome | None:
         candidates = [p for p in self.clean_pairs() if p.probe.kind is kind]
         if not candidates:
             return None
@@ -282,9 +276,7 @@ def _circular_diff_seconds(a: int, b: int) -> int:
     return d if d <= SECONDS_PER_DAY // 2 else d - SECONDS_PER_DAY
 
 
-def classify_timekeeping(
-    obs: HostObservation, policy: CorrectnessPolicy
-) -> Timekeeping:
+def classify_timekeeping(obs: HostObservation) -> Timekeeping:
     """What unit and reference the responder's clock counts in.
 
     Compares the elapsed time reported by the standard and duplicate
@@ -375,7 +367,7 @@ def fingerprint_observation(
         correctness = Correctness.INCORRECT
         flags.add("no_standard_reply")
 
-    timekeeping = classify_timekeeping(obs, policy)
+    timekeeping = classify_timekeeping(obs)
     if std is None or dup is None:
         flags.add("timekeeping_indeterminate")
     if std is None or bad_clock is None:

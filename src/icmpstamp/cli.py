@@ -11,11 +11,7 @@ import logging
 import sys
 
 from icmpstamp import reports, results
-from icmpstamp.classify import (
-    AmbiguousTimezone,
-    CorrectnessPolicy,
-    fingerprint_observation,
-)
+from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
 from icmpstamp.clock import OffsetTable
 from icmpstamp.engine import ALL_PROBE_KINDS, ScanConfig, make_transport, run_scan
 from icmpstamp.probes import ProbeKind
@@ -72,8 +68,19 @@ def _cmd_scan(args) -> int:
 
 
 def _policy_and_table(args) -> tuple[CorrectnessPolicy, OffsetTable]:
+    """The margin and table, checked as a pair before any input is read.
+
+    Two candidate offsets closer than twice the margin could both match one
+    receive timestamp, so such a table is rejected up front.
+    """
     policy = CorrectnessPolicy(margin_ms=args.margin_ms)
     table = OffsetTable.from_file(args.offsets) if args.offsets else OffsetTable()
+    spacing = table.min_spacing_ms()
+    if spacing is not None and spacing < 2 * policy.margin_ms:
+        raise ValueError(
+            f"margin {policy.margin_ms} ms is more than half the {spacing} ms "
+            "between the closest candidate offsets; narrow the margin or thin the table"
+        )
     return policy, table
 
 
@@ -222,7 +229,7 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (ValueError, OSError, AmbiguousTimezone) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,6 +8,7 @@ below the 200 ms correctness margin used throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -53,8 +54,8 @@ def circular_diff(a: int, b: int) -> int:
 def offset_millis(offset_hours: float) -> int:
     """Convert a UTC offset in hours (multiple of 0.5) to milliseconds."""
     doubled = offset_hours * 2
-    if doubled != int(doubled):
-        raise ValueError(f"offset must be a multiple of 0.5 hours: {offset_hours}")
+    if not math.isfinite(doubled) or doubled != int(doubled):
+        raise ValueError(f"offset must be a finite multiple of 0.5 hours: {offset_hours}")
     return int(doubled) * (MS_PER_HOUR // 2)
 
 
@@ -86,8 +87,8 @@ class OffsetTable:
 
     def __post_init__(self):
         for o in self.offsets:
-            if (o * 2) != int(o * 2):
-                raise ValueError(f"offset must be a multiple of 0.5 hours: {o}")
+            if not math.isfinite(o * 2) or (o * 2) != int(o * 2):
+                raise ValueError(f"offset must be a finite multiple of 0.5 hours: {o}")
 
     @classmethod
     def from_file(cls, path) -> "OffsetTable":
@@ -103,6 +104,13 @@ class OffsetTable:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: not an hour offset: {text!r}") from None
         return cls(tuple(offsets))
+
+    def min_spacing_ms(self) -> int | None:
+        """Shortest day-circle distance between two entries (None if < 2)."""
+        points = sorted(offset_millis(o) % DAY_MS for o in self.offsets)
+        if len(points) < 2:
+            return None
+        return min((b - a) % DAY_MS for a, b in zip(points, points[1:] + points[:1]))
 
     def match(self, hours: float) -> float | None:
         """The table entry equal to ``hours`` on the day circle, if any."""

@@ -7,9 +7,11 @@ order inside each round is a seeded pseudo-random permutation so probes
 spread across networks in time.
 
 One logical sender and one logical receiver interleave on the transport:
-between rate-limited sends the engine drains arriving replies, matching
-each to the earliest unanswered probe with the same (source, id, seq).
-Replies that match no outstanding probe are logged, never bound.
+between rate-limited sends the engine drains arriving replies.  A reply
+is matched only against the probes sent to its own source, at most four,
+in send order: the first unanswered probe with the reply's (id, seq), or
+else the first unanswered probe with its originate timestamp.  Replies
+that match no probe are logged, never bound.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from icmpstamp import wire
 from icmpstamp.classify import (
     CorrectnessPolicy,
     HostObservation,
-    ObservedPair,
     fingerprint_observation,
 )
 from icmpstamp.clock import OffsetTable
 from icmpstamp.probes import (
     ProbeKind,
+    ProbeOutcome,
     ProbeRecord,
     make_bad_checksum,
     make_bad_clock,
@@ -39,7 +41,7 @@ from icmpstamp.probes import (
     verify_reply,
 )
 from icmpstamp.responder import SimNetwork
-from icmpstamp.results import ProbeOutcome, ResultRecord
+from icmpstamp.results import ResultRecord
 from icmpstamp.transport import RawTransport, TransportError
 
 log = logging.getLogger(__name__)
@@ -124,23 +126,9 @@ class _TargetState:
     __slots__ = ("outcomes", "round_one_anchor", "duplicate_replies")
 
     def __init__(self):
-        self.outcomes: list[_PendingProbe] = []
+        self.outcomes: list[ProbeOutcome] = []
         self.round_one_anchor: datetime | None = None
         self.duplicate_replies = 0
-
-
-class _PendingProbe:
-    __slots__ = ("probe", "reply", "arrival", "tamper")
-
-    def __init__(self, probe: ProbeRecord):
-        self.probe = probe
-        self.reply = None
-        self.arrival = None
-        self.tamper = None
-
-    @property
-    def answered(self) -> bool:
-        return self.reply is not None
 
 
 def make_transport(spec: str):
@@ -182,19 +170,12 @@ def run_scan(
         round_two = []
 
     state: dict[str, _TargetState] = {t: _TargetState() for t in targets}
-    outstanding: dict[tuple[str, int, int], list[_PendingProbe]] = {}
     unmatched = 0
     sent_count = 0
 
-    def register(pending: _PendingProbe) -> None:
-        msg = pending.probe.message
-        key = (pending.probe.dest, msg.ident, msg.seq)
-        outstanding.setdefault(key, []).append(pending)
-
-    def bind(pending: _PendingProbe, reply, arrival, src) -> None:
-        pending.reply = reply
-        pending.arrival = arrival
-        pending.tamper = verify_reply(pending.probe, reply, src)
+    def bind(outcomes: list[ProbeOutcome], i: int, reply, arrival, src) -> None:
+        probe = outcomes[i].probe
+        outcomes[i] = ProbeOutcome(probe, reply, arrival, verify_reply(probe, reply, src))
 
     def handle(src: str, data: bytes, arrival: datetime) -> None:
         nonlocal unmatched
@@ -210,35 +191,30 @@ def run_scan(
             unmatched += 1
             log.info("reply with bad checksum from %s", src)
             return
-        queue = outstanding.get((src, msg.ident, msg.seq))
-        if queue is not None:
-            pending = next((p for p in queue if not p.answered), None)
-            if pending is None:
-                # Every probe with this key already holds a reply.
-                if src in state:
-                    state[src].duplicate_replies += 1
-                else:
-                    unmatched += 1
-                return
-            bind(pending, msg, arrival, src)
-            return
-        # No (source, id, seq) match: fall back to the originate timestamp
-        # so replies whose id/seq were rewritten in flight are still
-        # observed (they classify as tampered, never as clean).
-        fallback = [
-            p
-            for plist in outstanding.values()
-            for p in plist
-            if not p.answered
-            and p.probe.dest == src
-            and p.probe.message.orig_ts == msg.orig_ts
-        ]
-        pending = min(fallback, key=lambda p: p.probe.send_time, default=None)
-        if pending is None:
+        st = state.get(src)
+        outcomes = st.outcomes if st is not None else []
+        keyed = False
+        by_orig = None
+        for i, outcome in enumerate(outcomes):
+            sent = outcome.probe.message
+            if sent.ident == msg.ident and sent.seq == msg.seq:
+                if outcome.reply is None:
+                    bind(outcomes, i, msg, arrival, src)
+                    return
+                keyed = True
+            elif by_orig is None and outcome.reply is None and sent.orig_ts == msg.orig_ts:
+                by_orig = i
+        if keyed:
+            # Every probe with this (id, seq) already holds a reply.
+            st.duplicate_replies += 1
+        elif by_orig is not None:
+            # No (id, seq) match: fall back to the originate timestamp so
+            # replies whose id/seq were rewritten in flight are still
+            # observed (they classify as tampered, never as clean).
+            bind(outcomes, by_orig, msg, arrival, src)
+        else:
             unmatched += 1
             log.info("unmatched reply from %s (id=%d seq=%d)", src, msg.ident, msg.seq)
-            return
-        bind(pending, msg, arrival, src)
 
     def pump_until(deadline: datetime) -> None:
         while transport.now() < deadline:
@@ -260,18 +236,15 @@ def run_scan(
     limiter = RateLimiter(cfg.rate_pps, transport.now())
     last_send: datetime | None = None
     aborted: TransportError | None = None
-    probed: set[str] = set()
 
     def dispatch(dest: str, kind: ProbeKind) -> None:
         nonlocal last_send, sent_count
         now = transport.now()
         probe = build_probe(kind, dest, now)
-        pending = _PendingProbe(probe)
         transport.send(dest, wire.encode(probe.message))
         sent_count += 1
-        register(pending)
         st = state[dest]
-        st.outcomes.append(pending)
+        st.outcomes.append(ProbeOutcome(probe))
         # The duplicate round is anchored on the standard probe when one was
         # sent, else on the target's first round-one probe.
         if kind is ProbeKind.STANDARD or (
@@ -279,7 +252,6 @@ def run_scan(
         ):
             st.round_one_anchor = now
         last_send = now
-        probed.add(dest)
         limiter.mark_sent(now)
 
     try:
@@ -303,7 +275,7 @@ def run_scan(
             pump_until(last_send + timedelta(milliseconds=cfg.timeout_ms))
     except (TransportError, OSError) as exc:
         aborted = exc if isinstance(exc, TransportError) else TransportError(str(exc))
-        _write_resume_marker(cfg, [t for t in targets if t not in probed])
+        _write_resume_marker(cfg, [t for t in targets if not state[t].outcomes])
         log.error("scan aborted: %s", exc)
 
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
@@ -311,13 +283,9 @@ def run_scan(
 
     for target in targets:
         st = state[target]
-        if not any(p.answered for p in st.outcomes):
+        pairs = [o for o in st.outcomes if o.reply is not None]
+        if not pairs:
             continue
-        pairs = [
-            ObservedPair(p.probe, p.reply, p.arrival, p.tamper)
-            for p in st.outcomes
-            if p.answered
-        ]
         obs = HostObservation(
             target=target,
             pairs=pairs,
@@ -327,10 +295,7 @@ def run_scan(
         yield ResultRecord(
             target=target,
             vantage=cfg.vantage,
-            outcomes=tuple(
-                ProbeOutcome(p.probe, p.reply, p.arrival, p.tamper)
-                for p in st.outcomes
-            ),
+            outcomes=tuple(st.outcomes),
             fingerprint=fingerprint_observation(obs, policy, table),
             duplicate_replies=st.duplicate_replies,
         )

@@ -58,6 +58,16 @@ class ProbeRecord:
     round_no: int = 0
 
 
+@dataclass(frozen=True)
+class ProbeOutcome:
+    """One sent probe and whatever came back for it."""
+
+    probe: ProbeRecord
+    reply: TimestampMessage | None = None
+    arrival: datetime | None = None
+    tamper: TamperVerdict | None = None
+
+
 def _dest_bytes(dest: str) -> bytes:
     return IPv4Address(dest).packed
 

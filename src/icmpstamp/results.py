@@ -17,21 +17,10 @@ from icmpstamp.classify import (
     Fingerprint,
     HostObservation,
     ImplClass,
-    ObservedPair,
     Timekeeping,
 )
-from icmpstamp.probes import ProbeKind, ProbeRecord, TamperVerdict
+from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
 from icmpstamp.wire import TimestampMessage
-
-
-@dataclass(frozen=True)
-class ProbeOutcome:
-    """One sent probe and whatever came back for it."""
-
-    probe: ProbeRecord
-    reply: TimestampMessage | None = None
-    arrival: datetime | None = None
-    tamper: TamperVerdict | None = None
 
 
 @dataclass(frozen=True)
@@ -173,26 +162,16 @@ def read_records(path) -> list[ResultRecord]:
                 continue
             try:
                 records.append(record_from_line(line))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
     return records
 
 
 def observation_from_record(rec: ResultRecord) -> HostObservation:
     """Rebuild the observation so classification can be re-run offline."""
-    pairs = [
-        ObservedPair(
-            probe=outcome.probe,
-            reply=outcome.reply,
-            recv_instant=outcome.arrival,
-            tamper=outcome.tamper,
-        )
-        for outcome in rec.outcomes
-        if outcome.reply is not None
-    ]
     return HostObservation(
         target=rec.target,
-        pairs=pairs,
+        pairs=[o for o in rec.outcomes if o.reply is not None],
         vantage=rec.vantage,
         duplicate_replies=rec.duplicate_replies,
     )

@@ -11,8 +11,9 @@ import random
 from datetime import datetime, timedelta, timezone
 
 from icmpstamp import wire
-from icmpstamp.classify import HostObservation, ObservedPair
+from icmpstamp.classify import HostObservation
 from icmpstamp.probes import (
+    ProbeOutcome,
     ProbeRecord,
     make_bad_checksum,
     make_bad_clock,
@@ -58,11 +59,11 @@ def echo_reply(probe: ProbeRecord, recv: int, xmit: int) -> TimestampMessage:
     )
 
 
-def pair_for(probe: ProbeRecord, reply: TimestampMessage) -> ObservedPair:
-    return ObservedPair(
+def pair_for(probe: ProbeRecord, reply: TimestampMessage) -> ProbeOutcome:
+    return ProbeOutcome(
         probe=probe,
         reply=reply,
-        recv_instant=probe.send_time,
+        arrival=probe.send_time,
         tamper=verify_reply(probe, reply, probe.dest),
     )
 
@@ -97,6 +98,6 @@ def observe_direct(
             continue
         reply = wire.decode(raw)
         pairs.append(
-            ObservedPair(probe, reply, at_ms(t), verify_reply(probe, reply, dest))
+            ProbeOutcome(probe, reply, at_ms(t), verify_reply(probe, reply, dest))
         )
     return HostObservation(target=dest, pairs=pairs)

@@ -22,7 +22,6 @@ from icmpstamp.classify import (
     CorrectnessPolicy,
     HostObservation,
     ImplClass,
-    ObservedPair,
     classify_correctness,
     classify_implementation,
     classify_timekeeping,
@@ -33,6 +32,7 @@ from icmpstamp.clock import DAY_MS, DEFAULT_OFFSET_HOURS, OffsetTable, offset_mi
 from icmpstamp.engine import ScanConfig, run_scan
 from icmpstamp.probes import (
     ProbeKind,
+    ProbeOutcome,
     TamperVerdict,
     make_bad_clock,
     make_duplicate,
@@ -309,13 +309,13 @@ def test_c5_htons_detector():
         obs = HostObservation(
             dest,
             [
-                ObservedPair(
+                ProbeOutcome(
                     std_probe,
                     replace(std_reply, recv_ts=v1, xmit_ts=v1),
                     std_probe.send_time,
                     TamperVerdict.CLEAN,
                 ),
-                ObservedPair(
+                ProbeOutcome(
                     bc_probe,
                     replace(bc_reply, recv_ts=v2, xmit_ts=v2),
                     bc_probe.send_time,
@@ -385,7 +385,7 @@ def test_c7_timekeeping_units():
         for trial in range(100):
             t0 = draw_instant(rng, _clock_follower_ok)
             obs = observe_direct(cfg, t0, rng)
-            got = classify_timekeeping(obs, POLICY)
+            got = classify_timekeeping(obs)
             assert got is expected, f"units={units} trial {trial} at t0={t0}: {got}"
     report("7 precision/epoch classification (100/100 for ms, s, epoch): PASS")
 

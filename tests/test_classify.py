@@ -17,7 +17,6 @@ from icmpstamp.classify import (
     HostObservation,
     ImplClass,
     NoCleanReplies,
-    ObservedPair,
     ScannerKind,
     Timekeeping,
     classify_correctness,
@@ -31,6 +30,7 @@ from icmpstamp.classify import (
 )
 from icmpstamp.clock import DAY_MS, OffsetTable
 from icmpstamp.probes import (
+    ProbeOutcome,
     TamperVerdict,
     make_bad_checksum,
     make_bad_clock,
@@ -258,7 +258,7 @@ class TestImplementationClasses:
             xmit_ts=5,
         )
         obs.pairs.append(
-            ObservedPair(std, tampered_reply, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)
+            ProbeOutcome(std, tampered_reply, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)
         )
         with pytest.raises(NoCleanReplies):
             classify_implementation(obs, POLICY, TABLE)
@@ -293,32 +293,32 @@ class TestClassSetInvariants:
 class TestTimekeeping:
     def test_millisecond(self):
         obs, _ = build_obs(std=(ORIG, ORIG), dup=(ORIG + 3001, ORIG + 3001))
-        assert classify_timekeeping(obs, POLICY) is Timekeeping.MILLISECOND
+        assert classify_timekeeping(obs) is Timekeeping.MILLISECOND
 
     def test_second(self):
         secs = ORIG // 1000
         obs, _ = build_obs(std=(secs, secs), dup=(secs + 3, secs + 3))
-        assert classify_timekeeping(obs, POLICY) is Timekeeping.SECOND
+        assert classify_timekeeping(obs) is Timekeeping.SECOND
 
     def test_epoch(self):
         # Calendar oracle for 2018-10-06T12:34:56Z.
         epoch = int(datetime(2018, 10, 6, 12, 34, 56, tzinfo=timezone.utc).timestamp())
         assert epoch == 1_538_829_296
         obs, _ = build_obs(std=(epoch, epoch), dup=(epoch + 3, epoch + 3))
-        assert classify_timekeeping(obs, POLICY) is Timekeeping.EPOCH
+        assert classify_timekeeping(obs) is Timekeeping.EPOCH
 
     def test_epoch_wrong_date_unknown(self):
         stale = int(datetime(2018, 10, 5, 12, 34, 56, tzinfo=timezone.utc).timestamp())
         obs, _ = build_obs(std=(stale, stale), dup=(stale + 3, stale + 3))
-        assert classify_timekeeping(obs, POLICY) is Timekeeping.UNKNOWN
+        assert classify_timekeeping(obs) is Timekeeping.UNKNOWN
 
     def test_stuck_clock_unknown(self):
         obs, _ = build_obs(std=(5, 5), dup=(5, 5))
-        assert classify_timekeeping(obs, POLICY) is Timekeeping.UNKNOWN
+        assert classify_timekeeping(obs) is Timekeeping.UNKNOWN
 
     def test_missing_duplicate_unknown(self):
         obs, _ = build_obs(std=(ORIG, ORIG))
-        assert classify_timekeeping(obs, POLICY) is Timekeeping.UNKNOWN
+        assert classify_timekeeping(obs) is Timekeeping.UNKNOWN
         fp = fingerprint_observation(obs)
         assert "timekeeping_indeterminate" in fp.flags
 
@@ -327,7 +327,7 @@ class TestTimekeeping:
         # still measured in milliseconds.
         msb = 2**31
         obs, _ = build_obs(std=(ORIG | msb, ORIG | msb), dup=((ORIG + 3000) | msb, (ORIG + 3000) | msb))
-        assert classify_timekeeping(obs, POLICY) is Timekeeping.MILLISECOND
+        assert classify_timekeeping(obs) is Timekeeping.MILLISECOND
 
 
 class TestScannerSignature:
@@ -455,7 +455,7 @@ class TestFingerprintObservation:
             xmit_ts=7,
         )
         obs.pairs.append(
-            ObservedPair(std, tampered, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)
+            ProbeOutcome(std, tampered, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)
         )
         result = fingerprint_observation(obs)
         assert "tampered_replies" in result.flags

@@ -113,6 +113,17 @@ class TestClassifyCommand:
                      "--margin-ms", "40000000"])
         assert code == EXIT_CONFIG  # several candidate offsets match at once
 
+    def test_unusable_margin_fails_before_reading_input(self, scanned, capsys):
+        tmp_path, out = scanned
+        lines = out.read_text().splitlines()
+        out.write_text(lines[0] + "\n{not json\n")
+        code = main(["classify", "--in", str(out), "--out", str(tmp_path / "re.jsonl"),
+                     "--margin-ms", "2000000"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "margin 2000000 ms" in err
+        assert "bad record" not in err
+
     def test_custom_offsets_file(self, scanned, tmp_path):
         _, out = scanned
         offsets = tmp_path / "offsets.txt"
@@ -121,6 +132,25 @@ class TestClassifyCommand:
         code = main(["classify", "--in", str(out), "--out", str(re_out),
                      "--offsets", str(offsets)])
         assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("bad_input", ["record", "offsets", "fixture"])
+def test_malformed_input_is_config_error(scanned, capsys, bad_input):
+    tmp_path, out = scanned
+    bad = tmp_path / "bad.txt"
+    if bad_input == "record":
+        bad.write_text("[]\n")
+        argv = ["classify", "--in", str(bad), "--out", str(tmp_path / "re.jsonl")]
+    elif bad_input == "offsets":
+        bad.write_text("9\ninf\n")
+        argv = ["classify", "--in", str(out), "--out", str(tmp_path / "re.jsonl"),
+                "--offsets", str(bad)]
+    else:
+        bad.write_text("10.9.0.1 timezone tz=inf\n")
+        argv = ["scan", "--targets", str(tmp_path / "targets.txt"),
+                "--out", str(tmp_path / "o.jsonl"), "--transport", f"sim:{bad}"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReportCommands:

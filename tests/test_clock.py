@@ -135,6 +135,19 @@ class TestOffsetTable:
         with pytest.raises(ValueError):
             OffsetTable((5.75,))
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e308"])
+    def test_non_finite_entry_rejected(self, tmp_path, text):
+        path = tmp_path / "offsets.txt"
+        path.write_text(f"9\n{text}\n")
+        with pytest.raises(ValueError, match="finite"):
+            OffsetTable.from_file(path)
+
+    def test_min_spacing_on_the_day_circle(self):
+        assert OffsetTable().min_spacing_ms() == 1_800_000
+        assert OffsetTable((11.0, -11.0)).min_spacing_ms() == 7_200_000
+        assert OffsetTable((12.0, -12.0)).min_spacing_ms() == 0
+        assert OffsetTable((9.0,)).min_spacing_ms() is None
+
     def test_plus_twelve_matches_minus_twelve_entry(self):
         assert OffsetTable().match(12) == -12
 

@@ -1,9 +1,13 @@
 """Scan engine tests: pacing, matching, determinism, failure handling."""
 
 import logging
+import random
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmpstamp import wire
 from icmpstamp.classify import ImplClass
@@ -69,6 +73,39 @@ class FailingTransport(RecordingTransport):
         if len(self.sent) >= self.fail_after:
             raise TransportError("synthetic link failure")
         super().send(dest, data)
+
+
+class ChaosTransport(RecordingTransport):
+    """Drops, duplicates and locally reorders replies; injects junk.
+
+    Truncated copies of real replies and copies from an address outside
+    the target list ride along.  ``delivered`` lists every packet handed
+    to the engine; packets still held when the scan ends are lost.
+    """
+
+    OFF_TARGET = "198.18.0.1"
+
+    def __init__(self, inner, rng):
+        super().__init__(inner)
+        self.rng = rng
+        self.held = []
+        self.delivered = []
+
+    def receive(self, max_wait_ms):
+        item = self.inner.receive(max_wait_ms)
+        if item is not None:
+            src, data, arrival = item
+            roll = self.rng.random()
+            self.held.extend([item] * (0 if roll < 0.1 else 2 if roll < 0.3 else 1))
+            if self.rng.random() < 0.2:
+                self.held.append((src, data[: self.rng.randrange(20)], arrival))
+            if self.rng.random() < 0.2:
+                self.held.append((self.OFF_TARGET, data, arrival))
+        if not self.held:
+            return None
+        item = self.held.pop(self.rng.randrange(min(2, len(self.held))))
+        self.delivered.append(item)
+        return item
 
 
 class TestLoadTargets:
@@ -266,6 +303,66 @@ class TestScan:
         ]
         probed = {dest for _, dest, _ in transport.sent}
         assert set(remaining) == set(addrs) - probed
+
+
+# Even last octets, so a source-rewriting host (dest ^ 1) answers from an
+# address outside the target list.
+CHAOS_TARGETS = [f"10.20.0.{2 * i}" for i in range(1, 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fleet=st.lists(
+        st.tuples(
+            st.sampled_from([None, ImplClass.LAZY, ImplClass.NORMAL,
+                             ImplClass.CHECKSUM_LAZY, ImplClass.REFLECTION]),
+            st.sampled_from([None, "orig_ts", "id_seq", "source"]),
+        ),
+        min_size=len(CHAOS_TARGETS),
+        max_size=len(CHAOS_TARGETS),
+    ),
+    chaos_seed=st.integers(0, 2**32 - 1),
+)
+def test_matching_on_a_hostile_network(tmp_path_factory, fleet, chaos_seed):
+    hosts = {
+        addr: BehaviorConfig(impl, tamper=tamper, jitter_ms=30)
+        for addr, (impl, tamper) in zip(CHAOS_TARGETS, fleet)
+        if impl is not None
+    }
+    cfg = ScanConfig(
+        targets_path=write_targets(tmp_path_factory.mktemp("chaos"), CHAOS_TARGETS),
+        rate_pps=200, inter_round_gap_ms=1000, timeout_ms=1000, seed=chaos_seed,
+    )
+    transport = ChaosTransport(SimNetwork(hosts, start=START), random.Random(chaos_seed))
+    records = list(run_scan(cfg, transport))
+
+    sent_keys = {}
+    for _, dest, data in transport.sent:
+        msg = wire.decode(data)
+        sent_keys.setdefault(dest, set()).add((msg.ident, msg.seq))
+    delivered = {(src, data) for src, data, _ in transport.delivered}
+    keyed = Counter()
+    for src, data, _ in transport.delivered:
+        try:
+            msg = wire.decode(data)
+        except wire.WireError:
+            continue
+        if (msg.ident, msg.seq) in sent_keys.get(src, ()):
+            keyed[src] += 1
+
+    assert set(keyed) <= {r.target for r in records}
+    for rec in records:
+        bound_by_key = 0
+        for outcome in rec.outcomes:
+            if outcome.reply is None:
+                continue
+            sent = outcome.probe.message
+            assert (rec.target, wire.encode(outcome.reply)) in delivered
+            by_key = (outcome.reply.ident, outcome.reply.seq) == (sent.ident, sent.seq)
+            assert by_key or outcome.reply.orig_ts == sent.orig_ts
+            bound_by_key += by_key
+        # Every (id, seq)-matching copy beyond the one bound is a duplicate.
+        assert rec.duplicate_replies == keyed[rec.target] - bound_by_key
 
 
 class TestMakeTransport:

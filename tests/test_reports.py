@@ -21,7 +21,7 @@ from icmpstamp.reports import (
     load_tz_db,
     merge_records,
 )
-from icmpstamp.results import ProbeOutcome, ResultRecord
+from icmpstamp.results import ResultRecord
 from icmpstamp.wire import TimestampMessage
 
 
@@ -39,8 +39,7 @@ def standard_record(target, orig_ms, recv_offset_ms, vantage="A", tz=None,
         correctness=Correctness.CORRECT if abs(recv_offset_ms) < 200 else Correctness.INCORRECT,
         tz_offset=tz,
     )
-    outcome = ProbeOutcome(probe, reply, pair.recv_instant, pair.tamper)
-    return ResultRecord(target, vantage, (outcome,), fingerprint)
+    return ResultRecord(target, vantage, (pair,), fingerprint)
 
 
 class TestErrorHistogram:
@@ -226,7 +225,7 @@ def test_fingerprint_observation_consistency_with_reports():
 
     obs = HostObservation("10.6.0.1", [pair])
     fp = fingerprint_observation(obs)
-    rec = ResultRecord("10.6.0.1", "A", (ProbeOutcome(probe, reply, pair.recv_instant, pair.tamper),), fp)
+    rec = ResultRecord("10.6.0.1", "A", (pair,), fp)
     rows = error_histogram([rec], bin_ms=100)
     assert rows == [(100, 1.0)]
     assert fp.correctness is Correctness.CORRECT

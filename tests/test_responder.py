@@ -278,6 +278,12 @@ class TestBehaviorFile:
         with pytest.raises(ValueError, match="hosts.txt:2"):
             load_behavior_file(path)
 
+    def test_infinite_tz_names_line(self, tmp_path):
+        path = tmp_path / "hosts.txt"
+        path.write_text("192.0.2.1 lazy\n192.0.2.2 timezone tz=inf\n")
+        with pytest.raises(ValueError, match="hosts.txt:2"):
+            load_behavior_file(path)
+
     def test_from_file_network(self, tmp_path):
         path = tmp_path / "hosts.txt"
         path.write_text("@network start=2018-10-06T01:02:03Z\n192.0.2.1 lazy\n")

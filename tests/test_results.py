@@ -2,11 +2,12 @@
 
 import random
 
+import pytest
+
 from builders import at_ms, echo_reply, pair_for
 from icmpstamp.classify import fingerprint_observation, HostObservation
-from icmpstamp.probes import make_bad_clock, make_duplicate, make_standard
+from icmpstamp.probes import ProbeOutcome, make_bad_clock, make_duplicate, make_standard
 from icmpstamp.results import (
-    ProbeOutcome,
     ResultRecord,
     observation_from_record,
     read_records,
@@ -31,7 +32,7 @@ def sample_record(target="10.7.0.1", answered=True):
             reply = echo_reply(probe, t0 + 40, t0 + 40)
             pair = pair_for(probe, reply)
             pairs.append(pair)
-            outcomes.append(ProbeOutcome(probe, reply, pair.recv_instant, pair.tamper))
+            outcomes.append(pair)
         else:
             outcomes.append(ProbeOutcome(probe))
     obs = HostObservation(target, pairs, vantage="lab", duplicate_replies=1)
@@ -72,6 +73,12 @@ class TestRoundTrip:
             assert "out.jsonl:1" in str(exc)
         else:
             raise AssertionError("expected ValueError")
+
+    def test_non_object_line_named(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text(record_to_line(sample_record()) + "\n[]\n")
+        with pytest.raises(ValueError, match="out.jsonl:2: bad record"):
+            read_records(path)
 
 
 def test_observation_rebuild_reclassifies_identically():
