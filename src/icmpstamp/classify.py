@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 
-from icmpstamp.clock import (
-    DAY_MS,
-    OffsetTable,
-    circular_diff,
-    ms_since_utc_midnight,
-    offset_millis,
-)
+from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, ms_since_utc_midnight
 from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.wire import TIMESTAMP_REQUEST, TimestampMessage, byte_swap_32
 
@@ -90,6 +84,11 @@ class CorrectnessPolicy:
             raise ValueError(f"margin_ms out of range: {self.margin_ms}")
 
 
+# Both are frozen, so every host classified with the defaults shares them.
+_DEFAULT_POLICY = CorrectnessPolicy()
+_DEFAULT_TABLE = OffsetTable()
+
+
 @dataclass
 class HostObservation:
     """Everything collected for one target address during a scan.
@@ -107,10 +106,16 @@ class HostObservation:
         return [p for p in self.pairs if p.tamper is TamperVerdict.CLEAN]
 
     def first_clean(self, kind: ProbeKind) -> ProbeOutcome | None:
-        candidates = [p for p in self.clean_pairs() if p.probe.kind is kind]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: p.probe.send_time)
+        """The earliest-sent clean outcome of ``kind`` (first on ties)."""
+        first = None
+        for p in self.pairs:
+            if (
+                p.tamper is TamperVerdict.CLEAN
+                and p.probe.kind is kind
+                and (first is None or p.probe.send_time < first.probe.send_time)
+            ):
+                first = p
+        return first
 
 
 @dataclass(frozen=True)
@@ -160,11 +165,13 @@ def infer_timezone(
     recv = reply.recv_ts
     if recv & MSB or recv >= DAY_MS:
         return None
+    margin = policy.margin_ms
+    # d is recv minus the expectation, taken forward round the day circle;
+    # the circular distance is min(d, DAY_MS - d).
     matches = [
         o
-        for o in table.offsets
-        if abs(circular_diff(recv, (probe_orig + offset_millis(o)) % DAY_MS))
-        < policy.margin_ms
+        for o, ms in zip(table.offsets, table.offsets_ms)
+        if (d := (recv - probe_orig - ms) % DAY_MS) < margin or DAY_MS - d < margin
     ]
     if not matches:
         return None
@@ -210,7 +217,7 @@ def classify_implementation(
     NoCleanReplies.  If nothing fires the result is {UNKNOWN}.
     """
     if table is None:
-        table = OffsetTable()
+        table = _DEFAULT_TABLE
     if not obs.clean_pairs():
         raise NoCleanReplies(f"no clean replies for {obs.target}")
 
@@ -348,9 +355,9 @@ def fingerprint_observation(
             flags=frozenset({"all_replies_tampered"}),
         )
     if policy is None:
-        policy = CorrectnessPolicy()
+        policy = _DEFAULT_POLICY
     if table is None:
-        table = OffsetTable()
+        table = _DEFAULT_TABLE
 
     classes = classify_implementation(obs, policy, table)
     flags: set[str] = set()

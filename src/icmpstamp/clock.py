@@ -9,7 +9,7 @@ below the 200 ms correctness margin used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 DAY_MS = 86_400_000
@@ -84,11 +84,11 @@ class OffsetTable:
     """
 
     offsets: tuple[float, ...] = DEFAULT_OFFSET_HOURS
+    # ``offsets`` in milliseconds, entry for entry.
+    offsets_ms: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for o in self.offsets:
-            if not math.isfinite(o * 2) or (o * 2) != int(o * 2):
-                raise ValueError(f"offset must be a finite multiple of 0.5 hours: {o}")
+        object.__setattr__(self, "offsets_ms", tuple(offset_millis(o) for o in self.offsets))
 
     @classmethod
     def from_file(cls, path) -> "OffsetTable":
@@ -100,14 +100,19 @@ class OffsetTable:
                 if not text:
                     continue
                 try:
-                    offsets.append(float(text))
+                    offset = float(text)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: not an hour offset: {text!r}") from None
+                try:
+                    offset_millis(offset)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                offsets.append(offset)
         return cls(tuple(offsets))
 
     def min_spacing_ms(self) -> int | None:
         """Shortest day-circle distance between two entries (None if < 2)."""
-        points = sorted(offset_millis(o) % DAY_MS for o in self.offsets)
+        points = sorted(ms % DAY_MS for ms in self.offsets_ms)
         if len(points) < 2:
             return None
         return min((b - a) % DAY_MS for a, b in zip(points, points[1:] + points[:1]))

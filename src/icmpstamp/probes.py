@@ -22,11 +22,11 @@ bytes read big-endian; id takes the high 16 of those bits, seq the low
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+import socket
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from hashlib import md5
-from ipaddress import IPv4Address
 
 from icmpstamp import wire
 from icmpstamp.clock import ms_since_utc_midnight
@@ -69,7 +69,15 @@ class ProbeOutcome:
 
 
 def _dest_bytes(dest: str) -> bytes:
-    return IPv4Address(dest).packed
+    """The 4-byte big-endian form of a dotted-quad IPv4 address.
+
+    Rejects what ``ipaddress.IPv4Address`` rejects (including leading
+    zeros), with ``ValueError``.
+    """
+    try:
+        return socket.inet_pton(socket.AF_INET, dest)
+    except OSError:
+        raise ValueError(f"not an IPv4 address: {dest!r}") from None
 
 
 def hash_id_seq(dest: str, orig_ts: int) -> tuple[int, int]:
@@ -91,18 +99,14 @@ def make_standard(dest: str, now: datetime) -> ProbeRecord:
     """Correct originate timestamp, zeroed receive/transmit fields."""
     orig = ms_since_utc_midnight(now)
     ident, seq = hash_id_seq(dest, orig)
-    msg = wire.fill_checksum(
-        TimestampMessage(TIMESTAMP_REQUEST, ident=ident, seq=seq, orig_ts=orig)
-    )
+    msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
     return ProbeRecord(ProbeKind.STANDARD, dest, now, msg)
 
 
 def make_bad_clock(dest: str, ident: int, seq: int, now: datetime) -> ProbeRecord:
     """Hash-derived originate timestamp; generally not a valid time of day."""
     orig = hash_orig(dest, ident, seq)
-    msg = wire.fill_checksum(
-        TimestampMessage(TIMESTAMP_REQUEST, ident=ident, seq=seq, orig_ts=orig)
-    )
+    msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
     return ProbeRecord(ProbeKind.BAD_CLOCK, dest, now, msg)
 
 
@@ -113,11 +117,17 @@ def make_bad_checksum(dest: str, now: datetime, rng: random.Random) -> ProbeReco
     fails verification (this also skips the rare second value that the
     ones'-complement sum accepts).
     """
-    base = make_standard(dest, now)
+    orig = ms_since_utc_midnight(now)
+    ident, seq = hash_id_seq(dest, orig)
+    valid = wire.message_checksum(TIMESTAMP_REQUEST, 0, ident, seq, orig, 0, 0)
     while True:
-        candidate = replace(base.message, checksum=rng.getrandbits(16))
-        if not wire.verify_checksum(wire.encode(candidate)):
-            return ProbeRecord(ProbeKind.BAD_CHECKSUM, dest, now, candidate)
+        checksum = rng.getrandbits(16)
+        # 0x0000 and 0xFFFF are both zero in ones'-complement arithmetic
+        # (RFC 1624), so a checksum verifies iff it equals the valid one
+        # modulo 0xFFFF.
+        if checksum % 0xFFFF != valid % 0xFFFF:
+            msg = TimestampMessage(TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig)
+            return ProbeRecord(ProbeKind.BAD_CHECKSUM, dest, now, msg)
 
 
 def make_duplicate(dest: str, now: datetime, round_no: int = 1) -> ProbeRecord:
@@ -129,16 +139,7 @@ def make_duplicate(dest: str, now: datetime, round_no: int = 1) -> ProbeRecord:
     """
     orig = ms_since_utc_midnight(now)
     ident, seq = hash_id_seq(dest, orig)
-    msg = wire.fill_checksum(
-        TimestampMessage(
-            TIMESTAMP_REQUEST,
-            ident=ident,
-            seq=seq,
-            orig_ts=orig,
-            recv_ts=orig,
-            xmit_ts=orig,
-        )
-    )
+    msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig, orig, orig)
     return ProbeRecord(ProbeKind.DUPLICATE, dest, now, msg, round_no=round_no)
 
 
@@ -152,7 +153,7 @@ def verify_reply(
     """
     if reply.icmp_type != TIMESTAMP_REPLY:
         raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
-    if IPv4Address(reply_src) != IPv4Address(probe.dest):
+    if reply_src != probe.dest and _dest_bytes(reply_src) != _dest_bytes(probe.dest):
         return TamperVerdict.UNMATCHED
     if reply.orig_ts != probe.message.orig_ts:
         return TamperVerdict.ORIGINATE_MODIFIED

@@ -25,7 +25,7 @@ from ipaddress import IPv4Address
 from icmpstamp import wire
 from icmpstamp.classify import CONSTANT_LE_ONE, MSB, ImplClass
 from icmpstamp.clock import ms_since_utc_midnight, offset_millis
-from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
+from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST
 
 DEFAULT_START = datetime(2018, 10, 6, 12, 0, 0, tzinfo=timezone.utc)
 DEFAULT_STUCK_VALUE = 123_456
@@ -196,15 +196,7 @@ def respond(
     elif cfg.tamper == "id_seq":
         ident ^= 0x0001
 
-    reply = TimestampMessage(
-        TIMESTAMP_REPLY,
-        ident=ident,
-        seq=seq,
-        orig_ts=orig,
-        recv_ts=recv,
-        xmit_ts=xmit,
-    )
-    return wire.encode(wire.fill_checksum(reply))
+    return wire.encode(wire.build_message(TIMESTAMP_REPLY, ident, seq, orig, recv, xmit))
 
 
 def _tampered_source(dest: str) -> str:

@@ -16,14 +16,17 @@ significant bit is set, in which case the value is non-standard.  The
 codec deals only with the ICMP payload; IP headers belong to the
 transport layer.
 
-The checksum and byte swap are plain Python: a message is 20 bytes, and
-one ``struct.unpack`` over its 16-bit words does the checksum's sum.
+The checksum and byte swap are plain Python.  The checksum's sum of
+16-bit words is the buffer read as one integer, reduced modulo 0xFFFF.
+A message with a valid checksum is built by packing its fields once with
+a zero checksum field, summing that image (RFC 1071) and constructing
+the message once with the result (``build_message``, ``fill_checksum``).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 TIMESTAMP_REQUEST = 13
 TIMESTAMP_REPLY = 14
@@ -74,18 +77,22 @@ class TimestampMessage:
     trailing_data: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.icmp_type not in (TIMESTAMP_REQUEST, TIMESTAMP_REPLY):
+        if self.icmp_type != TIMESTAMP_REQUEST and self.icmp_type != TIMESTAMP_REPLY:
             raise NotATimestamp(f"icmp_type must be 13 or 14, got {self.icmp_type}")
         if not 0 <= self.code <= 0xFF:
             raise WireError(f"code out of 8-bit range: {self.code}")
-        for name in ("checksum", "ident", "seq"):
-            v = getattr(self, name)
-            if not 0 <= v <= _U16:
-                raise WireError(f"{name} out of 16-bit range: {v}")
-        for name in ("orig_ts", "recv_ts", "xmit_ts"):
-            v = getattr(self, name)
-            if not 0 <= v <= _U32:
-                raise WireError(f"{name} out of 32-bit range: {v}")
+        if not 0 <= self.checksum <= _U16:
+            raise WireError(f"checksum out of 16-bit range: {self.checksum}")
+        if not 0 <= self.ident <= _U16:
+            raise WireError(f"ident out of 16-bit range: {self.ident}")
+        if not 0 <= self.seq <= _U16:
+            raise WireError(f"seq out of 16-bit range: {self.seq}")
+        if not 0 <= self.orig_ts <= _U32:
+            raise WireError(f"orig_ts out of 32-bit range: {self.orig_ts}")
+        if not 0 <= self.recv_ts <= _U32:
+            raise WireError(f"recv_ts out of 32-bit range: {self.recv_ts}")
+        if not 0 <= self.xmit_ts <= _U32:
+            raise WireError(f"xmit_ts out of 32-bit range: {self.xmit_ts}")
 
     @property
     def is_request(self) -> bool:
@@ -134,16 +141,15 @@ def decode(buf) -> TimestampMessage:
 def _ones_complement_sum(data) -> int:
     """Sum of ``data``'s big-endian 16-bit words, carries folded back in.
 
-    Odd-length input is padded with one zero byte for summation.
+    Odd-length input is padded with one zero byte for summation.  Since
+    2**16 is 1 modulo 0xFFFF, the buffer read as one big-endian integer
+    is congruent to the sum of its words; folding the carries keeps that
+    residue, and a folded sum of words not all zero lies in [1, 0xFFFF].
     """
-    if not isinstance(data, bytes):
-        data = bytes(data)
+    value = int.from_bytes(data, "big")
     if len(data) & 1:
-        data += b"\x00"
-    total = sum(struct.unpack("!%dH" % (len(data) >> 1), data))
-    while total > _U16:
-        total = (total & _U16) + (total >> 16)
-    return total
+        value <<= 8
+    return (value - 1) % _U16 + 1 if value else 0
 
 
 def internet_checksum(data) -> int:
@@ -174,7 +180,39 @@ def byte_swap_32(x: int) -> int:
     )
 
 
+def message_checksum(
+    icmp_type: int, code: int, ident: int, seq: int,
+    orig_ts: int, recv_ts: int, xmit_ts: int,
+) -> int:
+    """The valid checksum of a message with these fields.
+
+    Sums the wire image packed once with a zero checksum field.  A field
+    out of range raises the ``WireError`` the constructor would raise.
+    """
+    try:
+        image = _LAYOUT.pack(icmp_type, code, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
+    except struct.error:
+        # Let the constructor name the offending field.
+        TimestampMessage(icmp_type, code, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
+        raise
+    return internet_checksum(image)
+
+
+def build_message(
+    icmp_type: int, ident: int, seq: int,
+    orig_ts: int, recv_ts: int = 0, xmit_ts: int = 0,
+) -> TimestampMessage:
+    """A code-0 message with a valid checksum, constructed once."""
+    checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
+    return TimestampMessage(icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
+
+
 def fill_checksum(msg: TimestampMessage) -> TimestampMessage:
     """Return ``msg`` with a freshly computed, valid checksum field."""
-    zeroed = replace(msg, checksum=0)
-    return replace(msg, checksum=internet_checksum(encode(zeroed)))
+    checksum = message_checksum(
+        msg.icmp_type, msg.code, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
+    )
+    return TimestampMessage(
+        msg.icmp_type, msg.code, checksum, msg.ident, msg.seq,
+        msg.orig_ts, msg.recv_ts, msg.xmit_ts, msg.trailing_data,
+    )

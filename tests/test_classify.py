@@ -5,7 +5,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from builders import at_ms, echo_reply, pair_for
@@ -28,9 +28,11 @@ from icmpstamp.classify import (
     infer_timezone,
     merge_fingerprints,
 )
-from icmpstamp.clock import DAY_MS, OffsetTable
+from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, offset_millis
 from icmpstamp.probes import (
+    ProbeKind,
     ProbeOutcome,
+    ProbeRecord,
     TamperVerdict,
     make_bad_checksum,
     make_bad_clock,
@@ -125,6 +127,72 @@ class TestInferTimezone:
         recv = 11_700_000  # halfway between the +3 and +3.5 candidates
         with pytest.raises(AmbiguousTimezone):
             infer_timezone(reply_msg(recv, 0), 0, TABLE, wide)
+
+    @staticmethod
+    @st.composite
+    def day_circle_cases(draw):
+        offsets = draw(st.lists(st.integers(-48, 48), max_size=8, unique=True))
+        offsets = tuple(n / 2 for n in offsets)
+        orig = draw(st.integers(0, DAY_MS - 1))
+        margin = draw(st.integers(1, 5_000) | st.integers(1, 43_199_999))
+        if offsets and draw(st.booleans()):
+            # Land on or near a candidate's margin edge, either side.
+            centre = orig + offset_millis(draw(st.sampled_from(offsets)))
+            delta = draw(st.sampled_from([-1, 1])) * (margin + draw(st.integers(-2, 1)))
+            recv = (centre + delta) % DAY_MS
+        else:
+            recv = draw(st.integers(0, 2**32 - 1))
+        return recv, orig, margin, offsets
+
+    @given(day_circle_cases())
+    def test_matches_day_circle_formula(self, case):
+        recv, orig, margin, offsets = case
+        table, policy = OffsetTable(offsets), CorrectnessPolicy(margin_ms=margin)
+        if recv & 2**31 or recv >= DAY_MS:
+            matches = []
+        else:
+            # The former test, through the validating circular_diff.
+            matches = [
+                o for o in offsets
+                if abs(circular_diff(recv, (orig + offset_millis(o)) % DAY_MS)) < margin
+            ]
+        if len(matches) > 1:
+            with pytest.raises(AmbiguousTimezone) as info:
+                infer_timezone(reply_msg(recv, 0, orig=orig), orig, table, policy)
+            assert str(info.value) == (
+                f"margin {margin} ms matches offsets {matches}; "
+                "narrow the margin or thin the table"
+            )
+        else:
+            expected = matches[0] if matches else None
+            assert infer_timezone(reply_msg(recv, 0, orig=orig), orig, table, policy) == expected
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(ProbeKind)),
+            st.integers(0, 3),
+            st.sampled_from(list(TamperVerdict)),
+        ),
+        max_size=8,
+    ),
+    st.sampled_from(list(ProbeKind)),
+)
+@example(  # a tie: the first sent in list order wins
+    [(ProbeKind.STANDARD, 1, TamperVerdict.CLEAN)] * 2, ProbeKind.STANDARD
+)
+def test_first_clean_is_the_earliest_clean_outcome(spec, kind):
+    reply = reply_msg(0, 0)
+    pairs = [
+        ProbeOutcome(ProbeRecord(k, DEST, at_ms(t), reply), reply, at_ms(t), verdict)
+        for k, t, verdict in spec
+    ]
+    obs = HostObservation(DEST, pairs)
+    # The former formula: min() over a filtered list keeps the first of ties.
+    candidates = [p for p in obs.clean_pairs() if p.probe.kind is kind]
+    expected = min(candidates, key=lambda p: p.probe.send_time) if candidates else None
+    assert obs.first_clean(kind) is expected
 
 
 class TestHtonsBug:

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, file flows, exit codes."""
 
+import hashlib
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,28 @@ def scanned(tmp_path):
     ])
     assert code == EXIT_OK
     return tmp_path, out
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_demo_scan_bytes_are_pinned(tmp_path):
+    # The README demo at --seed 7; its 19 records must not drift.
+    out = tmp_path / "demo.jsonl"
+    code = main([
+        "scan",
+        "--targets", str(FIXTURES / "demo_targets.txt"),
+        "--transport", f"sim:{FIXTURES / 'demo_hosts.txt'}",
+        "--out", str(out),
+        "--rate", "200",
+        "--seed", "7",
+        "--vantage", "demo",
+    ])
+    assert code == EXIT_OK
+    assert len(out.read_bytes().splitlines()) == 19
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d94b3e737ed901f55c463e790a04199475205a7eb8988ed5816d3d4767b83194"
+    )
 
 
 class TestScanCommand:
@@ -150,7 +174,8 @@ def test_malformed_input_is_config_error(scanned, capsys, bad_input):
         argv = ["scan", "--targets", str(tmp_path / "targets.txt"),
                 "--out", str(tmp_path / "o.jsonl"), "--transport", f"sim:{bad}"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: ")
+    # Every kind of bad input is reported with its file and line.
+    assert capsys.readouterr().err.startswith(f"error: {bad}:")
 
 
 class TestReportCommands:

@@ -171,6 +171,21 @@ class TestOffsetTable:
         with pytest.raises(ValueError, match="offsets.txt:2"):
             OffsetTable.from_file(path)
 
+    @pytest.mark.parametrize("text", ["5.75", "inf"])
+    def test_from_file_unusable_entry_names_line(self, tmp_path, text):
+        path = tmp_path / "offsets.txt"
+        path.write_text(f"9\n# a comment\n{text}\n")
+        with pytest.raises(ValueError) as info:
+            OffsetTable.from_file(path)
+        assert str(info.value) == (
+            f"{path}:3: offset must be a finite multiple of 0.5 hours: {float(text)}"
+        )
+
+    def test_offsets_in_milliseconds(self):
+        table = OffsetTable((9.0, -3.5, 12.0))
+        assert table.offsets_ms == (32_400_000, -12_600_000, 43_200_000)
+        assert OffsetTable().offsets_ms == tuple(offset_millis(o) for o in DEFAULT_OFFSET_HOURS)
+
 
 def test_offsets_equal_identifies_circle_points():
     assert offsets_equal(12, -12)

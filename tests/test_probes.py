@@ -7,8 +7,10 @@ bytes big-endian; id gets the high half.
 """
 
 import random
+from dataclasses import replace
 from datetime import timedelta
 from hashlib import md5
+from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from builders import at_ms, echo_reply
 from icmpstamp import wire
+from icmpstamp import probes
 from icmpstamp.probes import (
     ProbeKind,
     TamperVerdict,
@@ -106,6 +109,43 @@ class TestBadChecksum:
         expected = samples / 16
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 37.70  # chi-square 99.9% quantile, 15 dof
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 86_399_999), st.integers(1, 20))
+    def test_same_draws_as_redraw_loop(self, seed, ms, count):
+        # The former construction: re-encode each drawn checksum and keep
+        # the first that fails verification.
+        def redraw_loop(dest, now, rng):
+            base = make_standard(dest, now)
+            while True:
+                candidate = replace(base.message, checksum=rng.getrandbits(16))
+                if not wire.verify_checksum(wire.encode(candidate)):
+                    return candidate
+
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for i in range(count):
+            now = at_ms((ms + 997 * i) % 86_400_000)
+            probe = make_bad_checksum(DEST, now, ours)
+            assert probe.message == redraw_loop(DEST, now, theirs)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_both_zero_checksums_redrawn(self):
+        # A message whose valid checksum is 0x0000 also verifies with
+        # 0xFFFF (ones'-complement zero); find such a message and force a
+        # generator that offers both before a wrong value.
+        for ms in range(86_400_000 // 2, 86_400_000):
+            if make_standard(DEST, at_ms(ms)).message.checksum == 0:
+                break
+        else:
+            pytest.fail("no zero-checksum probe found")
+
+        class Scripted(random.Random):
+            def getrandbits(self, k):
+                return self.draws.pop(0)
+
+        rng = Scripted()
+        rng.draws = [0x0000, 0xFFFF, 0x1234]
+        assert make_bad_checksum(DEST, at_ms(ms), rng).message.checksum == 0x1234
+        assert rng.draws == []
 
 
 class TestDuplicate:
@@ -204,6 +244,42 @@ class TestVerifyReply:
             14, ident=ident, seq=seq, orig_ts=orig, recv_ts=11, xmit_ts=12
         )
         assert verify_reply(probe, flipped, DEST) is not TamperVerdict.CLEAN
+
+
+class TestDestBytes:
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1.2.3", "1.2.3.4.5", "256.0.0.1", "01.2.3.4", "1.2.3.04", " 1.2.3.4",
+         "1.2.3.4 ", "1..3.4", "0x1.2.3.4", "1.2.3.4/32", "::1", "1.2.3.-4", "\u0661.2.3.4"],
+    )
+    def test_rejects_what_ipaddress_rejects(self, text):
+        with pytest.raises(ValueError):
+            IPv4Address(text)
+        with pytest.raises(ValueError):
+            probes._dest_bytes(text)
+
+    @given(st.text(alphabet="0123456789.x -", max_size=17))
+    def test_agrees_with_ipaddress(self, text):
+        try:
+            expected = IPv4Address(text).packed
+        except ValueError:
+            expected = None
+        try:
+            got = probes._dest_bytes(text)
+        except ValueError:
+            got = None
+        assert got == expected
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_address_round_trips(self, n):
+        addr = IPv4Address(n)
+        assert probes._dest_bytes(str(addr)) == addr.packed
+
+
+def test_verify_reply_rejects_unparseable_source():
+    probe = make_standard(DEST, NOON_ISH)
+    with pytest.raises(ValueError):
+        verify_reply(probe, echo_reply(probe, 1, 2), "192.0.2.01")
 
 
 def test_probe_record_carries_round_and_send_time():

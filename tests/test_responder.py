@@ -118,6 +118,11 @@ class TestRespond:
         reply = answer(BehaviorConfig(ImplClass.STUCK, stuck_value=99))
         assert reply.recv_ts == reply.xmit_ts == 99
 
+    def test_stuck_value_beyond_32_bits_is_a_wire_error(self):
+        cfg = BehaviorConfig(ImplClass.STUCK, stuck_value=1 << 32)
+        with pytest.raises(wire.WireError, match="^recv_ts out of 32-bit range: 4294967296$"):
+            respond(cfg, request_bytes(), NOON_ISH, random.Random(9))
+
     def test_msb_set(self):
         reply = answer(BehaviorConfig(ImplClass.NON_UTC))
         assert reply.recv_ts == (45_296_789 | 2**31)

@@ -1,6 +1,7 @@
 """Byte-level codec tests: exact layouts, checksum math, byte swap."""
 
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from builders import reference_checksum
 from icmpstamp import wire
 from icmpstamp.wire import (
     NotATimestamp,
+    build_message,
     TimestampMessage,
     TruncatedMessage,
     WireError,
@@ -18,6 +20,7 @@ from icmpstamp.wire import (
     encode,
     fill_checksum,
     internet_checksum,
+    message_checksum,
     verify_checksum,
 )
 
@@ -61,6 +64,27 @@ class TestEncode:
             TimestampMessage(13, ident=0x1_0000)
         with pytest.raises(WireError):
             TimestampMessage(13, orig_ts=1 << 32)
+
+    @pytest.mark.parametrize(
+        "name, bits",
+        [("checksum", 16), ("ident", 16), ("seq", 16),
+         ("orig_ts", 32), ("recv_ts", 32), ("xmit_ts", 32)],
+    )
+    @pytest.mark.parametrize("high", [False, True])
+    def test_range_error_names_the_field(self, name, bits, high):
+        bad = 1 << bits if high else -1
+        with pytest.raises(WireError) as info:
+            TimestampMessage(13, **{name: bad})
+        assert str(info.value) == f"{name} out of {bits}-bit range: {bad}"
+        assert type(info.value) is WireError
+
+    def test_first_bad_field_is_reported(self):
+        with pytest.raises(NotATimestamp, match="icmp_type must be 13 or 14, got 8"):
+            TimestampMessage(8, code=-1, ident=-1)
+        with pytest.raises(WireError, match="^code out of 8-bit range: 256$"):
+            TimestampMessage(13, code=256, ident=-1)
+        with pytest.raises(WireError, match="^seq out of 16-bit range"):
+            TimestampMessage(13, seq=-1, xmit_ts=-1)
 
     @given(messages)
     def test_round_trip_property(self, msg):
@@ -204,3 +228,49 @@ def test_fill_checksum_round_trips_valid():
     msg = fill_checksum(TimestampMessage(14, recv_ts=99, xmit_ts=99))
     assert verify_checksum(encode(msg))
     assert decode(encode(msg)) == msg
+
+
+class TestMessageBuilding:
+    """Building a message packs and constructs it once; same result as before."""
+
+    @staticmethod
+    def replace_formula(msg):
+        # The former fill_checksum: two replace() round trips and an encode.
+        return replace(msg, checksum=internet_checksum(encode(replace(msg, checksum=0))))
+
+    @given(messages, st.booleans())
+    def test_fill_checksum_matches_replace_formula(self, msg, trailing):
+        msg = replace(msg, trailing_data=trailing)
+        filled = fill_checksum(msg)
+        expected = self.replace_formula(msg)
+        assert filled == expected
+        assert filled.trailing_data == expected.trailing_data == trailing
+        assert verify_checksum(encode(filled))
+        zeroed = encode(replace(msg, checksum=0))
+        assert filled.checksum == reference_checksum(zeroed)
+
+    @given(messages)
+    def test_build_message_matches_fill_checksum(self, msg):
+        msg = replace(msg, code=0)
+        built = build_message(
+            msg.icmp_type, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
+        )
+        assert built == fill_checksum(msg)
+        assert message_checksum(
+            msg.icmp_type, 0, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
+        ) == built.checksum
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [((13, 0, -1, 0, 0, 0, 0), "ident"),
+         ((13, 0, 0, 0x1_0000, 0, 0, 0), "seq"),
+         ((14, 0, 0, 0, 0, 1 << 32, 0), "recv_ts"),
+         ((13, 256, 0, 0, 0, 0, 0), "code")],
+    )
+    def test_out_of_range_field_is_a_wire_error(self, fields, name):
+        with pytest.raises(WireError, match=f"^{name} out of"):
+            message_checksum(*fields)
+
+    def test_bad_type_is_not_a_timestamp(self):
+        with pytest.raises(NotATimestamp):
+            build_message(8, 0, 0, 0)
