@@ -10,14 +10,17 @@ Three independent verdicts are produced for a host:
   margin of our originate timestamp, possibly after byte-swapping or
   clearing the most significant bit.
 
-Classes are not mutually exclusive; a set is returned.  Only pairs whose
-tamper verdict is clean participate; tampered pairs stay on the
-observation but never influence the fingerprint.
+Classes are not mutually exclusive; a set is returned.  Every rule reads
+the earliest-sent clean reply to each probe kind (standard, bad clock,
+bad checksum, duplicate), which ``HostObservation`` picks out once when it
+is built.  Tampered replies stay on the observation and set the
+``tampered_replies`` flag, but never influence classes, timekeeping or
+correctness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -89,33 +92,37 @@ _DEFAULT_POLICY = CorrectnessPolicy()
 _DEFAULT_TABLE = OffsetTable()
 
 
-@dataclass
+@dataclass(frozen=True)
 class HostObservation:
-    """Everything collected for one target address during a scan.
+    """Everything collected for one target address, as classification reads it.
 
-    ``pairs`` holds only the answered outcomes: each has a reply, an
-    arrival instant and a tamper verdict.
+    ``pairs`` holds only the answered outcomes, stored as a tuple: each
+    has a reply, an arrival instant and a tamper verdict.  One pass over
+    them at construction derives what the rules need: ``first`` maps each
+    probe kind to its earliest-sent clean outcome (the first of ties), and
+    ``tampered`` says whether any outcome's verdict is not clean.
     """
 
     target: str
-    pairs: list[ProbeOutcome]
-    vantage: str = ""
+    pairs: tuple[ProbeOutcome, ...]
     duplicate_replies: int = 0
+    first: dict[ProbeKind, ProbeOutcome] = field(init=False, repr=False, compare=False)
+    tampered: bool = field(init=False, repr=False, compare=False)
 
-    def clean_pairs(self) -> list[ProbeOutcome]:
-        return [p for p in self.pairs if p.tamper is TamperVerdict.CLEAN]
-
-    def first_clean(self, kind: ProbeKind) -> ProbeOutcome | None:
-        """The earliest-sent clean outcome of ``kind`` (first on ties)."""
-        first = None
-        for p in self.pairs:
-            if (
-                p.tamper is TamperVerdict.CLEAN
-                and p.probe.kind is kind
-                and (first is None or p.probe.send_time < first.probe.send_time)
-            ):
-                first = p
-        return first
+    def __post_init__(self):
+        pairs = tuple(self.pairs)
+        first: dict[ProbeKind, ProbeOutcome] = {}
+        tampered = False
+        for p in pairs:
+            if p.tamper is not TamperVerdict.CLEAN:
+                tampered = True
+                continue
+            seen = first.get(p.probe.kind)
+            if seen is None or p.probe.send_time < seen.probe.send_time:
+                first[p.probe.kind] = p
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "tampered", tampered)
 
 
 @dataclass(frozen=True)
@@ -191,8 +198,8 @@ def detect_htons_bug(obs: HostObservation) -> bool:
     values are a stuck-at-zero clock, not the truncation bug.  Missing
     either reply is indeterminate and reported as False.
     """
-    std = obs.first_clean(ProbeKind.STANDARD)
-    bad_clock = obs.first_clean(ProbeKind.BAD_CLOCK)
+    std = obs.first.get(ProbeKind.STANDARD)
+    bad_clock = obs.first.get(ProbeKind.BAD_CLOCK)
     if std is None or bad_clock is None:
         return False
     values = (
@@ -218,14 +225,14 @@ def classify_implementation(
     """
     if table is None:
         table = _DEFAULT_TABLE
-    if not obs.clean_pairs():
+    if not obs.first:
         raise NoCleanReplies(f"no clean replies for {obs.target}")
 
     classes: set[ImplClass] = set()
-    std = obs.first_clean(ProbeKind.STANDARD)
-    dup = obs.first_clean(ProbeKind.DUPLICATE)
+    std = obs.first.get(ProbeKind.STANDARD)
+    dup = obs.first.get(ProbeKind.DUPLICATE)
 
-    if obs.first_clean(ProbeKind.BAD_CHECKSUM) is not None:
+    if ProbeKind.BAD_CHECKSUM in obs.first:
         classes.add(ImplClass.CHECKSUM_LAZY)
 
     if std is not None:
@@ -294,8 +301,8 @@ def classify_timekeeping(obs: HostObservation) -> Timekeeping:
     epoch seconds must fall on the send date, and its seconds-since-UTC-
     midnight must be within 2 s of the true value.
     """
-    std = obs.first_clean(ProbeKind.STANDARD)
-    dup = obs.first_clean(ProbeKind.DUPLICATE)
+    std = obs.first.get(ProbeKind.STANDARD)
+    dup = obs.first.get(ProbeKind.DUPLICATE)
     if std is None or dup is None:
         return Timekeeping.UNKNOWN
 
@@ -346,7 +353,7 @@ def fingerprint_observation(
     observation with no clean reply gets {UNKNOWN}, incorrect, no
     timezone and the ``all_replies_tampered`` flag.
     """
-    if not obs.clean_pairs():
+    if not obs.first:
         return Fingerprint(
             target=obs.target,
             classes=frozenset({ImplClass.UNKNOWN}),
@@ -362,14 +369,14 @@ def fingerprint_observation(
     classes = classify_implementation(obs, policy, table)
     flags: set[str] = set()
 
-    std = obs.first_clean(ProbeKind.STANDARD)
-    dup = obs.first_clean(ProbeKind.DUPLICATE)
-    bad_clock = obs.first_clean(ProbeKind.BAD_CLOCK)
+    std = obs.first.get(ProbeKind.STANDARD)
+    dup = obs.first.get(ProbeKind.DUPLICATE)
 
     tz_offset: float | None = None
     if std is not None:
         correctness = classify_correctness(std.reply, std.probe.message.orig_ts, policy)
-        tz_offset = infer_timezone(std.reply, std.probe.message.orig_ts, table, policy)
+        if ImplClass.TIMEZONE in classes:
+            tz_offset = infer_timezone(std.reply, std.probe.message.orig_ts, table, policy)
     else:
         correctness = Correctness.INCORRECT
         flags.add("no_standard_reply")
@@ -377,22 +384,14 @@ def fingerprint_observation(
     timekeeping = classify_timekeeping(obs)
     if std is None or dup is None:
         flags.add("timekeeping_indeterminate")
-    if std is None or bad_clock is None:
+    if std is None or ProbeKind.BAD_CLOCK not in obs.first:
         flags.add("htons_indeterminate")
-
-    if std is not None and dup is not None:
-        values = (
-            std.reply.recv_ts,
-            std.reply.xmit_ts,
-            dup.reply.recv_ts,
-            dup.reply.xmit_ts,
-        )
-        if all(v == 0 for v in values) and dup.probe.message.recv_ts == 0:
-            flags.add("reflection_ambiguous")
-
+    # CONSTANT_0 means the standard and duplicate replies were all zero.
+    if ImplClass.CONSTANT_0 in classes and dup.probe.message.recv_ts == 0:
+        flags.add("reflection_ambiguous")
     if obs.duplicate_replies:
         flags.add("duplicate_replies")
-    if any(p.tamper is not TamperVerdict.CLEAN for p in obs.pairs):
+    if obs.tampered:
         flags.add("tampered_replies")
 
     return Fingerprint(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 from icmpstamp import reports, results
 from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
@@ -87,18 +88,15 @@ def _policy_and_table(args) -> tuple[CorrectnessPolicy, OffsetTable]:
 def _cmd_classify(args) -> int:
     policy, table = _policy_and_table(args)
     records = results.read_records(args.input)
-    reclassified = []
-    for rec in records:
-        obs = results.observation_from_record(rec)
-        reclassified.append(
-            results.ResultRecord(
-                target=rec.target,
-                vantage=rec.vantage,
-                outcomes=rec.outcomes,
-                fingerprint=fingerprint_observation(obs, policy, table),
-                duplicate_replies=rec.duplicate_replies,
-            )
+    reclassified = [
+        replace(
+            rec,
+            fingerprint=fingerprint_observation(
+                results.observation_from_record(rec), policy, table
+            ),
         )
+        for rec in records
+    ]
     count = results.write_records(args.out, reclassified)
     print(f"reclassified {count} records into {args.out}")
     return EXIT_OK

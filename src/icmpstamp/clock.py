@@ -116,10 +116,3 @@ class OffsetTable:
         if len(points) < 2:
             return None
         return min((b - a) % DAY_MS for a, b in zip(points, points[1:] + points[:1]))
-
-    def match(self, hours: float) -> float | None:
-        """The table entry equal to ``hours`` on the day circle, if any."""
-        for o in self.offsets:
-            if offsets_equal(o, hours):
-                return o
-        return None

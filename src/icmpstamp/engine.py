@@ -289,7 +289,6 @@ def run_scan(
         obs = HostObservation(
             target=target,
             pairs=pairs,
-            vantage=cfg.vantage,
             duplicate_replies=st.duplicate_replies,
         )
         yield ResultRecord(

@@ -24,7 +24,7 @@ from ipaddress import IPv4Address
 
 from icmpstamp import wire
 from icmpstamp.classify import CONSTANT_LE_ONE, MSB, ImplClass
-from icmpstamp.clock import ms_since_utc_midnight, offset_millis
+from icmpstamp.clock import DAY_MS, ms_since_utc_midnight, offset_millis
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST
 
 DEFAULT_START = datetime(2018, 10, 6, 12, 0, 0, tzinfo=timezone.utc)
@@ -48,6 +48,14 @@ _STUCK_FAMILY = {
     ImplClass.CONSTANT_1,
     ImplClass.CONSTANT_LE_1,
 }
+
+
+def _check_delays(latency_ms: int, jitter_ms: int) -> None:
+    # A day bounds every modeled delay; far larger values overflow timedelta.
+    if not (0 <= latency_ms <= DAY_MS and 0 <= jitter_ms <= DAY_MS):
+        raise ValueError(
+            f"latency and jitter must be 0 to {DAY_MS} ms: {latency_ms}, {jitter_ms}"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,11 @@ class BehaviorConfig:
             raise ValueError(f"byte_order must be big or little: {self.byte_order}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate outside [0, 1]: {self.loss_rate}")
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency and jitter must be non-negative")
+        _check_delays(self.latency_ms, self.jitter_ms)
+        if abs(self.clock_error_ms) > DAY_MS:
+            raise ValueError(f"clock_error_ms beyond one day: {self.clock_error_ms}")
+        if self.stuck_value is not None and not 0 <= self.stuck_value <= 0xFFFFFFFF:
+            raise ValueError(f"stuck_value outside 32 bits: {self.stuck_value}")
         if self.tamper not in _TAMPER_MODES:
             raise ValueError(f"tamper must be one of {_TAMPER_MODES}: {self.tamper}")
         if self.tz_offset_hours is not None:
@@ -223,6 +234,7 @@ class SimNetwork:
         seed: int = 0,
         start: datetime | None = None,
     ):
+        _check_delays(latency_ms, jitter_ms)
         self._hosts = dict(hosts)
         self._latency_ms = latency_ms
         self._jitter_ms = jitter_ms
@@ -341,6 +353,7 @@ def load_behavior_file(path) -> tuple[dict[str, BehaviorConfig], dict]:
                         key, _, value = token.partition("=")
                         dest_name, conv = _NETWORK_KEYS[key]
                         params[dest_name] = conv(value)
+                    _check_delays(params.get("latency_ms", 0), params.get("jitter_ms", 0))
                     continue
                 addr = str(IPv4Address(tokens[0]))
                 impl = class_by_name[tokens[1]]

@@ -172,6 +172,5 @@ def observation_from_record(rec: ResultRecord) -> HostObservation:
     return HostObservation(
         target=rec.target,
         pairs=[o for o in rec.outcomes if o.reply is not None],
-        vantage=rec.vantage,
         duplicate_replies=rec.duplicate_replies,
     )

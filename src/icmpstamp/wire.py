@@ -94,14 +94,6 @@ class TimestampMessage:
         if not 0 <= self.xmit_ts <= _U32:
             raise WireError(f"xmit_ts out of 32-bit range: {self.xmit_ts}")
 
-    @property
-    def is_request(self) -> bool:
-        return self.icmp_type == TIMESTAMP_REQUEST
-
-    @property
-    def is_reply(self) -> bool:
-        return self.icmp_type == TIMESTAMP_REPLY
-
 
 def encode(msg: TimestampMessage) -> bytes:
     """Serialize to the 20-byte wire image.

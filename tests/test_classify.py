@@ -5,11 +5,13 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import at_ms, echo_reply, pair_for
 from icmpstamp.classify import (
+    CONSTANT_LE_ONE,
+    MSB,
     AmbiguousTimezone,
     Correctness,
     CorrectnessPolicy,
@@ -28,7 +30,7 @@ from icmpstamp.classify import (
     infer_timezone,
     merge_fingerprints,
 )
-from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, offset_millis
+from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, ms_since_utc_midnight, offset_millis
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
@@ -190,9 +192,11 @@ def test_first_clean_is_the_earliest_clean_outcome(spec, kind):
     ]
     obs = HostObservation(DEST, pairs)
     # The former formula: min() over a filtered list keeps the first of ties.
-    candidates = [p for p in obs.clean_pairs() if p.probe.kind is kind]
+    clean = [p for p in pairs if p.tamper is TamperVerdict.CLEAN]
+    candidates = [p for p in clean if p.probe.kind is kind]
     expected = min(candidates, key=lambda p: p.probe.send_time) if candidates else None
-    assert obs.first_clean(kind) is expected
+    assert obs.first.get(kind) is expected
+    assert obs.tampered == (len(clean) < len(pairs))
 
 
 class TestHtonsBug:
@@ -235,7 +239,9 @@ class TestImplementationClasses:
         obs, probes = build_obs(std=(0, 0))
         dup_probe = probes["dup"]
         dup_orig = dup_probe.message.orig_ts
-        obs.pairs.append(pair_for(dup_probe, echo_reply(dup_probe, dup_orig, dup_orig)))
+        obs = HostObservation(
+            DEST, [*obs.pairs, pair_for(dup_probe, echo_reply(dup_probe, dup_orig, dup_orig))]
+        )
         assert classify_implementation(obs, POLICY, TABLE) == {ImplClass.REFLECTION}
 
     def test_normal(self):
@@ -277,7 +283,7 @@ class TestImplementationClasses:
         obs, probes = build_obs(std=(0, 0))
         dup_probe = probes["dup"]
         v = dup_probe.message.orig_ts
-        obs.pairs.append(pair_for(dup_probe, echo_reply(dup_probe, v, v)))
+        obs = HostObservation(DEST, [*obs.pairs, pair_for(dup_probe, echo_reply(dup_probe, v, v))])
         classes = classify_implementation(obs, POLICY, TABLE)
         assert ImplClass.STUCK not in classes
 
@@ -325,8 +331,12 @@ class TestImplementationClasses:
             recv_ts=5,
             xmit_ts=5,
         )
-        obs.pairs.append(
-            ProbeOutcome(std, tampered_reply, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)
+        obs = HostObservation(
+            DEST,
+            [
+                *obs.pairs,
+                ProbeOutcome(std, tampered_reply, std.send_time, TamperVerdict.ORIGINATE_MODIFIED),
+            ],
         )
         with pytest.raises(NoCleanReplies):
             classify_implementation(obs, POLICY, TABLE)
@@ -502,7 +512,7 @@ class TestFingerprintObservation:
         obs, probes = build_obs(std=(0, 0), t0=0, gap_ms=DAY_MS)  # duplicate orig wraps to 0
         dup_probe = probes["dup"]
         assert dup_probe.message.orig_ts == 0
-        obs.pairs.append(pair_for(dup_probe, echo_reply(dup_probe, 0, 0)))
+        obs = HostObservation(DEST, [*obs.pairs, pair_for(dup_probe, echo_reply(dup_probe, 0, 0))])
         result = fingerprint_observation(obs)
         # At exact midnight the zero reply also satisfies the byte-swap rule
         # (swap(0) == 0 == orig); the constant interpretation still wins over
@@ -522,8 +532,9 @@ class TestFingerprintObservation:
             recv_ts=7,
             xmit_ts=7,
         )
-        obs.pairs.append(
-            ProbeOutcome(std, tampered, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)
+        obs = HostObservation(
+            DEST,
+            [*obs.pairs, ProbeOutcome(std, tampered, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)],
         )
         result = fingerprint_observation(obs)
         assert "tampered_replies" in result.flags
@@ -531,5 +542,234 @@ class TestFingerprintObservation:
 
     def test_duplicate_replies_flagged(self):
         obs, _ = build_obs(std=(ORIG + 30, ORIG + 30))
-        obs.duplicate_replies = 2
+        obs = HostObservation(DEST, obs.pairs, duplicate_replies=2)
         assert "duplicate_replies" in fingerprint_observation(obs).flags
+
+
+class _FormerObservation:
+    """The observation as classified before ``HostObservation.first``:
+    each rule looked its replies up again with ``first_clean``."""
+
+    def __init__(self, target, pairs, duplicate_replies):
+        self.target = target
+        self.pairs = list(pairs)
+        self.duplicate_replies = duplicate_replies
+
+    def clean_pairs(self):
+        return [p for p in self.pairs if p.tamper is TamperVerdict.CLEAN]
+
+    def first_clean(self, kind):
+        first = None
+        for p in self.pairs:
+            if (
+                p.tamper is TamperVerdict.CLEAN
+                and p.probe.kind is kind
+                and (first is None or p.probe.send_time < first.probe.send_time)
+            ):
+                first = p
+        return first
+
+
+def _former_htons(obs):
+    std = obs.first_clean(ProbeKind.STANDARD)
+    bad_clock = obs.first_clean(ProbeKind.BAD_CLOCK)
+    if std is None or bad_clock is None:
+        return False
+    values = (std.reply.recv_ts, std.reply.xmit_ts, bad_clock.reply.recv_ts, bad_clock.reply.xmit_ts)
+    if all(v == 0 for v in values):
+        return False
+    return all(v % 65536 == 0 for v in values)
+
+
+def _former_implementation(obs, policy, table):
+    if not obs.clean_pairs():
+        raise NoCleanReplies(obs.target)
+    classes = set()
+    std = obs.first_clean(ProbeKind.STANDARD)
+    dup = obs.first_clean(ProbeKind.DUPLICATE)
+    if obs.first_clean(ProbeKind.BAD_CHECKSUM) is not None:
+        classes.add(ImplClass.CHECKSUM_LAZY)
+    if std is not None:
+        recv, xmit = std.reply.recv_ts, std.reply.xmit_ts
+        orig = std.probe.message.orig_ts
+        if recv != xmit and recv != 0 and xmit != 0:
+            classes.add(ImplClass.NORMAL)
+        if recv == xmit != 0:
+            classes.add(ImplClass.LAZY)
+        if recv > MSB - 1 and xmit > MSB - 1:
+            classes.add(ImplClass.NON_UTC)
+        if infer_timezone(std.reply, orig, table, policy) is not None:
+            classes.add(ImplClass.TIMEZONE)
+        if abs(circular_diff(byte_swap_32(recv) % DAY_MS, orig)) < policy.margin_ms:
+            classes.add(ImplClass.LITTLE_ENDIAN)
+    if std is not None and dup is not None:
+        s_recv, s_xmit = std.reply.recv_ts, std.reply.xmit_ts
+        d_recv, d_xmit = dup.reply.recv_ts, dup.reply.xmit_ts
+        if s_recv == s_xmit == d_recv == d_xmit == 0:
+            classes.add(ImplClass.STUCK)
+            classes.add(ImplClass.CONSTANT_0)
+        else:
+            if s_recv == s_xmit == d_recv == d_xmit and s_recv != dup.probe.message.recv_ts:
+                classes.add(ImplClass.STUCK)
+                if s_recv == 1:
+                    classes.add(ImplClass.CONSTANT_1)
+                elif s_recv == CONSTANT_LE_ONE:
+                    classes.add(ImplClass.CONSTANT_LE_1)
+            if (s_recv, s_xmit) == (std.probe.message.recv_ts, std.probe.message.xmit_ts) and (
+                d_recv,
+                d_xmit,
+            ) == (dup.probe.message.recv_ts, dup.probe.message.xmit_ts):
+                classes.add(ImplClass.REFLECTION)
+    if _former_htons(obs):
+        classes.add(ImplClass.HTONS_BUG)
+    return classes or {ImplClass.UNKNOWN}
+
+
+def _former_timekeeping(obs):
+    std = obs.first_clean(ProbeKind.STANDARD)
+    dup = obs.first_clean(ProbeKind.DUPLICATE)
+    if std is None or dup is None:
+        return Timekeeping.UNKNOWN
+    gap_ms = round((dup.probe.send_time - std.probe.send_time).total_seconds() * 1000)
+    s_recv, d_recv = std.reply.recv_ts, dup.reply.recv_ts
+    if abs(circular_diff(d_recv % DAY_MS, s_recv % DAY_MS) - gap_ms) < 400:
+        return Timekeeping.MILLISECOND
+    if s_recv < 86_400 and d_recv < 86_400:
+        d = (d_recv - s_recv) % 86_400
+        reported_s = d if d <= 43_200 else d - 86_400
+        if abs(reported_s * 1000 - gap_ms) < 2000:
+            return Timekeeping.SECOND
+    try:
+        as_epoch = datetime.fromtimestamp(s_recv, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        as_epoch = None
+    if as_epoch is not None:
+        send_utc = std.probe.send_time.astimezone(timezone.utc)
+        if as_epoch.date() == send_utc.date():
+            true_seconds = ms_since_utc_midnight(send_utc) // 1000
+            if abs(s_recv % 86_400 - true_seconds) <= 2:
+                return Timekeeping.EPOCH
+    return Timekeeping.UNKNOWN
+
+
+def _former_fingerprint(obs, policy, table):
+    if not obs.clean_pairs():
+        return Fingerprint(
+            target=obs.target,
+            classes=frozenset({ImplClass.UNKNOWN}),
+            timekeeping=Timekeeping.UNKNOWN,
+            correctness=Correctness.INCORRECT,
+            flags=frozenset({"all_replies_tampered"}),
+        )
+    classes = _former_implementation(obs, policy, table)
+    flags = set()
+    std = obs.first_clean(ProbeKind.STANDARD)
+    dup = obs.first_clean(ProbeKind.DUPLICATE)
+    bad_clock = obs.first_clean(ProbeKind.BAD_CLOCK)
+    tz_offset = None
+    if std is not None:
+        correctness = classify_correctness(std.reply, std.probe.message.orig_ts, policy)
+        tz_offset = infer_timezone(std.reply, std.probe.message.orig_ts, table, policy)
+    else:
+        correctness = Correctness.INCORRECT
+        flags.add("no_standard_reply")
+    timekeeping = _former_timekeeping(obs)
+    if std is None or dup is None:
+        flags.add("timekeeping_indeterminate")
+    if std is None or bad_clock is None:
+        flags.add("htons_indeterminate")
+    if std is not None and dup is not None:
+        values = (std.reply.recv_ts, std.reply.xmit_ts, dup.reply.recv_ts, dup.reply.xmit_ts)
+        if all(v == 0 for v in values) and dup.probe.message.recv_ts == 0:
+            flags.add("reflection_ambiguous")
+    if obs.duplicate_replies:
+        flags.add("duplicate_replies")
+    if any(p.tamper is not TamperVerdict.CLEAN for p in obs.pairs):
+        flags.add("tampered_replies")
+    return Fingerprint(
+        target=obs.target,
+        classes=frozenset(classes),
+        timekeeping=timekeeping,
+        correctness=correctness,
+        tz_offset=tz_offset,
+        flags=frozenset(flags),
+    )
+
+
+@st.composite
+def _observation_parts(draw):
+    """0-8 answered outcomes whose reply fields often repeat one another,
+    their request's fields or the values each rule singles out."""
+    base_ms = draw(st.integers(0, DAY_MS - 1))
+
+    def special(send_ms):
+        orig = send_ms % DAY_MS
+        return (
+            st.integers(0, 0xFFFFFFFF)
+            | st.sampled_from([0, 1, CONSTANT_LE_ONE, orig, byte_swap_32(orig), orig | MSB])
+            | st.integers(0, 0xFFFF).map(lambda v: v << 16)
+            | st.integers(-48, 48).map(lambda n: (orig + n * 1_800_000) % DAY_MS)
+            | st.integers(-3_000, 3_000).map(lambda d: (orig + d) % DAY_MS)
+            | st.integers(-4, 4).map(lambda d: (orig // 1000 + d) % 86_400)
+            | st.integers(-4, 4).map(lambda d: int(at_ms(send_ms).timestamp()) + d)
+        )
+
+    constants = st.sampled_from([0, 1, CONSTANT_LE_ONE])
+    shared = draw(st.lists(constants | special(base_ms), min_size=1, max_size=3))
+    host = draw(st.sampled_from(["mixed", "constant", "reflector"]))
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(list(ProbeKind)))
+        send_ms = base_ms + draw(st.sampled_from([0, 10, 20, 3000, 3010, DAY_MS]))
+        orig = send_ms % DAY_MS
+        req_fields = draw(
+            st.sampled_from([(0, 0), (orig, orig)]) | st.tuples(special(send_ms), special(send_ms))
+        )
+        if host == "constant":
+            recv = xmit = shared[0]
+        elif host == "reflector":
+            recv, xmit = req_fields
+        else:
+            values = st.sampled_from(shared) | st.sampled_from(req_fields) | special(send_ms)
+            recv = draw(values)
+            xmit = draw(st.just(recv) | values)
+        request = TimestampMessage(13, orig_ts=orig, recv_ts=req_fields[0], xmit_ts=req_fields[1])
+        probe = ProbeRecord(kind, DEST, at_ms(send_ms), request)
+        verdict = draw(st.just(TamperVerdict.CLEAN) | st.sampled_from(list(TamperVerdict)))
+        pairs.append(ProbeOutcome(probe, reply_msg(recv, xmit, orig=orig), probe.send_time, verdict))
+    return pairs, draw(st.integers(0, 2))
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except AmbiguousTimezone as exc:
+        return str(exc)
+
+
+@given(
+    _observation_parts(),
+    st.none()
+    | st.tuples(
+        st.lists(st.integers(-48, 48), max_size=8, unique=True).map(
+            lambda ns: OffsetTable(tuple(n / 2 for n in ns))
+        ),
+        (st.integers(1, 5_000) | st.integers(900_000, 2_000_000)).map(
+            lambda m: CorrectnessPolicy(margin_ms=m)
+        ),
+    ),
+)
+@example(  # all-zero replies, duplicate request not zero: constant, not ambiguous
+    (list(build_obs(std=(0, 0), dup=(0, 0))[0].pairs), 0), None
+)
+@settings(max_examples=300)
+def test_fingerprint_equals_former_lookups(parts, custom):
+    pairs, duplicate_replies = parts
+    table, policy = custom if custom is not None else (TABLE, POLICY)
+    new = _result(
+        fingerprint_observation, HostObservation(DEST, pairs, duplicate_replies), policy, table
+    )
+    former = _result(
+        _former_fingerprint, _FormerObservation(DEST, pairs, duplicate_replies), policy, table
+    )
+    assert new == former

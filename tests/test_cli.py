@@ -158,7 +158,16 @@ class TestClassifyCommand:
         assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("bad_input", ["record", "offsets", "fixture"])
+FIXTURE_ERRORS = {
+    "fixture": "10.9.0.1 timezone tz=inf\n",
+    "stuck": "10.9.0.1 stuck value=0x100000000\n",
+    "clock_error": "10.9.0.1 lazy clock_error=100000000000000000000\n",
+    "latency": "10.9.0.1 lazy latency=100000000000000000000\n",
+    "network": "@network jitter=100000000000000000000\n10.9.0.1 lazy\n",
+}
+
+
+@pytest.mark.parametrize("bad_input", ["record", "offsets", *FIXTURE_ERRORS])
 def test_malformed_input_is_config_error(scanned, capsys, bad_input):
     tmp_path, out = scanned
     bad = tmp_path / "bad.txt"
@@ -170,7 +179,7 @@ def test_malformed_input_is_config_error(scanned, capsys, bad_input):
         argv = ["classify", "--in", str(out), "--out", str(tmp_path / "re.jsonl"),
                 "--offsets", str(bad)]
     else:
-        bad.write_text("10.9.0.1 timezone tz=inf\n")
+        bad.write_text(FIXTURE_ERRORS[bad_input])
         argv = ["scan", "--targets", str(tmp_path / "targets.txt"),
                 "--out", str(tmp_path / "o.jsonl"), "--transport", f"sim:{bad}"]
     assert main(argv) == EXIT_CONFIG

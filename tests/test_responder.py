@@ -8,6 +8,7 @@ import pytest
 from builders import at_ms
 from icmpstamp import wire
 from icmpstamp.classify import ImplClass
+from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import make_standard
 from icmpstamp.responder import (
     DEFAULT_STUCK_VALUE,
@@ -74,6 +75,22 @@ class TestBehaviorConfig:
         with pytest.raises(ValueError):
             BehaviorConfig(loss_rate=1.5)
 
+    def test_stuck_value_beyond_32_bits_rejected(self):
+        assert BehaviorConfig(ImplClass.STUCK, stuck_value=0xFFFFFFFF).stuck_value == 0xFFFFFFFF
+        for value in (1 << 32, -1):
+            with pytest.raises(ValueError, match=f"^stuck_value outside 32 bits: {value}$"):
+                BehaviorConfig(ImplClass.STUCK, stuck_value=value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("clock_error_ms", DAY_MS + 1), ("clock_error_ms", -DAY_MS - 1),
+         ("latency_ms", DAY_MS + 1), ("jitter_ms", DAY_MS + 1)],
+    )
+    def test_delay_beyond_one_day_rejected(self, field, value):
+        BehaviorConfig(**{field: value - (1 if value > 0 else -1)})
+        with pytest.raises(ValueError, match=str(value)):
+            BehaviorConfig(**{field: value})
+
     def test_bad_tamper_rejected(self):
         with pytest.raises(ValueError):
             BehaviorConfig(tamper="payload")
@@ -117,11 +134,6 @@ class TestRespond:
     def test_stuck_constant(self):
         reply = answer(BehaviorConfig(ImplClass.STUCK, stuck_value=99))
         assert reply.recv_ts == reply.xmit_ts == 99
-
-    def test_stuck_value_beyond_32_bits_is_a_wire_error(self):
-        cfg = BehaviorConfig(ImplClass.STUCK, stuck_value=1 << 32)
-        with pytest.raises(wire.WireError, match="^recv_ts out of 32-bit range: 4294967296$"):
-            respond(cfg, request_bytes(), NOON_ISH, random.Random(9))
 
     def test_msb_set(self):
         reply = answer(BehaviorConfig(ImplClass.NON_UTC))
@@ -211,6 +223,12 @@ class TestSimNetwork:
             _, _, arrival = net.receive(10_000)
             delta = (arrival - sent_at).total_seconds() * 1000
             assert 15 <= delta <= 25
+
+    @pytest.mark.parametrize("kw", [{"latency_ms": DAY_MS + 1}, {"jitter_ms": DAY_MS + 1},
+                                    {"latency_ms": -1}])
+    def test_delay_beyond_one_day_rejected(self, kw):
+        with pytest.raises(ValueError, match="latency and jitter must be 0 to"):
+            SimNetwork(self.host(), **kw)
 
     def test_total_loss_yields_nothing(self):
         net = SimNetwork(self.host(), loss_rate=1.0, start=NOON_ISH)

@@ -35,7 +35,7 @@ def sample_record(target="10.7.0.1", answered=True):
             outcomes.append(pair)
         else:
             outcomes.append(ProbeOutcome(probe))
-    obs = HostObservation(target, pairs, vantage="lab", duplicate_replies=1)
+    obs = HostObservation(target, pairs, duplicate_replies=1)
     fp = fingerprint_observation(obs) if answered else None
     if fp is None:
         from icmpstamp.classify import Correctness, Fingerprint, ImplClass, Timekeeping
