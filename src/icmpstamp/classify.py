@@ -87,20 +87,16 @@ class CorrectnessPolicy:
             raise ValueError(f"margin_ms out of range: {self.margin_ms}")
 
 
-# Both are frozen, so every host classified with the defaults shares them.
-_DEFAULT_POLICY = CorrectnessPolicy()
-_DEFAULT_TABLE = OffsetTable()
-
-
 @dataclass(frozen=True)
 class HostObservation:
     """Everything collected for one target address, as classification reads it.
 
-    ``pairs`` holds only the answered outcomes, stored as a tuple: each
-    has a reply, an arrival instant and a tamper verdict.  One pass over
-    them at construction derives what the rules need: ``first`` maps each
-    probe kind to its earliest-sent clean outcome (the first of ties), and
-    ``tampered`` says whether any outcome's verdict is not clean.
+    ``pairs`` may be given every outcome of the target; it keeps only the
+    answered ones, as a tuple: each has a reply, an arrival instant and a
+    tamper verdict.  The same pass at construction derives what the rules
+    need: ``first`` maps each probe kind to its earliest-sent clean outcome
+    (the first of ties), and ``tampered`` says whether any answered
+    outcome's verdict is not clean.
     """
 
     target: str
@@ -110,17 +106,20 @@ class HostObservation:
     tampered: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = tuple(self.pairs)
+        pairs = []
         first: dict[ProbeKind, ProbeOutcome] = {}
         tampered = False
-        for p in pairs:
+        for p in self.pairs:
+            if p.reply is None:
+                continue
+            pairs.append(p)
             if p.tamper is not TamperVerdict.CLEAN:
                 tampered = True
                 continue
             seen = first.get(p.probe.kind)
             if seen is None or p.probe.send_time < seen.probe.send_time:
                 first[p.probe.kind] = p
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "tampered", tampered)
 
@@ -216,15 +215,13 @@ def detect_htons_bug(obs: HostObservation) -> bool:
 def classify_implementation(
     obs: HostObservation,
     policy: CorrectnessPolicy,
-    table: OffsetTable | None = None,
+    table: OffsetTable,
 ) -> set[ImplClass]:
     """Apply every implementation fingerprint rule; return all that fire.
 
     An observation with no clean replies cannot be classified and raises
     NoCleanReplies.  If nothing fires the result is {UNKNOWN}.
     """
-    if table is None:
-        table = _DEFAULT_TABLE
     if not obs.first:
         raise NoCleanReplies(f"no clean replies for {obs.target}")
 
@@ -343,8 +340,9 @@ def classify_scanner_request(req: TimestampMessage) -> ScannerKind:
 
 def fingerprint_observation(
     obs: HostObservation,
-    policy: CorrectnessPolicy | None = None,
-    table: OffsetTable | None = None,
+    # Both defaults are frozen, so every host classified with them shares them.
+    policy: CorrectnessPolicy = CorrectnessPolicy(),
+    table: OffsetTable = OffsetTable(),
 ) -> Fingerprint:
     """Full fingerprint for one observation: classes + timekeeping + correctness.
 
@@ -361,11 +359,6 @@ def fingerprint_observation(
             correctness=Correctness.INCORRECT,
             flags=frozenset({"all_replies_tampered"}),
         )
-    if policy is None:
-        policy = _DEFAULT_POLICY
-    if table is None:
-        table = _DEFAULT_TABLE
-
     classes = classify_implementation(obs, policy, table)
     flags: set[str] = set()
 

@@ -162,24 +162,24 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="probe targets and record fingerprints")
     scan.add_argument("--targets", required=True, help="file of IPv4 targets")
     scan.add_argument("--out", required=True, help="result file (JSON lines)")
-    scan.add_argument("--rate", type=int, default=100, help="probes per second")
-    scan.add_argument("--gap-ms", type=int, default=3000,
+    scan.add_argument("--rate", type=int, default=ScanConfig.rate_pps, help="probes per second")
+    scan.add_argument("--gap-ms", type=int, default=ScanConfig.inter_round_gap_ms,
                       help="gap before the duplicate-timestamp round")
-    scan.add_argument("--timeout-ms", type=int, default=5000,
+    scan.add_argument("--timeout-ms", type=int, default=ScanConfig.timeout_ms,
                       help="wait after the last probe")
-    scan.add_argument("--seed", type=int, default=0,
+    scan.add_argument("--seed", type=int, default=ScanConfig.seed,
                       help="seed for probe order and random fields")
-    scan.add_argument("--probes", default="standard,bad_clock,bad_checksum,duplicate",
+    scan.add_argument("--probes", default=",".join(k.value for k in ScanConfig.probe_kinds),
                       help="comma-separated probe kinds to send")
     scan.add_argument("--transport", default="raw",
                       help="'raw' or 'sim:<behavior fixture path>'")
-    scan.add_argument("--vantage", default="", help="label stored in records")
+    scan.add_argument("--vantage", default=ScanConfig.vantage, help="label stored in records")
     scan.set_defaults(func=_cmd_scan)
 
     classify = sub.add_parser("classify", help="re-run classification on results")
     classify.add_argument("--in", dest="input", required=True)
     classify.add_argument("--out", required=True)
-    classify.add_argument("--margin-ms", type=int, default=200)
+    classify.add_argument("--margin-ms", type=int, default=CorrectnessPolicy.margin_ms)
     classify.add_argument("--offsets", help="custom candidate-offset table file")
     classify.set_defaults(func=_cmd_classify)
 

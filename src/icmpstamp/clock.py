@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from icmpstamp.textfile import parse_lines
+
 DAY_MS = 86_400_000
 HALF_DAY_MS = DAY_MS // 2
 MS_PER_HOUR = 3_600_000
@@ -75,6 +77,15 @@ def offsets_equal(a: float, b: float) -> bool:
     return normalize_offset(a) % 24.0 == normalize_offset(b) % 24.0
 
 
+def _parse_offset(text: str) -> float:
+    try:
+        offset = float(text)
+    except ValueError:
+        raise ValueError(f"not an hour offset: {text!r}") from None
+    offset_millis(offset)
+    return offset
+
+
 @dataclass(frozen=True)
 class OffsetTable:
     """Ordered candidate UTC offsets for timezone inference.
@@ -93,22 +104,7 @@ class OffsetTable:
     @classmethod
     def from_file(cls, path) -> "OffsetTable":
         """Load a table from a text file of one decimal hour offset per line."""
-        offsets = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                try:
-                    offset = float(text)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: not an hour offset: {text!r}") from None
-                try:
-                    offset_millis(offset)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                offsets.append(offset)
-        return cls(tuple(offsets))
+        return cls(tuple(parse_lines(path, _parse_offset)))
 
     def min_spacing_ms(self) -> int | None:
         """Shortest day-circle distance between two entries (None if < 2)."""

@@ -24,12 +24,7 @@ from datetime import datetime, timedelta
 from ipaddress import IPv4Address
 
 from icmpstamp import wire
-from icmpstamp.classify import (
-    CorrectnessPolicy,
-    HostObservation,
-    fingerprint_observation,
-)
-from icmpstamp.clock import OffsetTable
+from icmpstamp.classify import HostObservation, fingerprint_observation
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
@@ -42,18 +37,15 @@ from icmpstamp.probes import (
 )
 from icmpstamp.responder import SimNetwork
 from icmpstamp.results import ResultRecord
+from icmpstamp.textfile import parse_lines
 from icmpstamp.transport import RawTransport, TransportError
 
 log = logging.getLogger(__name__)
 
-ALL_PROBE_KINDS = (
-    ProbeKind.STANDARD,
-    ProbeKind.BAD_CLOCK,
-    ProbeKind.BAD_CHECKSUM,
-    ProbeKind.DUPLICATE,
-)
+ALL_PROBE_KINDS = tuple(ProbeKind)
 
-_ROUND_ONE_ORDER = (ProbeKind.STANDARD, ProbeKind.BAD_CLOCK, ProbeKind.BAD_CHECKSUM)
+# Every kind but the duplicate, which goes out in the second round.
+_ROUND_ONE_ORDER = ALL_PROBE_KINDS[:3]
 
 
 @dataclass(frozen=True)
@@ -86,25 +78,16 @@ class ScanConfig:
                 raise ValueError(f"unknown probe kind: {kind}")
 
 
+def _parse_target(text: str) -> str:
+    try:
+        return str(IPv4Address(text))
+    except ValueError:
+        raise ValueError(f"not an IPv4 address: {text!r}") from None
+
+
 def load_targets(path) -> list[str]:
-    """One IPv4 address per non-empty, non-comment line; duplicates dropped."""
-    targets: list[str] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                addr = str(IPv4Address(text))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: not an IPv4 address: {text!r}"
-                ) from None
-            if addr not in seen:
-                seen.add(addr)
-                targets.append(addr)
-    return targets
+    """One IPv4 address per line, in first-seen order; duplicates dropped."""
+    return list(dict.fromkeys(parse_lines(path, _parse_target)))
 
 
 class RateLimiter:
@@ -140,12 +123,7 @@ def make_transport(spec: str):
     raise ValueError(f"unknown transport {spec!r}; use 'raw' or 'sim:<fixture path>'")
 
 
-def run_scan(
-    cfg: ScanConfig,
-    transport,
-    policy: CorrectnessPolicy | None = None,
-    table: OffsetTable | None = None,
-):
+def run_scan(cfg: ScanConfig, transport):
     """Execute a scan; yields one ResultRecord per responsive target.
 
     On transport failure the records gathered so far are still yielded, a
@@ -283,19 +261,14 @@ def run_scan(
 
     for target in targets:
         st = state[target]
-        pairs = [o for o in st.outcomes if o.reply is not None]
-        if not pairs:
+        obs = HostObservation(target, st.outcomes, st.duplicate_replies)
+        if not obs.pairs:
             continue
-        obs = HostObservation(
-            target=target,
-            pairs=pairs,
-            duplicate_replies=st.duplicate_replies,
-        )
         yield ResultRecord(
             target=target,
             vantage=cfg.vantage,
             outcomes=tuple(st.outcomes),
-            fingerprint=fingerprint_observation(obs, policy, table),
+            fingerprint=fingerprint_observation(obs),
             duplicate_replies=st.duplicate_replies,
         )
 

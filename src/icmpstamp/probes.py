@@ -130,7 +130,7 @@ def make_bad_checksum(dest: str, now: datetime, rng: random.Random) -> ProbeReco
             return ProbeRecord(ProbeKind.BAD_CHECKSUM, dest, now, msg)
 
 
-def make_duplicate(dest: str, now: datetime, round_no: int = 1) -> ProbeRecord:
+def make_duplicate(dest: str, now: datetime) -> ProbeRecord:
     """All three timestamps preset to the same correct value.
 
     Sent a few seconds after the standard probe; a responder echoing these
@@ -140,7 +140,7 @@ def make_duplicate(dest: str, now: datetime, round_no: int = 1) -> ProbeRecord:
     orig = ms_since_utc_midnight(now)
     ident, seq = hash_id_seq(dest, orig)
     msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig, orig, orig)
-    return ProbeRecord(ProbeKind.DUPLICATE, dest, now, msg, round_no=round_no)
+    return ProbeRecord(ProbeKind.DUPLICATE, dest, now, msg, round_no=1)
 
 
 def verify_reply(

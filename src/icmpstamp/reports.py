@@ -23,6 +23,7 @@ from icmpstamp.classify import (
 from icmpstamp.clock import DAY_MS, circular_diff, offsets_equal
 from icmpstamp.probes import ProbeKind, TamperVerdict
 from icmpstamp.results import ResultRecord
+from icmpstamp.textfile import parse_lines
 from icmpstamp.wire import TimestampMessage
 
 
@@ -30,19 +31,16 @@ def error_histogram(
     records: list[ResultRecord],
     bin_ms: int,
     exclude_correct: bool = False,
-    policy: CorrectnessPolicy | None = None,
 ) -> list[tuple[int, float]]:
     """PMF of circular(recv - orig) over clean standard-probe replies.
 
     Returns (bin_start_ms, probability) rows sorted by bin start.  With
-    ``exclude_correct`` the replies inside the correctness margin are
-    dropped first, which is the convention that makes the hourly
+    ``exclude_correct`` the replies inside the default correctness margin
+    are dropped first, which is the convention that makes the hourly
     timezone peaks stand out.
     """
     if bin_ms < 1:
         raise ValueError(f"bin_ms must be positive: {bin_ms}")
-    if policy is None:
-        policy = CorrectnessPolicy()
     diffs = []
     for rec in records:
         for outcome in rec.outcomes:
@@ -53,7 +51,7 @@ def error_histogram(
             diff = circular_diff(
                 outcome.reply.recv_ts % DAY_MS, outcome.probe.message.orig_ts
             )
-            if exclude_correct and abs(diff) < policy.margin_ms:
+            if exclude_correct and abs(diff) < CorrectnessPolicy.margin_ms:
                 continue
             diffs.append(diff)
     if not diffs:
@@ -70,23 +68,20 @@ class TzEntry:
     dst_offset: float | None = None
 
 
+def _parse_tz_entry(text: str) -> TzEntry:
+    parts = text.split()
+    try:
+        network = IPv4Network(parts[0])
+        std = float(parts[1])
+        dst = float(parts[2]) if len(parts) > 2 else None
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"bad tz entry: {exc}") from None
+    return TzEntry(network, std, dst)
+
+
 def load_tz_db(path) -> list[TzEntry]:
     """Ground-truth offsets: ``<cidr> <std_offset> [dst_offset]`` per line."""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            try:
-                network = IPv4Network(parts[0])
-                std = float(parts[1])
-                dst = float(parts[2]) if len(parts) > 2 else None
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad tz entry: {exc}") from None
-            entries.append(TzEntry(network, std, dst))
-    return entries
+    return parse_lines(path, _parse_tz_entry)
 
 
 def _lookup_tz(entries: list[TzEntry], addr: str) -> TzEntry | None:
@@ -165,27 +160,24 @@ class CaptureEntry:
     message: TimestampMessage
 
 
+def _parse_capture_entry(text: str) -> CaptureEntry:
+    parts = text.split()
+    try:
+        src = str(IPv4Address(parts[0]))
+        instant = (
+            None
+            if parts[1] == "-"
+            else datetime.fromisoformat(parts[1].replace("Z", "+00:00"))
+        )
+        message = wire.decode(bytes.fromhex(parts[2]))
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"bad capture line: {exc}") from None
+    return CaptureEntry(src, instant, message)
+
+
 def load_capture(path) -> list[CaptureEntry]:
     """Parse a capture file: ``<src_ip> <iso_instant|-> <hex_payload>``."""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            try:
-                src = str(IPv4Address(parts[0]))
-                instant = (
-                    None
-                    if parts[1] == "-"
-                    else datetime.fromisoformat(parts[1].replace("Z", "+00:00"))
-                )
-                message = wire.decode(bytes.fromhex(parts[2]))
-            except (ValueError, IndexError, wire.WireError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad capture line: {exc}") from None
-            entries.append(CaptureEntry(src, instant, message))
-    return entries
+    return parse_lines(path, _parse_capture_entry)
 
 
 @dataclass

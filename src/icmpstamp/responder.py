@@ -25,6 +25,7 @@ from ipaddress import IPv4Address
 from icmpstamp import wire
 from icmpstamp.classify import CONSTANT_LE_ONE, MSB, ImplClass
 from icmpstamp.clock import DAY_MS, ms_since_utc_midnight, offset_millis
+from icmpstamp.textfile import parse_lines
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST
 
 DEFAULT_START = datetime(2018, 10, 6, 12, 0, 0, tzinfo=timezone.utc)
@@ -50,12 +51,15 @@ _STUCK_FAMILY = {
 }
 
 
-def _check_delays(latency_ms: int, jitter_ms: int) -> None:
+def _check_delivery(latency_ms: int, jitter_ms: int, loss_rate: float) -> None:
+    """Reject delivery settings, of one host or the network, that cannot be modeled."""
     # A day bounds every modeled delay; far larger values overflow timedelta.
     if not (0 <= latency_ms <= DAY_MS and 0 <= jitter_ms <= DAY_MS):
         raise ValueError(
             f"latency and jitter must be 0 to {DAY_MS} ms: {latency_ms}, {jitter_ms}"
         )
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ValueError(f"loss_rate outside [0, 1]: {loss_rate}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,7 @@ class BehaviorConfig:
             raise ValueError(f"units must be ms, s, or epoch: {self.units}")
         if self.byte_order not in ("big", "little"):
             raise ValueError(f"byte_order must be big or little: {self.byte_order}")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate outside [0, 1]: {self.loss_rate}")
-        _check_delays(self.latency_ms, self.jitter_ms)
+        _check_delivery(self.latency_ms, self.jitter_ms, self.loss_rate)
         if abs(self.clock_error_ms) > DAY_MS:
             raise ValueError(f"clock_error_ms beyond one day: {self.clock_error_ms}")
         if self.stuck_value is not None and not 0 <= self.stuck_value <= 0xFFFFFFFF:
@@ -234,7 +236,9 @@ class SimNetwork:
         seed: int = 0,
         start: datetime | None = None,
     ):
-        _check_delays(latency_ms, jitter_ms)
+        _check_delivery(latency_ms, jitter_ms, loss_rate)
+        if start is not None and start.tzinfo is None:
+            raise ValueError(f"start must be timezone-aware: {start.isoformat()}")
         self._hosts = dict(hosts)
         self._latency_ms = latency_ms
         self._jitter_ms = jitter_ms
@@ -246,9 +250,8 @@ class SimNetwork:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_file(cls, path, **overrides) -> "SimNetwork":
+    def from_file(cls, path) -> "SimNetwork":
         hosts, params = load_behavior_file(path)
-        params.update(overrides)
         return cls(hosts, **params)
 
     def now(self) -> datetime:
@@ -331,42 +334,40 @@ _NETWORK_KEYS = {
 }
 
 
+_CLASS_BY_NAME = {c.value: c for c in ImplClass}
+
+
+def _parse_settings(tokens: list[str], keys: dict) -> dict:
+    settings = {}
+    for token in tokens:
+        key, _, value = token.partition("=")
+        name, conv = keys[key]
+        settings[name] = conv(value)
+    return settings
+
+
 def load_behavior_file(path) -> tuple[dict[str, BehaviorConfig], dict]:
     """Parse a declarative host-behavior fixture.
 
     One host per line: ``<ipv4> <class> [key=value ...]``.  A line starting
     with ``@network`` sets global delivery parameters (latency, jitter,
-    loss, seed, start).  ``#`` begins a comment.
+    loss, seed, start), the keyword arguments of ``SimNetwork``.
     """
     hosts: dict[str, BehaviorConfig] = {}
     params: dict = {}
-    class_by_name = {c.value: c for c in ImplClass}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.split()
-            try:
-                if tokens[0] == "@network":
-                    for token in tokens[1:]:
-                        key, _, value = token.partition("=")
-                        dest_name, conv = _NETWORK_KEYS[key]
-                        params[dest_name] = conv(value)
-                    _check_delays(params.get("latency_ms", 0), params.get("jitter_ms", 0))
-                    continue
-                addr = str(IPv4Address(tokens[0]))
-                impl = class_by_name[tokens[1]]
-                kwargs: dict = {"impl_class": impl}
-                for token in tokens[2:]:
-                    key, _, value = token.partition("=")
-                    field_name, conv = _HOST_KEYS[key]
-                    kwargs[field_name] = conv(value)
-                if addr in hosts:
-                    raise ValueError(f"duplicate host {addr}")
-                hosts[addr] = BehaviorConfig(**kwargs)
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: unknown key {exc}") from None
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+    def parse(text: str) -> None:
+        tokens = text.split()
+        if tokens[0] == "@network":
+            params.update(_parse_settings(tokens[1:], _NETWORK_KEYS))
+            # The constructor's checks, run here so an error names this line.
+            SimNetwork({}, **params)
+            return
+        addr = str(IPv4Address(tokens[0]))
+        settings = _parse_settings(tokens[2:], _HOST_KEYS)
+        if addr in hosts:
+            raise ValueError(f"duplicate host {addr}")
+        hosts[addr] = BehaviorConfig(_CLASS_BY_NAME[tokens[1]], **settings)
+
+    parse_lines(path, parse)
     return hosts, params

@@ -156,12 +156,14 @@ def write_records(path, records) -> int:
 
 def read_records(path) -> list[ResultRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+    # Not ``textfile.parse_lines``: a JSON line may hold "#".  Each line is
+    # decoded on its own so an undecodable byte is reported on its line.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
                 continue
             try:
-                records.append(record_from_line(line))
+                records.append(record_from_line(raw.decode("utf-8")))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
     return records
@@ -169,8 +171,4 @@ def read_records(path) -> list[ResultRecord]:
 
 def observation_from_record(rec: ResultRecord) -> HostObservation:
     """Rebuild the observation so classification can be re-run offline."""
-    return HostObservation(
-        target=rec.target,
-        pairs=[o for o in rec.outcomes if o.reply is not None],
-        duplicate_replies=rec.duplicate_replies,
-    )
+    return HostObservation(rec.target, rec.outcomes, rec.duplicate_replies)

@@ -1,0 +1,38 @@
+"""The line format of every input file except result files (JSON lines).
+
+UTF-8 text with one entry per line and any line ending: ``#`` starts a
+comment, surrounding whitespace is ignored and blank lines are skipped.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
+
+
+def parse_lines(path, parse: Callable[[str], T]) -> list[T]:
+    """``parse(text)`` for each data line of ``path``, in file order.
+
+    ``text`` is the line with its comment cut off and whitespace stripped.
+    A line that is not UTF-8, or on which ``parse`` raises ``ValueError``,
+    ``IndexError`` or ``KeyError`` (an unknown key), raises
+    ``ValueError("<path>:<line>: <reason>")``.
+    """
+    parsed: list[T] = []
+    # Strict decoding would fail a whole read-ahead chunk before the line
+    # holding a bad byte is reached; surrogateescape carries the byte to
+    # its own line, where the check below reports it.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                text = line.split("#", 1)[0].strip()
+                if text:
+                    parsed.append(parse(text))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: unknown key {exc}") from None
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return parsed

@@ -175,7 +175,8 @@ class TestInferTimezone:
         st.tuples(
             st.sampled_from(list(ProbeKind)),
             st.integers(0, 3),
-            st.sampled_from(list(TamperVerdict)),
+            # None: the probe went unanswered.
+            st.sampled_from([None, *TamperVerdict]),
         ),
         max_size=8,
     ),
@@ -184,13 +185,18 @@ class TestInferTimezone:
 @example(  # a tie: the first sent in list order wins
     [(ProbeKind.STANDARD, 1, TamperVerdict.CLEAN)] * 2, ProbeKind.STANDARD
 )
+@example([(ProbeKind.STANDARD, 1, None)], ProbeKind.STANDARD)
 def test_first_clean_is_the_earliest_clean_outcome(spec, kind):
     reply = reply_msg(0, 0)
-    pairs = [
+    outcomes = [
         ProbeOutcome(ProbeRecord(k, DEST, at_ms(t), reply), reply, at_ms(t), verdict)
+        if verdict is not None
+        else ProbeOutcome(ProbeRecord(k, DEST, at_ms(t), reply))
         for k, t, verdict in spec
     ]
-    obs = HostObservation(DEST, pairs)
+    obs = HostObservation(DEST, outcomes)
+    pairs = [o for o in outcomes if o.reply is not None]
+    assert obs.pairs == tuple(pairs)
     # The former formula: min() over a filtered list keeps the first of ties.
     clean = [p for p in pairs if p.tamper is TamperVerdict.CLEAN]
     candidates = [p for p in clean if p.probe.kind is kind]

@@ -3,10 +3,13 @@
 import hashlib
 import socket
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from icmpstamp import cli
 from icmpstamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRIVILEGE, main
+from icmpstamp.engine import ScanConfig
 from icmpstamp.results import read_records
 
 FIXTURE = """\
@@ -66,6 +69,15 @@ def test_demo_scan_bytes_are_pinned(tmp_path):
 
 
 class TestScanCommand:
+    def test_bare_scan_uses_scan_config_defaults(self, tmp_path, monkeypatch):
+        built = []
+        transport = SimpleNamespace(close=lambda: None)
+        monkeypatch.setattr(cli, "make_transport", lambda spec: transport)
+        monkeypatch.setattr(cli, "run_scan", lambda cfg, _transport: built.append(cfg) or [])
+        targets, out = str(tmp_path / "t.txt"), str(tmp_path / "o.jsonl")
+        assert main(["scan", "--targets", targets, "--out", out]) == EXIT_OK
+        assert built == [ScanConfig(targets_path=targets, output_path=out)]
+
     def test_writes_records(self, scanned):
         _, out = scanned
         records = read_records(out)
@@ -164,6 +176,8 @@ FIXTURE_ERRORS = {
     "clock_error": "10.9.0.1 lazy clock_error=100000000000000000000\n",
     "latency": "10.9.0.1 lazy latency=100000000000000000000\n",
     "network": "@network jitter=100000000000000000000\n10.9.0.1 lazy\n",
+    "network_loss": "@network loss=2\n10.9.0.1 lazy\n",
+    "network_start": "@network start=2018-10-06T09:13:27\n10.9.0.1 lazy\n",
 }
 
 

@@ -283,7 +283,7 @@ def test_verify_reply_rejects_unparseable_source():
 
 
 def test_probe_record_carries_round_and_send_time():
-    probe = make_duplicate(DEST, NOON_ISH, round_no=1)
+    probe = make_duplicate(DEST, NOON_ISH)
     assert probe.round_no == 1
     assert probe.send_time == NOON_ISH
     later = make_duplicate(DEST, NOON_ISH + timedelta(seconds=3))

@@ -230,6 +230,13 @@ class TestSimNetwork:
         with pytest.raises(ValueError, match="latency and jitter must be 0 to"):
             SimNetwork(self.host(), **kw)
 
+    @pytest.mark.parametrize("kw", [{"loss_rate": 2}, {"loss_rate": -0.5},
+                                    {"loss_rate": float("nan")},
+                                    {"start": NOON_ISH.replace(tzinfo=None)}])
+    def test_unmodelable_network_rejected(self, kw):
+        with pytest.raises(ValueError, match="loss_rate outside|timezone-aware"):
+            SimNetwork(self.host(), **kw)
+
     def test_total_loss_yields_nothing(self):
         net = SimNetwork(self.host(), loss_rate=1.0, start=NOON_ISH)
         for _ in range(20):

@@ -1,0 +1,105 @@
+"""The shared input-line reader and the location of every input error."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from builders import at_ms
+from icmpstamp import wire
+from icmpstamp.classify import Correctness, Fingerprint, ImplClass, Timekeeping
+from icmpstamp.clock import OffsetTable
+from icmpstamp.engine import load_targets
+from icmpstamp.probes import make_standard
+from icmpstamp.reports import load_capture, load_tz_db
+from icmpstamp.responder import load_behavior_file
+from icmpstamp.results import ResultRecord, read_records, record_to_line
+from icmpstamp.textfile import parse_lines
+
+REQUEST_HEX = wire.encode(make_standard("192.0.2.1", at_ms(1000)).message).hex()
+RECORD_LINE = record_to_line(
+    ResultRecord(
+        "192.0.2.1",
+        "lab",
+        (),
+        Fingerprint("192.0.2.1", frozenset({ImplClass.UNKNOWN}),
+                    Timekeeping.UNKNOWN, Correctness.INCORRECT),
+    )
+)
+
+# reader, a line it accepts, a line it rejects
+READERS = {
+    "targets": (load_targets, "192.0.2.1", "192.0.2.300"),
+    "offsets": (OffsetTable.from_file, "9", "nine"),
+    "fixture": (load_behavior_file, "192.0.2.1 lazy", "192.0.2.2 sleepy"),
+    "tzdb": (load_tz_db, "10.0.0.0/8 9", "10.0.0.0/8"),
+    "capture": (load_capture, f"192.0.2.1 - {REQUEST_HEX}", "192.0.2.1 - zz"),
+    "results": (read_records, RECORD_LINE, "[]"),
+}
+
+
+@pytest.mark.parametrize("fault", ["undecodable", "unparsable"])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_names_the_bad_line(tmp_path, reader, fault):
+    load, good, bad = READERS[reader]
+    good = good.encode()
+    bad = good[:-1] + b"\xff" if fault == "undecodable" else bad.encode()
+    # Blank lines, which every reader skips, put the bad line beyond the
+    # first read-ahead chunk of a text-mode file.
+    padding = [b""] * 10_000
+    path = tmp_path / f"{reader}.txt"
+    path.write_bytes(b"\n".join([good, *padding, bad, good]) + b"\n")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}:{len(padding) + 2}:")
+
+
+def _reject_bad(text):
+    if text == "BAD":
+        raise ValueError("rejected")
+    return text
+
+
+DATA_CHARS = "abcXYZ019.-:/é時"
+data_lines = st.builds(
+    lambda lead, core, trail, comment: (lead + core + trail + comment, core),
+    st.sampled_from(["", " ", "\t "]),
+    st.text(DATA_CHARS, min_size=1, max_size=8).filter(lambda s: s != "BAD"),
+    st.sampled_from(["", " ", "  \t"]),
+    st.sampled_from(["", "#", " # note", "\t#x # y", "#é"]),
+)
+other_lines = st.sampled_from(["", " ", "\t", "#", "# comment", "  # é 時"]).map(
+    lambda text: (text, None)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.one_of(data_lines, other_lines), max_size=12),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    last_ending=st.booleans(),
+    fault=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from([b"\xff", b"ab \xc3", b"\xe2\x82"]), st.integers(0, 12)),
+        st.tuples(st.sampled_from([b"BAD", b" BAD # x"]), st.integers(0, 12)),
+    ),
+)
+def test_parse_lines_property(tmp_path_factory, lines, ending, last_ending, fault):
+    encoded = [text.encode() for text, _ in lines]
+    expected = [core for _, core in lines if core is not None]
+    bad_at = None
+    if fault is not None:
+        bad, at = fault
+        bad_at = min(at, len(encoded))
+        encoded.insert(bad_at, bad)
+    body = ending.encode().join(encoded)
+    if last_ending and encoded:
+        body += ending.encode()
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_bytes(body)
+
+    if bad_at is None:
+        assert parse_lines(path, _reject_bad) == expected
+    else:
+        with pytest.raises(ValueError) as info:
+            parse_lines(path, _reject_bad)
+        assert str(info.value).startswith(f"{path}:{bad_at + 1}:")
