@@ -52,9 +52,11 @@ def _cmd_scan(args) -> int:
     transport = make_transport(args.transport)
     written = 0
     try:
+        # Reads the targets, so a bad targets file leaves --out untouched.
+        scan = run_scan(cfg, transport)
         with open(args.out, "w", encoding="utf-8") as fh:
             try:
-                for record in run_scan(cfg, transport):
+                for record in scan:
                     fh.write(results.record_to_line(record) + "\n")
                     fh.flush()
                     written += 1

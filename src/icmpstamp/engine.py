@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from ipaddress import IPv4Address
@@ -123,14 +124,19 @@ def make_transport(spec: str):
     raise ValueError(f"unknown transport {spec!r}; use 'raw' or 'sim:<fixture path>'")
 
 
-def run_scan(cfg: ScanConfig, transport):
-    """Execute a scan; yields one ResultRecord per responsive target.
+def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
+    """Execute a scan; the iterator yields one ResultRecord per responsive target.
 
-    On transport failure the records gathered so far are still yielded, a
+    The targets are read and checked before this returns, so a bad targets
+    file raises here, before a probe is sent or an output is opened.  On
+    transport failure the records gathered so far are still yielded, a
     resume marker listing never-probed targets is written next to the
     output path, and TransportError is raised after the final record.
     """
-    targets = load_targets(cfg.targets_path)
+    return _scan(cfg, transport, load_targets(cfg.targets_path))
+
+
+def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultRecord]:
     rng = random.Random(cfg.seed)
 
     round_one_kinds = [k for k in _ROUND_ONE_ORDER if k in cfg.probe_kinds]

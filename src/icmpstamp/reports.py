@@ -84,14 +84,27 @@ def load_tz_db(path) -> list[TzEntry]:
     return parse_lines(path, _parse_tz_entry)
 
 
-def _lookup_tz(entries: list[TzEntry], addr: str) -> TzEntry | None:
-    ip = IPv4Address(addr)
-    best = None
+def _tz_index(entries: list[TzEntry]) -> list[tuple[int, dict[int, TzEntry]]]:
+    """The rows grouped by netmask, longest prefix first, keyed by network.
+
+    Of several rows for one network the first is kept, so a lookup probes
+    at most 33 dicts and agrees with a scan of every row that keeps the
+    longest prefix holding the address and, among equals, the first row.
+    """
+    by_mask: dict[int, dict[int, TzEntry]] = {}
     for entry in entries:
-        if ip in entry.network:
-            if best is None or entry.network.prefixlen > best.network.prefixlen:
-                best = entry
-    return best
+        net = entry.network
+        by_mask.setdefault(int(net.netmask), {}).setdefault(int(net.network_address), entry)
+    return sorted(by_mask.items(), reverse=True)
+
+
+def _lookup_tz(index: list[tuple[int, dict[int, TzEntry]]], addr: str) -> TzEntry | None:
+    ip = int(IPv4Address(addr))
+    for mask, rows in index:
+        entry = rows.get(ip & mask)
+        if entry is not None:
+            return entry
+    return None
 
 
 @dataclass
@@ -130,11 +143,12 @@ def geolocate_report(records: list[ResultRecord], tz_db: list[TzEntry]) -> GeoSu
     offset or, where the zone observes daylight saving, the DST offset.
     """
     summary = GeoSummary()
+    index = _tz_index(tz_db)
     for rec in records:
         inferred = rec.fingerprint.tz_offset
         if inferred is None:
             continue
-        entry = _lookup_tz(tz_db, rec.target)
+        entry = _lookup_tz(index, rec.target)
         if entry is None:
             summary.unresolved += 1
         elif entry.dst_offset is None:

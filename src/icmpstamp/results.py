@@ -1,16 +1,30 @@
 """Scan result records and their line-delimited JSON serialization.
 
-One self-describing record per line, deterministic key order, so result
-files are streamable, diff-able, and byte-stable for a fixed seed.  The
-record keeps every probe (answered or not) with enough request detail to
-re-run classification offline.
+One self-describing record per line, so result files are streamable,
+diff-able, and byte-stable for a fixed seed.  The record keeps every
+probe (answered or not) with enough request detail to re-run
+classification offline.
+
+A line is the record as ``json.dumps(..., sort_keys=True,
+separators=(",", ":"))`` would write it, and is written from fixed
+templates whose keys are already in that order.  Only the strings the
+program does not choose (target, vantage, flags) go through JSON's ASCII
+string escaping; enum values, ISO instants and integers need none.
+
+Reading a line is a trust boundary.  Message fields, ``round`` and
+``duplicate_replies`` must be integers (not booleans or floats), target,
+vantage and flags strings, ``tz_offset`` null or a finite number, and
+every enum value one the program defines; anything else is a
+``ValueError`` that ``read_records`` reports as ``path:line: bad record``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
+from json.encoder import encode_basestring_ascii as _json_str
 
 from icmpstamp.classify import (
     Correctness,
@@ -34,109 +48,142 @@ class ResultRecord:
     duplicate_replies: int = 0
 
 
-def _message_to_dict(msg: TimestampMessage) -> dict:
-    return {
-        "type": msg.icmp_type,
-        "code": msg.code,
-        "checksum": msg.checksum,
-        "id": msg.ident,
-        "seq": msg.seq,
-        "orig": msg.orig_ts,
-        "recv": msg.recv_ts,
-        "xmit": msg.xmit_ts,
-    }
-
-
-def _message_from_dict(d: dict) -> TimestampMessage:
-    return TimestampMessage(
-        d["type"],
-        code=d["code"],
-        checksum=d["checksum"],
-        ident=d["id"],
-        seq=d["seq"],
-        orig_ts=d["orig"],
-        recv_ts=d["recv"],
-        xmit_ts=d["xmit"],
+def _message_json(m: TimestampMessage) -> str:
+    return (
+        f'{{"checksum":{m.checksum},"code":{m.code},"id":{m.ident},'
+        f'"orig":{m.orig_ts},"recv":{m.recv_ts},"seq":{m.seq},'
+        f'"type":{m.icmp_type},"xmit":{m.xmit_ts}}}'
     )
 
 
-def _instant_to_str(instant: datetime) -> str:
-    return instant.isoformat(timespec="microseconds")
+def _instant_json(instant: datetime) -> str:
+    return f'"{instant.isoformat(timespec="microseconds")}"'
 
 
-def fingerprint_to_dict(fp: Fingerprint) -> dict:
-    return {
-        "target": fp.target,
-        "classes": sorted(c.value for c in fp.classes),
-        "timekeeping": fp.timekeeping.value,
-        "correctness": fp.correctness.value,
-        "tz_offset": fp.tz_offset,
-        "flags": sorted(fp.flags),
-    }
-
-
-def fingerprint_from_dict(d: dict) -> Fingerprint:
-    return Fingerprint(
-        target=d["target"],
-        classes=frozenset(ImplClass(c) for c in d["classes"]),
-        timekeeping=Timekeeping(d["timekeeping"]),
-        correctness=Correctness(d["correctness"]),
-        tz_offset=d["tz_offset"],
-        flags=frozenset(d["flags"]),
+def _outcome_json(outcome: ProbeOutcome) -> str:
+    probe = outcome.probe
+    arrival = "null" if outcome.arrival is None else _instant_json(outcome.arrival)
+    reply = "null" if outcome.reply is None else _message_json(outcome.reply)
+    tamper = "null" if outcome.tamper is None else f'"{outcome.tamper.value}"'
+    return (
+        f'{{"arrival":{arrival},"kind":"{probe.kind.value}","reply":{reply},'
+        f'"request":{_message_json(probe.message)},"round":{probe.round_no},'
+        f'"send_time":{_instant_json(probe.send_time)},"tamper":{tamper}}}'
     )
 
 
-def record_to_dict(rec: ResultRecord) -> dict:
-    probes = []
-    for outcome in rec.outcomes:
-        entry = {
-            "kind": outcome.probe.kind.value,
-            "send_time": _instant_to_str(outcome.probe.send_time),
-            "round": outcome.probe.round_no,
-            "request": _message_to_dict(outcome.probe.message),
-            "reply": _message_to_dict(outcome.reply) if outcome.reply else None,
-            "arrival": _instant_to_str(outcome.arrival) if outcome.arrival else None,
-            "tamper": outcome.tamper.value if outcome.tamper else None,
-        }
-        probes.append(entry)
-    return {
-        "target": rec.target,
-        "vantage": rec.vantage,
-        "probes": probes,
-        "duplicate_replies": rec.duplicate_replies,
-        "fingerprint": fingerprint_to_dict(rec.fingerprint),
-    }
-
-
-def record_from_dict(d: dict) -> ResultRecord:
-    outcomes = []
-    for entry in d["probes"]:
-        probe = ProbeRecord(
-            kind=ProbeKind(entry["kind"]),
-            dest=d["target"],
-            send_time=datetime.fromisoformat(entry["send_time"]),
-            message=_message_from_dict(entry["request"]),
-            round_no=entry["round"],
-        )
-        outcomes.append(
-            ProbeOutcome(
-                probe=probe,
-                reply=_message_from_dict(entry["reply"]) if entry["reply"] else None,
-                arrival=datetime.fromisoformat(entry["arrival"]) if entry["arrival"] else None,
-                tamper=TamperVerdict(entry["tamper"]) if entry["tamper"] else None,
-            )
-        )
-    return ResultRecord(
-        target=d["target"],
-        vantage=d["vantage"],
-        outcomes=tuple(outcomes),
-        fingerprint=fingerprint_from_dict(d["fingerprint"]),
-        duplicate_replies=d["duplicate_replies"],
+def _fingerprint_json(fp: Fingerprint) -> str:
+    classes = ",".join([f'"{v}"' for v in sorted([c.value for c in fp.classes])])
+    flags = ",".join(map(_json_str, sorted(fp.flags)))
+    tz = "null" if fp.tz_offset is None else repr(fp.tz_offset)
+    return (
+        f'{{"classes":[{classes}],"correctness":"{fp.correctness.value}",'
+        f'"flags":[{flags}],"target":{_json_str(fp.target)},'
+        f'"timekeeping":"{fp.timekeeping.value}","tz_offset":{tz}}}'
     )
 
 
 def record_to_line(rec: ResultRecord) -> str:
-    return json.dumps(record_to_dict(rec), sort_keys=True, separators=(",", ":"))
+    probes = ",".join(map(_outcome_json, rec.outcomes))
+    return (
+        f'{{"duplicate_replies":{rec.duplicate_replies},'
+        f'"fingerprint":{_fingerprint_json(rec.fingerprint)},"probes":[{probes}],'
+        f'"target":{_json_str(rec.target)},"vantage":{_json_str(rec.vantage)}}}'
+    )
+
+
+def _by_value(enum):
+    """A function mapping a value of ``enum`` to its member, as ``enum(value)``."""
+    members = {m.value: m for m in enum}
+
+    def member(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            raise ValueError(f"{value!r} is not a valid {enum.__name__}") from None
+
+    return member
+
+
+_probe_kind = _by_value(ProbeKind)
+_tamper = _by_value(TamperVerdict)
+_impl_class = _by_value(ImplClass)
+_timekeeping = _by_value(Timekeeping)
+_correctness = _by_value(Correctness)
+
+
+def _int(value, key: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _str(value, key: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _message_from_dict(d: dict) -> TimestampMessage:
+    fields = (d["type"], d["code"], d["checksum"], d["id"],
+              d["seq"], d["orig"], d["recv"], d["xmit"])
+    for value in fields:
+        if type(value) is not int:
+            raise ValueError(f"message fields must be integers, got {value!r}")
+    return TimestampMessage(*fields)
+
+
+def _tz_offset(value) -> float | None:
+    if value is None:
+        return None
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"tz_offset must be null or a finite number, got {value!r}")
+    return value
+
+
+def fingerprint_from_dict(d: dict) -> Fingerprint:
+    classes, flags = d["classes"], d["flags"]
+    if type(classes) is not list or type(flags) is not list:
+        raise ValueError("classes and flags must be lists")
+    for flag in flags:
+        _str(flag, "flag")
+    return Fingerprint(
+        _str(d["target"], "fingerprint target"),
+        frozenset(map(_impl_class, classes)),
+        _timekeeping(d["timekeeping"]),
+        _correctness(d["correctness"]),
+        _tz_offset(d["tz_offset"]),
+        frozenset(flags),
+    )
+
+
+def record_from_dict(d: dict) -> ResultRecord:
+    target = _str(d["target"], "target")
+    outcomes = []
+    for entry in d["probes"]:
+        probe = ProbeRecord(
+            _probe_kind(entry["kind"]),
+            target,
+            datetime.fromisoformat(entry["send_time"]),
+            _message_from_dict(entry["request"]),
+            _int(entry["round"], "round"),
+        )
+        reply, arrival, tamper = entry["reply"], entry["arrival"], entry["tamper"]
+        outcomes.append(
+            ProbeOutcome(
+                probe,
+                None if reply is None else _message_from_dict(reply),
+                None if arrival is None else datetime.fromisoformat(arrival),
+                None if tamper is None else _tamper(tamper),
+            )
+        )
+    return ResultRecord(
+        target,
+        _str(d["vantage"], "vantage"),
+        tuple(outcomes),
+        fingerprint_from_dict(d["fingerprint"]),
+        _int(d["duplicate_replies"], "duplicate_replies"),
+    )
 
 
 def record_from_line(line: str) -> ResultRecord:

@@ -49,9 +49,11 @@ def scanned(tmp_path):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def test_demo_scan_bytes_are_pinned(tmp_path):
-    # The README demo at --seed 7; its 19 records must not drift.
-    out = tmp_path / "demo.jsonl"
+DEMO_SCAN_SHA256 = "d94b3e737ed901f55c463e790a04199475205a7eb8988ed5816d3d4767b83194"
+
+
+def scan_demo(out) -> None:
+    """The README demo scan, at --seed 7, into ``out``."""
     code = main([
         "scan",
         "--targets", str(FIXTURES / "demo_targets.txt"),
@@ -62,9 +64,33 @@ def test_demo_scan_bytes_are_pinned(tmp_path):
         "--vantage", "demo",
     ])
     assert code == EXIT_OK
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_demo_scan_bytes_are_pinned(tmp_path):
+    # The README demo's 19 records must not drift.
+    out = tmp_path / "demo.jsonl"
+    scan_demo(out)
     assert len(out.read_bytes().splitlines()) == 19
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "d94b3e737ed901f55c463e790a04199475205a7eb8988ed5816d3d4767b83194"
+    assert sha256_of(out) == DEMO_SCAN_SHA256
+
+
+def test_demo_classify_and_merge_bytes_are_pinned(tmp_path):
+    # Read back and written again by classify, the demo's records are the
+    # same bytes; merged with themselves they keep no probes.
+    out = tmp_path / "demo.jsonl"
+    scan_demo(out)
+    classified = tmp_path / "reclassified.jsonl"
+    assert main(["classify", "--in", str(out), "--out", str(classified),
+                 "--margin-ms", "150"]) == EXIT_OK
+    assert sha256_of(classified) == DEMO_SCAN_SHA256
+    merged = tmp_path / "consensus.jsonl"
+    assert main(["merge", str(out), str(out), "--out", str(merged)]) == EXIT_OK
+    assert sha256_of(merged) == (
+        "dc3e991d35f9d0a403f937e4229bad09484b6c47a3fd2ed401ee656a16619fd6"
     )
 
 
@@ -92,6 +118,22 @@ class TestScanCommand:
             "--out", str(tmp_path / "o.jsonl"), "--transport", f"sim:{fixture}",
         ])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("targets_text", ["nope\n", None])
+    def test_bad_targets_leave_existing_output_alone(self, tmp_path, targets_text):
+        fixture = tmp_path / "hosts.txt"
+        fixture.write_text("10.9.0.1 lazy\n")
+        targets = tmp_path / "targets.txt"
+        if targets_text is not None:
+            targets.write_text(targets_text)
+        out = tmp_path / "old.jsonl"
+        out.write_text("oldbytes")
+        code = main([
+            "scan", "--targets", str(targets), "--out", str(out),
+            "--transport", f"sim:{fixture}",
+        ])
+        assert code == EXIT_CONFIG
+        assert out.read_text() == "oldbytes"
 
     def test_unknown_probe_kind_is_config_error(self, tmp_path):
         targets = tmp_path / "t.txt"

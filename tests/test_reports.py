@@ -1,7 +1,11 @@
 """Report-surface tests: error PMF, geolocation accuracy, request analysis,
 two-vantage merge."""
 
+from ipaddress import IPv4Address, IPv4Network
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from builders import at_ms, echo_reply, pair_for
 from icmpstamp import wire
@@ -14,6 +18,9 @@ from icmpstamp.classify import (
 )
 from icmpstamp.probes import make_standard
 from icmpstamp.reports import (
+    TzEntry,
+    _lookup_tz,
+    _tz_index,
     analyze_requests,
     error_histogram,
     geolocate_report,
@@ -139,6 +146,35 @@ class TestGeolocate:
         path.write_text("10.3.0.0/24 nine\n")
         with pytest.raises(ValueError, match="tz.db:1"):
             load_tz_db(path)
+
+
+def linear_lookup_tz(entries, addr):
+    """The former lookup: scan every row, keep the first longest prefix."""
+    ip = IPv4Address(addr)
+    best = None
+    for entry in entries:
+        if ip in entry.network:
+            if best is None or entry.network.prefixlen > best.network.prefixlen:
+                best = entry
+    return best
+
+
+# Half the addresses fall in one /24, so rows nest and repeat often.
+addresses = st.integers(0x0A030300, 0x0A0303FF) | st.integers(0, 2**32 - 1)
+networks = st.builds(
+    lambda addr, prefixlen: IPv4Network((addr, prefixlen), strict=False),
+    addresses,
+    st.integers(0, 32),
+)
+
+
+@given(st.lists(networks, max_size=30), st.lists(addresses, min_size=1, max_size=20))
+def test_longest_prefix_index_matches_a_scan_of_every_row(nets, addrs):
+    entries = [TzEntry(net, float(i)) for i, net in enumerate(nets)]
+    index = _tz_index(entries)
+    assert len(index) <= 33
+    for addr in map(str, map(IPv4Address, addrs)):
+        assert _lookup_tz(index, addr) is linear_lookup_tz(entries, addr)
 
 
 def capture_line(src, orig):

@@ -1,12 +1,36 @@
-"""Result persistence: lossless round-trip, stable bytes, observation rebuild."""
+"""Result persistence: lossless round-trip, stable bytes, observation rebuild,
+the line template against ``json.dumps``, and the reader's type checks."""
 
+import json
 import random
+from datetime import timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from builders import at_ms, echo_reply, pair_for
-from icmpstamp.classify import fingerprint_observation, HostObservation
-from icmpstamp.probes import ProbeOutcome, make_bad_clock, make_duplicate, make_standard
+from icmpstamp.classify import (
+    Correctness,
+    Fingerprint,
+    HostObservation,
+    ImplClass,
+    Timekeeping,
+    fingerprint_observation,
+)
+from icmpstamp.engine import ScanConfig, run_scan
+from icmpstamp.probes import (
+    ProbeKind,
+    ProbeOutcome,
+    ProbeRecord,
+    TamperVerdict,
+    make_bad_clock,
+    make_duplicate,
+    make_standard,
+)
+from icmpstamp.reports import merge_records
+from icmpstamp.responder import SimNetwork
 from icmpstamp.results import (
     ResultRecord,
     observation_from_record,
@@ -15,6 +39,9 @@ from icmpstamp.results import (
     record_to_line,
     write_records,
 )
+from icmpstamp.wire import TimestampMessage
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def sample_record(target="10.7.0.1", answered=True):
@@ -85,3 +112,158 @@ def test_observation_rebuild_reclassifies_identically():
     rec = sample_record()
     obs = observation_from_record(rec)
     assert fingerprint_observation(obs) == rec.fingerprint
+
+
+def former_record_to_dict(rec):
+    """The dict the line used to be dumped from, with sorted keys."""
+
+    def message(m):
+        return {"type": m.icmp_type, "code": m.code, "checksum": m.checksum, "id": m.ident,
+                "seq": m.seq, "orig": m.orig_ts, "recv": m.recv_ts, "xmit": m.xmit_ts}
+
+    def instant(t):
+        return t.isoformat(timespec="microseconds")
+
+    fp = rec.fingerprint
+    return {
+        "target": rec.target,
+        "vantage": rec.vantage,
+        "probes": [
+            {
+                "kind": o.probe.kind.value,
+                "send_time": instant(o.probe.send_time),
+                "round": o.probe.round_no,
+                "request": message(o.probe.message),
+                "reply": message(o.reply) if o.reply else None,
+                "arrival": instant(o.arrival) if o.arrival else None,
+                "tamper": o.tamper.value if o.tamper else None,
+            }
+            for o in rec.outcomes
+        ],
+        "duplicate_replies": rec.duplicate_replies,
+        "fingerprint": {
+            "target": fp.target,
+            "classes": sorted(c.value for c in fp.classes),
+            "timekeeping": fp.timekeeping.value,
+            "correctness": fp.correctness.value,
+            "tz_offset": fp.tz_offset,
+            "flags": sorted(fp.flags),
+        },
+    }
+
+
+def former_line(rec):
+    return json.dumps(former_record_to_dict(rec), sort_keys=True, separators=(",", ":"))
+
+
+# Characters JSON must escape or that stress ASCII escaping, lone
+# surrogates included, mixed into arbitrary text.
+awkward = st.characters() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+)
+texts = st.text(awkward, max_size=8)
+u16 = st.integers(0, 0xFFFF)
+u32 = st.integers(0, 0xFFFFFFFF)
+messages = st.builds(
+    TimestampMessage, st.sampled_from([13, 14]), st.integers(0, 0xFF), u16, u16, u16, u32, u32, u32
+)
+zones = st.none() | st.builds(
+    lambda minutes: timezone(timedelta(minutes=minutes)), st.integers(-23 * 60 - 59, 23 * 60 + 59)
+)
+instants = st.datetimes(timezones=zones).flatmap(
+    lambda t: st.sampled_from([t, t.replace(microsecond=0)])
+)
+
+
+@st.composite
+def records(draw):
+    target = draw(texts)
+    outcomes = []
+    for _ in range(draw(st.integers(0, 5))):
+        probe = ProbeRecord(draw(st.sampled_from(ProbeKind)), target, draw(instants),
+                            draw(messages), draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            outcomes.append(ProbeOutcome(probe))
+        else:
+            outcomes.append(ProbeOutcome(probe, draw(messages), draw(instants),
+                                         draw(st.sampled_from(TamperVerdict))))
+    fingerprint = Fingerprint(
+        draw(st.just(target) | texts),
+        draw(st.frozensets(st.sampled_from(ImplClass))),
+        draw(st.sampled_from(Timekeeping)),
+        draw(st.sampled_from(Correctness)),
+        draw(st.none() | st.integers(-14, 14) | st.floats(allow_nan=False, allow_infinity=False)),
+        draw(st.frozensets(texts, max_size=4)),
+    )
+    return ResultRecord(target, draw(texts), tuple(outcomes), fingerprint,
+                        draw(st.integers(0, 2**40)))
+
+
+class TestLineTemplate:
+    @given(records())
+    def test_built_records(self, rec):
+        assert record_to_line(rec) == former_line(rec)
+
+    @given(records())
+    def test_parsed_records(self, rec):
+        line = former_line(rec)
+        parsed = record_from_line(line)
+        assert record_to_line(parsed) == former_line(parsed) == line
+
+    @given(records(), texts)
+    def test_merged_records(self, rec, other_vantage):
+        (merged,) = merge_records([rec], [ResultRecord(rec.target, other_vantage, (), rec.fingerprint)])
+        assert merged.outcomes == ()
+        assert record_to_line(merged) == former_line(merged)
+
+    def test_engine_records(self):
+        cfg = ScanConfig(str(FIXTURES / "demo_targets.txt"), rate_pps=200, seed=7, vantage="demo")
+        scanned = list(run_scan(cfg, SimNetwork.from_file(FIXTURES / "demo_hosts.txt")))
+        assert len(scanned) == 19
+        for rec in scanned:
+            assert record_to_line(rec) == former_line(rec)
+
+
+# Where in a written line's dict to put what.  Each value was once read
+# without complaint, into a record that could not be written back as read
+# or that broke a report later.
+ILL_TYPED = {
+    "code_bool": (("probes", 0, "request", "code"), True),
+    "seq_float": (("probes", 0, "reply", "seq"), 17972.0),
+    "round_string": (("probes", 0, "round"), "0"),
+    "round_list": (("probes", 0, "round"), [0]),
+    "duplicate_replies_string": (("duplicate_replies",), "1"),
+    "duplicate_replies_list": (("duplicate_replies",), [1]),
+    "target_int": (("target",), 167_772_161),
+    "fingerprint_target_null": (("fingerprint", "target"), None),
+    "vantage_null": (("vantage",), None),
+    "flag_int": (("fingerprint", "flags"), [1]),
+    "flags_string": (("fingerprint", "flags"), "tampered_replies"),
+    "tz_offset_nan": (("fingerprint", "tz_offset"), float("nan")),
+    "tz_offset_string": (("fingerprint", "tz_offset"), "x"),
+    "tz_offset_bool": (("fingerprint", "tz_offset"), True),
+    "reply_empty_object": (("probes", 0, "reply"), {}),
+    "tamper_empty_string": (("probes", 0, "tamper"), ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_TYPED))
+def test_ill_typed_field_is_a_bad_record(tmp_path, case):
+    where, value = ILL_TYPED[case]
+    d = json.loads(record_to_line(sample_record()))
+    holder = d
+    for key in where[:-1]:
+        holder = holder[key]
+    holder[where[-1]] = value
+    path = tmp_path / "out.jsonl"
+    path.write_text(record_to_line(sample_record()) + "\n" + json.dumps(d) + "\n")
+    with pytest.raises(ValueError, match="out.jsonl:2: bad record"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("value", ["zalgo", ["standard"], None])
+def test_unknown_probe_kind_is_a_value_error(value):
+    d = json.loads(record_to_line(sample_record()))
+    d["probes"][0]["kind"] = value
+    with pytest.raises(ValueError, match="is not a valid ProbeKind"):
+        record_from_line(json.dumps(d))
