@@ -10,6 +10,8 @@ separators=(",", ":"))`` would write it, and is written from fixed
 templates whose keys are already in that order.  Only the strings the
 program does not choose (target, vantage, flags) go through JSON's ASCII
 string escaping; enum values, ISO instants and integers need none.
+Flags are sorted as JSON reads them back, so a line read back writes
+the same line.
 
 Reading a line is a trust boundary.  Message fields, ``round`` and
 ``duplicate_replies`` must be integers (not booleans or floats), target,
@@ -72,9 +74,20 @@ def _outcome_json(outcome: ProbeOutcome) -> str:
     )
 
 
+def _as_read(text: str) -> str:
+    """``text`` as JSON reads it back: a lone high surrogate followed by a
+    lone low surrogate escapes exactly like the one character they encode,
+    and is read back as that character."""
+    if text.isascii():
+        return text
+    return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
 def _fingerprint_json(fp: Fingerprint) -> str:
     classes = ",".join([f'"{v}"' for v in sorted([c.value for c in fp.classes])])
-    flags = ",".join(map(_json_str, sorted(fp.flags)))
+    # Sorted as read back, so a written line reads into a record that
+    # writes the same line.
+    flags = ",".join(map(_json_str, sorted({_as_read(f) for f in fp.flags})))
     tz = "null" if fp.tz_offset is None else repr(fp.tz_offset)
     return (
         f'{{"classes":[{classes}],"correctness":"{fp.correctness.value}",'

@@ -147,7 +147,9 @@ def former_record_to_dict(rec):
             "timekeeping": fp.timekeeping.value,
             "correctness": fp.correctness.value,
             "tz_offset": fp.tz_offset,
-            "flags": sorted(fp.flags),
+            # The flags as JSON reads them back: a pair of lone surrogates
+            # comes back as the one character it encodes.
+            "flags": sorted(set(json.loads(json.dumps(list(fp.flags))))),
         },
     }
 
@@ -209,6 +211,15 @@ class TestLineTemplate:
         line = former_line(rec)
         parsed = record_from_line(line)
         assert record_to_line(parsed) == former_line(parsed) == line
+
+    def test_surrogate_pair_flags(self):
+        # "\ud800\udfff" is written as the escape of U+103FF and read back as
+        # that character, which sorts after "\udfff" and equals the third flag.
+        fp = Fingerprint("t", frozenset(), Timekeeping.MILLISECOND, Correctness.CORRECT, None,
+                         frozenset({'"\ud800\udfff', '"\udfff', '"\U000103ff'}))
+        line = record_to_line(ResultRecord("t", "v", (), fp))
+        assert '"flags":["\\"\\udfff","\\"\\ud800\\udfff"]' in line
+        assert record_to_line(record_from_line(line)) == line
 
     @given(records(), texts)
     def test_merged_records(self, rec, other_vantage):
