@@ -26,6 +26,7 @@ from ipaddress import IPv4Address
 
 from icmpstamp import wire
 from icmpstamp.classify import HostObservation, fingerprint_observation
+from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
@@ -65,13 +66,14 @@ class ScanConfig:
     def __post_init__(self):
         if self.rate_pps < 1:
             raise ValueError(f"rate_pps must be >= 1: {self.rate_pps}")
-        if self.inter_round_gap_ms < 1000:
+        # The gap's floor keeps elapsed time measurable.  A day bounds both
+        # waits; far larger values overflow timedelta.
+        if not 1000 <= self.inter_round_gap_ms <= DAY_MS:
             raise ValueError(
-                f"inter_round_gap_ms must be >= 1000 so elapsed time is "
-                f"measurable: {self.inter_round_gap_ms}"
+                f"inter_round_gap_ms must be 1000 to {DAY_MS} ms: {self.inter_round_gap_ms}"
             )
-        if self.timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be positive: {self.timeout_ms}")
+        if not 0 < self.timeout_ms <= DAY_MS:
+            raise ValueError(f"timeout_ms must be 1 to {DAY_MS} ms: {self.timeout_ms}")
         if not self.probe_kinds:
             raise ValueError("probe_kinds must not be empty")
         for kind in self.probe_kinds:
@@ -95,7 +97,7 @@ class RateLimiter:
     """Spaces sends so no 1-second window ever holds more than rate_pps."""
 
     def __init__(self, rate_pps: int, start: datetime):
-        self._interval_us = math.ceil(1_000_000 / rate_pps)
+        self._interval = timedelta(microseconds=math.ceil(1_000_000 / rate_pps))
         self._next_at = start
 
     def next_slot(self) -> datetime:
@@ -103,7 +105,7 @@ class RateLimiter:
 
     def mark_sent(self, sent_at: datetime) -> None:
         base = max(self._next_at, sent_at)
-        self._next_at = base + timedelta(microseconds=self._interval_us)
+        self._next_at = base + self._interval
 
 
 class _TargetState:
@@ -201,12 +203,13 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             log.info("unmatched reply from %s (id=%d seq=%d)", src, msg.ident, msg.seq)
 
     def pump_until(deadline: datetime) -> None:
-        while transport.now() < deadline:
-            remaining = deadline - transport.now()
-            wait_ms = max(1, math.ceil(remaining.total_seconds() * 1000))
+        now = transport.now()
+        while now < deadline:
+            wait_ms = max(1, math.ceil((deadline - now).total_seconds() * 1000))
             item = transport.receive(wait_ms)
             if item is not None:
                 handle(*item)
+            now = transport.now()
 
     def build_probe(kind: ProbeKind, dest: str, now: datetime) -> ProbeRecord:
         if kind is ProbeKind.STANDARD:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address
@@ -170,24 +169,27 @@ def respond(
     """Answer one encoded timestamp request, or stay silent.
 
     Returns None on modeled loss, on malformed input, and on checksum
-    failure unless the host is checksum-lazy.  Otherwise builds the
+    failure unless the host is checksum-lazy.  Otherwise packs the
     type-14 reply: originate/id/seq copied from the request, receive and
-    transmit filled per the configured class, checksum recomputed.
+    transmit filled per the configured class, checksum recomputed.  The
+    request is read and the reply written as bytes; no message is built.
     """
     if cfg.loss_rate and rng.random() < cfg.loss_rate:
         return None
     try:
-        req = wire.decode(request_bytes)
+        icmp_type, _, _, ident, seq, orig, req_recv, req_xmit = wire.unpack_fields(
+            request_bytes
+        )
     except wire.WireError:
         return None
-    if req.icmp_type != TIMESTAMP_REQUEST:
+    if icmp_type != TIMESTAMP_REQUEST:
         return None
-    if not wire.verify_checksum(request_bytes) and not cfg.respond_to_bad_checksum:
+    if not cfg.respond_to_bad_checksum and not wire.verify_checksum(request_bytes):
         return None
 
     cls = cfg.impl_class
     if cls is ImplClass.REFLECTION:
-        recv, xmit = req.recv_ts, req.xmit_ts
+        recv, xmit = req_recv, req_xmit
     elif cls in _STUCK_FAMILY:
         recv = xmit = cfg.stuck_value
     elif cls is ImplClass.NORMAL:
@@ -203,13 +205,12 @@ def respond(
     else:
         raise AssertionError(f"unhandled behavior class: {cls}")
 
-    ident, seq, orig = req.ident, req.seq, req.orig_ts
     if cfg.tamper == "orig_ts":
         orig = (orig + 1) & 0xFFFFFFFF
     elif cfg.tamper == "id_seq":
         ident ^= 0x0001
 
-    return wire.encode(wire.build_message(TIMESTAMP_REPLY, ident, seq, orig, recv, xmit))
+    return wire.pack_message(TIMESTAMP_REPLY, ident, seq, orig, recv, xmit)
 
 
 def _tampered_source(dest: str) -> str:
@@ -224,6 +225,9 @@ class SimNetwork:
     request's arrival instant) and schedules the reply; ``receive``
     advances the virtual clock as needed.  Unknown destinations drop
     silently, like unresponsive hosts.
+
+    Single-threaded, like the engine that drives it: nothing here is
+    locked, so one thread at a time may use a network.
     """
 
     def __init__(
@@ -247,7 +251,6 @@ class SimNetwork:
         self._now = start if start is not None else DEFAULT_START
         self._queue: list[tuple[datetime, int, str, bytes]] = []
         self._counter = itertools.count()
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path) -> "SimNetwork":
@@ -255,31 +258,28 @@ class SimNetwork:
         return cls(hosts, **params)
 
     def now(self) -> datetime:
-        with self._lock:
-            return self._now
+        return self._now
 
     def sleep_until(self, instant: datetime) -> None:
-        with self._lock:
-            if instant > self._now:
-                self._now = instant
+        if instant > self._now:
+            self._now = instant
 
     def send(self, dest: str, data: bytes) -> None:
-        with self._lock:
-            cfg = self._hosts.get(dest)
-            if cfg is None:
-                return
-            if self._loss_rate and self._rng.random() < self._loss_rate:
-                return
-            total_fixed = self._latency_ms + cfg.latency_ms
-            total_jitter = self._jitter_ms + cfg.jitter_ms
-            rtt_ms = total_fixed + (self._rng.randint(0, total_jitter) if total_jitter else 0)
-            host_time = self._now + timedelta(milliseconds=rtt_ms // 2)
-            reply = respond(cfg, data, host_time, self._rng)
-            if reply is None:
-                return
-            src = _tampered_source(dest) if cfg.tamper == "source" else dest
-            arrival = self._now + timedelta(milliseconds=rtt_ms)
-            heapq.heappush(self._queue, (arrival, next(self._counter), src, reply))
+        cfg = self._hosts.get(dest)
+        if cfg is None:
+            return
+        if self._loss_rate and self._rng.random() < self._loss_rate:
+            return
+        total_fixed = self._latency_ms + cfg.latency_ms
+        total_jitter = self._jitter_ms + cfg.jitter_ms
+        rtt_ms = total_fixed + (self._rng.randint(0, total_jitter) if total_jitter else 0)
+        host_time = self._now + timedelta(milliseconds=rtt_ms // 2)
+        reply = respond(cfg, data, host_time, self._rng)
+        if reply is None:
+            return
+        src = _tampered_source(dest) if cfg.tamper == "source" else dest
+        arrival = self._now + timedelta(milliseconds=rtt_ms)
+        heapq.heappush(self._queue, (arrival, next(self._counter), src, reply))
 
     def receive(self, max_wait_ms: int) -> tuple[str, bytes, datetime] | None:
         """Next queued reply within ``max_wait_ms``, advancing the clock.
@@ -288,15 +288,14 @@ class SimNetwork:
         in the window; in that case the clock still advances by the full
         window, mirroring a blocking socket timeout.
         """
-        with self._lock:
-            deadline = self._now + timedelta(milliseconds=max_wait_ms)
-            if self._queue and self._queue[0][0] <= deadline:
-                arrival, _, src, data = heapq.heappop(self._queue)
-                if arrival > self._now:
-                    self._now = arrival
-                return src, data, arrival
-            self._now = deadline
-            return None
+        deadline = self._now + timedelta(milliseconds=max_wait_ms)
+        if self._queue and self._queue[0][0] <= deadline:
+            arrival, _, src, data = heapq.heappop(self._queue)
+            if arrival > self._now:
+                self._now = arrival
+            return src, data, arrival
+        self._now = deadline
+        return None
 
     def close(self) -> None:
         pass

@@ -8,6 +8,9 @@ Transport contract (shared with responder.SimNetwork):
 * ``sleep_until(instant)`` -> None
 * ``close()``
 
+The engine calls a transport from one thread only, so an implementation
+needs no lock; ``SimNetwork`` has none and is not thread-safe.
+
 The raw transport needs CAP_NET_RAW (or root); constructing one without
 privilege raises PrivilegeError so callers can map it to a distinct exit
 code.  The kernel prepends the IP header on receive, so inbound packets

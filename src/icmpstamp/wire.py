@@ -21,6 +21,9 @@ The checksum and byte swap are plain Python.  The checksum's sum of
 A message with a valid checksum is built by packing its fields once with
 a zero checksum field, summing that image (RFC 1071) and constructing
 the message once with the result (``build_message``, ``fill_checksum``).
+``pack_message`` packs such a message straight to its wire image, and
+``unpack_fields`` reads one back as a tuple, for callers that need no
+``TimestampMessage``.
 """
 
 from __future__ import annotations
@@ -113,21 +116,28 @@ def encode(msg: TimestampMessage) -> bytes:
     )
 
 
+def unpack_fields(buf) -> tuple[int, int, int, int, int, int, int, int]:
+    """The eight fields of the timestamp message at the start of ``buf``.
+
+    In wire order: type, code, checksum, ident, seq, orig_ts, recv_ts,
+    xmit_ts.  Raises TruncatedMessage below 20 bytes and NotATimestamp
+    for other ICMP types.  Bytes past 20 are ignored.
+    """
+    if len(buf) < MESSAGE_LEN:
+        raise TruncatedMessage(f"need {MESSAGE_LEN} bytes, got {len(buf)}")
+    icmp_type = buf[0]
+    if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
+        raise NotATimestamp(f"ICMP type {icmp_type} is not a timestamp message")
+    return _LAYOUT.unpack_from(buf)
+
+
 def decode(buf) -> TimestampMessage:
     """Parse a timestamp message from ``buf``.
 
-    Raises TruncatedMessage below 20 bytes and NotATimestamp for other
-    ICMP types.  Bytes past 20 are ignored but flagged via
-    ``trailing_data``.
+    Raises what ``unpack_fields`` raises.  Bytes past 20 are ignored but
+    flagged via ``trailing_data``.
     """
-    view = memoryview(buf)
-    if len(view) < MESSAGE_LEN:
-        raise TruncatedMessage(f"need {MESSAGE_LEN} bytes, got {len(view)}")
-    icmp_type = view[0]
-    if icmp_type not in (TIMESTAMP_REQUEST, TIMESTAMP_REPLY):
-        raise NotATimestamp(f"ICMP type {icmp_type} is not a timestamp message")
-    fields = _LAYOUT.unpack_from(view, 0)
-    return TimestampMessage(*fields, trailing_data=len(view) > MESSAGE_LEN)
+    return TimestampMessage(*unpack_fields(buf), trailing_data=len(buf) > MESSAGE_LEN)
 
 
 def _ones_complement_sum(data) -> int:
@@ -197,6 +207,20 @@ def build_message(
     """A code-0 message with a valid checksum, constructed once."""
     checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
     return TimestampMessage(icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
+
+
+def pack_message(
+    icmp_type: int, ident: int, seq: int,
+    orig_ts: int, recv_ts: int = 0, xmit_ts: int = 0,
+) -> bytes:
+    """The wire image of ``build_message``'s message, with no message built.
+
+    Rejects what ``build_message`` rejects, with the same ``WireError``.
+    """
+    if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
+        raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")
+    checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
+    return _LAYOUT.pack(icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
 
 
 def fill_checksum(msg: TimestampMessage) -> TimestampMessage:

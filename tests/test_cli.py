@@ -9,7 +9,9 @@ import pytest
 
 from icmpstamp import cli
 from icmpstamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRIVILEGE, main
+from icmpstamp.clock import DAY_MS
 from icmpstamp.engine import ScanConfig
+from icmpstamp.responder import SimNetwork
 from icmpstamp.results import read_records
 
 FIXTURE = """\
@@ -134,6 +136,30 @@ class TestScanCommand:
         ])
         assert code == EXIT_CONFIG
         assert out.read_text() == "oldbytes"
+
+    @pytest.mark.parametrize("flag", ["--gap-ms", "--timeout-ms"])
+    @pytest.mark.parametrize("value", [DAY_MS + 1, 10**20])
+    def test_wait_beyond_a_day_fails_before_any_probe(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        # 10**20 ms overflows timedelta, which used to surface only after
+        # every probe was sent, as a traceback, with --out already emptied.
+        sent = []
+        monkeypatch.setattr(SimNetwork, "send", lambda _net, dest, _data: sent.append(dest))
+        fixture = tmp_path / "hosts.txt"
+        fixture.write_text("10.9.0.1 lazy\n")
+        targets = tmp_path / "targets.txt"
+        targets.write_text("10.9.0.1\n")
+        out = tmp_path / "old.jsonl"
+        out.write_bytes(b"oldbytes\n")
+        code = main([
+            "scan", "--targets", str(targets), "--out", str(out),
+            "--transport", f"sim:{fixture}", flag, str(value),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"oldbytes\n"
+        assert sent == []
 
     def test_unknown_probe_kind_is_config_error(self, tmp_path):
         targets = tmp_path / "t.txt"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from icmpstamp import wire
 from icmpstamp.classify import ImplClass
+from icmpstamp.clock import DAY_MS
 from icmpstamp.engine import (
     ALL_PROBE_KINDS,
     RateLimiter,
@@ -108,6 +109,23 @@ class ChaosTransport(RecordingTransport):
         return item
 
 
+class CountingTransport(RecordingTransport):
+    """Counts the engine's clock reads and receives."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.now_calls = 0
+        self.receive_calls = 0
+
+    def now(self):
+        self.now_calls += 1
+        return self.inner.now()
+
+    def receive(self, max_wait_ms):
+        self.receive_calls += 1
+        return self.inner.receive(max_wait_ms)
+
+
 class TestLoadTargets:
     def test_two_addresses(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -139,6 +157,13 @@ class TestScanConfig:
     def test_gap_floor(self):
         with pytest.raises(ValueError):
             ScanConfig(targets_path="x", inter_round_gap_ms=500)
+
+    @pytest.mark.parametrize("field", ["inter_round_gap_ms", "timeout_ms"])
+    def test_wait_bounded_at_one_day(self, field):
+        ScanConfig(targets_path="x", **{field: DAY_MS})
+        for value in (DAY_MS + 1, 10**20):
+            with pytest.raises(ValueError, match=field):
+                ScanConfig(targets_path="x", **{field: value})
 
     def test_empty_probe_kinds(self):
         with pytest.raises(ValueError):
@@ -255,6 +280,21 @@ class TestScan:
         for rec in records:
             assert [o.probe.kind for o in rec.outcomes] == [ProbeKind.STANDARD]
             assert ImplClass.LAZY in rec.fingerprint.classes
+
+    def test_one_clock_read_per_receive(self, tmp_path):
+        # Each pump iteration reads the clock once; each send reads it twice
+        # (its pump's first check and its send time), plus the rate
+        # limiter's start and the final timeout pump.
+        addrs = [f"10.0.8.{i}" for i in range(1, 13)]
+        hosts = lazy_hosts(addrs[:9], jitter_ms=30)
+        _, transport, records = run_simple_scan(
+            tmp_path, addrs, hosts, transport_cls=CountingTransport, rate_pps=300,
+            seed=17, net_kw={"latency_ms": 40, "seed": 5},
+        )
+        sends = len(transport.sent)
+        assert sends == 4 * len(addrs) and len(records) == 9
+        assert transport.receive_calls > sends
+        assert transport.now_calls == transport.receive_calls + 2 * sends + 2
 
     def test_unresponsive_scan_is_empty_success(self, tmp_path):
         addrs = ["10.0.7.1", "10.0.7.2"]

@@ -1,12 +1,15 @@
 """Simulated responder behavior and the in-memory network."""
 
 import random
+import struct
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import at_ms
-from icmpstamp import wire
+from icmpstamp import responder, wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import make_standard
@@ -195,6 +198,91 @@ class TestRespond:
         req = make_standard(DEST, NOON_ISH).message
         reply = answer(BehaviorConfig(ImplClass.LAZY, tamper="id_seq"))
         assert reply.ident == req.ident ^ 1
+
+
+def former_respond(cfg, request_bytes, now, rng):
+    """``respond`` as it was when it decoded the request into a message and
+    built the reply as one: decode, then ``build_message``, then ``encode``."""
+    if cfg.loss_rate and rng.random() < cfg.loss_rate:
+        return None
+    try:
+        req = wire.decode(request_bytes)
+    except wire.WireError:
+        return None
+    if req.icmp_type != wire.TIMESTAMP_REQUEST:
+        return None
+    if not wire.verify_checksum(request_bytes) and not cfg.respond_to_bad_checksum:
+        return None
+
+    cls = cfg.impl_class
+    if cls is ImplClass.REFLECTION:
+        recv, xmit = req.recv_ts, req.xmit_ts
+    elif cls in responder._STUCK_FAMILY:
+        recv = xmit = cfg.stuck_value
+    elif cls is ImplClass.NORMAL:
+        recv = responder._shape(cfg, responder._clock_value(cfg, now))
+        processing = rng.randint(1, 5)
+        xmit = responder._shape(
+            cfg, responder._clock_value(cfg, now + timedelta(milliseconds=processing))
+        )
+    elif cls is ImplClass.UNKNOWN:
+        recv = 0
+        xmit = responder._unresolvable_value(responder._clock_value(cfg, now))
+    else:
+        recv = xmit = responder._shape(cfg, responder._clock_value(cfg, now))
+
+    ident, seq, orig = req.ident, req.seq, req.orig_ts
+    if cfg.tamper == "orig_ts":
+        orig = (orig + 1) & 0xFFFFFFFF
+    elif cfg.tamper == "id_seq":
+        ident ^= 0x0001
+    return wire.encode(
+        wire.build_message(wire.TIMESTAMP_REPLY, ident, seq, orig, recv, xmit)
+    )
+
+
+@st.composite
+def configs(draw):
+    cls = draw(st.sampled_from(list(ImplClass)))
+    tz = draw(st.sampled_from([None, -3.5, 9.0]))
+    return BehaviorConfig(
+        cls,
+        tz_offset_hours=9.0 if cls is ImplClass.TIMEZONE and tz is None else tz,
+        units=draw(st.sampled_from(["ms", "s", "epoch"])),
+        clock_error_ms=draw(st.integers(-DAY_MS, DAY_MS)),
+        loss_rate=draw(st.sampled_from([0.0, 0.5])),
+        respond_to_bad_checksum=draw(st.booleans()),
+        tamper=draw(st.sampled_from([None, "orig_ts", "id_seq", "source"])),
+    )
+
+
+@st.composite
+def payloads(draw):
+    """0 to 40 bytes: mostly timestamp-shaped, some raw."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=40))
+    icmp_type = draw(st.sampled_from([13, 13, 14, 0, 8, 255]))
+    code = draw(st.sampled_from([0, 0, 0, 1, 255]))
+    words = draw(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)))
+    stamps = draw(st.tuples(*[st.integers(0, 0xFFFFFFFF)] * 3))
+    checksum = wire.message_checksum(icmp_type, code, *words, *stamps)
+    if draw(st.booleans()):
+        checksum = draw(st.integers(0, 0xFFFF))
+    image = struct.pack("!BBHHHIII", icmp_type, code, checksum, *words, *stamps)
+    cut = draw(st.integers(0, 40))
+    return (image + draw(st.binary(min_size=20, max_size=20)))[:cut]
+
+
+class TestRespondMatchesFormerPath:
+    @settings(max_examples=500)
+    @given(configs(), payloads(), st.integers(0, DAY_MS - 1), st.integers(0, 2**32))
+    def test_same_reply_and_draws(self, cfg, payload, ms, seed):
+        now = at_ms(ms)
+        rng, former_rng = random.Random(seed), random.Random(seed)
+        reply = respond(cfg, payload, now, rng)
+        assert reply == former_respond(cfg, payload, now, former_rng)
+        assert reply is None or type(reply) is bytes
+        assert rng.getstate() == former_rng.getstate()
 
 
 class TestSimNetwork:

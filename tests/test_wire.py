@@ -21,6 +21,8 @@ from icmpstamp.wire import (
     fill_checksum,
     internet_checksum,
     message_checksum,
+    pack_message,
+    unpack_fields,
     verify_checksum,
 )
 
@@ -131,6 +133,20 @@ class TestDecode:
             return
         assert encode(msg) == buf[:20]
         assert msg.trailing_data == (len(buf) > 20)
+
+    @given(st.binary(max_size=40))
+    def test_unpack_fields_is_decode_without_the_message(self, buf):
+        try:
+            msg = decode(buf)
+        except WireError as exc:
+            with pytest.raises(type(exc)) as raised:
+                unpack_fields(buf)
+            assert str(raised.value) == str(exc)
+            return
+        assert unpack_fields(buf) == (
+            msg.icmp_type, msg.code, msg.checksum, msg.ident, msg.seq,
+            msg.orig_ts, msg.recv_ts, msg.xmit_ts,
+        )
 
 
 class TestInternetChecksum:
@@ -274,3 +290,23 @@ class TestMessageBuilding:
     def test_bad_type_is_not_a_timestamp(self):
         with pytest.raises(NotATimestamp):
             build_message(8, 0, 0, 0)
+        with pytest.raises(NotATimestamp):
+            pack_message(8, 0, 0, 0)
+
+    @given(messages)
+    def test_pack_message_is_the_built_message_encoded(self, msg):
+        fields = (msg.icmp_type, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts)
+        packed = pack_message(*fields)
+        assert type(packed) is bytes
+        assert packed == encode(build_message(*fields))
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [((13, -1, 0, 0), "ident"),
+         ((14, 0, 0x1_0000, 0), "seq"),
+         ((14, 0, 0, 0, 1 << 32), "recv_ts")],
+    )
+    def test_pack_message_range_errors_match_build_message(self, fields, name):
+        for build in (build_message, pack_message):
+            with pytest.raises(WireError, match=f"^{name} out of"):
+                build(*fields)
