@@ -1,10 +1,12 @@
 """Simulated timestamp responders and an in-memory network.
 
 Each fake host is described by a BehaviorConfig naming one implementation
-class plus clock options (offset from true time, units, byte order, MSB
-flag, truncation bug) and delivery options (latency, jitter, loss).  The
-simulator operates on encoded bytes, not decoded structures, so checksum
-handling is exercised the same way a real responder would.
+class plus clock options (offset from true time, units) and delivery
+options (latency, jitter, loss).  The class alone decides how a reply is
+shaped: byte order, MSB flag, truncation bug, and whether a bad checksum
+is answered.  The simulator operates on encoded bytes, not decoded
+structures, so checksum handling is exercised the same way a real
+responder would.
 
 SimNetwork glues configured hosts to a virtual clock and satisfies the
 scan engine's transport contract: ``send`` enqueues, ``receive`` yields
@@ -32,16 +34,6 @@ DEFAULT_STUCK_VALUE = 123_456
 
 _TAMPER_MODES = (None, "orig_ts", "id_seq", "source")
 
-# Classes that answer with a single clock lookup copied into both fields.
-_SINGLE_LOOKUP = {
-    ImplClass.LAZY,
-    ImplClass.CHECKSUM_LAZY,
-    ImplClass.NON_UTC,
-    ImplClass.TIMEZONE,
-    ImplClass.LITTLE_ENDIAN,
-    ImplClass.HTONS_BUG,
-}
-
 _STUCK_FAMILY = {
     ImplClass.STUCK,
     ImplClass.CONSTANT_0,
@@ -63,7 +55,11 @@ def _check_delivery(latency_ms: int, jitter_ms: int, loss_rate: float) -> None:
 
 @dataclass(frozen=True)
 class BehaviorConfig:
-    """Recipe for how one simulated host answers timestamp requests."""
+    """Recipe for how one simulated host answers timestamp requests.
+
+    ``impl_class`` decides how the reply is shaped; the other fields set
+    the clock, delivery, tampering and, for the stuck family, the value.
+    """
 
     impl_class: ImplClass = ImplClass.LAZY
     tz_offset_hours: float | None = None
@@ -72,18 +68,12 @@ class BehaviorConfig:
     latency_ms: int = 0
     jitter_ms: int = 0
     loss_rate: float = 0.0
-    respond_to_bad_checksum: bool = False
-    byte_order: str = "big"  # big | little
-    msb_set: bool = False
     stuck_value: int | None = None
-    truncate_htons: bool = False
     tamper: str | None = None
 
     def __post_init__(self):
         if self.units not in ("ms", "s", "epoch"):
             raise ValueError(f"units must be ms, s, or epoch: {self.units}")
-        if self.byte_order not in ("big", "little"):
-            raise ValueError(f"byte_order must be big or little: {self.byte_order}")
         _check_delivery(self.latency_ms, self.jitter_ms, self.loss_rate)
         if abs(self.clock_error_ms) > DAY_MS:
             raise ValueError(f"clock_error_ms beyond one day: {self.clock_error_ms}")
@@ -110,14 +100,6 @@ class BehaviorConfig:
             object.__setattr__(self, "stuck_value", forced_constant)
         elif cls is ImplClass.STUCK and self.stuck_value is None:
             object.__setattr__(self, "stuck_value", DEFAULT_STUCK_VALUE)
-        if cls is ImplClass.CHECKSUM_LAZY:
-            object.__setattr__(self, "respond_to_bad_checksum", True)
-        if cls is ImplClass.NON_UTC:
-            object.__setattr__(self, "msb_set", True)
-        if cls is ImplClass.LITTLE_ENDIAN:
-            object.__setattr__(self, "byte_order", "little")
-        if cls is ImplClass.HTONS_BUG:
-            object.__setattr__(self, "truncate_htons", True)
 
 
 def _clock_value(cfg: BehaviorConfig, instant: datetime) -> int:
@@ -139,13 +121,14 @@ def _htons_truncate(value: int) -> int:
     return ((value & 0xFF) << 24) | (((value >> 8) & 0xFF) << 16)
 
 
-def _shape(cfg: BehaviorConfig, value: int) -> int:
-    """Apply truncation, MSB flag, and byte order to a clock reading."""
-    if cfg.truncate_htons:
+def _shape(cls: ImplClass, value: int) -> int:
+    """A clock reading as a host of class ``cls`` writes it: truncated,
+    MSB-flagged or byte-swapped, then cut to 32 bits."""
+    if cls is ImplClass.HTONS_BUG:
         value = _htons_truncate(value)
-    if cfg.msb_set:
+    elif cls is ImplClass.NON_UTC:
         value |= MSB
-    if cfg.byte_order == "little":
+    elif cls is ImplClass.LITTLE_ENDIAN:
         value = wire.byte_swap_32(value)
     return value & 0xFFFFFFFF
 
@@ -184,26 +167,25 @@ def respond(
         return None
     if icmp_type != TIMESTAMP_REQUEST:
         return None
-    if not cfg.respond_to_bad_checksum and not wire.verify_checksum(request_bytes):
+    cls = cfg.impl_class
+    if cls is not ImplClass.CHECKSUM_LAZY and not wire.verify_checksum(request_bytes):
         return None
 
-    cls = cfg.impl_class
     if cls is ImplClass.REFLECTION:
         recv, xmit = req_recv, req_xmit
     elif cls in _STUCK_FAMILY:
         recv = xmit = cfg.stuck_value
     elif cls is ImplClass.NORMAL:
         # Two lookups separated by 1-5 ms of processing time.
-        recv = _shape(cfg, _clock_value(cfg, now))
+        recv = _shape(cls, _clock_value(cfg, now))
         processing = rng.randint(1, 5)
-        xmit = _shape(cfg, _clock_value(cfg, now + timedelta(milliseconds=processing)))
+        xmit = _shape(cls, _clock_value(cfg, now + timedelta(milliseconds=processing)))
     elif cls is ImplClass.UNKNOWN:
         recv = 0
         xmit = _unresolvable_value(_clock_value(cfg, now))
-    elif cls in _SINGLE_LOOKUP:
-        recv = xmit = _shape(cfg, _clock_value(cfg, now))
     else:
-        raise AssertionError(f"unhandled behavior class: {cls}")
+        # The rest answer with a single clock lookup copied into both fields.
+        recv = xmit = _shape(cls, _clock_value(cfg, now))
 
     if cfg.tamper == "orig_ts":
         orig = (orig + 1) & 0xFFFFFFFF
@@ -301,14 +283,6 @@ class SimNetwork:
         pass
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text}")
-
-
 _HOST_KEYS = {
     "tz": ("tz_offset_hours", float),
     "units": ("units", str),
@@ -317,10 +291,6 @@ _HOST_KEYS = {
     "jitter": ("jitter_ms", int),
     "loss": ("loss_rate", float),
     "value": ("stuck_value", lambda s: int(s, 0)),
-    "bad_checksum": ("respond_to_bad_checksum", _parse_bool),
-    "byte_order": ("byte_order", str),
-    "msb": ("msb_set", _parse_bool),
-    "truncate": ("truncate_htons", _parse_bool),
     "tamper": ("tamper", str),
 }
 
@@ -348,9 +318,10 @@ def _parse_settings(tokens: list[str], keys: dict) -> dict:
 def load_behavior_file(path) -> tuple[dict[str, BehaviorConfig], dict]:
     """Parse a declarative host-behavior fixture.
 
-    One host per line: ``<ipv4> <class> [key=value ...]``.  A line starting
-    with ``@network`` sets global delivery parameters (latency, jitter,
-    loss, seed, start), the keyword arguments of ``SimNetwork``.
+    One host per line: ``<ipv4> <class> [key=value ...]``, with the keys
+    of ``_HOST_KEYS``; any other key is an error.  A line starting with
+    ``@network`` sets global delivery parameters (latency, jitter, loss,
+    seed, start), the keyword arguments of ``SimNetwork``.
     """
     hosts: dict[str, BehaviorConfig] = {}
     params: dict = {}

@@ -15,9 +15,10 @@ the same line.
 
 Reading a line is a trust boundary.  Message fields, ``round`` and
 ``duplicate_replies`` must be integers (not booleans or floats), target,
-vantage and flags strings, ``tz_offset`` null or a finite number, and
-every enum value one the program defines; anything else is a
-``ValueError`` that ``read_records`` reports as ``path:line: bad record``.
+vantage and flags strings, ``send_time`` and ``arrival`` ISO instants
+with a UTC offset, ``tz_offset`` null or a finite number, and every enum
+value one the program defines; anything else is a ``ValueError`` that
+``read_records`` reports as ``path:line: bad record``.
 """
 
 from __future__ import annotations
@@ -137,6 +138,15 @@ def _str(value, key: str) -> str:
     return value
 
 
+def _instant(text, key: str) -> datetime:
+    # A naive instant would be read in the machine's local zone, and could
+    # not be compared with the aware ones beside it.
+    instant = datetime.fromisoformat(text)
+    if instant.tzinfo is None:
+        raise ValueError(f"{key} must carry a UTC offset, got {text!r}")
+    return instant
+
+
 def _message_from_dict(d: dict) -> TimestampMessage:
     fields = (d["type"], d["code"], d["checksum"], d["id"],
               d["seq"], d["orig"], d["recv"], d["xmit"])
@@ -177,7 +187,7 @@ def record_from_dict(d: dict) -> ResultRecord:
         probe = ProbeRecord(
             _probe_kind(entry["kind"]),
             target,
-            datetime.fromisoformat(entry["send_time"]),
+            _instant(entry["send_time"], "send_time"),
             _message_from_dict(entry["request"]),
             _int(entry["round"], "round"),
         )
@@ -186,7 +196,7 @@ def record_from_dict(d: dict) -> ResultRecord:
             ProbeOutcome(
                 probe,
                 None if reply is None else _message_from_dict(reply),
-                None if arrival is None else datetime.fromisoformat(arrival),
+                None if arrival is None else _instant(arrival, "arrival"),
                 None if tamper is None else _tamper(tamper),
             )
         )

@@ -29,7 +29,7 @@ the message once with the result (``build_message``, ``fill_checksum``).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TIMESTAMP_REQUEST = 13
 TIMESTAMP_REPLY = 14
@@ -62,12 +62,7 @@ def kernel_backend() -> str:
 
 @dataclass(frozen=True)
 class TimestampMessage:
-    """One ICMP timestamp request or reply.
-
-    ``trailing_data`` records that decode saw bytes past the 20-byte
-    message (middleboxes pad); it is not part of the wire image and is
-    ignored in comparisons.
-    """
+    """One ICMP timestamp request or reply."""
 
     icmp_type: int
     code: int = 0
@@ -77,7 +72,6 @@ class TimestampMessage:
     orig_ts: int = 0
     recv_ts: int = 0
     xmit_ts: int = 0
-    trailing_data: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.icmp_type != TIMESTAMP_REQUEST and self.icmp_type != TIMESTAMP_REPLY:
@@ -134,10 +128,10 @@ def unpack_fields(buf) -> tuple[int, int, int, int, int, int, int, int]:
 def decode(buf) -> TimestampMessage:
     """Parse a timestamp message from ``buf``.
 
-    Raises what ``unpack_fields`` raises.  Bytes past 20 are ignored but
-    flagged via ``trailing_data``.
+    Raises what ``unpack_fields`` raises.  Bytes past 20 (middleboxes
+    pad) are ignored.
     """
-    return TimestampMessage(*unpack_fields(buf), trailing_data=len(buf) > MESSAGE_LEN)
+    return TimestampMessage(*unpack_fields(buf))
 
 
 def _ones_complement_sum(data) -> int:
@@ -230,5 +224,5 @@ def fill_checksum(msg: TimestampMessage) -> TimestampMessage:
     )
     return TimestampMessage(
         msg.icmp_type, msg.code, checksum, msg.ident, msg.seq,
-        msg.orig_ts, msg.recv_ts, msg.xmit_ts, msg.trailing_data,
+        msg.orig_ts, msg.recv_ts, msg.xmit_ts,
     )

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, file flows, exit codes."""
 
 import hashlib
+import json
 import socket
+from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -228,6 +230,24 @@ class TestClassifyCommand:
         assert "margin 2000000 ms" in err
         assert "bad record" not in err
 
+    @pytest.mark.parametrize("key", ["send_time", "arrival"])
+    def test_naive_instant_is_config_error(self, scanned, capsys, key):
+        # A naive instant beside aware ones used to crash classify with a
+        # TypeError; all-naive records were read in the machine's zone.
+        tmp_path, out = scanned
+        lines = out.read_text().splitlines()
+        rec = json.loads(lines[1])
+        probe = rec["probes"][-1]
+        probe[key] = datetime.fromisoformat(probe[key]).replace(tzinfo=None).isoformat()
+        lines[1] = json.dumps(rec)
+        out.write_text("\n".join(lines) + "\n")
+        re_out = tmp_path / "re.jsonl"
+        re_out.write_bytes(b"oldbytes\n")
+        code = main(["classify", "--in", str(out), "--out", str(re_out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {out}:2: bad record: {key} must carry")
+        assert re_out.read_bytes() == b"oldbytes\n"
+
     def test_custom_offsets_file(self, scanned, tmp_path):
         _, out = scanned
         offsets = tmp_path / "offsets.txt"
@@ -246,6 +266,11 @@ FIXTURE_ERRORS = {
     "network": "@network jitter=100000000000000000000\n10.9.0.1 lazy\n",
     "network_loss": "@network loss=2\n10.9.0.1 lazy\n",
     "network_start": "@network start=2018-10-06T09:13:27\n10.9.0.1 lazy\n",
+    # The class alone sets these; a host that names one is refused.
+    "bad_checksum": "10.9.0.1 checksum_lazy bad_checksum=0\n",
+    "byte_order": "10.9.0.1 little_endian byte_order=big\n",
+    "msb": "10.9.0.1 non_utc msb=0\n",
+    "truncate": "10.9.0.1 htons_bug truncate=0\n",
 }
 
 

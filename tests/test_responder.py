@@ -1,5 +1,6 @@
 """Simulated responder behavior and the in-memory network."""
 
+import functools
 import random
 import struct
 from datetime import timedelta
@@ -50,9 +51,6 @@ class TestBehaviorConfig:
     def test_stuck_gets_default_constant(self):
         assert BehaviorConfig(ImplClass.STUCK).stuck_value == DEFAULT_STUCK_VALUE
 
-    def test_checksum_lazy_forced_to_answer_bad_checksums(self):
-        assert BehaviorConfig(ImplClass.CHECKSUM_LAZY).respond_to_bad_checksum
-
     def test_timezone_requires_offset(self):
         with pytest.raises(ValueError):
             BehaviorConfig(ImplClass.TIMEZONE)
@@ -60,15 +58,6 @@ class TestBehaviorConfig:
     def test_quarter_hour_offset_rejected(self):
         with pytest.raises(ValueError):
             BehaviorConfig(ImplClass.TIMEZONE, tz_offset_hours=5.75)
-
-    def test_non_utc_forces_msb(self):
-        assert BehaviorConfig(ImplClass.NON_UTC).msb_set
-
-    def test_little_endian_forces_byte_order(self):
-        assert BehaviorConfig(ImplClass.LITTLE_ENDIAN).byte_order == "little"
-
-    def test_htons_forces_truncation(self):
-        assert BehaviorConfig(ImplClass.HTONS_BUG).truncate_htons
 
     def test_bad_units_rejected(self):
         with pytest.raises(ValueError):
@@ -200,9 +189,26 @@ class TestRespond:
         assert reply.ident == req.ident ^ 1
 
 
+def former_shape(cfg, value):
+    """``_shape`` as it was, when it read the flags each class forced on."""
+    cls = cfg.impl_class
+    truncate_htons = cls is ImplClass.HTONS_BUG
+    msb_set = cls is ImplClass.NON_UTC
+    byte_order = "little" if cls is ImplClass.LITTLE_ENDIAN else "big"
+    if truncate_htons:
+        value = ((value & 0xFF) << 24) | (((value >> 8) & 0xFF) << 16)
+    if msb_set:
+        value |= 2**31
+    if byte_order == "little":
+        value = byte_swap_32(value)
+    return value & 0xFFFFFFFF
+
+
 def former_respond(cfg, request_bytes, now, rng):
-    """``respond`` as it was when it decoded the request into a message and
-    built the reply as one: decode, then ``build_message``, then ``encode``."""
+    """``respond`` as it was when it decoded the request into a message,
+    built the reply as one (decode, then ``build_message``, then
+    ``encode``) and read the flags each class forced on."""
+    respond_to_bad_checksum = cfg.impl_class is ImplClass.CHECKSUM_LAZY
     if cfg.loss_rate and rng.random() < cfg.loss_rate:
         return None
     try:
@@ -211,7 +217,7 @@ def former_respond(cfg, request_bytes, now, rng):
         return None
     if req.icmp_type != wire.TIMESTAMP_REQUEST:
         return None
-    if not wire.verify_checksum(request_bytes) and not cfg.respond_to_bad_checksum:
+    if not wire.verify_checksum(request_bytes) and not respond_to_bad_checksum:
         return None
 
     cls = cfg.impl_class
@@ -220,16 +226,16 @@ def former_respond(cfg, request_bytes, now, rng):
     elif cls in responder._STUCK_FAMILY:
         recv = xmit = cfg.stuck_value
     elif cls is ImplClass.NORMAL:
-        recv = responder._shape(cfg, responder._clock_value(cfg, now))
+        recv = former_shape(cfg, responder._clock_value(cfg, now))
         processing = rng.randint(1, 5)
-        xmit = responder._shape(
+        xmit = former_shape(
             cfg, responder._clock_value(cfg, now + timedelta(milliseconds=processing))
         )
     elif cls is ImplClass.UNKNOWN:
         recv = 0
         xmit = responder._unresolvable_value(responder._clock_value(cfg, now))
     else:
-        recv = xmit = responder._shape(cfg, responder._clock_value(cfg, now))
+        recv = xmit = former_shape(cfg, responder._clock_value(cfg, now))
 
     ident, seq, orig = req.ident, req.seq, req.orig_ts
     if cfg.tamper == "orig_ts":
@@ -251,7 +257,6 @@ def configs(draw):
         units=draw(st.sampled_from(["ms", "s", "epoch"])),
         clock_error_ms=draw(st.integers(-DAY_MS, DAY_MS)),
         loss_rate=draw(st.sampled_from([0.0, 0.5])),
-        respond_to_bad_checksum=draw(st.booleans()),
         tamper=draw(st.sampled_from([None, "orig_ts", "id_seq", "source"])),
     )
 
@@ -273,16 +278,33 @@ def payloads(draw):
     return (image + draw(st.binary(min_size=20, max_size=20)))[:cut]
 
 
+def valid_requests():
+    """Well-formed type-13 requests with a valid checksum, the payloads
+    that reach a host's class."""
+    u16, u32 = st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF)
+    return st.builds(functools.partial(wire.pack_message, wire.TIMESTAMP_REQUEST),
+                     u16, u16, u32, u32, u32)
+
+
 class TestRespondMatchesFormerPath:
-    @settings(max_examples=500)
-    @given(configs(), payloads(), st.integers(0, DAY_MS - 1), st.integers(0, 2**32))
-    def test_same_reply_and_draws(self, cfg, payload, ms, seed):
+    @staticmethod
+    def check(cfg, payload, ms, seed):
         now = at_ms(ms)
         rng, former_rng = random.Random(seed), random.Random(seed)
         reply = respond(cfg, payload, now, rng)
         assert reply == former_respond(cfg, payload, now, former_rng)
         assert reply is None or type(reply) is bytes
         assert rng.getstate() == former_rng.getstate()
+
+    @settings(max_examples=500)
+    @given(configs(), payloads(), st.integers(0, DAY_MS - 1), st.integers(0, 2**32))
+    def test_same_reply_and_draws(self, cfg, payload, ms, seed):
+        self.check(cfg, payload, ms, seed)
+
+    @settings(max_examples=300)
+    @given(configs(), valid_requests(), st.integers(0, DAY_MS - 1), st.integers(0, 2**32))
+    def test_same_reply_to_valid_requests(self, cfg, payload, ms, seed):
+        self.check(cfg, payload, ms, seed)
 
 
 class TestSimNetwork:
@@ -394,6 +416,17 @@ class TestBehaviorFile:
         path = tmp_path / "hosts.txt"
         path.write_text("192.0.2.1 lazy\n192.0.2.1 normal\n")
         with pytest.raises(ValueError, match="hosts.txt:2"):
+            load_behavior_file(path)
+
+    @pytest.mark.parametrize("line", ["checksum_lazy bad_checksum=0", "little_endian byte_order=big",
+                                      "non_utc msb=0", "htons_bug truncate=0"])
+    def test_class_behaviour_keys_rejected(self, tmp_path, line):
+        # The class alone shapes the reply; a setting that restates it is
+        # refused rather than ignored.
+        path = tmp_path / "hosts.txt"
+        path.write_text(f"192.0.2.1 lazy\n192.0.2.2 {line}\n")
+        key = line.split()[1].split("=")[0]
+        with pytest.raises(ValueError, match=f"hosts.txt:2: unknown key '{key}'$"):
             load_behavior_file(path)
 
     def test_infinite_tz_names_line(self, tmp_path):
