@@ -23,17 +23,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from typing import NamedTuple
 
 from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, ms_since_utc_midnight
-from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
+from icmpstamp.probes import IdentityEnum, ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.wire import TIMESTAMP_REQUEST, TimestampMessage, byte_swap_32
 
 MSB = 1 << 31
 SECONDS_PER_DAY = 86_400
 CONSTANT_LE_ONE = byte_swap_32(1)  # 0x01000000
 
+# The per-host rules read these members as module names: on Python 3.11
+# and older, ``EnumType.__getattr__`` makes a lookup on an Enum class cost
+# several global reads.
+_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM, _DUPLICATE = ProbeKind
+_CLEAN = TamperVerdict.CLEAN
 
-class ImplClass(Enum):
+
+class ImplClass(IdentityEnum):
     NORMAL = "normal"
     LAZY = "lazy"
     CHECKSUM_LAZY = "checksum_lazy"
@@ -49,14 +56,14 @@ class ImplClass(Enum):
     UNKNOWN = "unknown"
 
 
-class Timekeeping(Enum):
+class Timekeeping(IdentityEnum):
     MILLISECOND = "millisecond"
     SECOND = "second"
     EPOCH = "epoch"
     UNKNOWN = "unknown"
 
 
-class Correctness(Enum):
+class Correctness(IdentityEnum):
     CORRECT = "correct"
     CORRECT_LE = "correct_le"
     CORRECT_MSB = "correct_msb"
@@ -113,7 +120,7 @@ class HostObservation:
             if p.reply is None:
                 continue
             pairs.append(p)
-            if p.tamper is not TamperVerdict.CLEAN:
+            if p.tamper is not _CLEAN:
                 tampered = True
                 continue
             seen = first.get(p.probe.kind)
@@ -124,8 +131,7 @@ class HostObservation:
         object.__setattr__(self, "tampered", tampered)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Behavior summary for one host."""
 
     target: str
@@ -197,8 +203,8 @@ def detect_htons_bug(obs: HostObservation) -> bool:
     values are a stuck-at-zero clock, not the truncation bug.  Missing
     either reply is indeterminate and reported as False.
     """
-    std = obs.first.get(ProbeKind.STANDARD)
-    bad_clock = obs.first.get(ProbeKind.BAD_CLOCK)
+    std = obs.first.get(_STANDARD)
+    bad_clock = obs.first.get(_BAD_CLOCK)
     if std is None or bad_clock is None:
         return False
     values = (
@@ -226,10 +232,10 @@ def classify_implementation(
         raise NoCleanReplies(f"no clean replies for {obs.target}")
 
     classes: set[ImplClass] = set()
-    std = obs.first.get(ProbeKind.STANDARD)
-    dup = obs.first.get(ProbeKind.DUPLICATE)
+    std = obs.first.get(_STANDARD)
+    dup = obs.first.get(_DUPLICATE)
 
-    if ProbeKind.BAD_CHECKSUM in obs.first:
+    if _BAD_CHECKSUM in obs.first:
         classes.add(ImplClass.CHECKSUM_LAZY)
 
     if std is not None:
@@ -298,8 +304,8 @@ def classify_timekeeping(obs: HostObservation) -> Timekeeping:
     epoch seconds must fall on the send date, and its seconds-since-UTC-
     midnight must be within 2 s of the true value.
     """
-    std = obs.first.get(ProbeKind.STANDARD)
-    dup = obs.first.get(ProbeKind.DUPLICATE)
+    std = obs.first.get(_STANDARD)
+    dup = obs.first.get(_DUPLICATE)
     if std is None or dup is None:
         return Timekeeping.UNKNOWN
 
@@ -353,17 +359,14 @@ def fingerprint_observation(
     """
     if not obs.first:
         return Fingerprint(
-            target=obs.target,
-            classes=frozenset({ImplClass.UNKNOWN}),
-            timekeeping=Timekeeping.UNKNOWN,
-            correctness=Correctness.INCORRECT,
-            flags=frozenset({"all_replies_tampered"}),
+            obs.target, frozenset({ImplClass.UNKNOWN}), Timekeeping.UNKNOWN,
+            Correctness.INCORRECT, flags=frozenset({"all_replies_tampered"}),
         )
     classes = classify_implementation(obs, policy, table)
     flags: set[str] = set()
 
-    std = obs.first.get(ProbeKind.STANDARD)
-    dup = obs.first.get(ProbeKind.DUPLICATE)
+    std = obs.first.get(_STANDARD)
+    dup = obs.first.get(_DUPLICATE)
 
     tz_offset: float | None = None
     if std is not None:
@@ -377,7 +380,7 @@ def fingerprint_observation(
     timekeeping = classify_timekeeping(obs)
     if std is None or dup is None:
         flags.add("timekeeping_indeterminate")
-    if std is None or ProbeKind.BAD_CLOCK not in obs.first:
+    if std is None or _BAD_CLOCK not in obs.first:
         flags.add("htons_indeterminate")
     # CONSTANT_0 means the standard and duplicate replies were all zero.
     if ImplClass.CONSTANT_0 in classes and dup.probe.message.recv_ts == 0:
@@ -388,12 +391,7 @@ def fingerprint_observation(
         flags.add("tampered_replies")
 
     return Fingerprint(
-        target=obs.target,
-        classes=frozenset(classes),
-        timekeeping=timekeeping,
-        correctness=correctness,
-        tz_offset=tz_offset,
-        flags=frozenset(flags),
+        obs.target, frozenset(classes), timekeeping, correctness, tz_offset, frozenset(flags)
     )
 
 

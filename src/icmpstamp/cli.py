@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 
 from icmpstamp import reports, results
 from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
@@ -91,11 +90,10 @@ def _cmd_classify(args) -> int:
     policy, table = _policy_and_table(args)
     records = results.read_records(args.input)
     reclassified = [
-        replace(
-            rec,
+        rec._replace(
             fingerprint=fingerprint_observation(
                 results.observation_from_record(rec), policy, table
-            ),
+            )
         )
         for rec in records
     ]

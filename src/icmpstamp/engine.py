@@ -274,11 +274,8 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         if not obs.pairs:
             continue
         yield ResultRecord(
-            target=target,
-            vantage=cfg.vantage,
-            outcomes=tuple(st.outcomes),
-            fingerprint=fingerprint_observation(obs),
-            duplicate_replies=st.duplicate_replies,
+            target, cfg.vantage, tuple(st.outcomes), fingerprint_observation(obs),
+            st.duplicate_replies,
         )
 
     if aborted is not None:

@@ -23,32 +23,38 @@ from __future__ import annotations
 
 import random
 import socket
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from hashlib import md5
+from typing import NamedTuple
 
 from icmpstamp import wire
 from icmpstamp.clock import ms_since_utc_midnight
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
 
 
-class ProbeKind(Enum):
+class IdentityEnum(Enum):
+    """An Enum whose members hash by identity, as they compare: in C, where
+    ``Enum.__hash__`` runs Python code for every set or dict access."""
+
+    __hash__ = object.__hash__
+
+
+class ProbeKind(IdentityEnum):
     STANDARD = "standard"
     BAD_CLOCK = "bad_clock"
     BAD_CHECKSUM = "bad_checksum"
     DUPLICATE = "duplicate"
 
 
-class TamperVerdict(Enum):
+class TamperVerdict(IdentityEnum):
     CLEAN = "clean"
     ORIGINATE_MODIFIED = "originate_modified"
     ID_SEQ_MODIFIED = "id_seq_modified"
     UNMATCHED = "unmatched"
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     """One sent probe: what went out, where, and when."""
 
     kind: ProbeKind
@@ -58,8 +64,7 @@ class ProbeRecord:
     round_no: int = 0
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     """One sent probe and whatever came back for it."""
 
     probe: ProbeRecord
@@ -126,7 +131,9 @@ def make_bad_checksum(dest: str, now: datetime, rng: random.Random) -> ProbeReco
         # (RFC 1624), so a checksum verifies iff it equals the valid one
         # modulo 0xFFFF.
         if checksum % 0xFFFF != valid % 0xFFFF:
-            msg = TimestampMessage(TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig)
+            msg = TimestampMessage._make(
+                (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, 0, 0)
+            )
             return ProbeRecord(ProbeKind.BAD_CHECKSUM, dest, now, msg)
 
 

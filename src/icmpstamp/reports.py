@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
 from ipaddress import IPv4Address, IPv4Network
+from typing import NamedTuple
 
 from icmpstamp import wire
 from icmpstamp.classify import (
@@ -165,32 +165,27 @@ def geolocate_report(records: list[ResultRecord], tz_db: list[TzEntry]) -> GeoSu
     return summary
 
 
-@dataclass(frozen=True)
-class CaptureEntry:
+class CaptureEntry(NamedTuple):
     """One inbound timestamp request seen at a capture point."""
 
     src: str
-    instant: datetime | None
     message: TimestampMessage
 
 
 def _parse_capture_entry(text: str) -> CaptureEntry:
-    parts = text.split()
     try:
-        src = str(IPv4Address(parts[0]))
-        instant = (
-            None
-            if parts[1] == "-"
-            else datetime.fromisoformat(parts[1].replace("Z", "+00:00"))
-        )
-        message = wire.decode(bytes.fromhex(parts[2]))
-    except (ValueError, IndexError) as exc:
+        src, _, payload = text.split()
+        return CaptureEntry(str(IPv4Address(src)), wire.decode(bytes.fromhex(payload)))
+    except ValueError as exc:
         raise ValueError(f"bad capture line: {exc}") from None
-    return CaptureEntry(src, instant, message)
 
 
 def load_capture(path) -> list[CaptureEntry]:
-    """Parse a capture file: ``<src_ip> <iso_instant|-> <hex_payload>``."""
+    """Parse a capture file: ``<src_ip> <iso_instant|-> <hex_payload>``.
+
+    Every line has the three columns, but the middle one is skipped: no
+    report reads when a request came.
+    """
     return parse_lines(path, _parse_capture_entry)
 
 
@@ -236,15 +231,10 @@ def merge_records(
         rec_b = by_target_b.get(rec_a.target)
         if rec_b is None:
             continue
-        fp = merge_fingerprints(rec_a.fingerprint, rec_b.fingerprint)
-        vantage = f"{rec_a.vantage}+{rec_b.vantage}"
-        merged.append(
-            ResultRecord(
-                target=rec_a.target,
-                vantage=vantage,
-                outcomes=(),
-                fingerprint=fp,
-                duplicate_replies=rec_a.duplicate_replies + rec_b.duplicate_replies,
-            )
-        )
+        merged.append(rec_a._replace(
+            vantage=f"{rec_a.vantage}+{rec_b.vantage}",
+            outcomes=(),
+            fingerprint=merge_fingerprints(rec_a.fingerprint, rec_b.fingerprint),
+            duplicate_replies=rec_a.duplicate_replies + rec_b.duplicate_replies,
+        ))
     return merged

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from icmpstamp.classify import (
     Correctness,
@@ -40,8 +40,7 @@ from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
 from icmpstamp.wire import TimestampMessage
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """Everything a scan learned about one target."""
 
     target: str
@@ -51,11 +50,17 @@ class ResultRecord:
     duplicate_replies: int = 0
 
 
+# Each member's value: reading ``.value`` runs a Python-level property.
+_ENUMS = (ProbeKind, TamperVerdict, ImplClass, Timekeeping, Correctness)
+_VALUE = {m: m.value for enum in _ENUMS for m in enum}
+
+
 def _message_json(m: TimestampMessage) -> str:
+    icmp_type, code, checksum, ident, seq, orig_ts, recv_ts, xmit_ts = m
     return (
-        f'{{"checksum":{m.checksum},"code":{m.code},"id":{m.ident},'
-        f'"orig":{m.orig_ts},"recv":{m.recv_ts},"seq":{m.seq},'
-        f'"type":{m.icmp_type},"xmit":{m.xmit_ts}}}'
+        f'{{"checksum":{checksum},"code":{code},"id":{ident},'
+        f'"orig":{orig_ts},"recv":{recv_ts},"seq":{seq},'
+        f'"type":{icmp_type},"xmit":{xmit_ts}}}'
     )
 
 
@@ -67,9 +72,9 @@ def _outcome_json(outcome: ProbeOutcome) -> str:
     probe = outcome.probe
     arrival = "null" if outcome.arrival is None else _instant_json(outcome.arrival)
     reply = "null" if outcome.reply is None else _message_json(outcome.reply)
-    tamper = "null" if outcome.tamper is None else f'"{outcome.tamper.value}"'
+    tamper = "null" if outcome.tamper is None else f'"{_VALUE[outcome.tamper]}"'
     return (
-        f'{{"arrival":{arrival},"kind":"{probe.kind.value}","reply":{reply},'
+        f'{{"arrival":{arrival},"kind":"{_VALUE[probe.kind]}","reply":{reply},'
         f'"request":{_message_json(probe.message)},"round":{probe.round_no},'
         f'"send_time":{_instant_json(probe.send_time)},"tamper":{tamper}}}'
     )
@@ -85,15 +90,15 @@ def _as_read(text: str) -> str:
 
 
 def _fingerprint_json(fp: Fingerprint) -> str:
-    classes = ",".join([f'"{v}"' for v in sorted([c.value for c in fp.classes])])
+    classes = ",".join([f'"{v}"' for v in sorted([_VALUE[c] for c in fp.classes])])
     # Sorted as read back, so a written line reads into a record that
     # writes the same line.
     flags = ",".join(map(_json_str, sorted({_as_read(f) for f in fp.flags})))
     tz = "null" if fp.tz_offset is None else repr(fp.tz_offset)
     return (
-        f'{{"classes":[{classes}],"correctness":"{fp.correctness.value}",'
+        f'{{"classes":[{classes}],"correctness":"{_VALUE[fp.correctness]}",'
         f'"flags":[{flags}],"target":{_json_str(fp.target)},'
-        f'"timekeeping":"{fp.timekeeping.value}","tz_offset":{tz}}}'
+        f'"timekeeping":"{_VALUE[fp.timekeeping]}","tz_offset":{tz}}}'
     )
 
 

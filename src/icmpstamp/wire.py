@@ -16,20 +16,24 @@ significant bit is set, in which case the value is non-standard.  The
 codec deals only with the ICMP payload; IP headers belong to the
 transport layer.
 
-The checksum and byte swap are plain Python.  The checksum's sum of
-16-bit words is the buffer read as one integer, reduced modulo 0xFFFF.
-A message with a valid checksum is built by packing its fields once with
-a zero checksum field, summing that image (RFC 1071) and constructing
-the message once with the result (``build_message``, ``fill_checksum``).
-``pack_message`` packs such a message straight to its wire image, and
-``unpack_fields`` reads one back as a tuple, for callers that need no
-``TimestampMessage``.
+``TimestampMessage`` is an immutable ``NamedTuple`` in wire order.  Its
+constructor checks every field and names the first out of range;
+``decode`` and ``build_message``, whose fields are in range by
+construction, build through ``_make`` without the checks.
+
+The checksum and byte swap are plain Python.  Since 2**16 is 1 modulo
+0xFFFF, the sum of a buffer's 16-bit words is congruent to the buffer
+read as one integer, and a message's to the sum of its fields with the
+type counted 256 times, so ``message_checksum`` packs no image.
+``pack_message`` packs a message with a valid checksum straight to its
+wire image, and ``unpack_fields`` reads one back as a tuple, for
+callers that need no ``TimestampMessage``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TIMESTAMP_REQUEST = 13
 TIMESTAMP_REPLY = 14
@@ -38,6 +42,9 @@ MESSAGE_LEN = 20
 _LAYOUT = struct.Struct("!BBHHHIII")
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
+# Bit widths of the fields after the type.  Out of range, a field (negative
+# included) shifted by its width is not zero, and neither is a group's OR.
+_WIDTHS = (8, 16, 16, 16, 32, 32, 32)
 
 
 class WireError(ValueError):
@@ -60,36 +67,43 @@ def kernel_backend() -> str:
     return "pure"
 
 
-@dataclass(frozen=True)
-class TimestampMessage:
-    """One ICMP timestamp request or reply."""
-
+class _MessageFields(NamedTuple):
     icmp_type: int
-    code: int = 0
-    checksum: int = 0
-    ident: int = 0
-    seq: int = 0
-    orig_ts: int = 0
-    recv_ts: int = 0
-    xmit_ts: int = 0
+    code: int
+    checksum: int
+    ident: int
+    seq: int
+    orig_ts: int
+    recv_ts: int
+    xmit_ts: int
+
+
+class TimestampMessage(_MessageFields):
+    """One ICMP timestamp request or reply.
+
+    The constructor checks every field; ``_make`` and ``_replace`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, icmp_type: int, code: int = 0, checksum: int = 0, ident: int = 0,
+        seq: int = 0, orig_ts: int = 0, recv_ts: int = 0, xmit_ts: int = 0,
+    ):
+        self = tuple.__new__(
+            cls, (icmp_type, code, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
+        )
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        if self.icmp_type != TIMESTAMP_REQUEST and self.icmp_type != TIMESTAMP_REPLY:
-            raise NotATimestamp(f"icmp_type must be 13 or 14, got {self.icmp_type}")
-        if not 0 <= self.code <= 0xFF:
-            raise WireError(f"code out of 8-bit range: {self.code}")
-        if not 0 <= self.checksum <= _U16:
-            raise WireError(f"checksum out of 16-bit range: {self.checksum}")
-        if not 0 <= self.ident <= _U16:
-            raise WireError(f"ident out of 16-bit range: {self.ident}")
-        if not 0 <= self.seq <= _U16:
-            raise WireError(f"seq out of 16-bit range: {self.seq}")
-        if not 0 <= self.orig_ts <= _U32:
-            raise WireError(f"orig_ts out of 32-bit range: {self.orig_ts}")
-        if not 0 <= self.recv_ts <= _U32:
-            raise WireError(f"recv_ts out of 32-bit range: {self.recv_ts}")
-        if not 0 <= self.xmit_ts <= _U32:
-            raise WireError(f"xmit_ts out of 32-bit range: {self.xmit_ts}")
+        icmp_type, code, checksum, ident, seq, orig_ts, recv_ts, xmit_ts = self
+        if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
+            raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")
+        if code >> 8 or (checksum | ident | seq) >> 16 or (orig_ts | recv_ts | xmit_ts) >> 32:
+            for name, bits, value in zip(self._fields[1:], _WIDTHS, self[1:]):
+                if value >> bits:
+                    raise WireError(f"{name} out of {bits}-bit range: {value}")
 
 
 def encode(msg: TimestampMessage) -> bytes:
@@ -98,16 +112,7 @@ def encode(msg: TimestampMessage) -> bytes:
     The checksum field is emitted verbatim; callers decide whether it is
     valid (bad-checksum probes rely on this).
     """
-    return _LAYOUT.pack(
-        msg.icmp_type,
-        msg.code,
-        msg.checksum,
-        msg.ident,
-        msg.seq,
-        msg.orig_ts,
-        msg.recv_ts,
-        msg.xmit_ts,
-    )
+    return _LAYOUT.pack(*msg)
 
 
 def unpack_fields(buf) -> tuple[int, int, int, int, int, int, int, int]:
@@ -131,7 +136,7 @@ def decode(buf) -> TimestampMessage:
     Raises what ``unpack_fields`` raises.  Bytes past 20 (middleboxes
     pad) are ignored.
     """
-    return TimestampMessage(*unpack_fields(buf))
+    return TimestampMessage._make(unpack_fields(buf))
 
 
 def _ones_complement_sum(data) -> int:
@@ -182,16 +187,17 @@ def message_checksum(
 ) -> int:
     """The valid checksum of a message with these fields.
 
-    Sums the wire image packed once with a zero checksum field.  A field
-    out of range raises the ``WireError`` the constructor would raise.
+    Modulo 0xFFFF, the first word is congruent to 256 times the type plus
+    the code, and each timestamp's two words to the timestamp, so the
+    fields' sum folds to the words' folded sum.  A field out of range
+    raises the ``WireError`` the constructor would raise.
     """
-    try:
-        image = _LAYOUT.pack(icmp_type, code, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
-    except struct.error:
-        # Let the constructor name the offending field.
+    # A field out of range (see ``_WIDTHS``): the constructor raises, naming it.
+    if (icmp_type | code) >> 8 or (ident | seq) >> 16 or (orig_ts | recv_ts | xmit_ts) >> 32:
         TimestampMessage(icmp_type, code, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
-        raise
-    return internet_checksum(image)
+    total = (icmp_type << 8) + code + ident + seq + orig_ts + recv_ts + xmit_ts
+    # Only an all-zero message sums to 0; any other folds into [1, 0xFFFF].
+    return ~((total - 1) % _U16 + 1 if total else 0) & _U16
 
 
 def build_message(
@@ -199,8 +205,10 @@ def build_message(
     orig_ts: int, recv_ts: int = 0, xmit_ts: int = 0,
 ) -> TimestampMessage:
     """A code-0 message with a valid checksum, constructed once."""
+    if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
+        raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")
     checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
-    return TimestampMessage(icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
+    return TimestampMessage._make((icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts))
 
 
 def pack_message(
@@ -219,10 +227,6 @@ def pack_message(
 
 def fill_checksum(msg: TimestampMessage) -> TimestampMessage:
     """Return ``msg`` with a freshly computed, valid checksum field."""
-    checksum = message_checksum(
+    return msg._replace(checksum=message_checksum(
         msg.icmp_type, msg.code, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
-    )
-    return TimestampMessage(
-        msg.icmp_type, msg.code, checksum, msg.ident, msg.seq,
-        msg.orig_ts, msg.recv_ts, msg.xmit_ts,
-    )
+    ))

@@ -13,7 +13,6 @@ classifier under test; everything runs on fixed seeds.
 
 import random
 import time
-from dataclasses import replace
 
 from builders import at_ms, echo_reply, observe_direct, reference_checksum
 from icmpstamp import wire
@@ -311,13 +310,13 @@ def test_c5_htons_detector():
             [
                 ProbeOutcome(
                     std_probe,
-                    replace(std_reply, recv_ts=v1, xmit_ts=v1),
+                    std_reply._replace(recv_ts=v1, xmit_ts=v1),
                     std_probe.send_time,
                     TamperVerdict.CLEAN,
                 ),
                 ProbeOutcome(
                     bc_probe,
-                    replace(bc_reply, recv_ts=v2, xmit_ts=v2),
+                    bc_reply._replace(recv_ts=v2, xmit_ts=v2),
                     bc_probe.send_time,
                     TamperVerdict.CLEAN,
                 ),
@@ -359,11 +358,11 @@ def test_c6_tamper_detection():
         field = i % 4
         src = dest
         if field == 0:
-            reply = replace(reply, orig_ts=reply.orig_ts ^ rng.randrange(1, 1 << 32))
+            reply = reply._replace(orig_ts=reply.orig_ts ^ rng.randrange(1, 1 << 32))
         elif field == 1:
-            reply = replace(reply, ident=reply.ident ^ rng.randrange(1, 1 << 16))
+            reply = reply._replace(ident=reply.ident ^ rng.randrange(1, 1 << 16))
         elif field == 2:
-            reply = replace(reply, seq=reply.seq ^ rng.randrange(1, 1 << 16))
+            reply = reply._replace(seq=reply.seq ^ rng.randrange(1, 1 << 16))
         else:
             src = f"172.16.{rng.randrange(256)}.{rng.randrange(1, 255)}"
         if verify_reply(probe, reply, src) is not TamperVerdict.CLEAN:

@@ -98,6 +98,30 @@ def test_demo_classify_and_merge_bytes_are_pinned(tmp_path):
     )
 
 
+def test_non_utc_simulator_clock_text_is_pinned(tmp_path):
+    # The simulated network starts at the same instant as FIXTURE's, written
+    # at +05:30: every instant keeps that offset in its text.
+    fixture = tmp_path / "hosts.txt"
+    fixture.write_text(FIXTURE.replace("T09:13:27.296Z", "T14:43:27.296+05:30"))
+    targets = tmp_path / "targets.txt"
+    targets.write_text("".join(f"10.9.0.{i}\n" for i in range(1, 6)))
+    out = tmp_path / "results.jsonl"
+    assert main(["scan", "--targets", str(targets), "--out", str(out),
+                 "--transport", f"sim:{fixture}", "--seed", "7"]) == EXIT_OK
+    instants = [
+        probe[key]
+        for line in out.read_text().splitlines()
+        for probe in json.loads(line)["probes"]
+        for key in ("send_time", "arrival")
+        if probe[key] is not None
+    ]
+    assert len(instants) == 35
+    assert all(instant.endswith("+05:30") for instant in instants)
+    assert sha256_of(out) == (
+        "e973d3fb3c2723b9f02715cac19dde32b33780597665b45647727520cbe658d7"
+    )
+
+
 class TestScanCommand:
     def test_bare_scan_uses_scan_config_defaults(self, tmp_path, monkeypatch):
         built = []
@@ -344,6 +368,16 @@ class TestAnalyzeRequestsCommand:
         body = capsys.readouterr().out
         assert "timestamp requests: 10" in body
         assert "(90.00%)" in body
+
+    def test_demo_capture(self, capsys):
+        # The fixture CI runs: four zero-originate requests, one other, and
+        # a reply that is not counted.
+        code = main(["analyze-requests", "--capture", str(FIXTURES / "demo_capture.txt")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "timestamp requests: 5",
+            "zero-originate (nmap-like): 4 (80.00%)",
+        ]
 
 
 class TestMergeCommand:

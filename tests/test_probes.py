@@ -7,7 +7,6 @@ bytes big-endian; id gets the high half.
 """
 
 import random
-from dataclasses import replace
 from datetime import timedelta
 from hashlib import md5
 from ipaddress import IPv4Address
@@ -117,7 +116,7 @@ class TestBadChecksum:
         def redraw_loop(dest, now, rng):
             base = make_standard(dest, now)
             while True:
-                candidate = replace(base.message, checksum=rng.getrandbits(16))
+                candidate = base.message._replace(checksum=rng.getrandbits(16))
                 if not wire.verify_checksum(wire.encode(candidate)):
                     return candidate
 

@@ -223,6 +223,15 @@ class TestAnalyzeRequests:
         with pytest.raises(ValueError, match="capture.txt:1"):
             load_capture(path)
 
+    # Without the skipped time column, or with the payload repeated.
+    @pytest.mark.parametrize("kept", [(0, 2), (0, 1, 2, 2)])
+    def test_line_needs_three_columns(self, tmp_path, kept):
+        columns = capture_line("10.4.3.1", 0).split()
+        path = tmp_path / "capture.txt"
+        path.write_text(" ".join(columns[i] for i in kept) + "\n")
+        with pytest.raises(ValueError, match="capture.txt:1: bad capture line"):
+            load_capture(path)
+
 
 class TestMergeRecords:
     def test_intersection_of_targets(self):

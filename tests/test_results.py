@@ -39,7 +39,7 @@ from icmpstamp.results import (
     record_to_line,
     write_records,
 )
-from icmpstamp.wire import TimestampMessage
+from icmpstamp.wire import TimestampMessage, decode, encode
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -80,6 +80,22 @@ class TestRoundTrip:
     def test_unanswered_probes_survive(self):
         rec = sample_record(answered=False)
         assert record_from_line(record_to_line(rec)) == rec
+
+    def test_read_back_types(self):
+        # Equality alone would also hold for bare tuples of the same fields.
+        rec = record_from_line(record_to_line(sample_record()))
+        assert type(rec) is ResultRecord and type(rec.fingerprint) is Fingerprint
+        for outcome in rec.outcomes:
+            assert type(outcome) is ProbeOutcome and type(outcome.probe) is ProbeRecord
+            for msg in (outcome.probe.message, outcome.reply):
+                assert type(msg) is TimestampMessage
+                assert type(decode(encode(msg))) is TimestampMessage
+                assert decode(encode(msg)) == msg
+        outcome = rec.outcomes[0]
+        for obj, name in [(rec, "target"), (rec.fingerprint, "classes"), (outcome, "reply"),
+                          (outcome.probe, "send_time"), (outcome.reply, "recv_ts")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
 
     def test_line_bytes_are_stable(self):
         rec = sample_record()
@@ -279,6 +295,21 @@ def test_ill_typed_field_is_a_bad_record(tmp_path, case):
     path = tmp_path / "out.jsonl"
     path.write_text(record_to_line(sample_record()) + "\n" + json.dumps(d) + "\n")
     with pytest.raises(ValueError, match="out.jsonl:2: bad record"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("seq", 1 << 16, "seq out of 16-bit range: 65536"),
+    ("orig", -1, "orig_ts out of 32-bit range: -1"),
+    ("type", 8, "icmp_type must be 13 or 14, got 8"),
+])
+def test_message_field_out_of_range_is_a_bad_record(tmp_path, field, value, error):
+    # A message read from a file is checked as its constructor checks it.
+    d = json.loads(record_to_line(sample_record()))
+    d["probes"][0]["reply"][field] = value
+    path = tmp_path / "out.jsonl"
+    path.write_text(json.dumps(d) + "\n")
+    with pytest.raises(ValueError, match=f"out.jsonl:1: bad record: {error}$"):
         read_records(path)
 
 

@@ -1,7 +1,6 @@
 """Byte-level codec tests: exact layouts, checksum math, byte swap."""
 
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -248,19 +247,19 @@ class TestMessageBuilding:
     @staticmethod
     def replace_formula(msg):
         # The former fill_checksum: two replace() round trips and an encode.
-        return replace(msg, checksum=internet_checksum(encode(replace(msg, checksum=0))))
+        return msg._replace(checksum=internet_checksum(encode(msg._replace(checksum=0))))
 
     @given(messages)
     def test_fill_checksum_matches_replace_formula(self, msg):
         filled = fill_checksum(msg)
         assert filled == self.replace_formula(msg)
         assert verify_checksum(encode(filled))
-        zeroed = encode(replace(msg, checksum=0))
+        zeroed = encode(msg._replace(checksum=0))
         assert filled.checksum == reference_checksum(zeroed)
 
     @given(messages)
     def test_build_message_matches_fill_checksum(self, msg):
-        msg = replace(msg, code=0)
+        msg = msg._replace(code=0)
         built = build_message(
             msg.icmp_type, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
         )
@@ -268,6 +267,23 @@ class TestMessageBuilding:
         assert message_checksum(
             msg.icmp_type, 0, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
         ) == built.checksum
+
+    # Types 13 and 14 and code 0 are drawn often, so pack_message runs.
+    @given(
+        st.sampled_from([13, 14]) | st.integers(0, 0xFF),
+        st.just(0) | st.integers(0, 0xFF),
+        st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+        st.tuples(*[st.integers(0, 0xFFFFFFFF)] * 3),
+    )
+    def test_field_sum_is_the_image_checksum(self, icmp_type, code, words, stamps):
+        # message_checksum sums fields, not the packed zero-checksum image.
+        image = struct.pack("!BBHHHIII", icmp_type, code, 0, *words, *stamps)
+        checksum = message_checksum(icmp_type, code, *words, *stamps)
+        assert checksum == internet_checksum(image) == reference_checksum(image)
+        if icmp_type in (13, 14) and code == 0:
+            packed = pack_message(icmp_type, *words, *stamps)
+            assert packed == image[:2] + checksum.to_bytes(2, "big") + image[4:]
+            assert verify_checksum(packed)
 
     @pytest.mark.parametrize(
         "fields, name",
