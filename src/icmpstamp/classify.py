@@ -21,7 +21,6 @@ correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from typing import NamedTuple
 
@@ -31,6 +30,7 @@ from icmpstamp.wire import TIMESTAMP_REQUEST, TimestampMessage, byte_swap_32
 
 MSB = 1 << 31
 SECONDS_PER_DAY = 86_400
+US_PER_DAY = SECONDS_PER_DAY * 1_000_000
 CONSTANT_LE_ONE = byte_swap_32(1)  # 0x01000000
 
 # The per-host rules read these members as module names: on Python 3.11
@@ -68,6 +68,13 @@ class Correctness(IdentityEnum):
     CORRECT_LE = "correct_le"
     CORRECT_MSB = "correct_msb"
     INCORRECT = "incorrect"
+
+
+# As for ProbeKind above, the rules read the members as module names.
+(_NORMAL, _LAZY, _CHECKSUM_LAZY, _STUCK, _CONSTANT_0, _CONSTANT_1, _CONSTANT_LE_1,
+ _REFLECTION, _NON_UTC, _TIMEZONE, _LITTLE_ENDIAN, _HTONS_BUG, _UNKNOWN) = ImplClass
+_MILLISECOND, _SECOND, _EPOCH, _TK_UNKNOWN = Timekeeping
+_CORRECT, _CORRECT_LE, _CORRECT_MSB, _INCORRECT = Correctness
 
 
 class ScannerKind(Enum):
@@ -153,12 +160,12 @@ def classify_correctness(
     m = policy.margin_ms
     recv = reply.recv_ts
     if abs(circular_diff(recv % DAY_MS, probe_orig)) < m:
-        return Correctness.CORRECT
+        return _CORRECT
     if abs(circular_diff(byte_swap_32(recv) % DAY_MS, probe_orig)) < m:
-        return Correctness.CORRECT_LE
+        return _CORRECT_LE
     if recv & MSB and abs(circular_diff((recv - MSB) % DAY_MS, probe_orig)) < m:
-        return Correctness.CORRECT_MSB
-    return Correctness.INCORRECT
+        return _CORRECT_MSB
+    return _INCORRECT
 
 
 def infer_timezone(
@@ -236,21 +243,21 @@ def classify_implementation(
     dup = obs.first.get(_DUPLICATE)
 
     if _BAD_CHECKSUM in obs.first:
-        classes.add(ImplClass.CHECKSUM_LAZY)
+        classes.add(_CHECKSUM_LAZY)
 
     if std is not None:
         recv, xmit = std.reply.recv_ts, std.reply.xmit_ts
         orig = std.probe.message.orig_ts
         if recv != xmit and recv != 0 and xmit != 0:
-            classes.add(ImplClass.NORMAL)
+            classes.add(_NORMAL)
         if recv == xmit != 0:
-            classes.add(ImplClass.LAZY)
+            classes.add(_LAZY)
         if recv > MSB - 1 and xmit > MSB - 1:
-            classes.add(ImplClass.NON_UTC)
+            classes.add(_NON_UTC)
         if infer_timezone(std.reply, orig, table, policy) is not None:
-            classes.add(ImplClass.TIMEZONE)
+            classes.add(_TIMEZONE)
         if abs(circular_diff(byte_swap_32(recv) % DAY_MS, orig)) < policy.margin_ms:
-            classes.add(ImplClass.LITTLE_ENDIAN)
+            classes.add(_LITTLE_ENDIAN)
 
     if std is not None and dup is not None:
         s_recv, s_xmit = std.reply.recv_ts, std.reply.xmit_ts
@@ -262,15 +269,15 @@ def classify_implementation(
             # zeroed standard request, but zeros carry no positive evidence
             # of copying; the constant interpretation wins (flagged by
             # fingerprint_observation when truly ambiguous).
-            classes.add(ImplClass.STUCK)
-            classes.add(ImplClass.CONSTANT_0)
+            classes.add(_STUCK)
+            classes.add(_CONSTANT_0)
         else:
             if s_recv == s_xmit == d_recv == d_xmit and s_recv != dup_req_value:
-                classes.add(ImplClass.STUCK)
+                classes.add(_STUCK)
                 if s_recv == 1:
-                    classes.add(ImplClass.CONSTANT_1)
+                    classes.add(_CONSTANT_1)
                 elif s_recv == CONSTANT_LE_ONE:
-                    classes.add(ImplClass.CONSTANT_LE_1)
+                    classes.add(_CONSTANT_LE_1)
             if (s_recv, s_xmit) == (
                 std.probe.message.recv_ts,
                 std.probe.message.xmit_ts,
@@ -278,13 +285,13 @@ def classify_implementation(
                 dup.probe.message.recv_ts,
                 dup.probe.message.xmit_ts,
             ):
-                classes.add(ImplClass.REFLECTION)
+                classes.add(_REFLECTION)
 
     if detect_htons_bug(obs):
-        classes.add(ImplClass.HTONS_BUG)
+        classes.add(_HTONS_BUG)
 
     if not classes:
-        classes.add(ImplClass.UNKNOWN)
+        classes.add(_UNKNOWN)
     return classes
 
 
@@ -307,32 +314,29 @@ def classify_timekeeping(obs: HostObservation) -> Timekeeping:
     std = obs.first.get(_STANDARD)
     dup = obs.first.get(_DUPLICATE)
     if std is None or dup is None:
-        return Timekeeping.UNKNOWN
+        return _TK_UNKNOWN
 
-    gap_ms = round((dup.probe.send_time - std.probe.send_time).total_seconds() * 1000)
+    send_us = std.probe.send_time
+    # Through float seconds, as ``timedelta.total_seconds() * 1000`` computes
+    # it: a verdict at a half-millisecond gap depends on this rounding.
+    gap_ms = round((dup.probe.send_time - send_us) / 1_000_000 * 1000)
     s_recv, d_recv = std.reply.recv_ts, dup.reply.recv_ts
 
     reported_ms = circular_diff(d_recv % DAY_MS, s_recv % DAY_MS)
     if abs(reported_ms - gap_ms) < 400:
-        return Timekeeping.MILLISECOND
+        return _MILLISECOND
 
     if s_recv < SECONDS_PER_DAY and d_recv < SECONDS_PER_DAY:
         reported_s = _circular_diff_seconds(d_recv, s_recv)
         if abs(reported_s * 1000 - gap_ms) < 2000:
-            return Timekeeping.SECOND
+            return _SECOND
 
-    try:
-        as_epoch = datetime.fromtimestamp(s_recv, tz=timezone.utc)
-    except (OverflowError, OSError, ValueError):
-        as_epoch = None
-    if as_epoch is not None:
-        send_utc = std.probe.send_time.astimezone(timezone.utc)
-        if as_epoch.date() == send_utc.date():
-            true_seconds = ms_since_utc_midnight(send_utc) // 1000
-            if abs(s_recv % SECONDS_PER_DAY - true_seconds) <= 2:
-                return Timekeeping.EPOCH
+    if s_recv // SECONDS_PER_DAY == send_us // US_PER_DAY:
+        true_seconds = ms_since_utc_midnight(send_us) // 1000
+        if abs(s_recv % SECONDS_PER_DAY - true_seconds) <= 2:
+            return _EPOCH
 
-    return Timekeeping.UNKNOWN
+    return _TK_UNKNOWN
 
 
 def classify_scanner_request(req: TimestampMessage) -> ScannerKind:
@@ -359,8 +363,8 @@ def fingerprint_observation(
     """
     if not obs.first:
         return Fingerprint(
-            obs.target, frozenset({ImplClass.UNKNOWN}), Timekeeping.UNKNOWN,
-            Correctness.INCORRECT, flags=frozenset({"all_replies_tampered"}),
+            obs.target, frozenset({_UNKNOWN}), _TK_UNKNOWN,
+            _INCORRECT, flags=frozenset({"all_replies_tampered"}),
         )
     classes = classify_implementation(obs, policy, table)
     flags: set[str] = set()
@@ -371,10 +375,10 @@ def fingerprint_observation(
     tz_offset: float | None = None
     if std is not None:
         correctness = classify_correctness(std.reply, std.probe.message.orig_ts, policy)
-        if ImplClass.TIMEZONE in classes:
+        if _TIMEZONE in classes:
             tz_offset = infer_timezone(std.reply, std.probe.message.orig_ts, table, policy)
     else:
-        correctness = Correctness.INCORRECT
+        correctness = _INCORRECT
         flags.add("no_standard_reply")
 
     timekeeping = classify_timekeeping(obs)
@@ -383,7 +387,7 @@ def fingerprint_observation(
     if std is None or _BAD_CLOCK not in obs.first:
         flags.add("htons_indeterminate")
     # CONSTANT_0 means the standard and duplicate replies were all zero.
-    if ImplClass.CONSTANT_0 in classes and dup.probe.message.recv_ts == 0:
+    if _CONSTANT_0 in classes and dup.probe.message.recv_ts == 0:
         flags.add("reflection_ambiguous")
     if obs.duplicate_replies:
         flags.add("duplicate_replies")
@@ -406,12 +410,12 @@ def merge_fingerprints(a: Fingerprint, b: Fingerprint) -> Fingerprint:
         raise ValueError(f"fingerprints for different targets: {a.target} vs {b.target}")
     classes = a.classes & b.classes
     if not classes:
-        classes = frozenset({ImplClass.UNKNOWN})
+        classes = frozenset({_UNKNOWN})
     return Fingerprint(
         target=a.target,
         classes=classes,
-        timekeeping=a.timekeeping if a.timekeeping == b.timekeeping else Timekeeping.UNKNOWN,
-        correctness=a.correctness if a.correctness == b.correctness else Correctness.INCORRECT,
+        timekeeping=a.timekeeping if a.timekeeping == b.timekeeping else _TK_UNKNOWN,
+        correctness=a.correctness if a.correctness == b.correctness else _INCORRECT,
         tz_offset=a.tz_offset if a.tz_offset == b.tz_offset else None,
         flags=a.flags | b.flags,
     )

@@ -1,16 +1,17 @@
 """Day-circle time arithmetic and the candidate UTC-offset table.
 
 Timestamps count milliseconds since the most recent UTC midnight, so all
-comparisons live on a circle of 86,400,000 ms.  Leap seconds are not
-represented: the day is always exactly 86,400,000 ms long, which is far
-below the 200 ms correctness margin used throughout.
+comparisons live on a circle of 86,400,000 ms.  Instants inside the
+program are integer microseconds since the Unix epoch, which, like Unix
+time, does not represent leap seconds: the day is always exactly
+86,400,000 ms long, which is far below the 200 ms correctness margin used
+throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from icmpstamp.textfile import parse_lines
 
@@ -27,16 +28,13 @@ DEFAULT_OFFSET_HOURS = (
 )
 
 
-def ms_since_utc_midnight(instant: datetime) -> int:
+def ms_since_utc_midnight(instant_us: int) -> int:
     """Milliseconds elapsed since the most recent UTC midnight.
 
-    ``instant`` must be timezone-aware; sub-millisecond precision is
-    floored away.
+    ``instant_us`` counts microseconds since the Unix epoch; sub-millisecond
+    precision is floored away.
     """
-    if instant.tzinfo is None:
-        raise ValueError("instant must be timezone-aware")
-    utc = instant.astimezone(timezone.utc)
-    return ((utc.hour * 60 + utc.minute) * 60 + utc.second) * 1000 + utc.microsecond // 1000
+    return instant_us // 1000 % DAY_MS
 
 
 def circular_diff(a: int, b: int) -> int:

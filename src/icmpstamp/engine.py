@@ -20,9 +20,8 @@ import logging
 import math
 import random
 from collections.abc import Iterator
+import socket
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from ipaddress import IPv4Address
 
 from icmpstamp import wire
 from icmpstamp.classify import HostObservation, fingerprint_observation
@@ -46,6 +45,11 @@ log = logging.getLogger(__name__)
 
 ALL_PROBE_KINDS = tuple(ProbeKind)
 
+# The per-probe paths read these members as module names: on Python 3.11
+# and older, ``EnumType.__getattr__`` makes a lookup on an Enum class cost
+# several global reads.
+_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM, _DUPLICATE = ALL_PROBE_KINDS
+
 # Every kind but the duplicate, which goes out in the second round.
 _ROUND_ONE_ORDER = ALL_PROBE_KINDS[:3]
 
@@ -67,7 +71,8 @@ class ScanConfig:
         if self.rate_pps < 1:
             raise ValueError(f"rate_pps must be >= 1: {self.rate_pps}")
         # The gap's floor keeps elapsed time measurable.  A day bounds both
-        # waits; far larger values overflow timedelta.
+        # waits: reply timestamps wrap once a day, so a longer gap could not
+        # be measured from them, and no reply is worth a longer wait.
         if not 1000 <= self.inter_round_gap_ms <= DAY_MS:
             raise ValueError(
                 f"inter_round_gap_ms must be 1000 to {DAY_MS} ms: {self.inter_round_gap_ms}"
@@ -82,9 +87,13 @@ class ScanConfig:
 
 
 def _parse_target(text: str) -> str:
+    """``text`` as a dotted quad, accepting exactly what ``IPv4Address`` does."""
     try:
-        return str(IPv4Address(text))
-    except ValueError:
+        # inet_pton, unlike inet_aton, takes only four decimal parts and
+        # rejects leading zeros; a NUL or an unencodable character is a
+        # ValueError.
+        return socket.inet_ntop(socket.AF_INET, socket.inet_pton(socket.AF_INET, text))
+    except (OSError, ValueError):
         raise ValueError(f"not an IPv4 address: {text!r}") from None
 
 
@@ -94,17 +103,20 @@ def load_targets(path) -> list[str]:
 
 
 class RateLimiter:
-    """Spaces sends so no 1-second window ever holds more than rate_pps."""
+    """Spaces sends so no 1-second window ever holds more than rate_pps.
 
-    def __init__(self, rate_pps: int, start: datetime):
-        self._interval = timedelta(microseconds=math.ceil(1_000_000 / rate_pps))
-        self._next_at = start
+    Instants are microseconds since the Unix epoch.
+    """
 
-    def next_slot(self) -> datetime:
+    def __init__(self, rate_pps: int, start_us: int):
+        self._interval = math.ceil(1_000_000 / rate_pps)
+        self._next_at = start_us
+
+    def next_slot(self) -> int:
         return self._next_at
 
-    def mark_sent(self, sent_at: datetime) -> None:
-        base = max(self._next_at, sent_at)
+    def mark_sent(self, sent_at: int) -> None:
+        base = self._next_at if self._next_at > sent_at else sent_at
         self._next_at = base + self._interval
 
 
@@ -113,7 +125,7 @@ class _TargetState:
 
     def __init__(self):
         self.outcomes: list[ProbeOutcome] = []
-        self.round_one_anchor: datetime | None = None
+        self.round_one_anchor: int | None = None
         self.duplicate_replies = 0
 
 
@@ -145,7 +157,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
     round_one = [(t, k) for t in targets for k in round_one_kinds]
     rng.shuffle(round_one)
 
-    send_duplicates = ProbeKind.DUPLICATE in cfg.probe_kinds
+    send_duplicates = _DUPLICATE in cfg.probe_kinds
     if send_duplicates:
         if round_one:
             round_two = list(dict.fromkeys(t for t, _ in round_one))
@@ -163,7 +175,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         probe = outcomes[i].probe
         outcomes[i] = ProbeOutcome(probe, reply, arrival, verify_reply(probe, reply, src))
 
-    def handle(src: str, data: bytes, arrival: datetime) -> None:
+    def handle(src: str, data: bytes, arrival: int) -> None:
         nonlocal unmatched
         try:
             msg = wire.decode(data)
@@ -202,26 +214,29 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             unmatched += 1
             log.info("unmatched reply from %s (id=%d seq=%d)", src, msg.ident, msg.seq)
 
-    def pump_until(deadline: datetime) -> None:
+    def pump_until(deadline: int) -> None:
         now = transport.now()
         while now < deadline:
-            wait_ms = max(1, math.ceil((deadline - now).total_seconds() * 1000))
+            # As ``math.ceil(timedelta.total_seconds() * 1000)``: the float
+            # rounds a few whole-millisecond waits up by one, and the result
+            # bytes depend on the wait.
+            wait_ms = max(1, math.ceil((deadline - now) / 1_000_000 * 1000))
             item = transport.receive(wait_ms)
             if item is not None:
                 handle(*item)
             now = transport.now()
 
-    def build_probe(kind: ProbeKind, dest: str, now: datetime) -> ProbeRecord:
-        if kind is ProbeKind.STANDARD:
+    def build_probe(kind: ProbeKind, dest: str, now: int) -> ProbeRecord:
+        if kind is _STANDARD:
             return make_standard(dest, now)
-        if kind is ProbeKind.BAD_CLOCK:
+        if kind is _BAD_CLOCK:
             return make_bad_clock(dest, rng.getrandbits(16), rng.getrandbits(16), now)
-        if kind is ProbeKind.BAD_CHECKSUM:
+        if kind is _BAD_CHECKSUM:
             return make_bad_checksum(dest, now, rng)
         return make_duplicate(dest, now)
 
     limiter = RateLimiter(cfg.rate_pps, transport.now())
-    last_send: datetime | None = None
+    last_send: int | None = None
     aborted: TransportError | None = None
 
     def dispatch(dest: str, kind: ProbeKind) -> None:
@@ -234,7 +249,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         st.outcomes.append(ProbeOutcome(probe))
         # The duplicate round is anchored on the standard probe when one was
         # sent, else on the target's first round-one probe.
-        if kind is ProbeKind.STANDARD or (
+        if kind is _STANDARD or (
             kind in _ROUND_ONE_ORDER and st.round_one_anchor is None
         ):
             st.round_one_anchor = now
@@ -248,7 +263,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             transport.sleep_until(slot)
             dispatch(dest, kind)
 
-        gap = timedelta(milliseconds=cfg.inter_round_gap_ms)
+        gap = cfg.inter_round_gap_ms * 1000
         for dest in round_two:
             slot = limiter.next_slot()
             anchor = state[dest].round_one_anchor
@@ -256,10 +271,10 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
                 slot = anchor + gap
             pump_until(slot)
             transport.sleep_until(slot)
-            dispatch(dest, ProbeKind.DUPLICATE)
+            dispatch(dest, _DUPLICATE)
 
         if last_send is not None:
-            pump_until(last_send + timedelta(milliseconds=cfg.timeout_ms))
+            pump_until(last_send + cfg.timeout_ms * 1000)
     except (TransportError, OSError) as exc:
         aborted = exc if isinstance(exc, TransportError) else TransportError(str(exc))
         _write_resume_marker(cfg, [t for t in targets if not state[t].outcomes])
@@ -275,7 +290,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             continue
         yield ResultRecord(
             target, cfg.vantage, tuple(st.outcomes), fingerprint_observation(obs),
-            st.duplicate_replies,
+            st.duplicate_replies, transport.tz,
         )
 
     if aborted is not None:

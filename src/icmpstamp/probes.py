@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 import socket
-from datetime import datetime
 from enum import Enum
 from hashlib import md5
 from typing import NamedTuple
@@ -47,6 +46,12 @@ class ProbeKind(IdentityEnum):
     DUPLICATE = "duplicate"
 
 
+# The per-probe paths read these members as module names: on Python 3.11
+# and older, ``EnumType.__getattr__`` makes a lookup on an Enum class cost
+# several global reads.
+_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM, _DUPLICATE = ProbeKind
+
+
 class TamperVerdict(IdentityEnum):
     CLEAN = "clean"
     ORIGINATE_MODIFIED = "originate_modified"
@@ -54,22 +59,27 @@ class TamperVerdict(IdentityEnum):
     UNMATCHED = "unmatched"
 
 
+_CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _UNMATCHED = TamperVerdict
+
+
 class ProbeRecord(NamedTuple):
-    """One sent probe: what went out, where, and when."""
+    """One sent probe: what went out, where, and when (microseconds since
+    the Unix epoch)."""
 
     kind: ProbeKind
     dest: str
-    send_time: datetime
+    send_time: int
     message: TimestampMessage
     round_no: int = 0
 
 
 class ProbeOutcome(NamedTuple):
-    """One sent probe and whatever came back for it."""
+    """One sent probe and whatever came back for it, and when (microseconds
+    since the Unix epoch)."""
 
     probe: ProbeRecord
     reply: TimestampMessage | None = None
-    arrival: datetime | None = None
+    arrival: int | None = None
     tamper: TamperVerdict | None = None
 
 
@@ -100,22 +110,22 @@ def hash_orig(dest: str, ident: int, seq: int) -> int:
     return int.from_bytes(digest[-4:], "big")
 
 
-def make_standard(dest: str, now: datetime) -> ProbeRecord:
+def make_standard(dest: str, now: int) -> ProbeRecord:
     """Correct originate timestamp, zeroed receive/transmit fields."""
     orig = ms_since_utc_midnight(now)
     ident, seq = hash_id_seq(dest, orig)
     msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
-    return ProbeRecord(ProbeKind.STANDARD, dest, now, msg)
+    return ProbeRecord(_STANDARD, dest, now, msg)
 
 
-def make_bad_clock(dest: str, ident: int, seq: int, now: datetime) -> ProbeRecord:
+def make_bad_clock(dest: str, ident: int, seq: int, now: int) -> ProbeRecord:
     """Hash-derived originate timestamp; generally not a valid time of day."""
     orig = hash_orig(dest, ident, seq)
     msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
-    return ProbeRecord(ProbeKind.BAD_CLOCK, dest, now, msg)
+    return ProbeRecord(_BAD_CLOCK, dest, now, msg)
 
 
-def make_bad_checksum(dest: str, now: datetime, rng: random.Random) -> ProbeRecord:
+def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeRecord:
     """A standard probe carrying a deliberately wrong checksum.
 
     The checksum is drawn uniformly and redrawn until the message actually
@@ -134,10 +144,10 @@ def make_bad_checksum(dest: str, now: datetime, rng: random.Random) -> ProbeReco
             msg = TimestampMessage._make(
                 (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, 0, 0)
             )
-            return ProbeRecord(ProbeKind.BAD_CHECKSUM, dest, now, msg)
+            return ProbeRecord(_BAD_CHECKSUM, dest, now, msg)
 
 
-def make_duplicate(dest: str, now: datetime) -> ProbeRecord:
+def make_duplicate(dest: str, now: int) -> ProbeRecord:
     """All three timestamps preset to the same correct value.
 
     Sent a few seconds after the standard probe; a responder echoing these
@@ -147,7 +157,7 @@ def make_duplicate(dest: str, now: datetime) -> ProbeRecord:
     orig = ms_since_utc_midnight(now)
     ident, seq = hash_id_seq(dest, orig)
     msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig, orig, orig)
-    return ProbeRecord(ProbeKind.DUPLICATE, dest, now, msg, round_no=1)
+    return ProbeRecord(_DUPLICATE, dest, now, msg, round_no=1)
 
 
 def verify_reply(
@@ -161,13 +171,13 @@ def verify_reply(
     if reply.icmp_type != TIMESTAMP_REPLY:
         raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
     if reply_src != probe.dest and _dest_bytes(reply_src) != _dest_bytes(probe.dest):
-        return TamperVerdict.UNMATCHED
+        return _UNMATCHED
     if reply.orig_ts != probe.message.orig_ts:
-        return TamperVerdict.ORIGINATE_MODIFIED
-    if probe.kind is ProbeKind.BAD_CLOCK:
+        return _ORIGINATE_MODIFIED
+    if probe.kind is _BAD_CLOCK:
         intact = reply.orig_ts == hash_orig(probe.dest, reply.ident, reply.seq)
     else:
         intact = (reply.ident, reply.seq) == hash_id_seq(probe.dest, reply.orig_ts)
     if not intact:
-        return TamperVerdict.ID_SEQ_MODIFIED
-    return TamperVerdict.CLEAN
+        return _ID_SEQ_MODIFIED
+    return _CLEAN

@@ -10,8 +10,9 @@ responder would.
 
 SimNetwork glues configured hosts to a virtual clock and satisfies the
 scan engine's transport contract: ``send`` enqueues, ``receive`` yields
-``(src, bytes, arrival)`` after modeled latency, and everything is
-deterministic under a fixed seed.
+``(src, bytes, arrival_us)`` after modeled latency, and everything is
+deterministic under a fixed seed.  Instants are integer microseconds since
+the Unix epoch, as everywhere in the pipeline.
 """
 
 from __future__ import annotations
@@ -30,10 +31,22 @@ from icmpstamp.textfile import parse_lines
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST
 
 DEFAULT_START = datetime(2018, 10, 6, 12, 0, 0, tzinfo=timezone.utc)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
 DEFAULT_STUCK_VALUE = 123_456
 
 _TAMPER_MODES = (None, "orig_ts", "id_seq", "source")
 
+# The per-request paths read the members as module names: on Python 3.11
+# and older, ``EnumType.__getattr__`` makes a lookup on an Enum class cost
+# several global reads.
+_NORMAL = ImplClass.NORMAL
+_CHECKSUM_LAZY = ImplClass.CHECKSUM_LAZY
+_REFLECTION = ImplClass.REFLECTION
+_NON_UTC = ImplClass.NON_UTC
+_LITTLE_ENDIAN = ImplClass.LITTLE_ENDIAN
+_HTONS_BUG = ImplClass.HTONS_BUG
+_UNKNOWN = ImplClass.UNKNOWN
 _STUCK_FAMILY = {
     ImplClass.STUCK,
     ImplClass.CONSTANT_0,
@@ -44,7 +57,8 @@ _STUCK_FAMILY = {
 
 def _check_delivery(latency_ms: int, jitter_ms: int, loss_rate: float) -> None:
     """Reject delivery settings, of one host or the network, that cannot be modeled."""
-    # A day bounds every modeled delay; far larger values overflow timedelta.
+    # A day bounds every modeled delay: reply timestamps wrap once a day, and
+    # the scan's own waits are capped at a day too.
     if not (0 <= latency_ms <= DAY_MS and 0 <= jitter_ms <= DAY_MS):
         raise ValueError(
             f"latency and jitter must be 0 to {DAY_MS} ms: {latency_ms}, {jitter_ms}"
@@ -102,16 +116,16 @@ class BehaviorConfig:
             object.__setattr__(self, "stuck_value", DEFAULT_STUCK_VALUE)
 
 
-def _clock_value(cfg: BehaviorConfig, instant: datetime) -> int:
+def _clock_value(cfg: BehaviorConfig, instant_us: int) -> int:
     """The host clock reading in the configured units, offsets applied."""
-    local = instant + timedelta(milliseconds=cfg.clock_error_ms)
+    local = instant_us + cfg.clock_error_ms * 1000
     if cfg.tz_offset_hours is not None:
-        local += timedelta(milliseconds=offset_millis(cfg.tz_offset_hours))
+        local += offset_millis(cfg.tz_offset_hours) * 1000
     if cfg.units == "ms":
         return ms_since_utc_midnight(local)
     if cfg.units == "s":
         return ms_since_utc_midnight(local) // 1000
-    return int(local.timestamp())  # epoch seconds
+    return local // 1_000_000  # epoch seconds
 
 
 def _htons_truncate(value: int) -> int:
@@ -124,11 +138,11 @@ def _htons_truncate(value: int) -> int:
 def _shape(cls: ImplClass, value: int) -> int:
     """A clock reading as a host of class ``cls`` writes it: truncated,
     MSB-flagged or byte-swapped, then cut to 32 bits."""
-    if cls is ImplClass.HTONS_BUG:
+    if cls is _HTONS_BUG:
         value = _htons_truncate(value)
-    elif cls is ImplClass.NON_UTC:
+    elif cls is _NON_UTC:
         value |= MSB
-    elif cls is ImplClass.LITTLE_ENDIAN:
+    elif cls is _LITTLE_ENDIAN:
         value = wire.byte_swap_32(value)
     return value & 0xFFFFFFFF
 
@@ -146,7 +160,7 @@ def _unresolvable_value(clock_value: int) -> int:
 def respond(
     cfg: BehaviorConfig,
     request_bytes,
-    now: datetime,
+    now: int,
     rng: random.Random,
 ) -> bytes | None:
     """Answer one encoded timestamp request, or stay silent.
@@ -168,19 +182,19 @@ def respond(
     if icmp_type != TIMESTAMP_REQUEST:
         return None
     cls = cfg.impl_class
-    if cls is not ImplClass.CHECKSUM_LAZY and not wire.verify_checksum(request_bytes):
+    if cls is not _CHECKSUM_LAZY and not wire.verify_checksum(request_bytes):
         return None
 
-    if cls is ImplClass.REFLECTION:
+    if cls is _REFLECTION:
         recv, xmit = req_recv, req_xmit
     elif cls in _STUCK_FAMILY:
         recv = xmit = cfg.stuck_value
-    elif cls is ImplClass.NORMAL:
+    elif cls is _NORMAL:
         # Two lookups separated by 1-5 ms of processing time.
         recv = _shape(cls, _clock_value(cfg, now))
         processing = rng.randint(1, 5)
-        xmit = _shape(cls, _clock_value(cfg, now + timedelta(milliseconds=processing)))
-    elif cls is ImplClass.UNKNOWN:
+        xmit = _shape(cls, _clock_value(cfg, now + processing * 1000))
+    elif cls is _UNKNOWN:
         recv = 0
         xmit = _unresolvable_value(_clock_value(cfg, now))
     else:
@@ -208,6 +222,10 @@ class SimNetwork:
     advances the virtual clock as needed.  Unknown destinations drop
     silently, like unresponsive hosts.
 
+    The aware ``start`` is turned into microseconds once, and its UTC
+    offset becomes ``tz``, the offset the network's instants are written
+    in.
+
     Single-threaded, like the engine that drives it: nothing here is
     locked, so one thread at a time may use a network.
     """
@@ -223,15 +241,18 @@ class SimNetwork:
         start: datetime | None = None,
     ):
         _check_delivery(latency_ms, jitter_ms, loss_rate)
-        if start is not None and start.tzinfo is None:
+        if start is None:
+            start = DEFAULT_START
+        elif start.tzinfo is None:
             raise ValueError(f"start must be timezone-aware: {start.isoformat()}")
         self._hosts = dict(hosts)
         self._latency_ms = latency_ms
         self._jitter_ms = jitter_ms
         self._loss_rate = loss_rate
         self._rng = random.Random(seed)
-        self._now = start if start is not None else DEFAULT_START
-        self._queue: list[tuple[datetime, int, str, bytes]] = []
+        self.tz = timezone(start.utcoffset())
+        self._now = (start - _EPOCH) // _US
+        self._queue: list[tuple[int, int, str, bytes]] = []
         self._counter = itertools.count()
 
     @classmethod
@@ -239,12 +260,12 @@ class SimNetwork:
         hosts, params = load_behavior_file(path)
         return cls(hosts, **params)
 
-    def now(self) -> datetime:
+    def now(self) -> int:
         return self._now
 
-    def sleep_until(self, instant: datetime) -> None:
-        if instant > self._now:
-            self._now = instant
+    def sleep_until(self, instant_us: int) -> None:
+        if instant_us > self._now:
+            self._now = instant_us
 
     def send(self, dest: str, data: bytes) -> None:
         cfg = self._hosts.get(dest)
@@ -255,22 +276,22 @@ class SimNetwork:
         total_fixed = self._latency_ms + cfg.latency_ms
         total_jitter = self._jitter_ms + cfg.jitter_ms
         rtt_ms = total_fixed + (self._rng.randint(0, total_jitter) if total_jitter else 0)
-        host_time = self._now + timedelta(milliseconds=rtt_ms // 2)
+        host_time = self._now + rtt_ms // 2 * 1000
         reply = respond(cfg, data, host_time, self._rng)
         if reply is None:
             return
         src = _tampered_source(dest) if cfg.tamper == "source" else dest
-        arrival = self._now + timedelta(milliseconds=rtt_ms)
+        arrival = self._now + rtt_ms * 1000
         heapq.heappush(self._queue, (arrival, next(self._counter), src, reply))
 
-    def receive(self, max_wait_ms: int) -> tuple[str, bytes, datetime] | None:
+    def receive(self, max_wait_ms: int) -> tuple[str, bytes, int] | None:
         """Next queued reply within ``max_wait_ms``, advancing the clock.
 
         Returns (source, bytes, arrival instant) or None if nothing arrives
         in the window; in that case the clock still advances by the full
         window, mirroring a blocking socket timeout.
         """
-        deadline = self._now + timedelta(milliseconds=max_wait_ms)
+        deadline = self._now + max_wait_ms * 1000
         if self._queue and self._queue[0][0] <= deadline:
             arrival, _, src, data = heapq.heappop(self._queue)
             if arrival > self._now:

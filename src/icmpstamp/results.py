@@ -13,19 +13,27 @@ string escaping; enum values, ISO instants and integers need none.
 Flags are sorted as JSON reads them back, so a line read back writes
 the same line.
 
+Instants are integer microseconds since the Unix epoch everywhere else in
+the program; here they become ISO text in the record's one UTC offset,
+``ResultRecord.tz``, exactly as ``datetime.isoformat(timespec=
+"microseconds")`` writes the same instant in that zone.  The text of each
+local whole second is made once and cached.
+
 Reading a line is a trust boundary.  Message fields, ``round`` and
 ``duplicate_replies`` must be integers (not booleans or floats), target,
 vantage and flags strings, ``send_time`` and ``arrival`` ISO instants
-with a UTC offset, ``tz_offset`` null or a finite number, and every enum
-value one the program defines; anything else is a ``ValueError`` that
+with a UTC offset, the same offset for every instant of a record,
+``tz_offset`` null or a finite number, and every enum value one the
+program defines; anything else is a ``ValueError`` that
 ``read_records`` reports as ``path:line: bad record``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -41,13 +49,18 @@ from icmpstamp.wire import TimestampMessage
 
 
 class ResultRecord(NamedTuple):
-    """Everything a scan learned about one target."""
+    """Everything a scan learned about one target.
+
+    ``tz`` is the UTC offset the record's instants are written in: the
+    scan's transport's, or the one read from the record's line.
+    """
 
     target: str
     vantage: str
     outcomes: tuple[ProbeOutcome, ...]
     fingerprint: Fingerprint
     duplicate_replies: int = 0
+    tz: timezone = timezone.utc
 
 
 # Each member's value: reading ``.value`` runs a Python-level property.
@@ -64,19 +77,50 @@ def _message_json(m: TimestampMessage) -> str:
     )
 
 
-def _instant_json(instant: datetime) -> str:
-    return f'"{instant.isoformat(timespec="microseconds")}"'
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_LOCAL_EPOCH = datetime(1970, 1, 1)
+_US = timedelta(microseconds=1)
 
 
-def _outcome_json(outcome: ProbeOutcome) -> str:
+@functools.lru_cache(maxsize=64)
+def _offset_text(tz: timezone) -> tuple[int, str]:
+    """``tz``'s offset in microseconds, and as isoformat writes it (with the
+    closing quote)."""
+    # A date far from either end of the calendar, in any offset.
+    text = datetime(2000, 1, 2, tzinfo=tz).isoformat(timespec="microseconds")
+    return tz.utcoffset(None) // _US, text[26:] + '"'
+
+
+# Local whole second -> '"YYYY-MM-DDTHH:MM:SS.', the same in every offset;
+# cleared when full, and a scan touches a few dozen seconds.
+_SECOND_TEXT: dict[int, str] = {}
+_MAX_SECONDS = 4096
+
+
+def _instant_json(instant_us: int, offset_us: int, suffix: str) -> str:
+    second, fraction = divmod(instant_us + offset_us, 1_000_000)
+    head = _SECOND_TEXT.get(second)
+    if head is None:
+        if len(_SECOND_TEXT) >= _MAX_SECONDS:
+            _SECOND_TEXT.clear()
+        head = _SECOND_TEXT[second] = (
+            f'"{(_LOCAL_EPOCH + timedelta(seconds=second)).isoformat()}.'
+        )
+    return f"{head}{fraction:06d}{suffix}"
+
+
+def _outcome_json(outcome: ProbeOutcome, offset_us: int, suffix: str) -> str:
     probe = outcome.probe
-    arrival = "null" if outcome.arrival is None else _instant_json(outcome.arrival)
+    arrival = (
+        "null" if outcome.arrival is None
+        else _instant_json(outcome.arrival, offset_us, suffix)
+    )
     reply = "null" if outcome.reply is None else _message_json(outcome.reply)
     tamper = "null" if outcome.tamper is None else f'"{_VALUE[outcome.tamper]}"'
     return (
         f'{{"arrival":{arrival},"kind":"{_VALUE[probe.kind]}","reply":{reply},'
         f'"request":{_message_json(probe.message)},"round":{probe.round_no},'
-        f'"send_time":{_instant_json(probe.send_time)},"tamper":{tamper}}}'
+        f'"send_time":{_instant_json(probe.send_time, offset_us, suffix)},"tamper":{tamper}}}'
     )
 
 
@@ -103,7 +147,8 @@ def _fingerprint_json(fp: Fingerprint) -> str:
 
 
 def record_to_line(rec: ResultRecord) -> str:
-    probes = ",".join(map(_outcome_json, rec.outcomes))
+    offset_us, suffix = _offset_text(rec.tz)
+    probes = ",".join([_outcome_json(o, offset_us, suffix) for o in rec.outcomes])
     return (
         f'{{"duplicate_replies":{rec.duplicate_replies},'
         f'"fingerprint":{_fingerprint_json(rec.fingerprint)},"probes":[{probes}],'
@@ -143,15 +188,6 @@ def _str(value, key: str) -> str:
     return value
 
 
-def _instant(text, key: str) -> datetime:
-    # A naive instant would be read in the machine's local zone, and could
-    # not be compared with the aware ones beside it.
-    instant = datetime.fromisoformat(text)
-    if instant.tzinfo is None:
-        raise ValueError(f"{key} must carry a UTC offset, got {text!r}")
-    return instant
-
-
 def _message_from_dict(d: dict) -> TimestampMessage:
     fields = (d["type"], d["code"], d["checksum"], d["id"],
               d["seq"], d["orig"], d["recv"], d["xmit"])
@@ -187,12 +223,26 @@ def fingerprint_from_dict(d: dict) -> Fingerprint:
 
 def record_from_dict(d: dict) -> ResultRecord:
     target = _str(d["target"], "target")
+    tz = None
+
+    def instant_us(text, key: str) -> int:
+        nonlocal tz
+        instant = datetime.fromisoformat(text)
+        # A naive instant would be read in the machine's local zone.
+        if instant.tzinfo is None:
+            raise ValueError(f"{key} must carry a UTC offset, got {text!r}")
+        if tz is None:
+            tz = instant.tzinfo
+        elif instant.tzinfo != tz:
+            raise ValueError(f"{key} {text!r} is not in the record's UTC offset {tz}")
+        return (instant - _EPOCH) // _US
+
     outcomes = []
     for entry in d["probes"]:
         probe = ProbeRecord(
             _probe_kind(entry["kind"]),
             target,
-            _instant(entry["send_time"], "send_time"),
+            instant_us(entry["send_time"], "send_time"),
             _message_from_dict(entry["request"]),
             _int(entry["round"], "round"),
         )
@@ -201,7 +251,7 @@ def record_from_dict(d: dict) -> ResultRecord:
             ProbeOutcome(
                 probe,
                 None if reply is None else _message_from_dict(reply),
-                None if arrival is None else _instant(arrival, "arrival"),
+                None if arrival is None else instant_us(arrival, "arrival"),
                 None if tamper is None else _tamper(tamper),
             )
         )
@@ -211,6 +261,7 @@ def record_from_dict(d: dict) -> ResultRecord:
         tuple(outcomes),
         fingerprint_from_dict(d["fingerprint"]),
         _int(d["duplicate_replies"], "duplicate_replies"),
+        timezone.utc if tz is None else tz,
     )
 
 

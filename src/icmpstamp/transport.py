@@ -2,11 +2,16 @@
 
 Transport contract (shared with responder.SimNetwork):
 
-* ``now()`` -> aware datetime
+* ``now()`` -> int, microseconds since the Unix epoch (UTC)
 * ``send(dest, payload)`` -> None, payload is the bare ICMP message
-* ``receive(max_wait_ms)`` -> (src, icmp_bytes, arrival) or None
-* ``sleep_until(instant)`` -> None
+* ``receive(max_wait_ms)`` -> (src, icmp_bytes, arrival_us) or None
+* ``sleep_until(instant_us)`` -> None
 * ``close()``
+* ``tz``: the fixed UTC offset, a ``datetime.timezone``, that the
+  transport's instants are written in when a result file is made
+
+Every instant is an integer, so the engine's pacing and matching never
+build a ``datetime``; only the result file turns instants into ISO text.
 
 The engine calls a transport from one thread only, so an implementation
 needs no lock; ``SimNetwork`` has none and is not thread-safe.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import socket
 import time
-from datetime import datetime, timezone
+from datetime import timezone
 
 
 class TransportError(RuntimeError):
@@ -46,6 +51,8 @@ def strip_ip_header(packet: bytes) -> bytes:
 class RawTransport:
     """Sends ICMP payloads over a raw socket; receives and strips IP headers."""
 
+    tz = timezone.utc
+
     def __init__(self):
         try:
             self._sock = socket.socket(
@@ -58,13 +65,13 @@ class RawTransport:
         except OSError as exc:
             raise TransportError(f"cannot open raw socket: {exc}") from exc
 
-    def now(self) -> datetime:
-        return datetime.now(timezone.utc)
+    def now(self) -> int:
+        return time.time_ns() // 1000
 
-    def sleep_until(self, instant: datetime) -> None:
-        delay = (instant - self.now()).total_seconds()
-        if delay > 0:
-            time.sleep(delay)
+    def sleep_until(self, instant_us: int) -> None:
+        delay_us = instant_us - self.now()
+        if delay_us > 0:
+            time.sleep(delay_us / 1_000_000)
 
     def send(self, dest: str, payload: bytes) -> None:
         try:
@@ -72,7 +79,7 @@ class RawTransport:
         except OSError as exc:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
-    def receive(self, max_wait_ms: int) -> tuple[str, bytes, datetime] | None:
+    def receive(self, max_wait_ms: int) -> tuple[str, bytes, int] | None:
         self._sock.settimeout(max(max_wait_ms, 1) / 1000.0)
         try:
             packet, addr = self._sock.recvfrom(65535)

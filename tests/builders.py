@@ -24,12 +24,19 @@ from icmpstamp.probes import (
 from icmpstamp.responder import BehaviorConfig, respond
 from icmpstamp.wire import TimestampMessage
 
-BASE_DAY = datetime(2018, 10, 6, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+BASE_DAY_US = 1_538_784_000_000_000  # 2018-10-06T00:00:00Z
 
 
-def at_ms(ms: int) -> datetime:
-    """Instant ``ms`` milliseconds into the reference UTC day."""
-    return BASE_DAY + timedelta(milliseconds=ms)
+def epoch_us(instant: datetime) -> int:
+    """An aware instant in microseconds since the Unix epoch."""
+    return (instant - EPOCH) // timedelta(microseconds=1)
+
+
+def at_ms(ms: int) -> int:
+    """Instant ``ms`` milliseconds into the reference UTC day, in
+    microseconds since the Unix epoch."""
+    return BASE_DAY_US + ms * 1000
 
 
 def reference_checksum(data: bytes) -> int:

@@ -2,13 +2,13 @@
 timekeeping, timezone inference, merge semantics."""
 
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import at_ms, echo_reply, pair_for
+from builders import EPOCH, at_ms, echo_reply, pair_for
 from icmpstamp.classify import (
     CONSTANT_LE_ONE,
     MSB,
@@ -30,7 +30,7 @@ from icmpstamp.classify import (
     infer_timezone,
     merge_fingerprints,
 )
-from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, ms_since_utc_midnight, offset_millis
+from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, offset_millis
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
@@ -413,6 +413,16 @@ class TestTimekeeping:
         obs, _ = build_obs(std=(ORIG | msb, ORIG | msb), dup=((ORIG + 3000) | msb, (ORIG + 3000) | msb))
         assert classify_timekeeping(obs) is Timekeeping.MILLISECOND
 
+    @given(
+        st.integers(-2 * 86_400_000_000, 2 * 86_400_000_000)
+        | st.integers(-86_400_000, 86_400_000).map(lambda ms: ms * 1000 + 500)
+    )
+    def test_gap_rounds_as_timedelta_did(self, gap_us):
+        # Half-millisecond gaps are where a different rounding would show.
+        assert round(gap_us / 1_000_000 * 1000) == round(
+            timedelta(microseconds=gap_us).total_seconds() * 1000
+        )
+
 
 class TestScannerSignature:
     def test_zero_originate_is_nmap_like(self):
@@ -636,7 +646,9 @@ def _former_timekeeping(obs):
     dup = obs.first_clean(ProbeKind.DUPLICATE)
     if std is None or dup is None:
         return Timekeeping.UNKNOWN
-    gap_ms = round((dup.probe.send_time - std.probe.send_time).total_seconds() * 1000)
+    std_send = EPOCH + timedelta(microseconds=std.probe.send_time)
+    dup_send = EPOCH + timedelta(microseconds=dup.probe.send_time)
+    gap_ms = round((dup_send - std_send).total_seconds() * 1000)
     s_recv, d_recv = std.reply.recv_ts, dup.reply.recv_ts
     if abs(circular_diff(d_recv % DAY_MS, s_recv % DAY_MS) - gap_ms) < 400:
         return Timekeeping.MILLISECOND
@@ -650,9 +662,11 @@ def _former_timekeeping(obs):
     except (OverflowError, OSError, ValueError):
         as_epoch = None
     if as_epoch is not None:
-        send_utc = std.probe.send_time.astimezone(timezone.utc)
+        send_utc = std_send.astimezone(timezone.utc)
         if as_epoch.date() == send_utc.date():
-            true_seconds = ms_since_utc_midnight(send_utc) // 1000
+            true_seconds = (
+                (send_utc.hour * 60 + send_utc.minute) * 60 + send_utc.second
+            )
             if abs(s_recv % 86_400 - true_seconds) <= 2:
                 return Timekeeping.EPOCH
     return Timekeeping.UNKNOWN
@@ -717,7 +731,7 @@ def _observation_parts(draw):
             | st.integers(-48, 48).map(lambda n: (orig + n * 1_800_000) % DAY_MS)
             | st.integers(-3_000, 3_000).map(lambda d: (orig + d) % DAY_MS)
             | st.integers(-4, 4).map(lambda d: (orig // 1000 + d) % 86_400)
-            | st.integers(-4, 4).map(lambda d: int(at_ms(send_ms).timestamp()) + d)
+            | st.integers(-4, 4).map(lambda d: at_ms(send_ms) // 1_000_000 + d)
         )
 
     constants = st.sampled_from([0, 1, CONSTANT_LE_ONE])

@@ -120,6 +120,10 @@ def test_non_utc_simulator_clock_text_is_pinned(tmp_path):
     assert sha256_of(out) == (
         "e973d3fb3c2723b9f02715cac19dde32b33780597665b45647727520cbe658d7"
     )
+    # Read back, the records keep +05:30 and write the same bytes.
+    again = tmp_path / "again.jsonl"
+    assert main(["classify", "--in", str(out), "--out", str(again)]) == EXIT_OK
+    assert again.read_bytes() == out.read_bytes()
 
 
 class TestScanCommand:

@@ -2,13 +2,16 @@
 
 import logging
 import random
+import re
 from collections import Counter
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
+from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import epoch_us
 from icmpstamp import wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
@@ -16,6 +19,7 @@ from icmpstamp.engine import (
     ALL_PROBE_KINDS,
     RateLimiter,
     ScanConfig,
+    _parse_target,
     load_targets,
     make_transport,
     run_scan,
@@ -29,6 +33,7 @@ from icmpstamp.transport import TransportError
 # windows stay clear of the MSB-shaped hazards (a truncated-timestamp host
 # whose value's top byte crosses 0x80 legitimately classifies non-UTC too).
 START = datetime(2018, 10, 6, 9, 13, 27, 296000, tzinfo=timezone.utc)
+START_US = epoch_us(START)
 
 
 def write_targets(tmp_path, addrs):
@@ -46,6 +51,7 @@ class RecordingTransport:
 
     def __init__(self, inner):
         self.inner = inner
+        self.tz = inner.tz
         self.sent = []
 
     def now(self):
@@ -149,6 +155,33 @@ class TestLoadTargets:
             load_targets(path)
 
 
+# Dotted strings near the edge of what IPv4Address accepts: leading zeros,
+# octets above 255, three or five parts, surrounding whitespace, non-ASCII
+# digits, signs, NUL and a lone surrogate.
+octets = (
+    st.integers(0, 300).map(str)
+    | st.integers(0, 255).map(lambda n: f"0{n}")
+    | st.text(st.sampled_from("0123456789\u0661\uff11\u00b2\x00 +-_\ud800"), max_size=4)
+)
+dotted = st.builds(
+    lambda head, parts, tail: head + ".".join(parts) + tail,
+    st.sampled_from(["", " ", "\t", "\x00"]),
+    st.lists(octets, min_size=3, max_size=5),
+    st.sampled_from(["", " ", "\n", "\x00", "."]),
+)
+
+
+@given(dotted | st.text(max_size=20))
+def test_parse_target_accepts_what_ipv4address_accepts(text):
+    try:
+        expected = str(IPv4Address(text))
+    except ValueError:
+        with pytest.raises(ValueError, match=f"^not an IPv4 address: {re.escape(repr(text))}$"):
+            _parse_target(text)
+    else:
+        assert _parse_target(text) == expected
+
+
 class TestScanConfig:
     def test_rate_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
@@ -172,16 +205,16 @@ class TestScanConfig:
 
 class TestRateLimiter:
     def test_slots_spaced_by_interval(self):
-        limiter = RateLimiter(100, START)
+        limiter = RateLimiter(100, START_US)
         first = limiter.next_slot()
         limiter.mark_sent(first)
-        assert limiter.next_slot() - first == timedelta(milliseconds=10)
+        assert limiter.next_slot() - first == 10_000
 
     def test_late_send_pushes_next_slot(self):
-        limiter = RateLimiter(100, START)
-        late = START + timedelta(seconds=5)
+        limiter = RateLimiter(100, START_US)
+        late = START_US + 5_000_000
         limiter.mark_sent(late)
-        assert limiter.next_slot() == late + timedelta(milliseconds=10)
+        assert limiter.next_slot() == late + 10_000
 
 
 def run_simple_scan(tmp_path, addrs, hosts, *, transport_cls=RecordingTransport,
@@ -223,7 +256,7 @@ class TestScan:
         _, transport, _ = run_simple_scan(tmp_path, addrs, lazy_hosts(addrs),
                                           rate_pps=rate, seed=7)
         times = sorted(t for t, _, _ in transport.sent)
-        window = timedelta(seconds=1)
+        window = 1_000_000
         for i, t in enumerate(times):
             in_window = sum(1 for u in times[i:] if u < t + window)
             assert in_window <= rate
@@ -237,7 +270,7 @@ class TestScan:
             gap = by_kind[ProbeKind.DUPLICATE].probe.send_time - by_kind[
                 ProbeKind.STANDARD
             ].probe.send_time
-            assert gap >= timedelta(milliseconds=3000)
+            assert gap >= 3_000_000
 
     def test_matching_soundness(self, tmp_path):
         addrs = [f"10.0.4.{i}" for i in range(1, 16)]

@@ -7,7 +7,6 @@ bytes big-endian; id gets the high half.
 """
 
 import random
-from datetime import timedelta
 from hashlib import md5
 from ipaddress import IPv4Address
 
@@ -285,5 +284,5 @@ def test_probe_record_carries_round_and_send_time():
     probe = make_duplicate(DEST, NOON_ISH)
     assert probe.round_no == 1
     assert probe.send_time == NOON_ISH
-    later = make_duplicate(DEST, NOON_ISH + timedelta(seconds=3))
+    later = make_duplicate(DEST, NOON_ISH + 3_000_000)
     assert later.message.orig_ts == 45_296_789 + 3000

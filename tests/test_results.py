@@ -3,14 +3,14 @@ the line template against ``json.dumps``, and the reader's type checks."""
 
 import json
 import random
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import at_ms, echo_reply, pair_for
+from builders import EPOCH, at_ms, echo_reply, epoch_us, pair_for
 from icmpstamp.classify import (
     Correctness,
     Fingerprint,
@@ -137,7 +137,8 @@ def former_record_to_dict(rec):
         return {"type": m.icmp_type, "code": m.code, "checksum": m.checksum, "id": m.ident,
                 "seq": m.seq, "orig": m.orig_ts, "recv": m.recv_ts, "xmit": m.xmit_ts}
 
-    def instant(t):
+    def instant(us):
+        t = (EPOCH + timedelta(microseconds=us)).astimezone(rec.tz)
         return t.isoformat(timespec="microseconds")
 
     fp = rec.fingerprint
@@ -190,19 +191,17 @@ offsets = st.builds(
 )
 
 
-def instants_in(zones):
-    return st.datetimes(timezones=zones).flatmap(
-        lambda t: st.sampled_from([t, t.replace(microsecond=0)])
-    )
-
-
-# The writer takes naive instants too; the reader takes only aware ones.
-instants = instants_in(st.none() | offsets)
-aware_instants = instants_in(offsets)
+def instants_in(zone):
+    # A year from either end of the calendar, so the instant's UTC form,
+    # which former_line goes through, exists too.
+    local = st.datetimes(datetime(2, 1, 1), datetime(9998, 12, 31), timezones=st.just(zone))
+    return local.flatmap(lambda t: st.sampled_from([t, t.replace(microsecond=0)])).map(epoch_us)
 
 
 @st.composite
-def records(draw, instants=instants):
+def records(draw):
+    tz = draw(offsets)
+    instants = instants_in(tz)
     target = draw(texts)
     outcomes = []
     for _ in range(draw(st.integers(0, 5))):
@@ -222,7 +221,7 @@ def records(draw, instants=instants):
         draw(st.frozensets(texts, max_size=4)),
     )
     return ResultRecord(target, draw(texts), tuple(outcomes), fingerprint,
-                        draw(st.integers(0, 2**40)))
+                        draw(st.integers(0, 2**40)), tz)
 
 
 class TestLineTemplate:
@@ -230,7 +229,7 @@ class TestLineTemplate:
     def test_built_records(self, rec):
         assert record_to_line(rec) == former_line(rec)
 
-    @given(records(aware_instants))
+    @given(records())
     def test_parsed_records(self, rec):
         line = former_line(rec)
         parsed = record_from_line(line)
@@ -257,6 +256,43 @@ class TestLineTemplate:
         assert len(scanned) == 19
         for rec in scanned:
             assert record_to_line(rec) == former_line(rec)
+
+
+# Fixed offsets the property below must write exactly, besides any whole
+# number of minutes within a day.
+NAMED_OFFSETS = [timezone.utc] + [
+    timezone(sign * timedelta(hours=h, minutes=m))
+    for sign, h, m in [(1, 5, 30), (1, 12, 45), (-1, 3, 30)]
+]
+# 1970-01-01 to 2100-01-01 in microseconds since the Unix epoch.
+instants_1970_2100 = st.integers(0, 4_102_444_800_000_000 - 1)
+
+
+@given(instants_1970_2100, st.sampled_from(NAMED_OFFSETS) | offsets)
+def test_instant_text_is_isoformat_and_reads_back(instant_us, tz):
+    probe = ProbeRecord(ProbeKind.STANDARD, "t", instant_us, TimestampMessage(13))
+    fp = Fingerprint("t", frozenset(), Timekeeping.UNKNOWN, Correctness.INCORRECT)
+    line = record_to_line(ResultRecord("t", "v", (ProbeOutcome(probe),), fp, 0, tz))
+    expected = (EPOCH + timedelta(microseconds=instant_us)).astimezone(tz)
+    text = json.loads(line)["probes"][0]["send_time"]
+    assert text == expected.isoformat(timespec="microseconds")
+    parsed = record_from_line(line)
+    assert parsed.outcomes[0].probe.send_time == instant_us
+    assert parsed.tz.utcoffset(None) == tz.utcoffset(None)
+
+
+@pytest.mark.parametrize("probe_no, key", [(0, "arrival"), (2, "send_time")])
+def test_instants_in_different_offsets_are_a_bad_record(tmp_path, probe_no, key):
+    # The same instant, written in another offset than the record's others.
+    d = json.loads(record_to_line(sample_record()))
+    probe = d["probes"][probe_no]
+    moved = datetime.fromisoformat(probe[key]).astimezone(timezone(timedelta(hours=1)))
+    probe[key] = moved.isoformat(timespec="microseconds")
+    path = tmp_path / "out.jsonl"
+    path.write_text(record_to_line(sample_record()) + "\n" + json.dumps(d) + "\n")
+    with pytest.raises(ValueError, match=f"out.jsonl:2: bad record: {key} .* is not in "
+                                         "the record's UTC offset UTC$"):
+        read_records(path)
 
 
 # Where in a written line's dict to put what.  Each value was once read

@@ -1,6 +1,8 @@
 """Raw-transport plumbing that can be tested without privileges."""
 
 import socket
+import time
+from datetime import timedelta
 
 import pytest
 
@@ -45,3 +47,21 @@ def test_privilege_error_without_cap(monkeypatch):
     monkeypatch.setattr(socket, "socket", denied)
     with pytest.raises(PrivilegeError):
         RawTransport()
+
+
+class TestRawClock:
+    # Built without __init__, so no socket is opened.
+    transport = object.__new__(RawTransport)
+
+    def test_now_is_integer_microseconds(self):
+        now = self.transport.now()
+        assert type(now) is int
+        assert abs(now - time.time_ns() // 1000) < 1_000_000
+
+    def test_sleep_until_past_instant_returns_at_once(self):
+        started = time.monotonic()
+        self.transport.sleep_until(self.transport.now() - 5_000_000)
+        assert time.monotonic() - started < 0.5
+
+    def test_instants_are_written_in_utc(self):
+        assert self.transport.tz.utcoffset(None) == timedelta(0)
