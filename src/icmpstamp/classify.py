@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, ms_since_utc_midnight
+from icmpstamp.clock import (
+    DAY_MS,
+    OffsetTable,
+    circular_diff,
+    ms_since_utc_midnight,
+    normalize_offset,
+    offsets_equal,
+)
 from icmpstamp.probes import IdentityEnum, ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.wire import TIMESTAMP_REQUEST, TimestampMessage, byte_swap_32
 
@@ -399,12 +406,22 @@ def fingerprint_observation(
     )
 
 
+def _merge_offset(a: float | None, b: float | None) -> float | None:
+    if a == b:
+        return a
+    if a is None or b is None or not offsets_equal(a, b):
+        return None
+    return normalize_offset(a)
+
+
 def merge_fingerprints(a: Fingerprint, b: Fingerprint) -> Fingerprint:
     """Consensus of two vantage points' fingerprints for the same target.
 
     Classes intersect (a host must exhibit a behavior from both vantages
     to keep it); disagreeing correctness, timekeeping, or timezone
-    verdicts are downgraded.  Idempotent and commutative.
+    verdicts are downgraded.  Two offsets that name the same point on the
+    day circle (+12 and -12, or +9 and -15) agree, and the merge keeps its
+    normalized form.  Idempotent and commutative.
     """
     if a.target != b.target:
         raise ValueError(f"fingerprints for different targets: {a.target} vs {b.target}")
@@ -416,6 +433,6 @@ def merge_fingerprints(a: Fingerprint, b: Fingerprint) -> Fingerprint:
         classes=classes,
         timekeeping=a.timekeeping if a.timekeeping == b.timekeeping else _TK_UNKNOWN,
         correctness=a.correctness if a.correctness == b.correctness else _INCORRECT,
-        tz_offset=a.tz_offset if a.tz_offset == b.tz_offset else None,
+        tz_offset=_merge_offset(a.tz_offset, b.tz_offset),
         flags=a.flags | b.flags,
     )

@@ -1,16 +1,18 @@
 """The four timestamp request types and reply tamper verification.
 
-Every request encodes verification material so that a reply proves, by
-itself plus the stored probe record, that nothing on the path rewrote the
-originate timestamp, identifier, or sequence number:
+A request's verification fields are chosen by a hash when it is
+crafted:
 
 * standard / bad-checksum / duplicate requests derive (id, seq) from the
   low 32 bits of MD5(destination . originate_timestamp);
 * bad-clock requests pick (id, seq) and derive the originate timestamp
   from the low 32 bits of MD5(destination . id . seq).
 
-MD5 is fine here: the hash only needs to make blind field rewrites
-detectable, not resist deliberate collision search.
+The engine keeps every probe it sends and binds each reply to one, so a
+reply is verified against the stored probe field by field, not by hashing
+it again: any in-flight rewrite of the source address, originate
+timestamp, identifier or sequence number shows as a difference.  MD5 is
+fine for crafting: nothing relies on it resisting collision search.
 
 Hash input convention: the destination IPv4 address as 4 big-endian
 bytes, then the originate timestamp as 4 big-endian bytes (or id and seq
@@ -163,21 +165,23 @@ def make_duplicate(dest: str, now: int) -> ProbeRecord:
 def verify_reply(
     probe: ProbeRecord, reply: TimestampMessage, reply_src: str
 ) -> TamperVerdict:
-    """Check a reply against its probe's verification material.
+    """Check a reply against the stored probe it was bound to.
 
-    The verdict names the first violated field group, checked in order:
-    source address, originate timestamp, then id/sequence.
+    The verdict names the first field group that differs from the probe,
+    checked in order: source address, originate timestamp, then
+    id/sequence.  Nothing is hashed: for every probe the ``make_*``
+    functions craft, the stored fields are what the hash chose.  So a
+    bad-clock reply whose rewritten (id, seq) happens to hash to the same
+    originate timestamp (probability 2**-32 per rewritten reply) is
+    ``ID_SEQ_MODIFIED``; recomputing the hash used to call it ``CLEAN``.
     """
     if reply.icmp_type != TIMESTAMP_REPLY:
         raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
     if reply_src != probe.dest and _dest_bytes(reply_src) != _dest_bytes(probe.dest):
         return _UNMATCHED
-    if reply.orig_ts != probe.message.orig_ts:
+    sent = probe.message
+    if reply.orig_ts != sent.orig_ts:
         return _ORIGINATE_MODIFIED
-    if probe.kind is _BAD_CLOCK:
-        intact = reply.orig_ts == hash_orig(probe.dest, reply.ident, reply.seq)
-    else:
-        intact = (reply.ident, reply.seq) == hash_id_seq(probe.dest, reply.orig_ts)
-    if not intact:
+    if reply.ident != sent.ident or reply.seq != sent.seq:
         return _ID_SEQ_MODIFIED
     return _CLEAN

@@ -2,19 +2,25 @@
 
 reference_checksum is an independent re-implementation of the Internet
 checksum (byte-at-a-time with immediate end-around carry) used to check
-the production checksum; keep it naive on purpose.
+the production checksum; keep it naive on purpose.  former_verify_reply
+is the stateless verifier that hashed each reply again, kept as the
+reference that field-by-field verification is compared with.
 """
 
 from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta, timezone
+from hashlib import md5
+from ipaddress import IPv4Address
 
 from icmpstamp import wire
 from icmpstamp.classify import HostObservation
 from icmpstamp.probes import (
+    ProbeKind,
     ProbeOutcome,
     ProbeRecord,
+    TamperVerdict,
     make_bad_checksum,
     make_bad_clock,
     make_duplicate,
@@ -49,6 +55,29 @@ def reference_checksum(data: bytes) -> int:
         while total > 0xFFFF:
             total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
+
+
+def former_verify_reply(
+    probe: ProbeRecord, reply: TimestampMessage, reply_src: str
+) -> TamperVerdict:
+    """The verdict of the verifier that recomputed the MD5 fields from the
+    reply: source, then originate timestamp, then the hash relation."""
+    if reply.icmp_type != wire.TIMESTAMP_REPLY:
+        raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
+    dest = IPv4Address(probe.dest).packed
+    if IPv4Address(reply_src).packed != dest:
+        return TamperVerdict.UNMATCHED
+    if reply.orig_ts != probe.message.orig_ts:
+        return TamperVerdict.ORIGINATE_MODIFIED
+    if probe.kind is ProbeKind.BAD_CLOCK:
+        payload = dest + reply.ident.to_bytes(2, "big") + reply.seq.to_bytes(2, "big")
+        low32 = int.from_bytes(md5(payload).digest()[-4:], "big")
+        intact = reply.orig_ts == low32
+    else:
+        payload = dest + reply.orig_ts.to_bytes(4, "big")
+        low32 = int.from_bytes(md5(payload).digest()[-4:], "big")
+        intact = (reply.ident, reply.seq) == (low32 >> 16, low32 & 0xFFFF)
+    return TamperVerdict.CLEAN if intact else TamperVerdict.ID_SEQ_MODIFIED
 
 
 def echo_reply(probe: ProbeRecord, recv: int, xmit: int) -> TimestampMessage:

@@ -479,6 +479,15 @@ class TestMerge:
         merged = merge_fingerprints(fp({ImplClass.TIMEZONE}, tz=9.0), fp({ImplClass.TIMEZONE}, tz=8.0))
         assert merged.tz_offset is None
 
+    @pytest.mark.parametrize("a, b, merged", [(12.0, -12.0, 12.0), (9.0, -15.0, 9.0)])
+    def test_same_offset_on_the_day_circle_kept_normalized(self, a, b, merged):
+        for x, y in ((a, b), (b, a)):
+            result = merge_fingerprints(
+                fp({ImplClass.TIMEZONE}, tz=x), fp({ImplClass.TIMEZONE}, tz=y)
+            )
+            assert result.tz_offset == merged
+            assert result.classes == {ImplClass.TIMEZONE}
+
     def test_different_targets_rejected(self):
         with pytest.raises(ValueError):
             merge_fingerprints(fp({ImplClass.LAZY}), fp({ImplClass.LAZY}, target="192.0.2.10"))
@@ -488,7 +497,7 @@ class TestMerge:
         classes=st.frozensets(st.sampled_from(sorted(ImplClass, key=lambda c: c.value)), min_size=1),
         timekeeping=st.sampled_from(sorted(Timekeeping, key=lambda t: t.value)),
         correctness=st.sampled_from(sorted(Correctness, key=lambda c: c.value)),
-        tz=st.sampled_from([None, 9.0, -3.5]),
+        tz=st.sampled_from([None, 9.0, -3.5, 12.0, -12.0, -15.0]),
         flags=st.frozensets(st.sampled_from(["x", "y"]), max_size=2),
     )
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import epoch_us
+from builders import epoch_us, former_verify_reply
 from icmpstamp import wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
@@ -433,6 +433,9 @@ def test_matching_on_a_hostile_network(tmp_path_factory, fleet, chaos_seed):
             assert (rec.target, wire.encode(outcome.reply)) in delivered
             by_key = (outcome.reply.ident, outcome.reply.seq) == (sent.ident, sent.seq)
             assert by_key or outcome.reply.orig_ts == sent.orig_ts
+            assert outcome.tamper is former_verify_reply(
+                outcome.probe, outcome.reply, rec.target
+            )
             bound_by_key += by_key
         # Every (id, seq)-matching copy beyond the one bound is a duplicate.
         assert rec.duplicate_replies == keyed[rec.target] - bound_by_key

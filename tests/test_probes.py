@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import at_ms, echo_reply
+from builders import at_ms, echo_reply, former_verify_reply
 from icmpstamp import wire
 from icmpstamp import probes
 from icmpstamp.probes import (
@@ -36,6 +36,12 @@ NOON_ISH = at_ms(45_296_789)  # 12:34:56.789Z
 def reference_low32(payload: bytes) -> int:
     """Independent MD5 oracle: last four digest bytes, big-endian."""
     return int.from_bytes(md5(payload).digest()[-4:], "big")
+
+
+def rewrite_mask(bits):
+    """An XOR mask for a field: 0 keeps it, and half the draws rewrite it,
+    so every subset of the rewritten fields is likely."""
+    return st.one_of(st.just(0), st.integers(1, 2**bits - 1))
 
 
 class TestStandard:
@@ -221,6 +227,76 @@ class TestVerifyReply:
         probe = make_standard(DEST, NOON_ISH)
         with pytest.raises(ValueError):
             verify_reply(probe, probe.message, DEST)
+
+    @given(
+        kind=st.sampled_from(ProbeKind),
+        dest=st.integers(0, 2**32 - 1).map(lambda n: str(IPv4Address(n))),
+        now=st.integers(0, 86_400_000_000 - 1).map(lambda us: at_ms(0) + us),
+        bad_clock_id_seq=st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+        rng_seed=st.integers(0, 2**32 - 1),
+        src_mask=rewrite_mask(32),
+        orig_mask=rewrite_mask(32),
+        ident_mask=rewrite_mask(16),
+        seq_mask=rewrite_mask(16),
+    )
+    def test_agrees_with_former_hashing_verifier(
+        self, kind, dest, now, bad_clock_id_seq, rng_seed,
+        src_mask, orig_mask, ident_mask, seq_mask,
+    ):
+        if kind is ProbeKind.STANDARD:
+            probe = make_standard(dest, now)
+        elif kind is ProbeKind.BAD_CLOCK:
+            probe = make_bad_clock(dest, *bad_clock_id_seq, now)
+        elif kind is ProbeKind.BAD_CHECKSUM:
+            probe = make_bad_checksum(dest, now, random.Random(rng_seed))
+        else:
+            probe = make_duplicate(dest, now)
+        echo = echo_reply(probe, 11, 12)
+        reply = echo._replace(
+            orig_ts=echo.orig_ts ^ orig_mask,
+            ident=echo.ident ^ ident_mask,
+            seq=echo.seq ^ seq_mask,
+        )
+        src = str(IPv4Address(int(IPv4Address(dest)) ^ src_mask))
+        expected = former_verify_reply(probe, reply, src)
+        if expected is TamperVerdict.CLEAN and (ident_mask or seq_mask):
+            # The one change: a rewritten (id, seq) that reproduces a
+            # bad-clock probe's hashed originate timestamp (pinned below).
+            expected = TamperVerdict.ID_SEQ_MODIFIED
+        assert verify_reply(probe, reply, src) is expected
+
+    def test_bad_clock_hash_collision_is_id_seq_modified(self):
+        # (1, 0x2C09) and (1, 0x8056) hash to the same originate timestamp
+        # for DEST, found by a birthday search over (id, seq).
+        assert hash_orig(DEST, 1, 0x2C09) == hash_orig(DEST, 1, 0x8056) == 0xD37D6348
+        probe = make_bad_clock(DEST, 1, 0x2C09, NOON_ISH)
+        reply = echo_reply(probe, 5, 6)._replace(seq=0x8056)
+        assert former_verify_reply(probe, reply, DEST) is TamperVerdict.CLEAN
+        assert verify_reply(probe, reply, DEST) is TamperVerdict.ID_SEQ_MODIFIED
+
+    def test_hashes_nothing(self, monkeypatch):
+        standard = make_standard(DEST, NOON_ISH)
+        bad_clock = make_bad_clock(DEST, 0x1234, 0x5678, NOON_ISH)
+        standard_echo = echo_reply(standard, 1, 2)
+        bad_clock_echo = echo_reply(bad_clock, 1, 2)
+
+        def no_md5(*args):
+            raise AssertionError("verify_reply hashed")
+
+        monkeypatch.setattr(probes, "md5", no_md5)
+        cases = [
+            (standard, standard_echo, DEST, TamperVerdict.CLEAN),
+            (bad_clock, bad_clock_echo, DEST, TamperVerdict.CLEAN),
+            (standard, standard_echo, "192.0.2.2", TamperVerdict.UNMATCHED),
+            (standard, standard_echo._replace(orig_ts=7), DEST,
+             TamperVerdict.ORIGINATE_MODIFIED),
+            (standard, standard_echo._replace(ident=standard_echo.ident ^ 1), DEST,
+             TamperVerdict.ID_SEQ_MODIFIED),
+            (bad_clock, bad_clock_echo._replace(seq=0), DEST,
+             TamperVerdict.ID_SEQ_MODIFIED),
+        ]
+        for probe, reply, src, verdict in cases:
+            assert verify_reply(probe, reply, src) is verdict
 
     @given(st.integers(0, 63), st.sampled_from(["standard", "duplicate", "bad_clock"]))
     def test_any_bit_flip_in_verified_fields_detected(self, bit, kind):
