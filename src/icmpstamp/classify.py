@@ -20,7 +20,7 @@ correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -108,41 +108,49 @@ class CorrectnessPolicy:
             raise ValueError(f"margin_ms out of range: {self.margin_ms}")
 
 
-@dataclass(frozen=True)
-class HostObservation:
+class _ObservationFields(NamedTuple):
+    target: str
+    pairs: tuple[ProbeOutcome, ...]
+    duplicate_replies: int
+    first: dict[ProbeKind, ProbeOutcome]
+    tampered: bool
+
+
+class HostObservation(_ObservationFields):
     """Everything collected for one target address, as classification reads it.
 
+    Built as ``HostObservation(target, pairs, duplicate_replies=0)``.
     ``pairs`` may be given every outcome of the target; it keeps only the
     answered ones, as a tuple: each has a reply, an arrival instant and a
     tamper verdict.  The same pass at construction derives what the rules
     need: ``first`` maps each probe kind to its earliest-sent clean outcome
     (the first of ties), and ``tampered`` says whether any answered
-    outcome's verdict is not clean.
+    outcome's verdict is not clean.  The observation is an immutable
+    ``NamedTuple`` of those five fields, made in one tuple build with no
+    per-field attribute writes; ``_make`` and ``_replace`` skip the pass.
+    A scan builds one only for a target with an answered probe.
     """
 
-    target: str
-    pairs: tuple[ProbeOutcome, ...]
-    duplicate_replies: int = 0
-    first: dict[ProbeKind, ProbeOutcome] = field(init=False, repr=False, compare=False)
-    tampered: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        pairs = []
+    def __new__(cls, target: str, pairs, duplicate_replies: int = 0):
+        answered = []
         first: dict[ProbeKind, ProbeOutcome] = {}
         tampered = False
-        for p in self.pairs:
+        for p in pairs:
             if p.reply is None:
                 continue
-            pairs.append(p)
+            answered.append(p)
             if p.tamper is not _CLEAN:
                 tampered = True
                 continue
-            seen = first.get(p.probe.kind)
-            if seen is None or p.probe.send_time < seen.probe.send_time:
-                first[p.probe.kind] = p
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "tampered", tampered)
+            probe = p.probe
+            seen = first.get(probe.kind)
+            if seen is None or probe.send_time < seen.probe.send_time:
+                first[probe.kind] = p
+        return tuple.__new__(
+            cls, (target, tuple(answered), duplicate_replies, first, tampered)
+        )
 
 
 class Fingerprint(NamedTuple):
@@ -191,14 +199,7 @@ def infer_timezone(
     recv = reply.recv_ts
     if recv & MSB or recv >= DAY_MS:
         return None
-    margin = policy.margin_ms
-    # d is recv minus the expectation, taken forward round the day circle;
-    # the circular distance is min(d, DAY_MS - d).
-    matches = [
-        o
-        for o, ms in zip(table.offsets, table.offsets_ms)
-        if (d := (recv - probe_orig - ms) % DAY_MS) < margin or DAY_MS - d < margin
-    ]
+    matches = table.near((recv - probe_orig) % DAY_MS, policy.margin_ms)
     if not matches:
         return None
     if len(matches) > 1:
@@ -242,10 +243,20 @@ def classify_implementation(
     An observation with no clean replies cannot be classified and raises
     NoCleanReplies.  If nothing fires the result is {UNKNOWN}.
     """
+    return _implementation(obs, policy, table)[0]
+
+
+def _implementation(
+    obs: HostObservation, policy: CorrectnessPolicy, table: OffsetTable
+) -> tuple[set[ImplClass], float | None]:
+    """``classify_implementation``'s classes, and the offset that
+    ``infer_timezone`` found for the standard reply (None if there is none),
+    from one evaluation of it."""
     if not obs.first:
         raise NoCleanReplies(f"no clean replies for {obs.target}")
 
     classes: set[ImplClass] = set()
+    tz_offset: float | None = None
     std = obs.first.get(_STANDARD)
     dup = obs.first.get(_DUPLICATE)
 
@@ -261,7 +272,8 @@ def classify_implementation(
             classes.add(_LAZY)
         if recv > MSB - 1 and xmit > MSB - 1:
             classes.add(_NON_UTC)
-        if infer_timezone(std.reply, orig, table, policy) is not None:
+        tz_offset = infer_timezone(std.reply, orig, table, policy)
+        if tz_offset is not None:
             classes.add(_TIMEZONE)
         if abs(circular_diff(byte_swap_32(recv) % DAY_MS, orig)) < policy.margin_ms:
             classes.add(_LITTLE_ENDIAN)
@@ -299,7 +311,7 @@ def classify_implementation(
 
     if not classes:
         classes.add(_UNKNOWN)
-    return classes
+    return classes, tz_offset
 
 
 def _circular_diff_seconds(a: int, b: int) -> int:
@@ -373,17 +385,14 @@ def fingerprint_observation(
             obs.target, frozenset({_UNKNOWN}), _TK_UNKNOWN,
             _INCORRECT, flags=frozenset({"all_replies_tampered"}),
         )
-    classes = classify_implementation(obs, policy, table)
+    classes, tz_offset = _implementation(obs, policy, table)
     flags: set[str] = set()
 
     std = obs.first.get(_STANDARD)
     dup = obs.first.get(_DUPLICATE)
 
-    tz_offset: float | None = None
     if std is not None:
         correctness = classify_correctness(std.reply, std.probe.message.orig_ts, policy)
-        if _TIMEZONE in classes:
-            tz_offset = infer_timezone(std.reply, std.probe.message.orig_ts, table, policy)
     else:
         correctness = _INCORRECT
         flags.add("no_standard_reply")

@@ -130,6 +130,9 @@ def _cmd_report_geo(args) -> int:
 
 
 def _cmd_analyze_requests(args) -> int:
+    # Counter.most_common(-1) would list no source at all.
+    if args.top < 0:
+        raise ValueError(f"--top must be 0 or more: {args.top}")
     entries = reports.load_capture(args.capture)
     summary = reports.analyze_requests(entries, top_n=args.top)
     print(f"timestamp requests: {summary.total_requests}")

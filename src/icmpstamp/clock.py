@@ -11,6 +11,7 @@ throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from icmpstamp.textfile import parse_lines
@@ -90,23 +91,58 @@ class OffsetTable:
 
     The default holds the 29 offsets seen in the wild; pass your own tuple
     (or load one from a file) to widen or narrow the search.
+
+    The table builds one index when it is made: the day-circle point of
+    every entry (its offset in milliseconds modulo a day), sorted.  ``near``
+    answers a lookup from it with two binary searches, not a pass over
+    every entry.
     """
 
     offsets: tuple[float, ...] = DEFAULT_OFFSET_HOURS
     # ``offsets`` in milliseconds, entry for entry.
     offsets_ms: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The entries' day-circle points in ascending order, then the same points
+    # one day on, so that a window across midnight is one contiguous run;
+    # ``_entries[k]`` is the table index of ``_points[k]``.
+    _points: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _entries: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets_ms", tuple(offset_millis(o) for o in self.offsets))
+        offsets_ms = tuple(offset_millis(o) for o in self.offsets)
+        ring = sorted((ms % DAY_MS, i) for i, ms in enumerate(offsets_ms))
+        ring += [(point + DAY_MS, i) for point, i in ring]
+        object.__setattr__(self, "offsets_ms", offsets_ms)
+        object.__setattr__(self, "_points", tuple(point for point, _ in ring))
+        object.__setattr__(self, "_entries", tuple(i for _, i in ring))
 
     @classmethod
     def from_file(cls, path) -> "OffsetTable":
         """Load a table from a text file of one decimal hour offset per line."""
         return cls(tuple(parse_lines(path, _parse_offset)))
 
+    def near(self, point_ms: int, margin_ms: int) -> list[float]:
+        """The entries less than ``margin_ms`` from ``point_ms`` on the day
+        circle, in table order; an entry listed twice is returned twice.
+
+        ``point_ms`` is in [0, DAY_MS) and ``margin_ms`` in (0, HALF_DAY_MS],
+        so the window is shorter than the day and meets each entry's point
+        at most once.
+        """
+        if point_ms < margin_ms:
+            point_ms += DAY_MS
+        points = self._points
+        lo = bisect_right(points, point_ms - margin_ms)
+        hi = bisect_left(points, point_ms + margin_ms, lo)
+        if lo == hi:
+            return []
+        offsets = self.offsets
+        return [offsets[i] for i in sorted(self._entries[lo:hi])]
+
     def min_spacing_ms(self) -> int | None:
         """Shortest day-circle distance between two entries (None if < 2)."""
-        points = sorted(ms % DAY_MS for ms in self.offsets_ms)
-        if len(points) < 2:
+        n = len(self.offsets)
+        if n < 2:
             return None
-        return min((b - a) % DAY_MS for a, b in zip(points, points[1:] + points[:1]))
+        points = self._points
+        # points[n] is points[0] one day on: the gap across midnight.
+        return min(points[k + 1] - points[k] for k in range(n))

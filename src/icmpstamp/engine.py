@@ -12,6 +12,11 @@ is matched only against the probes sent to its own source, at most four,
 in send order: the first unanswered probe with the reply's (id, seq), or
 else the first unanswered probe with its originate timestamp.  Replies
 that match no probe are logged, never bound.
+
+Each target keeps the probes sent to it and, beside each, the outcome
+bound to it: a ``ProbeOutcome`` is built once per probe, when a reply is
+bound or, for a probe left unanswered, when the target's record is made.
+A target with no answered probe is skipped before it is classified.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from icmpstamp.responder import SimNetwork
 from icmpstamp.results import ResultRecord
 from icmpstamp.textfile import parse_lines
 from icmpstamp.transport import RawTransport, TransportError
+from icmpstamp.wire import TIMESTAMP_REPLY
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +58,11 @@ _STANDARD, _BAD_CLOCK, _BAD_CHECKSUM, _DUPLICATE = ALL_PROBE_KINDS
 
 # Every kind but the duplicate, which goes out in the second round.
 _ROUND_ONE_ORDER = ALL_PROBE_KINDS[:3]
+
+# Builds a NamedTuple from a tuple of all its fields, without the class's
+# generated ``__new__``: for the per-packet paths, whose field counts are
+# fixed here.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -121,10 +132,12 @@ class RateLimiter:
 
 
 class _TargetState:
-    __slots__ = ("outcomes", "round_one_anchor", "duplicate_replies")
+    __slots__ = ("probes", "bound", "round_one_anchor", "duplicate_replies")
 
     def __init__(self):
-        self.outcomes: list[ProbeOutcome] = []
+        self.probes: list[ProbeRecord] = []
+        # The outcome bound to ``probes[i]``, or None while it is unanswered.
+        self.bound: list[ProbeOutcome | None] = []
         self.round_one_anchor: int | None = None
         self.duplicate_replies = 0
 
@@ -171,9 +184,9 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
     unmatched = 0
     sent_count = 0
 
-    def bind(outcomes: list[ProbeOutcome], i: int, reply, arrival, src) -> None:
-        probe = outcomes[i].probe
-        outcomes[i] = ProbeOutcome(probe, reply, arrival, verify_reply(probe, reply, src))
+    def bind(st: _TargetState, i: int, msg, arrival: int, src: str) -> None:
+        probe = st.probes[i]
+        st.bound[i] = _new(ProbeOutcome, (probe, msg, arrival, verify_reply(probe, msg, src)))
 
     def handle(src: str, data: bytes, arrival: int) -> None:
         nonlocal unmatched
@@ -183,24 +196,25 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             unmatched += 1
             log.info("undecodable packet from %s", src)
             return
-        if msg.icmp_type != wire.TIMESTAMP_REPLY:
+        icmp_type, _, _, ident, seq, orig_ts, _, _ = msg
+        if icmp_type != TIMESTAMP_REPLY:
             return
         if not wire.verify_checksum(data):
             unmatched += 1
             log.info("reply with bad checksum from %s", src)
             return
         st = state.get(src)
-        outcomes = st.outcomes if st is not None else []
+        probes, bound = (st.probes, st.bound) if st is not None else ((), ())
         keyed = False
         by_orig = None
-        for i, outcome in enumerate(outcomes):
-            sent = outcome.probe.message
-            if sent.ident == msg.ident and sent.seq == msg.seq:
-                if outcome.reply is None:
-                    bind(outcomes, i, msg, arrival, src)
+        for i, probe in enumerate(probes):
+            _, _, _, sent_ident, sent_seq, sent_orig, _, _ = probe.message
+            if sent_ident == ident and sent_seq == seq:
+                if bound[i] is None:
+                    bind(st, i, msg, arrival, src)
                     return
                 keyed = True
-            elif by_orig is None and outcome.reply is None and sent.orig_ts == msg.orig_ts:
+            elif by_orig is None and sent_orig == orig_ts and bound[i] is None:
                 by_orig = i
         if keyed:
             # Every probe with this (id, seq) already holds a reply.
@@ -209,10 +223,10 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             # No (id, seq) match: fall back to the originate timestamp so
             # replies whose id/seq were rewritten in flight are still
             # observed (they classify as tampered, never as clean).
-            bind(outcomes, by_orig, msg, arrival, src)
+            bind(st, by_orig, msg, arrival, src)
         else:
             unmatched += 1
-            log.info("unmatched reply from %s (id=%d seq=%d)", src, msg.ident, msg.seq)
+            log.info("unmatched reply from %s (id=%d seq=%d)", src, ident, seq)
 
     def pump_until(deadline: int) -> None:
         now = transport.now()
@@ -246,7 +260,8 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         transport.send(dest, wire.encode(probe.message))
         sent_count += 1
         st = state[dest]
-        st.outcomes.append(ProbeOutcome(probe))
+        st.probes.append(probe)
+        st.bound.append(None)
         # The duplicate round is anchored on the standard probe when one was
         # sent, else on the target's first round-one probe.
         if kind is _STANDARD or (
@@ -277,7 +292,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             pump_until(last_send + cfg.timeout_ms * 1000)
     except (TransportError, OSError) as exc:
         aborted = exc if isinstance(exc, TransportError) else TransportError(str(exc))
-        _write_resume_marker(cfg, [t for t in targets if not state[t].outcomes])
+        _write_resume_marker(cfg, [t for t in targets if not state[t].probes])
         log.error("scan aborted: %s", exc)
 
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
@@ -285,11 +300,16 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
 
     for target in targets:
         st = state[target]
-        obs = HostObservation(target, st.outcomes, st.duplicate_replies)
-        if not obs.pairs:
+        bound = st.bound
+        if not any(bound):
             continue
+        outcomes = tuple([
+            _new(ProbeOutcome, (probe, None, None, None)) if outcome is None else outcome
+            for probe, outcome in zip(st.probes, bound)
+        ])
+        obs = HostObservation(target, outcomes, st.duplicate_replies)
         yield ResultRecord(
-            target, cfg.vantage, tuple(st.outcomes), fingerprint_observation(obs),
+            target, cfg.vantage, outcomes, fingerprint_observation(obs),
             st.duplicate_replies, transport.tz,
         )
 

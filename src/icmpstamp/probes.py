@@ -63,6 +63,10 @@ class TamperVerdict(IdentityEnum):
 
 _CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _UNMATCHED = TamperVerdict
 
+# The ``make_*`` functions build each probe from its five fields with this,
+# skipping the generated ``__new__`` (and its defaults) of ``ProbeRecord``.
+_new = tuple.__new__
+
 
 class ProbeRecord(NamedTuple):
     """One sent probe: what went out, where, and when (microseconds since
@@ -117,14 +121,14 @@ def make_standard(dest: str, now: int) -> ProbeRecord:
     orig = ms_since_utc_midnight(now)
     ident, seq = hash_id_seq(dest, orig)
     msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
-    return ProbeRecord(_STANDARD, dest, now, msg)
+    return _new(ProbeRecord, (_STANDARD, dest, now, msg, 0))
 
 
 def make_bad_clock(dest: str, ident: int, seq: int, now: int) -> ProbeRecord:
     """Hash-derived originate timestamp; generally not a valid time of day."""
     orig = hash_orig(dest, ident, seq)
     msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
-    return ProbeRecord(_BAD_CLOCK, dest, now, msg)
+    return _new(ProbeRecord, (_BAD_CLOCK, dest, now, msg, 0))
 
 
 def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeRecord:
@@ -143,10 +147,8 @@ def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeRecord:
         # (RFC 1624), so a checksum verifies iff it equals the valid one
         # modulo 0xFFFF.
         if checksum % 0xFFFF != valid % 0xFFFF:
-            msg = TimestampMessage._make(
-                (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, 0, 0)
-            )
-            return ProbeRecord(_BAD_CHECKSUM, dest, now, msg)
+            msg = _new(TimestampMessage, (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, 0, 0))
+            return _new(ProbeRecord, (_BAD_CHECKSUM, dest, now, msg, 0))
 
 
 def make_duplicate(dest: str, now: int) -> ProbeRecord:
@@ -159,7 +161,7 @@ def make_duplicate(dest: str, now: int) -> ProbeRecord:
     orig = ms_since_utc_midnight(now)
     ident, seq = hash_id_seq(dest, orig)
     msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig, orig, orig)
-    return ProbeRecord(_DUPLICATE, dest, now, msg, round_no=1)
+    return _new(ProbeRecord, (_DUPLICATE, dest, now, msg, 1))
 
 
 def verify_reply(

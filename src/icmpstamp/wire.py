@@ -19,7 +19,7 @@ transport layer.
 ``TimestampMessage`` is an immutable ``NamedTuple`` in wire order.  Its
 constructor checks every field and names the first out of range;
 ``decode`` and ``build_message``, whose fields are in range by
-construction, build through ``_make`` without the checks.
+construction, build it with ``tuple.__new__``, without the checks.
 
 The checksum and byte swap are plain Python.  Since 2**16 is 1 modulo
 0xFFFF, the sum of a buffer's 16-bit words is congruent to the buffer
@@ -42,6 +42,10 @@ MESSAGE_LEN = 20
 _LAYOUT = struct.Struct("!BBHHHIII")
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
+# Builds a NamedTuple from a tuple of its fields without the class's own
+# ``__new__`` and without ``_make``'s arity check: for callers whose field
+# count is fixed by construction.
+_new = tuple.__new__
 # Bit widths of the fields after the type.  Out of range, a field (negative
 # included) shifted by its width is not zero, and neither is a group's OR.
 _WIDTHS = (8, 16, 16, 16, 32, 32, 32)
@@ -136,7 +140,7 @@ def decode(buf) -> TimestampMessage:
     Raises what ``unpack_fields`` raises.  Bytes past 20 (middleboxes
     pad) are ignored.
     """
-    return TimestampMessage._make(unpack_fields(buf))
+    return _new(TimestampMessage, unpack_fields(buf))
 
 
 def _ones_complement_sum(data) -> int:
@@ -208,7 +212,7 @@ def build_message(
     if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
         raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")
     checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
-    return TimestampMessage._make((icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts))
+    return _new(TimestampMessage, (icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts))
 
 
 def pack_message(

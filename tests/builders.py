@@ -5,6 +5,8 @@ checksum (byte-at-a-time with immediate end-around carry) used to check
 the production checksum; keep it naive on purpose.  former_verify_reply
 is the stateless verifier that hashed each reply again, kept as the
 reference that field-by-field verification is compared with.
+former_infer_timezone is the timezone lookup that tested every table
+entry in turn, kept as the reference for the table's day-circle index.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from hashlib import md5
 from ipaddress import IPv4Address
 
 from icmpstamp import wire
-from icmpstamp.classify import HostObservation
+from icmpstamp.classify import AmbiguousTimezone, CorrectnessPolicy, HostObservation
+from icmpstamp.clock import DAY_MS, OffsetTable
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
@@ -78,6 +81,32 @@ def former_verify_reply(
         low32 = int.from_bytes(md5(payload).digest()[-4:], "big")
         intact = (reply.ident, reply.seq) == (low32 >> 16, low32 & 0xFFFF)
     return TamperVerdict.CLEAN if intact else TamperVerdict.ID_SEQ_MODIFIED
+
+
+def former_infer_timezone(
+    reply: TimestampMessage, probe_orig: int, table: OffsetTable, policy: CorrectnessPolicy
+) -> float | None:
+    """The offset of the one table entry within the margin, found by testing
+    every entry in table order."""
+    recv = reply.recv_ts
+    if recv & (1 << 31) or recv >= DAY_MS:
+        return None
+    margin = policy.margin_ms
+    # d is recv minus the expectation, taken forward round the day circle;
+    # the circular distance is min(d, DAY_MS - d).
+    matches = [
+        o
+        for o, ms in zip(table.offsets, table.offsets_ms)
+        if (d := (recv - probe_orig - ms) % DAY_MS) < margin or DAY_MS - d < margin
+    ]
+    if not matches:
+        return None
+    if len(matches) > 1:
+        raise AmbiguousTimezone(
+            f"margin {policy.margin_ms} ms matches offsets {matches}; "
+            "narrow the margin or thin the table"
+        )
+    return matches[0]
 
 
 def echo_reply(probe: ProbeRecord, recv: int, xmit: int) -> TimestampMessage:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import EPOCH, at_ms, echo_reply, pair_for
+from builders import EPOCH, at_ms, echo_reply, former_infer_timezone, pair_for
 from icmpstamp.classify import (
     CONSTANT_LE_ONE,
     MSB,
@@ -30,7 +30,13 @@ from icmpstamp.classify import (
     infer_timezone,
     merge_fingerprints,
 )
-from icmpstamp.clock import DAY_MS, OffsetTable, circular_diff, offset_millis
+from icmpstamp.clock import (
+    DAY_MS,
+    DEFAULT_OFFSET_HOURS,
+    OffsetTable,
+    circular_diff,
+    offset_millis,
+)
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
@@ -203,6 +209,42 @@ def test_first_clean_is_the_earliest_clean_outcome(spec, kind):
     expected = min(candidates, key=lambda p: p.probe.send_time) if candidates else None
     assert obs.first.get(kind) is expected
     assert obs.tampered == (len(clean) < len(pairs))
+
+
+@st.composite
+def timezone_lookups(draw):
+    """A table, a margin, an originate value and a receive value.
+
+    Tables may repeat an entry, hold both +12 and -12 (one point on the day
+    circle), or hold entries outside [-12, +12]; margins run up to the width
+    at which most lookups are ambiguous.  Receive values include ones with
+    the MSB set or of a day or more, and ones on either side of an entry's
+    margin edge.
+    """
+    entry = (
+        st.sampled_from(DEFAULT_OFFSET_HOURS + (12.0, -12.0))
+        | st.integers(-100, 100).map(lambda n: n / 2)
+    )
+    offsets = tuple(draw(st.lists(entry, max_size=40)))
+    margin = draw(st.integers(1, 5_000) | st.integers(1, DAY_MS // 2 - 1))
+    orig = draw(st.integers(0, DAY_MS - 1) | st.integers(0, 2**32 - 1))
+    if offsets and draw(st.booleans()):
+        centre = orig + offset_millis(draw(st.sampled_from(offsets)))
+        delta = draw(st.sampled_from([-1, 1])) * (margin + draw(st.integers(-2, 1)))
+        recv = (centre + delta) % DAY_MS | draw(st.sampled_from([0, 2**31]))
+    else:
+        recv = draw(st.integers(0, 2**32 - 1) | st.integers(DAY_MS - 5, DAY_MS + 5))
+    return OffsetTable(offsets), CorrectnessPolicy(margin_ms=margin), orig, recv
+
+
+@given(timezone_lookups())
+@settings(max_examples=500)
+def test_timezone_lookup_equals_former_linear_scan(lookup):
+    table, policy, orig, recv = lookup
+    reply = reply_msg(recv, 0, orig=orig)
+    assert _result(infer_timezone, reply, orig, table, policy) == _result(
+        former_infer_timezone, reply, orig, table, policy
+    )
 
 
 class TestHtonsBug:

@@ -373,6 +373,14 @@ class TestAnalyzeRequestsCommand:
         assert "timestamp requests: 10" in body
         assert "(90.00%)" in body
 
+    def test_negative_top_is_config_error(self, capsys):
+        code = main(["analyze-requests", "--capture", str(FIXTURES / "demo_capture.txt"),
+                     "--top", "-1"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --top ")
+
     def test_demo_capture(self, capsys):
         # The fixture CI runs: four zero-originate requests, one other, and
         # a reply that is not counted.
