@@ -13,9 +13,8 @@ Three independent verdicts are produced for a host:
 Classes are not mutually exclusive; a set is returned.  Every rule reads
 the earliest-sent clean reply to each probe kind (standard, bad clock,
 bad checksum, duplicate), which ``HostObservation`` picks out once when it
-is built.  Tampered replies stay on the observation and set the
-``tampered_replies`` flag, but never influence classes, timekeeping or
-correctness.
+is built.  Tampered replies set the ``tampered_replies`` flag, but never
+influence classes, timekeeping or correctness.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ class CorrectnessPolicy:
 
 class _ObservationFields(NamedTuple):
     target: str
-    pairs: tuple[ProbeOutcome, ...]
     duplicate_replies: int
     first: dict[ProbeKind, ProbeOutcome]
     tampered: bool
@@ -119,28 +117,26 @@ class _ObservationFields(NamedTuple):
 class HostObservation(_ObservationFields):
     """Everything collected for one target address, as classification reads it.
 
-    Built as ``HostObservation(target, pairs, duplicate_replies=0)``.
-    ``pairs`` may be given every outcome of the target; it keeps only the
-    answered ones, as a tuple: each has a reply, an arrival instant and a
-    tamper verdict.  The same pass at construction derives what the rules
+    Built as ``HostObservation(target, outcomes, duplicate_replies=0)``.
+    ``outcomes`` may hold every outcome of the target; an answered one has
+    a reply, an arrival instant and a tamper verdict, and the unanswered
+    ones are skipped.  One pass at construction derives what the rules
     need: ``first`` maps each probe kind to its earliest-sent clean outcome
     (the first of ties), and ``tampered`` says whether any answered
     outcome's verdict is not clean.  The observation is an immutable
-    ``NamedTuple`` of those five fields, made in one tuple build with no
+    ``NamedTuple`` of those four fields, made in one tuple build with no
     per-field attribute writes; ``_make`` and ``_replace`` skip the pass.
     A scan builds one only for a target with an answered probe.
     """
 
     __slots__ = ()
 
-    def __new__(cls, target: str, pairs, duplicate_replies: int = 0):
-        answered = []
+    def __new__(cls, target: str, outcomes, duplicate_replies: int = 0):
         first: dict[ProbeKind, ProbeOutcome] = {}
         tampered = False
-        for p in pairs:
+        for p in outcomes:
             if p.reply is None:
                 continue
-            answered.append(p)
             if p.tamper is not _CLEAN:
                 tampered = True
                 continue
@@ -148,9 +144,7 @@ class HostObservation(_ObservationFields):
             seen = first.get(probe.kind)
             if seen is None or probe.send_time < seen.probe.send_time:
                 first[probe.kind] = p
-        return tuple.__new__(
-            cls, (target, tuple(answered), duplicate_replies, first, tampered)
-        )
+        return tuple.__new__(cls, (target, duplicate_replies, first, tampered))
 
 
 class Fingerprint(NamedTuple):

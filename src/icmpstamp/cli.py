@@ -13,8 +13,7 @@ import sys
 from icmpstamp import reports, results
 from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
 from icmpstamp.clock import OffsetTable
-from icmpstamp.engine import ALL_PROBE_KINDS, ScanConfig, make_transport, run_scan
-from icmpstamp.probes import ProbeKind
+from icmpstamp.engine import ScanConfig, make_transport, run_scan
 from icmpstamp.transport import PrivilegeError, TransportError
 
 EXIT_OK = 0
@@ -23,25 +22,10 @@ EXIT_TRANSPORT = 3
 EXIT_PRIVILEGE = 4
 
 
-def _parse_probe_kinds(text: str) -> tuple[ProbeKind, ...]:
-    kinds = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            kinds.append(ProbeKind(name))
-        except ValueError:
-            valid = ", ".join(k.value for k in ALL_PROBE_KINDS)
-            raise ValueError(f"unknown probe kind {name!r} (valid: {valid})") from None
-    return tuple(kinds)
-
-
 def _cmd_scan(args) -> int:
     cfg = ScanConfig(
         targets_path=args.targets,
         output_path=args.out,
-        probe_kinds=_parse_probe_kinds(args.probes),
         inter_round_gap_ms=args.gap_ms,
         rate_pps=args.rate,
         timeout_ms=args.timeout_ms,
@@ -172,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="wait after the last probe")
     scan.add_argument("--seed", type=int, default=ScanConfig.seed,
                       help="seed for probe order and random fields")
-    scan.add_argument("--probes", default=",".join(k.value for k in ScanConfig.probe_kinds),
-                      help="comma-separated probe kinds to send")
     scan.add_argument("--transport", default="raw",
                       help="'raw' or 'sim:<behavior fixture path>'")
     scan.add_argument("--vantage", default=ScanConfig.vantage, help="label stored in records")

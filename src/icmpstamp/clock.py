@@ -99,8 +99,6 @@ class OffsetTable:
     """
 
     offsets: tuple[float, ...] = DEFAULT_OFFSET_HOURS
-    # ``offsets`` in milliseconds, entry for entry.
-    offsets_ms: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # The entries' day-circle points in ascending order, then the same points
     # one day on, so that a window across midnight is one contiguous run;
     # ``_entries[k]`` is the table index of ``_points[k]``.
@@ -108,10 +106,8 @@ class OffsetTable:
     _entries: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        offsets_ms = tuple(offset_millis(o) for o in self.offsets)
-        ring = sorted((ms % DAY_MS, i) for i, ms in enumerate(offsets_ms))
+        ring = sorted((offset_millis(o) % DAY_MS, i) for i, o in enumerate(self.offsets))
         ring += [(point + DAY_MS, i) for point, i in ring]
-        object.__setattr__(self, "offsets_ms", offsets_ms)
         object.__setattr__(self, "_points", tuple(point for point, _ in ring))
         object.__setattr__(self, "_entries", tuple(i for _, i in ring))
 

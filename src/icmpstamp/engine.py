@@ -1,10 +1,12 @@
 """Scan orchestration: target ingestion, pacing, reply matching, emission.
 
-The engine sends two rounds per target: the standard, bad-clock, and
-bad-checksum requests first, then (after a configurable gap so elapsed
-time is measurable) the duplicate-timestamp request.  The global send
-order inside each round is a seeded pseudo-random permutation so probes
-spread across networks in time.
+The engine sends all four requests to every target, in two rounds: the
+standard, bad-clock, and bad-checksum requests first, then the
+duplicate-timestamp request, a configurable gap after the target's
+standard request so elapsed time is measurable.  Round one's global send
+order is a seeded pseudo-random permutation so probes spread across
+networks in time; round two takes the targets in the order of their first
+round-one probe.
 
 One logical sender and one logical receiver interleave on the transport:
 between rate-limited sends the engine drains arriving replies.  A reply
@@ -25,7 +27,6 @@ import logging
 import math
 import random
 from collections.abc import Iterator
-import socket
 from dataclasses import dataclass
 
 from icmpstamp import wire
@@ -35,6 +36,7 @@ from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
     ProbeRecord,
+    dest_bytes,
     make_bad_checksum,
     make_bad_clock,
     make_duplicate,
@@ -49,15 +51,13 @@ from icmpstamp.wire import TIMESTAMP_REPLY
 
 log = logging.getLogger(__name__)
 
-ALL_PROBE_KINDS = tuple(ProbeKind)
-
 # The per-probe paths read these members as module names: on Python 3.11
 # and older, ``EnumType.__getattr__`` makes a lookup on an Enum class cost
 # several global reads.
-_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM, _DUPLICATE = ALL_PROBE_KINDS
+_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM, _DUPLICATE = ProbeKind
 
 # Every kind but the duplicate, which goes out in the second round.
-_ROUND_ONE_ORDER = ALL_PROBE_KINDS[:3]
+_ROUND_ONE_ORDER = (_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM)
 
 # Builds a NamedTuple from a tuple of all its fields, without the class's
 # generated ``__new__``: for the per-packet paths, whose field counts are
@@ -71,7 +71,6 @@ class ScanConfig:
 
     targets_path: str
     output_path: str | None = None
-    probe_kinds: tuple[ProbeKind, ...] = ALL_PROBE_KINDS
     inter_round_gap_ms: int = 3000
     rate_pps: int = 100
     timeout_ms: int = 5000
@@ -90,22 +89,13 @@ class ScanConfig:
             )
         if not 0 < self.timeout_ms <= DAY_MS:
             raise ValueError(f"timeout_ms must be 1 to {DAY_MS} ms: {self.timeout_ms}")
-        if not self.probe_kinds:
-            raise ValueError("probe_kinds must not be empty")
-        for kind in self.probe_kinds:
-            if kind not in ALL_PROBE_KINDS:
-                raise ValueError(f"unknown probe kind: {kind}")
 
 
 def _parse_target(text: str) -> str:
-    """``text`` as a dotted quad, accepting exactly what ``IPv4Address`` does."""
-    try:
-        # inet_pton, unlike inet_aton, takes only four decimal parts and
-        # rejects leading zeros; a NUL or an unencodable character is a
-        # ValueError.
-        return socket.inet_ntop(socket.AF_INET, socket.inet_pton(socket.AF_INET, text))
-    except (OSError, ValueError):
-        raise ValueError(f"not an IPv4 address: {text!r}") from None
+    """``text``, once ``dest_bytes`` accepts it: what it accepts is already a
+    canonical dotted quad."""
+    dest_bytes(text)
+    return text
 
 
 def load_targets(path) -> list[str]:
@@ -132,13 +122,13 @@ class RateLimiter:
 
 
 class _TargetState:
-    __slots__ = ("probes", "bound", "round_one_anchor", "duplicate_replies")
+    __slots__ = ("probes", "bound", "standard_sent", "duplicate_replies")
 
     def __init__(self):
         self.probes: list[ProbeRecord] = []
         # The outcome bound to ``probes[i]``, or None while it is unanswered.
         self.bound: list[ProbeOutcome | None] = []
-        self.round_one_anchor: int | None = None
+        self.standard_sent: int | None = None
         self.duplicate_replies = 0
 
 
@@ -166,19 +156,10 @@ def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
 def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultRecord]:
     rng = random.Random(cfg.seed)
 
-    round_one_kinds = [k for k in _ROUND_ONE_ORDER if k in cfg.probe_kinds]
-    round_one = [(t, k) for t in targets for k in round_one_kinds]
+    round_one = [(t, k) for t in targets for k in _ROUND_ONE_ORDER]
     rng.shuffle(round_one)
-
-    send_duplicates = _DUPLICATE in cfg.probe_kinds
-    if send_duplicates:
-        if round_one:
-            round_two = list(dict.fromkeys(t for t, _ in round_one))
-        else:
-            round_two = list(targets)
-            rng.shuffle(round_two)
-    else:
-        round_two = []
+    # Each target's duplicate, in the order of its first round-one probe.
+    round_two = dict.fromkeys(t for t, _ in round_one)
 
     state: dict[str, _TargetState] = {t: _TargetState() for t in targets}
     unmatched = 0
@@ -262,12 +243,9 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         st = state[dest]
         st.probes.append(probe)
         st.bound.append(None)
-        # The duplicate round is anchored on the standard probe when one was
-        # sent, else on the target's first round-one probe.
-        if kind is _STANDARD or (
-            kind in _ROUND_ONE_ORDER and st.round_one_anchor is None
-        ):
-            st.round_one_anchor = now
+        # The duplicate is timed from the standard probe.
+        if kind is _STANDARD:
+            st.standard_sent = now
         last_send = now
         limiter.mark_sent(now)
 
@@ -281,9 +259,11 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         gap = cfg.inter_round_gap_ms * 1000
         for dest in round_two:
             slot = limiter.next_slot()
-            anchor = state[dest].round_one_anchor
-            if anchor is not None and anchor + gap > slot:
-                slot = anchor + gap
+            # Round one finished before this loop began (an abort skips
+            # it), so every target's standard probe has been sent.
+            due = state[dest].standard_sent + gap
+            if due > slot:
+                slot = due
             pump_until(slot)
             transport.sleep_until(slot)
             dispatch(dest, _DUPLICATE)

@@ -89,21 +89,24 @@ class ProbeOutcome(NamedTuple):
     tamper: TamperVerdict | None = None
 
 
-def _dest_bytes(dest: str) -> bytes:
+def dest_bytes(dest: str) -> bytes:
     """The 4-byte big-endian form of a dotted-quad IPv4 address.
 
-    Rejects what ``ipaddress.IPv4Address`` rejects (including leading
-    zeros), with ``ValueError``.
+    Accepts exactly what ``ipaddress.IPv4Address`` accepts, which is
+    already canonical text, and raises ``ValueError`` for anything else:
+    ``inet_pton``, unlike ``inet_aton``, takes only four decimal parts with
+    no leading zeros, and raises ``ValueError`` itself for a NUL or an
+    unencodable character.
     """
     try:
         return socket.inet_pton(socket.AF_INET, dest)
-    except OSError:
+    except (OSError, ValueError):
         raise ValueError(f"not an IPv4 address: {dest!r}") from None
 
 
 def hash_id_seq(dest: str, orig_ts: int) -> tuple[int, int]:
     """(id, seq) for a probe whose originate timestamp is authoritative."""
-    digest = md5(_dest_bytes(dest) + orig_ts.to_bytes(4, "big")).digest()
+    digest = md5(dest_bytes(dest) + orig_ts.to_bytes(4, "big")).digest()
     low32 = int.from_bytes(digest[-4:], "big")
     return low32 >> 16, low32 & 0xFFFF
 
@@ -111,7 +114,7 @@ def hash_id_seq(dest: str, orig_ts: int) -> tuple[int, int]:
 def hash_orig(dest: str, ident: int, seq: int) -> int:
     """Originate timestamp for a bad-clock probe with chosen (id, seq)."""
     digest = md5(
-        _dest_bytes(dest) + ident.to_bytes(2, "big") + seq.to_bytes(2, "big")
+        dest_bytes(dest) + ident.to_bytes(2, "big") + seq.to_bytes(2, "big")
     ).digest()
     return int.from_bytes(digest[-4:], "big")
 
@@ -179,7 +182,7 @@ def verify_reply(
     """
     if reply.icmp_type != TIMESTAMP_REPLY:
         raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
-    if reply_src != probe.dest and _dest_bytes(reply_src) != _dest_bytes(probe.dest):
+    if reply_src != probe.dest and dest_bytes(reply_src) != dest_bytes(probe.dest):
         return _UNMATCHED
     sent = probe.message
     if reply.orig_ts != sent.orig_ts:

@@ -99,7 +99,12 @@ def _tz_index(entries: list[TzEntry]) -> list[tuple[int, dict[int, TzEntry]]]:
 
 
 def _lookup_tz(index: list[tuple[int, dict[int, TzEntry]]], addr: str) -> TzEntry | None:
-    ip = int(IPv4Address(addr))
+    """The row for ``addr``, or None; a result file may hold any string as a
+    target, and one that is not an IPv4 address is in no row."""
+    try:
+        ip = int(IPv4Address(addr))
+    except ValueError:
+        return None
     for mask, rows in index:
         entry = rows.get(ip & mask)
         if entry is not None:
@@ -140,7 +145,9 @@ def geolocate_report(records: list[ResultRecord], tz_db: list[TzEntry]) -> GeoSu
     """Compare inferred offsets against the database, host by host.
 
     A host counts as matched when its inferred offset equals the standard
-    offset or, where the zone observes daylight saving, the DST offset.
+    offset or, where the zone observes daylight saving, the DST offset.  A
+    host in no row, a target that is not an IPv4 address included, is
+    unresolved.
     """
     summary = GeoSummary()
     index = _tz_index(tz_db)

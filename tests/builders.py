@@ -18,7 +18,7 @@ from ipaddress import IPv4Address
 
 from icmpstamp import wire
 from icmpstamp.classify import AmbiguousTimezone, CorrectnessPolicy, HostObservation
-from icmpstamp.clock import DAY_MS, OffsetTable
+from icmpstamp.clock import DAY_MS, OffsetTable, offset_millis
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
@@ -96,8 +96,8 @@ def former_infer_timezone(
     # the circular distance is min(d, DAY_MS - d).
     matches = [
         o
-        for o, ms in zip(table.offsets, table.offsets_ms)
-        if (d := (recv - probe_orig - ms) % DAY_MS) < margin or DAY_MS - d < margin
+        for o in table.offsets
+        if (d := (recv - probe_orig - offset_millis(o)) % DAY_MS) < margin or DAY_MS - d < margin
     ]
     if not matches:
         return None
@@ -165,4 +165,4 @@ def observe_direct(
         pairs.append(
             ProbeOutcome(probe, reply, at_ms(t), verify_reply(probe, reply, dest))
         )
-    return HostObservation(target=dest, pairs=pairs)
+    return HostObservation(dest, pairs)

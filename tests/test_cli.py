@@ -191,14 +191,17 @@ class TestScanCommand:
         assert out.read_bytes() == b"oldbytes\n"
         assert sent == []
 
-    def test_unknown_probe_kind_is_config_error(self, tmp_path):
+    def test_unknown_probe_kind_is_config_error(self, tmp_path, capsys):
+        # Every scan sends all four probes; there is no option to choose them.
         targets = tmp_path / "t.txt"
         targets.write_text("192.0.2.1\n")
-        code = main([
-            "scan", "--targets", str(targets), "--out", str(tmp_path / "o.jsonl"),
-            "--transport", "sim:whatever", "--probes", "standard,zalgo",
-        ])
-        assert code == EXIT_CONFIG
+        with pytest.raises(SystemExit) as info:
+            main([
+                "scan", "--targets", str(targets), "--out", str(tmp_path / "o.jsonl"),
+                "--transport", "sim:whatever", "--probes", "standard",
+            ])
+        assert info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --probes standard" in capsys.readouterr().err
 
     def test_unknown_transport_is_config_error(self, tmp_path):
         targets = tmp_path / "t.txt"

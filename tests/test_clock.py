@@ -172,9 +172,14 @@ class TestOffsetTable:
         )
 
     def test_offsets_in_milliseconds(self):
+        # Each entry sits at its offset in milliseconds on the day circle.
         table = OffsetTable((9.0, -3.5, 12.0))
-        assert table.offsets_ms == (32_400_000, -12_600_000, 43_200_000)
-        assert OffsetTable().offsets_ms == tuple(offset_millis(o) for o in DEFAULT_OFFSET_HOURS)
+        assert table.near(32_400_000, 1) == [9.0]
+        assert table.near(DAY_MS - 12_600_000, 1) == [-3.5]
+        assert table.near(43_200_000, 1) == [12.0]
+        default = OffsetTable()
+        for o in DEFAULT_OFFSET_HOURS:
+            assert default.near(offset_millis(o) % DAY_MS, 1) == [o]
 
 
 def test_offsets_equal_identifies_circle_points():

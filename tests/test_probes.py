@@ -330,7 +330,7 @@ class TestDestBytes:
         with pytest.raises(ValueError):
             IPv4Address(text)
         with pytest.raises(ValueError):
-            probes._dest_bytes(text)
+            probes.dest_bytes(text)
 
     @given(st.text(alphabet="0123456789.x -", max_size=17))
     def test_agrees_with_ipaddress(self, text):
@@ -339,7 +339,7 @@ class TestDestBytes:
         except ValueError:
             expected = None
         try:
-            got = probes._dest_bytes(text)
+            got = probes.dest_bytes(text)
         except ValueError:
             got = None
         assert got == expected
@@ -347,7 +347,7 @@ class TestDestBytes:
     @given(st.integers(0, 2**32 - 1))
     def test_every_address_round_trips(self, n):
         addr = IPv4Address(n)
-        assert probes._dest_bytes(str(addr)) == addr.packed
+        assert probes.dest_bytes(str(addr)) == addr.packed
 
 
 def test_verify_reply_rejects_unparseable_source():

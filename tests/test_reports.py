@@ -127,9 +127,13 @@ class TestGeolocate:
         assert summary.mismatch == 1
 
     def test_unresolved(self, tz_db):
-        records = [standard_record("198.51.100.9", 40_000_000, 32_400_000, tz=9.0)]
+        record = standard_record("198.51.100.9", 40_000_000, 32_400_000, tz=9.0)
+        # A result file may hold any string as a target.
+        records = [record] + [
+            record._replace(target=target) for target in ("not-an-ip", "10.3.0.09", "")
+        ]
         summary = geolocate_report(records, tz_db)
-        assert summary.unresolved == 1
+        assert summary.unresolved == 4
 
     def test_longest_prefix_wins(self, tz_db):
         records = [standard_record("10.3.3.9", 40_000_000, 18_000_000, tz=5.0)]
