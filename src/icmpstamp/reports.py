@@ -26,6 +26,11 @@ from icmpstamp.results import ResultRecord
 from icmpstamp.textfile import parse_lines
 from icmpstamp.wire import TimestampMessage
 
+# ``error_histogram`` reads these for each outcome, as module names: on
+# Python 3.11 and older, a lookup on an Enum class costs several global reads.
+_STANDARD = ProbeKind.STANDARD
+_CLEAN = TamperVerdict.CLEAN
+
 
 def error_histogram(
     records: list[ResultRecord],
@@ -44,9 +49,9 @@ def error_histogram(
     diffs = []
     for rec in records:
         for outcome in rec.outcomes:
-            if outcome.probe.kind is not ProbeKind.STANDARD:
+            if outcome.probe.kind is not _STANDARD:
                 continue
-            if outcome.reply is None or outcome.tamper is not TamperVerdict.CLEAN:
+            if outcome.reply is None or outcome.tamper is not _CLEAN:
                 continue
             diff = circular_diff(
                 outcome.reply.recv_ts % DAY_MS, outcome.probe.message.orig_ts

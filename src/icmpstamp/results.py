@@ -20,12 +20,21 @@ the program; here they become ISO text in the record's one UTC offset,
 local whole second is made once and cached.
 
 Reading a line is a trust boundary.  Message fields, ``round`` and
-``duplicate_replies`` must be integers (not booleans or floats), target,
-vantage and flags strings, ``send_time`` and ``arrival`` ISO instants
-with a UTC offset, the same offset for every instant of a record,
-``tz_offset`` null or a finite number, and every enum value one the
-program defines; anything else is a ``ValueError`` that
-``read_records`` reports as ``path:line: bad record``.
+``duplicate_replies`` must be integers (not booleans or floats), with
+``duplicate_replies`` not negative and each message field in the range
+``TimestampMessage`` accepts, target, vantage and flags strings,
+``send_time`` and ``arrival`` ISO instants with a UTC offset, the same
+offset for every instant of a record, ``tz_offset`` null or a finite
+number, and every enum value one the program defines; anything else is a
+``ValueError`` that ``read_records`` reports as ``path:line: bad record``.
+
+A record is checked in one pass over its fields, and each object is
+built once, with ``tuple.__new__``, after its fields pass.  A message's
+eight fields are accepted by one test of their types and ranges; only a
+message that fails it goes through the ``TimestampMessage`` constructor,
+which names the first bad field.  A probe's kind and tamper verdict map
+through dicts; the functions that word the error for a bad value run
+only on one.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from icmpstamp.classify import (
     Timekeeping,
 )
 from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
-from icmpstamp.wire import TimestampMessage
+from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
 
 
 class ResultRecord(NamedTuple):
@@ -175,6 +184,17 @@ _impl_class = _by_value(ImplClass)
 _timekeeping = _by_value(Timekeeping)
 _correctness = _by_value(Correctness)
 
+# The per-probe loop maps values through these; the functions above only
+# word the error for a value not in them.
+_KINDS = {m.value: m for m in ProbeKind}
+_TAMPERS = {None: None, **{m.value: m for m in TamperVerdict}}
+# Builds a NamedTuple from its fields, as ``wire.decode`` does, once they
+# are checked.
+_new = tuple.__new__
+# What ``tz`` holds in ``record_from_dict`` before the record's first
+# instant: not None, which is a naive instant's zone.
+_NO_INSTANT = object()
+
 
 def _int(value, key: str) -> int:
     if type(value) is not int:
@@ -189,11 +209,22 @@ def _str(value, key: str) -> str:
 
 
 def _message_from_dict(d: dict) -> TimestampMessage:
-    fields = (d["type"], d["code"], d["checksum"], d["id"],
-              d["seq"], d["orig"], d["recv"], d["xmit"])
+    fields = icmp_type, code, checksum, ident, seq, orig, recv, xmit = (
+        d["type"], d["code"], d["checksum"], d["id"], d["seq"], d["orig"], d["recv"], d["xmit"]
+    )
+    # Every field an int (a chain of ``is``: all eight types are ``int``),
+    # and in range as ``TimestampMessage.__post_init__`` tests it.
+    if (
+        type(icmp_type) is type(code) is type(checksum) is type(ident) is type(seq)
+        is type(orig) is type(recv) is type(xmit) is int
+        and (icmp_type == TIMESTAMP_REQUEST or icmp_type == TIMESTAMP_REPLY)
+        and not (code >> 8 or (checksum | ident | seq) >> 16 or (orig | recv | xmit) >> 32)
+    ):
+        return _new(TimestampMessage, fields)
     for value in fields:
         if type(value) is not int:
             raise ValueError(f"message fields must be integers, got {value!r}")
+    # Raises, naming the first field out of range.
     return TimestampMessage(*fields)
 
 
@@ -221,48 +252,63 @@ def fingerprint_from_dict(d: dict) -> Fingerprint:
     )
 
 
+def _record_zone(key: str, text: str, zone, tz):
+    """``zone``, the offset of a record's first instant; raises for any
+    other instant not in ``tz``, the offset of those before it."""
+    # A naive instant would be read in the machine's local zone.
+    if zone is None:
+        raise ValueError(f"{key} must carry a UTC offset, got {text!r}")
+    if tz is not _NO_INSTANT:
+        raise ValueError(f"{key} {text!r} is not in the record's UTC offset {tz}")
+    return zone
+
+
 def record_from_dict(d: dict) -> ResultRecord:
     target = _str(d["target"], "target")
-    tz = None
-
-    def instant_us(text, key: str) -> int:
-        nonlocal tz
-        instant = datetime.fromisoformat(text)
-        # A naive instant would be read in the machine's local zone.
-        if instant.tzinfo is None:
-            raise ValueError(f"{key} must carry a UTC offset, got {text!r}")
-        if tz is None:
-            tz = instant.tzinfo
-        elif instant.tzinfo != tz:
-            raise ValueError(f"{key} {text!r} is not in the record's UTC offset {tz}")
-        return (instant - _EPOCH) // _US
-
+    tz = _NO_INSTANT
     outcomes = []
     for entry in d["probes"]:
-        probe = ProbeRecord(
-            _probe_kind(entry["kind"]),
-            target,
-            instant_us(entry["send_time"], "send_time"),
-            _message_from_dict(entry["request"]),
-            _int(entry["round"], "round"),
-        )
+        kind = entry["kind"]
+        try:
+            kind = _KINDS[kind]
+        except (KeyError, TypeError):
+            _probe_kind(kind)
+        text = entry["send_time"]
+        instant = datetime.fromisoformat(text)
+        zone = instant.tzinfo
+        if zone is not tz and zone != tz:
+            tz = _record_zone("send_time", text, zone, tz)
+        send_time = (instant - _EPOCH) // _US
+        request = _message_from_dict(entry["request"])
+        round_no = entry["round"]
+        if type(round_no) is not int:
+            raise ValueError(f"round must be an integer, got {round_no!r}")
         reply, arrival, tamper = entry["reply"], entry["arrival"], entry["tamper"]
-        outcomes.append(
-            ProbeOutcome(
-                probe,
-                None if reply is None else _message_from_dict(reply),
-                None if arrival is None else instant_us(arrival, "arrival"),
-                None if tamper is None else _tamper(tamper),
-            )
-        )
-    return ResultRecord(
-        target,
-        _str(d["vantage"], "vantage"),
-        tuple(outcomes),
-        fingerprint_from_dict(d["fingerprint"]),
-        _int(d["duplicate_replies"], "duplicate_replies"),
-        timezone.utc if tz is None else tz,
-    )
+        if reply is not None:
+            reply = _message_from_dict(reply)
+        if arrival is not None:
+            instant = datetime.fromisoformat(arrival)
+            zone = instant.tzinfo
+            if zone is not tz and zone != tz:
+                tz = _record_zone("arrival", arrival, zone, tz)
+            arrival = (instant - _EPOCH) // _US
+        try:
+            tamper = _TAMPERS[tamper]
+        except (KeyError, TypeError):
+            _tamper(tamper)
+        outcomes.append(_new(ProbeOutcome, (
+            _new(ProbeRecord, (kind, target, send_time, request, round_no)),
+            reply, arrival, tamper,
+        )))
+    vantage = _str(d["vantage"], "vantage")
+    fingerprint = fingerprint_from_dict(d["fingerprint"])
+    duplicates = _int(d["duplicate_replies"], "duplicate_replies")
+    if duplicates < 0:
+        raise ValueError(f"duplicate_replies must not be negative, got {duplicates}")
+    return _new(ResultRecord, (
+        target, vantage, tuple(outcomes), fingerprint, duplicates,
+        timezone.utc if tz is _NO_INSTANT else tz,
+    ))
 
 
 def record_from_line(line: str) -> ResultRecord:
@@ -270,12 +316,15 @@ def record_from_line(line: str) -> ResultRecord:
 
 
 def write_records(path, records) -> int:
-    """Stream records to ``path``; returns how many were written."""
+    """Stream records to ``path``; returns how many were written.
+
+    The file is buffered: the records of ``classify`` and ``merge`` are
+    all read already.  A live scan flushes each record itself.
+    """
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(record_to_line(rec) + "\n")
-            fh.flush()
             count += 1
     return count
 

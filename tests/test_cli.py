@@ -236,6 +236,14 @@ class TestClassifyCommand:
             r.fingerprint for r in read_records(out)
         ]
 
+    def test_in_place_classify_keeps_the_bytes(self, scanned):
+        # The whole input is read before --out is opened, so one file may
+        # be both, and at the scan's margin it is written back as read.
+        _, out = scanned
+        before = out.read_bytes()
+        assert main(["classify", "--in", str(out), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == before
+
     def test_margin_beyond_policy_bound_is_config_error(self, scanned):
         tmp_path, out = scanned
         re_out = tmp_path / "re.jsonl"

@@ -305,6 +305,7 @@ ILL_TYPED = {
     "round_list": (("probes", 0, "round"), [0]),
     "duplicate_replies_string": (("duplicate_replies",), "1"),
     "duplicate_replies_list": (("duplicate_replies",), [1]),
+    "duplicate_replies_negative": (("duplicate_replies",), -3),
     "target_int": (("target",), 167_772_161),
     "fingerprint_target_null": (("fingerprint", "target"), None),
     "vantage_null": (("vantage",), None),
@@ -338,15 +339,82 @@ def test_ill_typed_field_is_a_bad_record(tmp_path, case):
     ("seq", 1 << 16, "seq out of 16-bit range: 65536"),
     ("orig", -1, "orig_ts out of 32-bit range: -1"),
     ("type", 8, "icmp_type must be 13 or 14, got 8"),
+    ("type", True, "message fields must be integers, got True"),
 ])
 def test_message_field_out_of_range_is_a_bad_record(tmp_path, field, value, error):
     # A message read from a file is checked as its constructor checks it.
+    for message in ("request", "reply"):
+        d = json.loads(record_to_line(sample_record()))
+        d["probes"][0][message][field] = value
+        path = tmp_path / "out.jsonl"
+        path.write_text(json.dumps(d) + "\n")
+        with pytest.raises(ValueError, match=f"out.jsonl:1: bad record: {error}$"):
+            read_records(path)
+
+
+def former_message_from_dict(d):
+    """How a message was read before the one-pass check: every field's
+    type, then the constructor's range checks."""
+    fields = (d["type"], d["code"], d["checksum"], d["id"],
+              d["seq"], d["orig"], d["recv"], d["xmit"])
+    for value in fields:
+        if type(value) is not int:
+            raise ValueError(f"message fields must be integers, got {value!r}")
+    return TimestampMessage(*fields)
+
+
+MESSAGE_KEYS = ("type", "code", "checksum", "id", "seq", "orig", "recv", "xmit")
+MESSAGE_BITS = (8, 8, 16, 16, 16, 32, 32, 32)
+# Ints out of range for some or all fields, and values of every other
+# type JSON reads.
+ODD_FIELDS = (
+    st.sampled_from([-1, 1 << 8, 1 << 16, 1 << 32, True, False, None, "", "13"]) | st.floats()
+)
+
+
+def assert_message_read_as_before(message, m):
+    """``m`` as the record's first ``message`` reads as the former reader
+    read it: the same message, or a ``ValueError`` with the same text."""
     d = json.loads(record_to_line(sample_record()))
-    d["probes"][0]["reply"][field] = value
-    path = tmp_path / "out.jsonl"
-    path.write_text(json.dumps(d) + "\n")
-    with pytest.raises(ValueError, match=f"out.jsonl:1: bad record: {error}$"):
-        read_records(path)
+    d["probes"][0][message] = m
+    line = json.dumps(d)
+    try:
+        expected = former_message_from_dict(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            record_from_line(line)
+        assert str(raised.value) == str(exc)
+    else:
+        outcome = record_from_line(line).outcomes[0]
+        got = outcome.probe.message if message == "request" else outcome.reply
+        assert type(got) is TimestampMessage and got == expected
+
+
+@st.composite
+def message_dicts(draw):
+    """A message's fields, each in its bit range, with up to two replaced by
+    odd values; the type is often, but not always, 13 or 14."""
+    fields = [draw(st.integers(0, (1 << bits) - 1)) for bits in MESSAGE_BITS]
+    fields[0] = draw(st.sampled_from([13, 14]) | st.integers(0, 0xFF))
+    for i in draw(st.lists(st.integers(0, 7), max_size=2)):
+        fields[i] = draw(ODD_FIELDS)
+    return dict(zip(MESSAGE_KEYS, fields))
+
+
+@given(st.sampled_from(["request", "reply"]), message_dicts())
+def test_message_check_accepts_what_the_constructor_accepts(message, m):
+    assert_message_read_as_before(message, m)
+
+
+def test_message_check_rejects_each_odd_field_alone():
+    # A check that misses one field's type or range shows only when that
+    # field alone is odd, which random draws seldom make.
+    valid = dict(zip(MESSAGE_KEYS, (13, 0, 0xFFFF, 0xFFFF, 0xFFFF, 2**32 - 1, 0, 0)))
+    for message in ("request", "reply"):
+        assert_message_read_as_before(message, valid)
+        for key, bits in zip(MESSAGE_KEYS, MESSAGE_BITS):
+            for value in (-1, 1 << bits, True, 1.0, "1", None):
+                assert_message_read_as_before(message, {**valid, key: value})
 
 
 @pytest.mark.parametrize("value", ["zalgo", ["standard"], None])
