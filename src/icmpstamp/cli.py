@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 2 configuration error (bad flags or input files),
 3 transport failure mid-scan, 4 missing privilege for raw sockets.
+
+``classify`` uses one process per CPU it may run on, each classifying a
+contiguous share of the input's lines of at least ``shares.MIN_SHARE``
+lines (see ``shares``).  Its output bytes and error texts do not depend on
+the number of processes.  It runs in a single process for an input too
+small for two shares, on one usable CPU, while another thread is running,
+and where ``os.fork`` or ``os.sched_getaffinity`` does not exist.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ import argparse
 import logging
 import sys
 
-from icmpstamp import reports, results
+from icmpstamp import reports, results, shares
 from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
 from icmpstamp.clock import OffsetTable
 from icmpstamp.engine import ScanConfig, make_transport, run_scan
@@ -70,18 +77,34 @@ def _policy_and_table(args) -> tuple[CorrectnessPolicy, OffsetTable]:
     return policy, table
 
 
+def _classify_share(path, lines, first_lineno, policy, table) -> str:
+    """The records on ``lines`` (undecoded lines of ``path``, the first
+    numbered ``first_lineno``) classified again, as the text to write."""
+    return "".join([
+        results.record_to_line(
+            rec._replace(
+                fingerprint=fingerprint_observation(
+                    results.observation_from_record(rec), policy, table
+                )
+            )
+        ) + "\n"
+        for rec in results.records_in(path, lines, first_lineno)
+    ])
+
+
 def _cmd_classify(args) -> int:
     policy, table = _policy_and_table(args)
-    records = results.read_records(args.input)
-    reclassified = [
-        rec._replace(
-            fingerprint=fingerprint_observation(
-                results.observation_from_record(rec), policy, table
-            )
-        )
-        for rec in records
-    ]
-    count = results.write_records(args.out, reclassified)
+    with open(args.input, "rb") as fh:
+        lines = fh.readlines()
+    texts = shares.run(
+        lambda share, start: _classify_share(args.input, share, start + 1, policy, table),
+        lines,
+    )
+    # Written only once every line is classified: a bad line leaves --out
+    # as it was, and --out may be --in.
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(texts)
+    count = sum(text.count("\n") for text in texts)
     print(f"reclassified {count} records into {args.out}")
     return EXIT_OK
 

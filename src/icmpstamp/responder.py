@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address
 
@@ -84,6 +84,9 @@ class BehaviorConfig:
     loss_rate: float = 0.0
     stuck_value: int | None = None
     tamper: str | None = None
+    # The clock's lead over UTC in microseconds, its error and its zone
+    # together: every reply reads the clock, and this sum is made once.
+    _lead_us: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.units not in ("ms", "s", "epoch"):
@@ -95,8 +98,10 @@ class BehaviorConfig:
             raise ValueError(f"stuck_value outside 32 bits: {self.stuck_value}")
         if self.tamper not in _TAMPER_MODES:
             raise ValueError(f"tamper must be one of {_TAMPER_MODES}: {self.tamper}")
+        lead_ms = self.clock_error_ms
         if self.tz_offset_hours is not None:
-            offset_millis(self.tz_offset_hours)  # validates the half-hour grid
+            lead_ms += offset_millis(self.tz_offset_hours)  # validates the half-hour grid
+        object.__setattr__(self, "_lead_us", lead_ms * 1000)
 
         cls = self.impl_class
         if cls is ImplClass.TIMEZONE and self.tz_offset_hours is None:
@@ -118,9 +123,7 @@ class BehaviorConfig:
 
 def _clock_value(cfg: BehaviorConfig, instant_us: int) -> int:
     """The host clock reading in the configured units, offsets applied."""
-    local = instant_us + cfg.clock_error_ms * 1000
-    if cfg.tz_offset_hours is not None:
-        local += offset_millis(cfg.tz_offset_hours) * 1000
+    local = instant_us + cfg._lead_us
     if cfg.units == "ms":
         return ms_since_utc_midnight(local)
     if cfg.units == "s":

@@ -22,11 +22,14 @@ local whole second is made once and cached.
 Reading a line is a trust boundary.  Message fields, ``round`` and
 ``duplicate_replies`` must be integers (not booleans or floats), with
 ``duplicate_replies`` not negative and each message field in the range
-``TimestampMessage`` accepts, target, vantage and flags strings,
-``send_time`` and ``arrival`` ISO instants with a UTC offset, the same
-offset for every instant of a record, ``tz_offset`` null or a finite
-number, and every enum value one the program defines; anything else is a
-``ValueError`` that ``read_records`` reports as ``path:line: bad record``.
+``TimestampMessage`` accepts, a standard request's originate timestamp
+below ``DAY_MS`` (classification and the PMF report read it as a time of
+day), target, vantage and flags strings, ``send_time`` and ``arrival``
+ISO instants with a UTC offset, the same offset for every instant of a
+record, ``tz_offset`` null or a finite number, and every enum value one
+the program defines; anything else is a ``ValueError`` that
+``records_in`` reports as ``path:line: bad record``.  So a bad record
+fails on its own line, not later in classification or a report.
 
 A record is checked in one pass over its fields, and each object is
 built once, with ``tuple.__new__``, after its fields pass.  A message's
@@ -53,6 +56,7 @@ from icmpstamp.classify import (
     ImplClass,
     Timekeeping,
 )
+from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
 
@@ -188,6 +192,7 @@ _correctness = _by_value(Correctness)
 # word the error for a value not in them.
 _KINDS = {m.value: m for m in ProbeKind}
 _TAMPERS = {None: None, **{m.value: m for m in TamperVerdict}}
+_STANDARD = ProbeKind.STANDARD
 # Builds a NamedTuple from its fields, as ``wire.decode`` does, once they
 # are checked.
 _new = tuple.__new__
@@ -280,6 +285,10 @@ def record_from_dict(d: dict) -> ResultRecord:
             tz = _record_zone("send_time", text, zone, tz)
         send_time = (instant - _EPOCH) // _US
         request = _message_from_dict(entry["request"])
+        if kind is _STANDARD and request.orig_ts >= DAY_MS:
+            raise ValueError(
+                f"a standard request's orig must be below {DAY_MS}, got {request.orig_ts}"
+            )
         round_no = entry["round"]
         if type(round_no) is not int:
             raise ValueError(f"round must be an integer, got {round_no!r}")
@@ -329,19 +338,27 @@ def write_records(path, records) -> int:
     return count
 
 
-def read_records(path) -> list[ResultRecord]:
-    records = []
+def records_in(path, lines, first_lineno: int = 1):
+    """The record on each non-blank line of ``lines``, the undecoded lines of
+    ``path`` from line ``first_lineno`` on, in order.
+
+    A bad line raises ``ValueError("<path>:<line>: bad record: <reason>")``.
+    """
     # Not ``textfile.parse_lines``: a JSON line may hold "#".  Each line is
     # decoded on its own so an undecodable byte is reported on its line.
+    for lineno, raw in enumerate(lines, first_lineno):
+        if not raw.strip():
+            continue
+        try:
+            record = record_from_line(raw.decode("utf-8"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
+        yield record
+
+
+def read_records(path) -> list[ResultRecord]:
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                records.append(record_from_line(raw.decode("utf-8")))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
-    return records
+        return list(records_in(path, fh))
 
 
 def observation_from_record(rec: ResultRecord) -> HostObservation:

@@ -226,6 +226,22 @@ class TestScanCommand:
         assert code == EXIT_PRIVILEGE
 
 
+OUT_OF_DAY_ERROR = (
+    f"bad record: a standard request's orig must be below {DAY_MS}, got 90000000"
+)
+
+
+def write_out_of_day_originate(path) -> None:
+    """Give the standard request of ``path``'s second record an originate
+    beyond the day."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    (standard,) = [p for p in rec["probes"] if p["kind"] == "standard"]
+    standard["request"]["orig"] = 90_000_000
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestClassifyCommand:
     def test_reclassify_round_trip(self, scanned):
         tmp_path, out = scanned
@@ -287,6 +303,17 @@ class TestClassifyCommand:
         assert capsys.readouterr().err.startswith(f"error: {out}:2: bad record: {key} must carry")
         assert re_out.read_bytes() == b"oldbytes\n"
 
+    def test_out_of_day_originate_is_a_bad_record(self, scanned, capsys):
+        # It used to fail the whole file with no line named.
+        tmp_path, out = scanned
+        write_out_of_day_originate(out)
+        re_out = tmp_path / "re.jsonl"
+        re_out.write_bytes(b"oldbytes\n")
+        code = main(["classify", "--in", str(out), "--out", str(re_out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {out}:2: {OUT_OF_DAY_ERROR}\n"
+        assert re_out.read_bytes() == b"oldbytes\n"
+
     def test_custom_offsets_file(self, scanned, tmp_path):
         _, out = scanned
         offsets = tmp_path / "offsets.txt"
@@ -341,6 +368,15 @@ class TestReportCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "bin_start_ms\tprobability"
         assert len(lines) > 1
+
+    def test_pmf_out_of_day_originate_is_a_bad_record(self, scanned, capsys):
+        _, out = scanned
+        write_out_of_day_originate(out)
+        code = main(["report", "pmf", "--in", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}:2: {OUT_OF_DAY_ERROR}\n"
 
     def test_pmf_exclude_correct(self, scanned, capsys):
         _, out = scanned

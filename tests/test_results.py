@@ -19,6 +19,7 @@ from icmpstamp.classify import (
     Timekeeping,
     fingerprint_observation,
 )
+from icmpstamp.clock import DAY_MS
 from icmpstamp.engine import ScanConfig, run_scan
 from icmpstamp.probes import (
     ProbeKind,
@@ -183,9 +184,18 @@ awkward = st.characters() | st.sampled_from(
 texts = st.text(awkward, max_size=8)
 u16 = st.integers(0, 0xFFFF)
 u32 = st.integers(0, 0xFFFFFFFF)
-messages = st.builds(
-    TimestampMessage, st.sampled_from([13, 14]), st.integers(0, 0xFF), u16, u16, u16, u32, u32, u32
-)
+
+
+def messages_with(orig):
+    return st.builds(
+        TimestampMessage, st.sampled_from([13, 14]), st.integers(0, 0xFF), u16, u16, u16,
+        orig, u32, u32,
+    )
+
+
+messages = messages_with(u32)
+# The reader refuses a standard request whose originate is not a time of day.
+standard_requests = messages_with(st.integers(0, DAY_MS - 1))
 offsets = st.builds(
     lambda minutes: timezone(timedelta(minutes=minutes)), st.integers(-23 * 60 - 59, 23 * 60 + 59)
 )
@@ -205,8 +215,9 @@ def records(draw):
     target = draw(texts)
     outcomes = []
     for _ in range(draw(st.integers(0, 5))):
-        probe = ProbeRecord(draw(st.sampled_from(ProbeKind)), target, draw(instants),
-                            draw(messages), draw(st.integers(0, 3)))
+        kind = draw(st.sampled_from(ProbeKind))
+        request = draw(standard_requests if kind is ProbeKind.STANDARD else messages)
+        probe = ProbeRecord(kind, target, draw(instants), request, draw(st.integers(0, 3)))
         if draw(st.booleans()):
             outcomes.append(ProbeOutcome(probe))
         else:
@@ -340,14 +351,20 @@ def test_ill_typed_field_is_a_bad_record(tmp_path, case):
     ("orig", -1, "orig_ts out of 32-bit range: -1"),
     ("type", 8, "icmp_type must be 13 or 14, got 8"),
     ("type", True, "message fields must be integers, got True"),
+    ("orig", DAY_MS, f"a standard request's orig must be below {DAY_MS}, got {DAY_MS}"),
 ])
 def test_message_field_out_of_range_is_a_bad_record(tmp_path, field, value, error):
     # A message read from a file is checked as its constructor checks it.
+    # Probe 0 is the standard probe: its request's originate, but not its
+    # reply's, must also be a time of day.
     for message in ("request", "reply"):
         d = json.loads(record_to_line(sample_record()))
         d["probes"][0][message][field] = value
         path = tmp_path / "out.jsonl"
         path.write_text(json.dumps(d) + "\n")
+        if error.startswith("a standard request's") and message == "reply":
+            assert len(read_records(path)) == 1
+            continue
         with pytest.raises(ValueError, match=f"out.jsonl:1: bad record: {error}$"):
             read_records(path)
 
@@ -373,10 +390,14 @@ ODD_FIELDS = (
 
 
 def assert_message_read_as_before(message, m):
-    """``m`` as the record's first ``message`` reads as the former reader
-    read it: the same message, or a ``ValueError`` with the same text."""
+    """``m`` as the bad-clock probe's ``message`` reads as the former reader
+    read it: the same message, or a ``ValueError`` with the same text.
+
+    Not the standard probe's: its request's originate must also be a time
+    of day."""
     d = json.loads(record_to_line(sample_record()))
-    d["probes"][0][message] = m
+    assert d["probes"][1]["kind"] == "bad_clock"
+    d["probes"][1][message] = m
     line = json.dumps(d)
     try:
         expected = former_message_from_dict(m)
@@ -385,7 +406,7 @@ def assert_message_read_as_before(message, m):
             record_from_line(line)
         assert str(raised.value) == str(exc)
     else:
-        outcome = record_from_line(line).outcomes[0]
+        outcome = record_from_line(line).outcomes[1]
         got = outcome.probe.message if message == "request" else outcome.reply
         assert type(got) is TimestampMessage and got == expected
 
