@@ -1,11 +1,12 @@
 """Scan engine tests: pacing, matching, determinism, failure handling."""
 
 import hashlib
+import itertools
 import logging
 import random
 import re
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address
 from pathlib import Path
 
@@ -117,6 +118,22 @@ class ChaosTransport(RecordingTransport):
         return item
 
 
+class OversleepingTransport(RecordingTransport):
+    """Wakes ``late_us`` late from its ``late_call``-th ``sleep_until`` (from 0)."""
+
+    def __init__(self, inner, late_call, late_us):
+        super().__init__(inner)
+        self.late_call = late_call
+        self.late_us = late_us
+        self.sleeps = 0
+
+    def sleep_until(self, instant):
+        if self.sleeps == self.late_call:
+            instant += self.late_us
+        self.sleeps += 1
+        self.inner.sleep_until(instant)
+
+
 class CountingTransport(RecordingTransport):
     """Counts the engine's clock reads and receives."""
 
@@ -213,6 +230,33 @@ class TestRateLimiter:
         late = START_US + 5_000_000
         limiter.mark_sent(late)
         assert limiter.next_slot() == late + 10_000
+
+
+class TestPacing:
+    # 100 pps is a whole number of milliseconds per send, so the receive
+    # waits of an idle simulated network end exactly on each slot.
+    INTERVAL = 10_000
+
+    def test_idle_sends_are_one_interval_apart(self, tmp_path):
+        addrs = [f"10.0.11.{i}" for i in range(1, 9)]
+        _, transport, _ = run_simple_scan(tmp_path, addrs, {}, rate_pps=100, seed=4)
+        round_one = [t for t, _, _ in transport.sent[: 3 * len(addrs)]]
+        assert round_one[0] == START_US
+        assert [b - a for a, b in zip(round_one, round_one[1:])] == [self.INTERVAL] * (
+            len(round_one) - 1
+        )
+
+    def test_late_send_moves_the_next_send(self, tmp_path):
+        addrs = [f"10.0.12.{i}" for i in range(1, 9)]
+        late = 5_000_000
+        _, transport, _ = run_simple_scan(
+            tmp_path, addrs, {}, rate_pps=100, seed=4,
+            transport_cls=lambda net: OversleepingTransport(net, 6, late),
+        )
+        times = [t for t, _, _ in transport.sent]
+        assert times[5] == START_US + 5 * self.INTERVAL
+        assert times[6] == times[5] + self.INTERVAL + late
+        assert times[7] == times[6] + self.INTERVAL
 
 
 def run_simple_scan(tmp_path, addrs, hosts, *, transport_cls=RecordingTransport,
@@ -520,3 +564,96 @@ def test_demo_records_hold_exact_full_length_tuples(tmp_path):
                 assert type(value) is cls
                 assert len(value) == len(cls._fields)
     assert answered and unanswered
+
+
+# The drawn-fleet sweep: its own seed and fleet maker, so that no change to
+# the benchmark's fleets can move its pin.
+SWEEP_SEED = 20131
+SWEEP_RATES = (37, 200, 1000)
+SWEEP_GAPS_MS = (1000, 3000)
+SWEEP_TIMEOUTS_MS = (1000, 5000)
+SWEEP_LOSSES = (0.0, 0.25, 0.5)
+SWEEP_TAMPERS = (None, None, None, None, "orig_ts", "id_seq", "source")
+SWEEP_SHA256 = "b2c103312ec7b2674cbd3a30183e6a76c6892844754cdf1325d0f6d205bad948"
+
+
+def draw_host(rng) -> BehaviorConfig:
+    impl = rng.choice(list(ImplClass))
+    tz = rng.randrange(-24, 29) / 2 if impl is ImplClass.TIMEZONE else None
+    return BehaviorConfig(
+        impl,
+        tz_offset_hours=tz,
+        units=rng.choice(("ms", "ms", "ms", "s", "epoch")),
+        clock_error_ms=rng.choice((0, 0, 120, -2500)),
+        latency_ms=rng.randrange(400),
+        jitter_ms=rng.choice((0, 0, 20, 150)),
+        loss_rate=rng.choice(SWEEP_LOSSES),
+        stuck_value=rng.getrandbits(32) if impl is ImplClass.STUCK else None,
+        tamper=rng.choice(SWEEP_TAMPERS),
+    )
+
+
+def draw_fleet(rng) -> tuple[list[str], dict[str, BehaviorConfig], dict]:
+    """8-24 distinct targets, about one in seven silent, and the ``@network``
+    settings."""
+    addrs = [
+        f"10.{a >> 16}.{a >> 8 & 255}.{a & 255}"
+        for a in rng.sample(range(1 << 24), rng.randint(8, 24))
+    ]
+    hosts = {a: draw_host(rng) for a in addrs if rng.random() < 6 / 7}
+    net = {
+        "latency_ms": rng.randrange(100),
+        "jitter_ms": rng.choice((0, 5, 40)),
+        "loss_rate": rng.choice(SWEEP_LOSSES),
+        "seed": rng.getrandbits(32),
+        "start": START + timedelta(milliseconds=rng.randrange(DAY_MS)),
+    }
+    return addrs, hosts, net
+
+
+def test_drawn_fleet_sweep_bytes_are_pinned(tmp_path):
+    # 20 drawn fleets, each scanned at every rate, gap and timeout below,
+    # under per-host and network loss, latency and jitter; every third
+    # scan's transport fails at a drawn send, alternately in round one and
+    # in round two.  The bytes pin the
+    # schedule, matching and the records kept when a scan is cut off.
+    rng = random.Random(SWEEP_SEED)
+    lines = []
+    drawn = Counter()
+    for fleet in range(20):
+        addrs, hosts, net = draw_fleet(rng)
+        targets = write_targets(tmp_path, addrs)
+        drawn.update(hosts[a].impl_class for a in hosts)
+        drawn.update(("tamper", hosts[a].tamper) for a in hosts)
+        drawn.update(("loss", hosts[a].loss_rate) for a in hosts)
+        drawn[("loss", net["loss_rate"])] += 1
+        grid = itertools.product(SWEEP_RATES, SWEEP_GAPS_MS, SWEEP_TIMEOUTS_MS)
+        for run, (rate, gap, timeout) in enumerate(grid):
+            cfg = ScanConfig(
+                targets_path=targets, rate_pps=rate, inter_round_gap_ms=gap,
+                timeout_ms=timeout, seed=rng.getrandbits(16), vantage=f"f{fleet}r{run}",
+            )
+            sim = SimNetwork(hosts, **net)
+            n = len(addrs)
+            if run % 3:
+                transport = sim
+            elif (fleet + run // 3) % 2:
+                transport = FailingTransport(sim, 3 * n + rng.randrange(n))
+                drawn["fail round two"] += 1
+            else:
+                transport = FailingTransport(sim, rng.randrange(1, 3 * n))
+                drawn["fail round one"] += 1
+            scan = run_scan(cfg, transport)
+            try:
+                lines += map(record_to_line, scan)
+            except TransportError:
+                assert transport is not sim
+            else:
+                assert transport is sim
+    # What the sweep claims to cover, it drew.
+    assert set(ImplClass) <= set(drawn)
+    assert {("tamper", t) for t in SWEEP_TAMPERS} <= set(drawn)
+    assert {("loss", x) for x in SWEEP_LOSSES} <= set(drawn)
+    assert drawn["fail round one"] == drawn["fail round two"] == 40
+    assert len(lines) == 1913
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_SHA256
