@@ -20,13 +20,23 @@ import sys
 from icmpstamp import reports, results, shares
 from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
 from icmpstamp.clock import OffsetTable
-from icmpstamp.engine import ScanConfig, make_transport, run_scan
-from icmpstamp.transport import PrivilegeError, TransportError
+from icmpstamp.engine import ScanConfig, run_scan
+from icmpstamp.responder import SimNetwork
+from icmpstamp.transport import PrivilegeError, RawTransport, TransportError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_PRIVILEGE = 4
+
+
+def make_transport(spec: str):
+    """Build a transport from its CLI spelling: ``raw`` or ``sim:<fixture>``."""
+    if spec == "raw":
+        return RawTransport()
+    if spec.startswith("sim:"):
+        return SimNetwork.from_file(spec[4:])
+    raise ValueError(f"unknown transport {spec!r}; use 'raw' or 'sim:<fixture path>'")
 
 
 def _cmd_scan(args) -> int:

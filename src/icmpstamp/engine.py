@@ -1,15 +1,16 @@
 """Scan orchestration: target ingestion, pacing, reply matching, emission.
 
-The engine sends all four requests to every target, in two rounds: the
-standard, bad-clock, and bad-checksum requests first, then the
-duplicate-timestamp request, a configurable gap after the target's
-standard request so elapsed time is measurable.  Round one's global send
-order is a seeded pseudo-random permutation so probes spread across
-networks in time; round two takes the targets in the order of their first
-round-one probe.
+The engine sends all four requests to every target from one schedule:
+first a seeded pseudo-random permutation of every target's standard,
+bad-clock and bad-checksum requests, so probes spread across networks in
+time; then each target's duplicate-timestamp request, in the order of the
+target's first probe, no earlier than a configurable gap after its
+standard request so elapsed time is measurable.  Pacing: after each send,
+the next may go out one interval (1 s / rate, rounded up to a whole µs)
+after the later of the previous send's slot and its actual send time.
 
 One logical sender and one logical receiver interleave on the transport:
-between rate-limited sends the engine drains arriving replies.  A reply
+between paced sends the engine drains arriving replies.  A reply
 is matched only against the probes sent to its own source, at most four,
 in send order: the first unanswered probe with the reply's (id, seq), or
 else the first unanswered probe with its originate timestamp.  Replies
@@ -19,8 +20,10 @@ Each target keeps the probes sent to it and, beside each, the outcome
 bound to it: a ``ProbeOutcome`` is built once per probe, when a reply is
 bound or, for a probe left unanswered, when the target's record is made.
 A target with no answered probe is skipped before it is classified.
-"""
 
+The engine knows a transport only by the contract in ``transport``; the
+CLI builds the transport a scan runs on.
+"""
 from __future__ import annotations
 
 import logging
@@ -43,10 +46,9 @@ from icmpstamp.probes import (
     make_standard,
     verify_reply,
 )
-from icmpstamp.responder import SimNetwork
 from icmpstamp.results import ResultRecord
 from icmpstamp.textfile import parse_lines
-from icmpstamp.transport import RawTransport, TransportError
+from icmpstamp.transport import TransportError
 from icmpstamp.wire import TIMESTAMP_REPLY
 
 log = logging.getLogger(__name__)
@@ -103,24 +105,6 @@ def load_targets(path) -> list[str]:
     return list(dict.fromkeys(parse_lines(path, _parse_target)))
 
 
-class RateLimiter:
-    """Spaces sends so no 1-second window ever holds more than rate_pps.
-
-    Instants are microseconds since the Unix epoch.
-    """
-
-    def __init__(self, rate_pps: int, start_us: int):
-        self._interval = math.ceil(1_000_000 / rate_pps)
-        self._next_at = start_us
-
-    def next_slot(self) -> int:
-        return self._next_at
-
-    def mark_sent(self, sent_at: int) -> None:
-        base = self._next_at if self._next_at > sent_at else sent_at
-        self._next_at = base + self._interval
-
-
 class _TargetState:
     __slots__ = ("probes", "bound", "standard_sent", "duplicate_replies")
 
@@ -130,15 +114,6 @@ class _TargetState:
         self.bound: list[ProbeOutcome | None] = []
         self.standard_sent: int | None = None
         self.duplicate_replies = 0
-
-
-def make_transport(spec: str):
-    """Build a transport from its CLI spelling: ``raw`` or ``sim:<fixture>``."""
-    if spec == "raw":
-        return RawTransport()
-    if spec.startswith("sim:"):
-        return SimNetwork.from_file(spec[4:])
-    raise ValueError(f"unknown transport {spec!r}; use 'raw' or 'sim:<fixture path>'")
 
 
 def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
@@ -156,10 +131,10 @@ def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
 def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultRecord]:
     rng = random.Random(cfg.seed)
 
-    round_one = [(t, k) for t in targets for k in _ROUND_ONE_ORDER]
-    rng.shuffle(round_one)
+    schedule = [(t, k) for t in targets for k in _ROUND_ONE_ORDER]
+    rng.shuffle(schedule)
     # Each target's duplicate, in the order of its first round-one probe.
-    round_two = dict.fromkeys(t for t, _ in round_one)
+    schedule += [(t, _DUPLICATE) for t in dict.fromkeys(t for t, _ in schedule)]
 
     state: dict[str, _TargetState] = {t: _TargetState() for t in targets}
     unmatched = 0
@@ -230,43 +205,35 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             return make_bad_checksum(dest, now, rng)
         return make_duplicate(dest, now)
 
-    limiter = RateLimiter(cfg.rate_pps, transport.now())
+    # No 1-second window holds more than rate_pps sends.
+    interval = math.ceil(1_000_000 / cfg.rate_pps)
+    gap = cfg.inter_round_gap_ms * 1000
+    next_slot = transport.now()
     last_send: int | None = None
     aborted: TransportError | None = None
 
-    def dispatch(dest: str, kind: ProbeKind) -> None:
-        nonlocal last_send, sent_count
-        now = transport.now()
-        probe = build_probe(kind, dest, now)
-        transport.send(dest, wire.encode(probe.message))
-        sent_count += 1
-        st = state[dest]
-        st.probes.append(probe)
-        st.bound.append(None)
-        # The duplicate is timed from the standard probe.
-        if kind is _STANDARD:
-            st.standard_sent = now
-        last_send = now
-        limiter.mark_sent(now)
-
     try:
-        for dest, kind in round_one:
-            slot = limiter.next_slot()
+        for dest, kind in schedule:
+            st = state[dest]
+            slot = next_slot
+            if kind is _DUPLICATE:
+                # The standard probe went out earlier in the schedule.
+                due = st.standard_sent + gap
+                if due > slot:
+                    slot = due
             pump_until(slot)
             transport.sleep_until(slot)
-            dispatch(dest, kind)
-
-        gap = cfg.inter_round_gap_ms * 1000
-        for dest in round_two:
-            slot = limiter.next_slot()
-            # Round one finished before this loop began (an abort skips
-            # it), so every target's standard probe has been sent.
-            due = state[dest].standard_sent + gap
-            if due > slot:
-                slot = due
-            pump_until(slot)
-            transport.sleep_until(slot)
-            dispatch(dest, _DUPLICATE)
+            now = transport.now()
+            probe = build_probe(kind, dest, now)
+            transport.send(dest, wire.encode(probe.message))
+            sent_count += 1
+            st.probes.append(probe)
+            st.bound.append(None)
+            # The duplicate is timed from the standard probe.
+            if kind is _STANDARD:
+                st.standard_sent = now
+            last_send = now
+            next_slot = (next_slot if next_slot > now else now) + interval
 
         if last_send is not None:
             pump_until(last_send + cfg.timeout_ms * 1000)

@@ -206,11 +206,13 @@ class TestScanCommand:
     def test_unknown_transport_is_config_error(self, tmp_path):
         targets = tmp_path / "t.txt"
         targets.write_text("192.0.2.1\n")
+        out = tmp_path / "o.jsonl"
         code = main([
-            "scan", "--targets", str(targets), "--out", str(tmp_path / "o.jsonl"),
+            "scan", "--targets", str(targets), "--out", str(out),
             "--transport", "smoke-signals",
         ])
         assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_privilege_error_exit_code(self, tmp_path, monkeypatch):
         def denied(*args, **kwargs):
@@ -224,6 +226,18 @@ class TestScanCommand:
             "--transport", "raw",
         ])
         assert code == EXIT_PRIVILEGE
+
+
+class TestMakeTransport:
+    def test_sim_spec(self, tmp_path):
+        fixture = tmp_path / "hosts.txt"
+        fixture.write_text("192.0.2.1 lazy\n")
+        transport = cli.make_transport(f"sim:{fixture}")
+        assert isinstance(transport, SimNetwork)
+
+    def test_unknown_spec(self):
+        with pytest.raises(ValueError):
+            cli.make_transport("carrier-pigeon")
 
 
 OUT_OF_DAY_ERROR = (

@@ -18,14 +18,7 @@ from builders import epoch_us, former_verify_reply
 from icmpstamp import wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
-from icmpstamp.engine import (
-    RateLimiter,
-    ScanConfig,
-    _parse_target,
-    load_targets,
-    make_transport,
-    run_scan,
-)
+from icmpstamp.engine import ScanConfig, _parse_target, load_targets, run_scan
 from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
 from icmpstamp.responder import BehaviorConfig, SimNetwork
 from icmpstamp.results import read_records, record_to_line
@@ -216,20 +209,6 @@ class TestScanConfig:
         for value in (DAY_MS + 1, 10**20):
             with pytest.raises(ValueError, match=field):
                 ScanConfig(targets_path="x", **{field: value})
-
-
-class TestRateLimiter:
-    def test_slots_spaced_by_interval(self):
-        limiter = RateLimiter(100, START_US)
-        first = limiter.next_slot()
-        limiter.mark_sent(first)
-        assert limiter.next_slot() - first == 10_000
-
-    def test_late_send_pushes_next_slot(self):
-        limiter = RateLimiter(100, START_US)
-        late = START_US + 5_000_000
-        limiter.mark_sent(late)
-        assert limiter.next_slot() == late + 10_000
 
 
 class TestPacing:
@@ -470,18 +449,6 @@ def test_matching_on_a_hostile_network(tmp_path_factory, fleet, chaos_seed):
             bound_by_key += by_key
         # Every (id, seq)-matching copy beyond the one bound is a duplicate.
         assert rec.duplicate_replies == keyed[rec.target] - bound_by_key
-
-
-class TestMakeTransport:
-    def test_sim_spec(self, tmp_path):
-        fixture = tmp_path / "hosts.txt"
-        fixture.write_text("192.0.2.1 lazy\n")
-        transport = make_transport(f"sim:{fixture}")
-        assert isinstance(transport, SimNetwork)
-
-    def test_unknown_spec(self):
-        with pytest.raises(ValueError):
-            make_transport("carrier-pigeon")
 
 
 def test_mixed_behavior_fingerprints_match_configs(tmp_path):
