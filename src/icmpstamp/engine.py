@@ -122,8 +122,9 @@ def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
     The targets are read and checked before this returns, so a bad targets
     file raises here, before a probe is sent or an output is opened.  On
     transport failure the records gathered so far are still yielded, a
-    resume marker listing never-probed targets is written next to the
-    output path, and TransportError is raised after the final record.
+    resume marker listing every target whose duplicate request was not sent
+    is written next to the output path, and TransportError is raised after
+    the final record.
     """
     return _scan(cfg, transport, load_targets(cfg.targets_path))
 
@@ -239,7 +240,8 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             pump_until(last_send + cfg.timeout_ms * 1000)
     except (TransportError, OSError) as exc:
         aborted = exc if isinstance(exc, TransportError) else TransportError(str(exc))
-        _write_resume_marker(cfg, [t for t in targets if not state[t].probes])
+        # A target's duplicate is the last of its four probes.
+        _write_resume_marker(cfg, [t for t in targets if len(state[t].probes) < len(ProbeKind)])
         log.error("scan aborted: %s", exc)
 
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
@@ -269,8 +271,9 @@ def _write_resume_marker(cfg: ScanConfig, remaining: list[str]) -> None:
         return
     marker = str(cfg.output_path) + ".resume"
     with open(marker, "w", encoding="utf-8") as fh:
-        fh.write("# targets never probed before the transport failure;\n")
-        fh.write("# feed this file back via --targets to resume.\n")
+        fh.write("# targets whose probes were not all sent before the transport failure\n")
+        fh.write("# (any record of theirs is partial); feed this file back via --targets\n")
+        fh.write("# to probe them again.\n")
         for target in remaining:
             fh.write(target + "\n")
     log.info("wrote resume marker %s (%d targets)", marker, len(remaining))

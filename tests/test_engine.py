@@ -363,8 +363,8 @@ class TestScan:
         assert records == []
         assert any("unmatched" in message for message in caplog.messages)
 
-    def test_transport_failure_flushes_and_writes_resume(self, tmp_path):
-        addrs = [f"10.0.10.{i}" for i in range(1, 11)]
+    def failing_scan(self, tmp_path, addrs, fail_after):
+        """Records and resume-marker targets of a scan whose send fails."""
         out = tmp_path / "results.jsonl"
         cfg = ScanConfig(
             targets_path=write_targets(tmp_path, addrs),
@@ -373,19 +373,35 @@ class TestScan:
             seed=21,
         )
         net = SimNetwork(lazy_hosts(addrs), start=START)
-        transport = FailingTransport(net, fail_after=12)
+        transport = FailingTransport(net, fail_after=fail_after)
         records = []
         with pytest.raises(TransportError):
             for rec in run_scan(cfg, transport):
                 records.append(rec)
-        assert records  # partial results still emitted
         marker = tmp_path / "results.jsonl.resume"
-        assert marker.exists()
         remaining = [
             line for line in marker.read_text().splitlines() if not line.startswith("#")
         ]
-        probed = {dest for _, dest, _ in transport.sent}
-        assert set(remaining) == set(addrs) - probed
+        return transport, records, remaining
+
+    def test_transport_failure_flushes_and_writes_resume(self, tmp_path):
+        # Cut off in round one, no target has had its duplicate, so every
+        # target is listed: probed or not, its record would be partial.
+        addrs = [f"10.0.10.{i}" for i in range(1, 11)]
+        transport, records, remaining = self.failing_scan(tmp_path, addrs, 12)
+        assert records  # partial results still emitted
+        assert len({dest for _, dest, _ in transport.sent}) < len(addrs)
+        assert remaining == addrs
+
+    def test_round_two_failure_lists_targets_without_a_duplicate(self, tmp_path):
+        addrs = [f"10.0.10.{i}" for i in range(1, 11)]
+        transport, records, remaining = self.failing_scan(tmp_path, addrs, 3 * len(addrs) + 4)
+        with_duplicate = {
+            dest for _, dest, data in transport.sent
+            if (msg := wire.decode(data)).orig_ts == msg.recv_ts == msg.xmit_ts != 0
+        }
+        assert len(with_duplicate) == 4 and len(records) == len(addrs)
+        assert remaining == [a for a in addrs if a not in with_duplicate]
 
 
 # Even last octets, so a source-rewriting host (dest ^ 1) answers from an
