@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 configuration error (bad flags or input files),
 3 transport failure mid-scan, 4 missing privilege for raw sockets.
 
+``scan`` writes its records to a temporary file beside ``--out`` and
+moves it onto ``--out`` when the scan ends, after a transport failure
+too; any other exception, ``KeyboardInterrupt`` included, removes the
+temporary file and leaves ``--out`` as it was.
+
 ``classify`` uses one process per CPU it may run on, each classifying a
 contiguous share of the input's lines of at least ``shares.MIN_SHARE``
 lines (see ``shares``).  Its output bytes and error texts do not depend on
@@ -14,7 +19,9 @@ and where ``os.fork`` or ``os.sched_getaffinity`` does not exist.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
+import os
 import sys
 
 from icmpstamp import reports, results, shares
@@ -51,21 +58,32 @@ def _cmd_scan(args) -> int:
     )
     transport = make_transport(args.transport)
     written = 0
+    failure = None
     try:
         # Reads the targets, so a bad targets file leaves --out untouched.
         scan = run_scan(cfg, transport)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            try:
-                for record in scan:
-                    fh.write(results.record_to_line(record) + "\n")
-                    fh.flush()
-                    written += 1
-            except TransportError as exc:
-                print(f"transport failure: {exc} ({written} records flushed)",
-                      file=sys.stderr)
-                return EXIT_TRANSPORT
+        # Records go to a file beside --out that replaces it when the scan
+        # ends, so an interrupted scan leaves an earlier result as it was.
+        partial = f"{args.out}.{os.getpid()}.tmp"
+        try:
+            with open(partial, "w", encoding="utf-8") as fh:
+                try:
+                    for record in scan:
+                        fh.write(results.record_to_line(record) + "\n")
+                        fh.flush()
+                        written += 1
+                except TransportError as exc:
+                    failure = exc
+            os.replace(partial, args.out)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
+            raise
     finally:
         transport.close()
+    if failure is not None:
+        print(f"transport failure: {failure} ({written} records flushed)", file=sys.stderr)
+        return EXIT_TRANSPORT
     print(f"wrote {written} records to {args.out}")
     return EXIT_OK
 

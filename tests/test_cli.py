@@ -10,11 +10,12 @@ from types import SimpleNamespace
 import pytest
 
 from icmpstamp import cli
-from icmpstamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRIVILEGE, main
+from icmpstamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRIVILEGE, EXIT_TRANSPORT, main
 from icmpstamp.clock import DAY_MS
 from icmpstamp.engine import ScanConfig
 from icmpstamp.responder import SimNetwork
 from icmpstamp.results import read_records
+from icmpstamp.transport import TransportError
 
 FIXTURE = """\
 @network latency=8 jitter=4 seed=3 start=2018-10-06T09:13:27.296Z
@@ -226,6 +227,87 @@ class TestScanCommand:
             "--transport", "raw",
         ])
         assert code == EXIT_PRIVILEGE
+
+
+def failing_network(fixture, k, error):
+    """The network of ``fixture``, whose send ``k`` (from 0) raises ``error``."""
+    net = SimNetwork.from_file(fixture)
+    send, sends = net.send, iter(range(k))
+
+    def send_or_fail(dest, data):
+        if next(sends, None) is None:
+            raise error
+        send(dest, data)
+
+    net.send = send_or_fail
+    return net
+
+
+class TestScanOutput:
+    """--out is replaced only when a scan ends."""
+
+    def scan(self, tmp_path, monkeypatch, transport):
+        fixture = tmp_path / "hosts.txt"
+        fixture.write_text(FIXTURE)
+        targets = tmp_path / "targets.txt"
+        targets.write_text("".join(f"10.9.0.{i}\n" for i in range(1, 6)))
+        monkeypatch.setattr(cli, "make_transport", lambda spec: transport(fixture))
+        out = tmp_path / "old.jsonl"
+        out.write_bytes(b"oldbytes\n")
+        argv = ["scan", "--targets", str(targets), "--out", str(out), "--transport", "sim:x"]
+        return out, argv
+
+    def test_interrupt_at_a_send_keeps_the_earlier_output(self, tmp_path, monkeypatch):
+        out, argv = self.scan(
+            tmp_path, monkeypatch, lambda f: failing_network(f, 7, KeyboardInterrupt())
+        )
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert out.read_bytes() == b"oldbytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "old.jsonl", "targets.txt",
+        ]
+
+    def test_interrupt_after_some_records_keeps_the_earlier_output(
+        self, tmp_path, monkeypatch
+    ):
+        # Two records are already flushed to the temporary file.
+        lines = iter(range(2))
+
+        def record_to_line(record):
+            if next(lines, None) is None:
+                raise KeyboardInterrupt
+            return "{}"
+
+        monkeypatch.setattr(cli.results, "record_to_line", record_to_line)
+        out, argv = self.scan(tmp_path, monkeypatch, SimNetwork.from_file)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert out.read_bytes() == b"oldbytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "old.jsonl", "targets.txt",
+        ]
+
+    def test_transport_failure_keeps_partial_records_beside_the_marker(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Send 17 of 20 fails: every target has had its round-one probes,
+        # two of them their duplicates too.
+        out, argv = self.scan(
+            tmp_path, monkeypatch,
+            lambda f: failing_network(f, 17, TransportError("link down")),
+        )
+        assert main(argv) == EXIT_TRANSPORT
+        assert capsys.readouterr().err == "transport failure: link down (5 records flushed)\n"
+        records = read_records(out)
+        assert len(records) == 5
+        assert sorted(len(r.outcomes) for r in records) == [3, 3, 3, 4, 4]
+        marker = tmp_path / "old.jsonl.resume"
+        listed = [ln for ln in marker.read_text().splitlines() if not ln.startswith("#")]
+        assert listed == [r.target for r in records if len(r.outcomes) == 3]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "old.jsonl", "old.jsonl.resume", "targets.txt",
+        ]
 
 
 class TestMakeTransport:
