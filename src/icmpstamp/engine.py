@@ -24,6 +24,7 @@ A target with no answered probe is skipped before it is classified.
 The engine knows a transport only by the contract in ``transport``; the
 CLI builds the transport a scan runs on.
 """
+
 from __future__ import annotations
 
 import logging
@@ -271,9 +272,9 @@ def _write_resume_marker(cfg: ScanConfig, remaining: list[str]) -> None:
         return
     marker = str(cfg.output_path) + ".resume"
     with open(marker, "w", encoding="utf-8") as fh:
-        fh.write("# targets whose probes were not all sent before the transport failure\n")
-        fh.write("# (any record of theirs is partial); feed this file back via --targets\n")
-        fh.write("# to probe them again.\n")
+        fh.write("# targets whose duplicate-timestamp request was not sent before the\n")
+        fh.write("# transport failure (any record of theirs is partial); feed this file\n")
+        fh.write("# back via --targets to probe them again.\n")
         for target in remaining:
             fh.write(target + "\n")
     log.info("wrote resume marker %s (%d targets)", marker, len(remaining))
