@@ -246,7 +246,9 @@ def failing_network(fixture, k, error):
 class TestScanOutput:
     """--out is replaced only when a scan ends."""
 
-    def scan(self, tmp_path, monkeypatch, transport):
+    def prepare(self, tmp_path, monkeypatch, transport):
+        """``--out`` holding an earlier result, and the argv of a scan run on
+        ``transport(fixture)``."""
         fixture = tmp_path / "hosts.txt"
         fixture.write_text(FIXTURE)
         targets = tmp_path / "targets.txt"
@@ -258,7 +260,7 @@ class TestScanOutput:
         return out, argv
 
     def test_interrupt_at_a_send_keeps_the_earlier_output(self, tmp_path, monkeypatch):
-        out, argv = self.scan(
+        out, argv = self.prepare(
             tmp_path, monkeypatch, lambda f: failing_network(f, 7, KeyboardInterrupt())
         )
         with pytest.raises(KeyboardInterrupt):
@@ -280,7 +282,7 @@ class TestScanOutput:
             return "{}"
 
         monkeypatch.setattr(cli.results, "record_to_line", record_to_line)
-        out, argv = self.scan(tmp_path, monkeypatch, SimNetwork.from_file)
+        out, argv = self.prepare(tmp_path, monkeypatch, SimNetwork.from_file)
         with pytest.raises(KeyboardInterrupt):
             main(argv)
         assert out.read_bytes() == b"oldbytes\n"
@@ -293,7 +295,7 @@ class TestScanOutput:
     ):
         # Send 17 of 20 fails: every target has had its round-one probes,
         # two of them their duplicates too.
-        out, argv = self.scan(
+        out, argv = self.prepare(
             tmp_path, monkeypatch,
             lambda f: failing_network(f, 17, TransportError("link down")),
         )

@@ -598,8 +598,8 @@ def test_drawn_fleet_sweep_bytes_are_pinned(tmp_path):
     # 20 drawn fleets, each scanned at every rate, gap and timeout below,
     # under per-host and network loss, latency and jitter; every third
     # scan's transport fails at a drawn send, alternately in round one and
-    # in round two.  The bytes pin the
-    # schedule, matching and the records kept when a scan is cut off.
+    # in round two.  The bytes pin the schedule, matching and the records
+    # kept when a scan is cut off.
     rng = random.Random(SWEEP_SEED)
     lines = []
     drawn = Counter()
@@ -626,9 +626,9 @@ def test_drawn_fleet_sweep_bytes_are_pinned(tmp_path):
             else:
                 transport = FailingTransport(sim, rng.randrange(1, 3 * n))
                 drawn["fail round one"] += 1
-            scan = run_scan(cfg, transport)
             try:
-                lines += map(record_to_line, scan)
+                for record in run_scan(cfg, transport):
+                    lines.append(record_to_line(record))
             except TransportError:
                 assert transport is not sim
             else:
