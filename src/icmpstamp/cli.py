@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 configuration error (bad flags or input files),
 3 transport failure mid-scan, 4 missing privilege for raw sockets.
 
-``scan`` writes its records to a temporary file beside ``--out`` and
-moves it onto ``--out`` when the scan ends, after a transport failure
-too; any other exception, ``KeyboardInterrupt`` included, removes the
-temporary file and leaves ``--out`` as it was.
+Every output file is written whole through ``textfile.replacing``, or not
+at all.  ``scan`` replaces ``--out`` when the scan ends, after a transport
+failure too.  Only then does it remove an earlier ``<out>.resume`` and,
+after a transport failure, write this scan's.
 
 ``classify`` uses one process per CPU it may run on, each classifying a
 contiguous share of the input's lines of at least ``shares.MIN_SHARE``
@@ -24,10 +24,10 @@ import logging
 import os
 import sys
 
-from icmpstamp import reports, results, shares
+from icmpstamp import reports, results, shares, textfile
 from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
 from icmpstamp.clock import OffsetTable
-from icmpstamp.engine import ScanConfig, run_scan
+from icmpstamp.engine import ScanAborted, ScanConfig, run_scan
 from icmpstamp.responder import SimNetwork
 from icmpstamp.transport import PrivilegeError, RawTransport, TransportError
 
@@ -49,43 +49,38 @@ def make_transport(spec: str):
 def _cmd_scan(args) -> int:
     cfg = ScanConfig(
         targets_path=args.targets,
-        output_path=args.out,
         inter_round_gap_ms=args.gap_ms,
         rate_pps=args.rate,
         timeout_ms=args.timeout_ms,
         seed=args.seed,
         vantage=args.vantage,
     )
-    transport = make_transport(args.transport)
     written = 0
-    failure = None
-    try:
+    aborted = None
+    with contextlib.closing(make_transport(args.transport)) as transport:
         # Reads the targets, so a bad targets file leaves --out untouched.
         scan = run_scan(cfg, transport)
-        # Records go to a file beside --out that replaces it when the scan
-        # ends, so an interrupted scan leaves an earlier result as it was.
-        partial = f"{args.out}.{os.getpid()}.tmp"
-        try:
-            with open(partial, "w", encoding="utf-8") as fh:
-                try:
-                    for record in scan:
-                        fh.write(results.record_to_line(record) + "\n")
-                        fh.flush()
-                        written += 1
-                except TransportError as exc:
-                    failure = exc
-            os.replace(partial, args.out)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(partial)
-            raise
-    finally:
-        transport.close()
-    if failure is not None:
-        print(f"transport failure: {failure} ({written} records flushed)", file=sys.stderr)
-        return EXIT_TRANSPORT
-    print(f"wrote {written} records to {args.out}")
-    return EXIT_OK
+        with textfile.replacing(args.out) as fh:
+            try:
+                for record in scan:
+                    fh.write(results.record_to_line(record) + "\n")
+                    written += 1
+            except ScanAborted as exc:
+                aborted = exc
+    # --out holds this scan's records now, so no earlier marker may stay.
+    marker = f"{args.out}.resume"
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(marker)
+    if aborted is None:
+        print(f"wrote {written} records to {args.out}")
+        return EXIT_OK
+    with textfile.replacing(marker) as fh:
+        fh.write("# targets whose duplicate-timestamp request was not sent before the\n")
+        fh.write("# transport failure (any record of theirs is partial); feed this file\n")
+        fh.write("# back via --targets to probe them again.\n")
+        fh.writelines(target + "\n" for target in aborted.unsent)
+    print(f"transport failure: {aborted} ({written} records flushed)", file=sys.stderr)
+    return EXIT_TRANSPORT
 
 
 def _policy_and_table(args) -> tuple[CorrectnessPolicy, OffsetTable]:
@@ -130,7 +125,7 @@ def _cmd_classify(args) -> int:
     )
     # Written only once every line is classified: a bad line leaves --out
     # as it was, and --out may be --in.
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with textfile.replacing(args.out) as fh:
         fh.writelines(texts)
     count = sum(text.count("\n") for text in texts)
     print(f"reclassified {count} records into {args.out}")

@@ -22,7 +22,7 @@ bound or, for a probe left unanswered, when the target's record is made.
 A target with no answered probe is skipped before it is classified.
 
 The engine knows a transport only by the contract in ``transport``; the
-CLI builds the transport a scan runs on.
+CLI builds the transport a scan runs on and writes every file.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class ScanConfig:
     """Everything a scan run needs; the transport is supplied separately."""
 
     targets_path: str
-    output_path: str | None = None
     inter_round_gap_ms: int = 3000
     rate_pps: int = 100
     timeout_ms: int = 5000
@@ -106,6 +105,18 @@ def load_targets(path) -> list[str]:
     return list(dict.fromkeys(parse_lines(path, _parse_target)))
 
 
+class ScanAborted(TransportError):
+    """The transport failed mid-scan; raised after the scan's last record.
+
+    ``unsent`` lists, in targets-file order, every target whose duplicate
+    request was not sent (any record of theirs is partial).
+    """
+
+    def __init__(self, reason: str, unsent: list[str]):
+        super().__init__(reason)
+        self.unsent = unsent
+
+
 class _TargetState:
     __slots__ = ("probes", "bound", "standard_sent", "duplicate_replies")
 
@@ -122,10 +133,8 @@ def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
 
     The targets are read and checked before this returns, so a bad targets
     file raises here, before a probe is sent or an output is opened.  On
-    transport failure the records gathered so far are still yielded, a
-    resume marker listing every target whose duplicate request was not sent
-    is written next to the output path, and TransportError is raised after
-    the final record.
+    transport failure the records gathered so far are still yielded, and
+    ``ScanAborted`` is raised after the final record.
     """
     return _scan(cfg, transport, load_targets(cfg.targets_path))
 
@@ -212,7 +221,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
     gap = cfg.inter_round_gap_ms * 1000
     next_slot = transport.now()
     last_send: int | None = None
-    aborted: TransportError | None = None
+    aborted: Exception | None = None
 
     try:
         for dest, kind in schedule:
@@ -240,10 +249,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         if last_send is not None:
             pump_until(last_send + cfg.timeout_ms * 1000)
     except (TransportError, OSError) as exc:
-        aborted = exc if isinstance(exc, TransportError) else TransportError(str(exc))
-        # A target's duplicate is the last of its four probes.
-        _write_resume_marker(cfg, [t for t in targets if len(state[t].probes) < len(ProbeKind)])
-        log.error("scan aborted: %s", exc)
+        aborted = exc
 
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
              sent_count, unmatched)
@@ -264,17 +270,6 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         )
 
     if aborted is not None:
-        raise aborted
-
-
-def _write_resume_marker(cfg: ScanConfig, remaining: list[str]) -> None:
-    if cfg.output_path is None:
-        return
-    marker = str(cfg.output_path) + ".resume"
-    with open(marker, "w", encoding="utf-8") as fh:
-        fh.write("# targets whose duplicate-timestamp request was not sent before the\n")
-        fh.write("# transport failure (any record of theirs is partial); feed this file\n")
-        fh.write("# back via --targets to probe them again.\n")
-        for target in remaining:
-            fh.write(target + "\n")
-    log.info("wrote resume marker %s (%d targets)", marker, len(remaining))
+        # A target's duplicate is the last of its four probes.
+        unsent = [t for t in targets if len(state[t].probes) < len(ProbeKind)]
+        raise ScanAborted(str(aborted), unsent) from aborted

@@ -58,6 +58,7 @@ from icmpstamp.classify import (
 )
 from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
+from icmpstamp.textfile import replacing
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
 
 
@@ -325,13 +326,13 @@ def record_from_line(line: str) -> ResultRecord:
 
 
 def write_records(path, records) -> int:
-    """Stream records to ``path``; returns how many were written.
+    """Write records to ``path``; returns how many were written.
 
-    The file is buffered: the records of ``classify`` and ``merge`` are
-    all read already.  A live scan flushes each record itself.
+    ``path`` is replaced only once every record is written (see
+    ``textfile.replacing``), so it may be the file they were read from.
     """
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for rec in records:
             fh.write(record_to_line(rec) + "\n")
             count += 1

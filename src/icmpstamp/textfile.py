@@ -1,4 +1,5 @@
-"""The line format of every input file except result files (JSON lines).
+"""The line format of every input file except result files (JSON lines),
+and the one writer of every output file.
 
 UTF-8 text with one entry per line and any line ending: ``#`` starts a
 comment, surrounding whitespace is ignored and blank lines are skipped.
@@ -6,7 +7,9 @@ comment, surrounding whitespace is ignored and blank lines are skipped.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+import contextlib
+import os
+from typing import Callable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
 
@@ -36,3 +39,24 @@ def parse_lines(path, parse: Callable[[str], T]) -> list[T]:
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return parsed
+
+
+@contextlib.contextmanager
+def replacing(path) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces ``path`` when the block ends.
+
+    The text goes to ``<path>.<pid>.tmp`` beside ``path``, opened before the
+    block runs, so a directory that cannot take it fails first.  If the
+    block raises anything, ``KeyboardInterrupt`` included, the temporary
+    file is removed and ``path`` is left as it was.
+    """
+    partial = f"{path}.{os.getpid()}.tmp"
+    fh = open(partial, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise

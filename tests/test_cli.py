@@ -1,5 +1,6 @@
 """CLI surface: subcommands, file flows, exit codes."""
 
+import errno
 import hashlib
 import json
 import socket
@@ -135,7 +136,7 @@ class TestScanCommand:
         monkeypatch.setattr(cli, "run_scan", lambda cfg, _transport: built.append(cfg) or [])
         targets, out = str(tmp_path / "t.txt"), str(tmp_path / "o.jsonl")
         assert main(["scan", "--targets", targets, "--out", out]) == EXIT_OK
-        assert built == [ScanConfig(targets_path=targets, output_path=out)]
+        assert built == [ScanConfig(targets_path=targets)]
 
     def test_writes_records(self, scanned):
         _, out = scanned
@@ -311,6 +312,62 @@ class TestScanOutput:
             "hosts.txt", "old.jsonl", "old.jsonl.resume", "targets.txt",
         ]
 
+    def test_a_scan_that_ends_removes_an_earlier_marker(self, tmp_path, monkeypatch):
+        _, argv = self.prepare(
+            tmp_path, monkeypatch, lambda f: failing_network(f, 7, TransportError("link down"))
+        )
+        assert main(argv) == EXIT_TRANSPORT
+        assert (tmp_path / "old.jsonl.resume").exists()
+        self.prepare(tmp_path, monkeypatch, SimNetwork.from_file)
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "old.jsonl", "targets.txt",
+        ]
+
+    def test_a_failed_marker_write_leaves_no_earlier_marker(self, tmp_path, monkeypatch):
+        out, argv = self.prepare(
+            tmp_path, monkeypatch, lambda f: failing_network(f, 7, TransportError("link down"))
+        )
+        assert main(argv) == EXIT_TRANSPORT
+        replacing = cli.textfile.replacing
+
+        def replacing_but_the_marker(path):
+            if path.endswith(".resume"):
+                raise disk_full()
+            return replacing(path)
+
+        monkeypatch.setattr(cli.textfile, "replacing", replacing_but_the_marker)
+        self.prepare(
+            tmp_path, monkeypatch, lambda f: failing_network(f, 17, TransportError("link down"))
+        )
+        assert main(argv) == EXIT_CONFIG
+        assert len(read_records(out)) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "old.jsonl", "targets.txt",
+        ]
+
+    def test_interrupt_after_a_transport_failure_writes_no_marker(
+        self, tmp_path, monkeypatch
+    ):
+        # The marker describes the records in --out, so neither is written.
+        def record_to_line(record):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.results, "record_to_line", record_to_line)
+        out, argv = self.prepare(
+            tmp_path, monkeypatch, lambda f: failing_network(f, 7, TransportError("link down"))
+        )
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert out.read_bytes() == b"oldbytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "old.jsonl", "targets.txt",
+        ]
+
+
+def disk_full() -> OSError:
+    return OSError(errno.ENOSPC, "No space left on device")
+
 
 class TestMakeTransport:
     def test_sim_spec(self, tmp_path):
@@ -357,6 +414,23 @@ class TestClassifyCommand:
         before = out.read_bytes()
         assert main(["classify", "--in", str(out), "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == before
+
+    def test_failed_in_place_write_keeps_the_input(self, scanned, monkeypatch, capsys):
+        tmp_path, out = scanned
+        before = out.read_bytes()
+        run = cli.shares.run
+
+        def classify_then_fill_disk(job, lines):
+            yield run(job, lines)[0].splitlines(keepends=True)[0]
+            raise disk_full()
+
+        monkeypatch.setattr(cli.shares, "run", classify_then_fill_disk)
+        assert main(["classify", "--in", str(out), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {disk_full()}\n"
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "results.jsonl", "targets.txt",
+        ]
 
     def test_margin_beyond_policy_bound_is_config_error(self, scanned):
         tmp_path, out = scanned
@@ -549,6 +623,23 @@ class TestMergeCommand:
         for merged_rec, original in zip(merged, originals):
             assert merged_rec.fingerprint.classes == original.fingerprint.classes
             assert merged_rec.vantage == "lab+lab"
+
+    def test_failed_in_place_write_keeps_the_input(self, scanned, monkeypatch):
+        tmp_path, out = scanned
+        before = out.read_bytes()
+        to_line, lines = cli.results.record_to_line, iter(range(1))
+
+        def record_to_line(record):
+            if next(lines, None) is None:
+                raise disk_full()
+            return to_line(record)
+
+        monkeypatch.setattr(cli.results, "record_to_line", record_to_line)
+        assert main(["merge", str(out), str(out), "--out", str(out)]) == EXIT_CONFIG
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "results.jsonl", "targets.txt",
+        ]
 
 
 def test_python_dash_m_entry_point():

@@ -18,7 +18,7 @@ from builders import epoch_us, former_verify_reply
 from icmpstamp import wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
-from icmpstamp.engine import ScanConfig, _parse_target, load_targets, run_scan
+from icmpstamp.engine import ScanAborted, ScanConfig, _parse_target, load_targets, run_scan
 from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
 from icmpstamp.responder import BehaviorConfig, SimNetwork
 from icmpstamp.results import read_records, record_to_line
@@ -364,25 +364,19 @@ class TestScan:
         assert any("unmatched" in message for message in caplog.messages)
 
     def failing_scan(self, tmp_path, addrs, fail_after):
-        """Records and resume-marker targets of a scan whose send fails."""
-        out = tmp_path / "results.jsonl"
+        """Records and unsent targets of a scan whose send fails."""
         cfg = ScanConfig(
             targets_path=write_targets(tmp_path, addrs),
-            output_path=str(out),
             rate_pps=100,
             seed=21,
         )
         net = SimNetwork(lazy_hosts(addrs), start=START)
         transport = FailingTransport(net, fail_after=fail_after)
         records = []
-        with pytest.raises(TransportError):
+        with pytest.raises(ScanAborted) as aborted:
             for rec in run_scan(cfg, transport):
                 records.append(rec)
-        marker = tmp_path / "results.jsonl.resume"
-        remaining = [
-            line for line in marker.read_text().splitlines() if not line.startswith("#")
-        ]
-        return transport, records, remaining
+        return transport, records, aborted.value.unsent
 
     def test_transport_failure_flushes_and_writes_resume(self, tmp_path):
         # Cut off in round one, no target has had its duplicate, so every

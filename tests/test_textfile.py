@@ -1,4 +1,5 @@
-"""The shared input-line reader and the location of every input error."""
+"""The shared input-line reader, the location of every input error, and
+the one output writer."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from icmpstamp.probes import make_standard
 from icmpstamp.reports import load_capture, load_tz_db
 from icmpstamp.responder import load_behavior_file
 from icmpstamp.results import ResultRecord, read_records, record_to_line
-from icmpstamp.textfile import parse_lines
+from icmpstamp.textfile import parse_lines, replacing
 
 REQUEST_HEX = wire.encode(make_standard("192.0.2.1", at_ms(1000)).message).hex()
 RECORD_LINE = record_to_line(
@@ -103,3 +104,33 @@ def test_parse_lines_property(tmp_path_factory, lines, ending, last_ending, faul
         with pytest.raises(ValueError) as info:
             parse_lines(path, _reject_bad)
         assert str(info.value).startswith(f"{path}:{bad_at + 1}:")
+
+
+class TestReplacing:
+    def test_a_block_that_ends_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with replacing(path) as fh:
+            fh.write("new é\n")
+        assert path.read_bytes() == "new é\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError, ValueError])
+    def test_a_block_that_raises_keeps_the_file(self, tmp_path, error):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(error):
+            with replacing(path) as fh:
+                fh.write("new\n")
+                fh.flush()
+                raise error
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_missing_directory_fails_before_the_block(self, tmp_path):
+        ran = []
+        with pytest.raises(FileNotFoundError):
+            with replacing(tmp_path / "nope" / "out.txt"):
+                ran.append(True)
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
