@@ -82,15 +82,19 @@ class ChaosTransport(RecordingTransport):
     """Drops, duplicates and locally reorders replies; injects junk.
 
     Truncated copies of real replies and copies from an address outside
-    the target list ride along.  ``delivered`` lists every packet handed
-    to the engine; packets still held when the scan ends are lost.
+    the target list ride along.  With ``hostile``, so do copies with one
+    bit flipped, copies padded with zeros or with other bytes, other ICMP
+    types (echo reply, unreachable, echo request) and timestamp requests.
+    ``delivered`` lists every packet handed to the engine; packets still
+    held when the scan ends are lost.
     """
 
     OFF_TARGET = "198.18.0.1"
 
-    def __init__(self, inner, rng):
+    def __init__(self, inner, rng, hostile=False):
         super().__init__(inner)
         self.rng = rng
+        self.hostile = hostile
         self.held = []
         self.delivered = []
 
@@ -104,11 +108,35 @@ class ChaosTransport(RecordingTransport):
                 self.held.append((src, data[: self.rng.randrange(20)], arrival))
             if self.rng.random() < 0.2:
                 self.held.append((self.OFF_TARGET, data, arrival))
+            if self.hostile:
+                self.held.extend((src, junk, arrival) for junk in self.hostile_copies(data))
         if not self.held:
             return None
         item = self.held.pop(self.rng.randrange(min(2, len(self.held))))
         self.delivered.append(item)
         return item
+
+    def hostile_copies(self, data):
+        """Some of: ``data`` with a bit flipped, padded with zeros to an even
+        and to an odd length, padded with non-zero bytes, retyped as ICMP
+        0, 3 or 8, and repacked as a timestamp request."""
+        rng = self.rng
+        copies = []
+        if rng.random() < 0.3:
+            bit = rng.randrange(8 * len(data))
+            copies.append(bytes(b ^ (1 << bit % 8) * (i == bit // 8) for i, b in enumerate(data)))
+        if rng.random() < 0.3:
+            copies.append(data + bytes(2 * rng.randrange(1, 5)))
+        if rng.random() < 0.3:
+            copies.append(data + bytes(2 * rng.randrange(5) + 1))
+        if rng.random() < 0.3:
+            copies.append(data + bytes(rng.randrange(1, 256) for _ in range(rng.randrange(1, 9))))
+        if rng.random() < 0.3:
+            copies.append(bytes([rng.choice((0, 3, 8))]) + data[1:])
+        if rng.random() < 0.3:
+            _, _, _, ident, seq, orig, recv, xmit = wire.unpack_fields(data)
+            copies.append(wire.pack_message(wire.TIMESTAMP_REQUEST, ident, seq, orig, recv, xmit))
+        return copies
 
 
 class OversleepingTransport(RecordingTransport):
@@ -459,6 +487,90 @@ def test_matching_on_a_hostile_network(tmp_path_factory, fleet, chaos_seed):
             bound_by_key += by_key
         # Every (id, seq)-matching copy beyond the one bound is a duplicate.
         assert rec.duplicate_replies == keyed[rec.target] - bound_by_key
+
+
+class EngineLog(logging.Handler):
+    """Collects the engine's log messages while in a ``with`` block."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.messages = []
+        self.logger = logging.getLogger("icmpstamp.engine")
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        self.level = self.logger.level
+        self.logger.setLevel(logging.INFO)
+        self.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fleet=st.lists(
+        st.tuples(
+            st.sampled_from([None, ImplClass.LAZY, ImplClass.NORMAL,
+                             ImplClass.CHECKSUM_LAZY, ImplClass.REFLECTION]),
+            st.sampled_from([None, "orig_ts", "id_seq", "source"]),
+        ),
+        min_size=len(CHAOS_TARGETS),
+        max_size=len(CHAOS_TARGETS),
+    ),
+    chaos_seed=st.integers(0, 2**32 - 1),
+)
+def test_every_hostile_packet_is_counted_once(tmp_path_factory, fleet, chaos_seed):
+    # Each delivered packet ends in exactly one place: bound to a probe,
+    # counted as a duplicate reply, discarded (undecodable, bad checksum
+    # or unmatched), or ignored as a timestamp request.
+    hosts = {
+        addr: BehaviorConfig(impl, tamper=tamper, jitter_ms=30)
+        for addr, (impl, tamper) in zip(CHAOS_TARGETS, fleet)
+        if impl is not None
+    }
+    cfg = ScanConfig(
+        targets_path=write_targets(tmp_path_factory.mktemp("hostile"), CHAOS_TARGETS),
+        rate_pps=200, inter_round_gap_ms=1000, timeout_ms=1000, seed=chaos_seed,
+    )
+    transport = ChaosTransport(
+        SimNetwork(hosts, start=START), random.Random(chaos_seed), hostile=True
+    )
+    with EngineLog() as engine_log:
+        records = list(run_scan(cfg, transport))
+
+    (closing,) = [m for m in engine_log.messages if m.startswith("sent ")]
+    discarded = int(re.fullmatch(r"sent \d+ probes; discarded (\d+) .*", closing).group(1))
+    bound = sum(o.reply is not None for r in records for o in r.outcomes)
+    duplicates = sum(r.duplicate_replies for r in records)
+    requests = sum(
+        len(data) >= 20 and data[0] == wire.TIMESTAMP_REQUEST
+        for _, data, _ in transport.delivered
+    )
+    assert len(transport.delivered) == bound + duplicates + discarded + requests
+
+
+@pytest.mark.parametrize("pad", [1, 2, 5, 8])
+def test_zero_padded_replies_bind(tmp_path, pad):
+    # Zero bytes leave the ones'-complement sum as it was, at an even or an
+    # odd length, so a padded reply binds as the bare one does.
+    class Padding(RecordingTransport):
+        def receive(self, max_wait_ms):
+            item = self.inner.receive(max_wait_ms)
+            return item and (item[0], item[1] + bytes(pad), item[2])
+
+    addrs = [f"10.0.13.{i}" for i in range(1, 9)]
+    hosts = lazy_hosts(addrs[:6], jitter_ms=20)
+    _, _, bare = run_simple_scan(tmp_path, addrs, hosts, rate_pps=300, seed=23)
+    _, _, padded = run_simple_scan(
+        tmp_path, addrs, hosts, rate_pps=300, seed=23, transport_cls=Padding
+    )
+    assert len(bare) == 6
+    assert [record_to_line(r) for r in padded] == [record_to_line(r) for r in bare]
 
 
 def test_mixed_behavior_fingerprints_match_configs(tmp_path):
