@@ -127,6 +127,16 @@ class TestReplacing:
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o604], ids=oct)
+    def test_a_replaced_file_keeps_its_permission_bits(self, tmp_path, mode):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        path.chmod(mode)
+        with replacing(path) as fh:
+            fh.write("new\n")
+        assert path.stat().st_mode & 0o777 == mode
+        assert path.read_text() == "new\n"
+
     def test_a_missing_directory_fails_before_the_block(self, tmp_path):
         ran = []
         with pytest.raises(FileNotFoundError):
