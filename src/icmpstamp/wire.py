@@ -21,6 +21,12 @@ constructor checks every field and names the first out of range;
 ``decode`` and ``build_message``, whose fields are in range by
 construction, build it with ``tuple.__new__``, without the checks.
 
+Each packet of a scan passes through here once in each direction.
+``LAYOUT`` packs a crafted probe's fields straight to its image
+(``probes.craft``), and ``unpack_reply`` checks a received packet's
+length, type and checksum and reads its fields in one call, so the
+engine builds a ``TimestampMessage`` only for a reply it binds.
+
 The checksum and byte swap are plain Python.  Since 2**16 is 1 modulo
 0xFFFF, the sum of a buffer's 16-bit words is congruent to the buffer
 read as one integer, and a message's to the sum of its fields with the
@@ -39,7 +45,9 @@ TIMESTAMP_REQUEST = 13
 TIMESTAMP_REPLY = 14
 MESSAGE_LEN = 20
 
-_LAYOUT = struct.Struct("!BBHHHIII")
+# ``LAYOUT.pack(*fields)`` is the wire image of the eight fields in wire
+# order, the checksum emitted verbatim: ``encode`` without the message.
+LAYOUT = struct.Struct("!BBHHHIII")
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 # Builds a NamedTuple from a tuple of its fields without the class's own
@@ -61,6 +69,10 @@ class TruncatedMessage(WireError):
 
 class NotATimestamp(WireError):
     """ICMP type is neither timestamp request (13) nor reply (14)."""
+
+
+class BadChecksum(WireError):
+    """The ones'-complement sum over a whole reply does not verify."""
 
 
 def kernel_backend() -> str:
@@ -116,7 +128,7 @@ def encode(msg: TimestampMessage) -> bytes:
     The checksum field is emitted verbatim; callers decide whether it is
     valid (bad-checksum probes rely on this).
     """
-    return _LAYOUT.pack(*msg)
+    return LAYOUT.pack(*msg)
 
 
 def unpack_fields(buf) -> tuple[int, int, int, int, int, int, int, int]:
@@ -131,7 +143,28 @@ def unpack_fields(buf) -> tuple[int, int, int, int, int, int, int, int]:
     icmp_type = buf[0]
     if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
         raise NotATimestamp(f"ICMP type {icmp_type} is not a timestamp message")
-    return _LAYOUT.unpack_from(buf)
+    return LAYOUT.unpack_from(buf)
+
+
+def unpack_reply(buf) -> tuple[int, int, int, int, int, int, int, int] | None:
+    """The eight fields of the timestamp reply at the start of ``buf``, in
+    wire order, once every check on it holds; None for a timestamp request.
+
+    The checks run in this order: length (``TruncatedMessage`` below 20
+    bytes), type (``NotATimestamp`` for types other than 13 and 14, None
+    for 13), then the checksum over the whole buffer, padding included, as
+    ``verify_checksum`` sums it (``BadChecksum``).
+    """
+    if len(buf) < MESSAGE_LEN:
+        raise TruncatedMessage(f"need {MESSAGE_LEN} bytes, got {len(buf)}")
+    icmp_type = buf[0]
+    if icmp_type != TIMESTAMP_REPLY:
+        if icmp_type == TIMESTAMP_REQUEST:
+            return None
+        raise NotATimestamp(f"ICMP type {icmp_type} is not a timestamp message")
+    if _ones_complement_sum(buf) != _U16:
+        raise BadChecksum("checksum over the reply does not verify")
+    return LAYOUT.unpack_from(buf)
 
 
 def decode(buf) -> TimestampMessage:
@@ -226,7 +259,7 @@ def pack_message(
     if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
         raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")
     checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
-    return _LAYOUT.pack(icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
+    return LAYOUT.pack(icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
 
 
 def fill_checksum(msg: TimestampMessage) -> TimestampMessage:

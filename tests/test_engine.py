@@ -354,8 +354,8 @@ class TestScan:
 
     def test_one_clock_read_per_receive(self, tmp_path):
         # Each pump iteration reads the clock once; each send reads it twice
-        # (its pump's first check and its send time), plus the rate
-        # limiter's start and the final timeout pump.
+        # (its pump's first check and its send time), plus the read that
+        # sets the first slot and the final timeout pump.
         addrs = [f"10.0.8.{i}" for i in range(1, 13)]
         hosts = lazy_hosts(addrs[:9], jitter_ms=30)
         _, transport, records = run_simple_scan(

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from builders import at_ms, echo_reply, former_verify_reply
 from icmpstamp import wire
 from icmpstamp import probes
+from icmpstamp.clock import ms_since_utc_midnight
 from icmpstamp.probes import (
     ProbeKind,
+    ProbeRecord,
     TamperVerdict,
-    hash_id_seq,
     hash_orig,
     make_bad_checksum,
     make_bad_clock,
@@ -318,6 +319,57 @@ class TestVerifyReply:
             14, ident=ident, seq=seq, orig_ts=orig, recv_ts=11, xmit_ts=12
         )
         assert verify_reply(probe, flipped, DEST) is not TamperVerdict.CLEAN
+
+
+def former_probe(kind, dest, now, rng):
+    """The probe as the chain of calls before ``craft`` built it: hash with
+    the oracle, then a message with a valid checksum, or one drawn wrong."""
+    packed = IPv4Address(dest).packed
+    recv = 0
+    if kind is ProbeKind.BAD_CLOCK:
+        ident, seq = rng.getrandbits(16), rng.getrandbits(16)
+        orig = reference_low32(packed + ident.to_bytes(2, "big") + seq.to_bytes(2, "big"))
+    else:
+        orig = ms_since_utc_midnight(now)
+        low32 = reference_low32(packed + orig.to_bytes(4, "big"))
+        ident, seq = low32 >> 16, low32 & 0xFFFF
+        if kind is ProbeKind.DUPLICATE:
+            recv = orig
+    msg = wire.build_message(wire.TIMESTAMP_REQUEST, ident, seq, orig, recv, recv)
+    if kind is ProbeKind.BAD_CHECKSUM:
+        while True:
+            candidate = msg._replace(checksum=rng.getrandbits(16))
+            if not wire.verify_checksum(wire.encode(candidate)):
+                msg = candidate
+                break
+    return ProbeRecord(kind, dest, now, msg, 1 if kind is ProbeKind.DUPLICATE else 0)
+
+
+@given(
+    kind=st.sampled_from(ProbeKind),
+    dest=st.integers(0, 2**32 - 1).map(lambda n: str(IPv4Address(n))),
+    now=st.integers(0, 2**53),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_craft_is_the_probe_makers_and_the_encoder(kind, dest, now, seed):
+    ours, makers, former = (random.Random(seed) for _ in range(3))
+    probe, image = probes.craft(kind, dest, probes.dest_bytes(dest), now, ours)
+    if kind is ProbeKind.STANDARD:
+        made = make_standard(dest, now)
+    elif kind is ProbeKind.BAD_CLOCK:
+        made = make_bad_clock(dest, makers.getrandbits(16), makers.getrandbits(16), now)
+    elif kind is ProbeKind.BAD_CHECKSUM:
+        made = make_bad_checksum(dest, now, makers)
+    else:
+        made = make_duplicate(dest, now)
+    expected = former_probe(kind, dest, now, former)
+    assert probe == made == expected
+    assert type(probe) is ProbeRecord and type(probe.message) is wire.TimestampMessage
+    assert type(probe.round_no) is int
+    # The same draws, in the same order.
+    assert ours.getstate() == makers.getstate() == former.getstate()
+    assert image == wire.encode(probe.message)
+    assert wire.verify_checksum(image) is (kind is not ProbeKind.BAD_CHECKSUM)
 
 
 class TestDestBytes:

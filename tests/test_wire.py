@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from builders import reference_checksum
 from icmpstamp import wire
 from icmpstamp.wire import (
+    BadChecksum,
     NotATimestamp,
     build_message,
     TimestampMessage,
@@ -22,6 +23,7 @@ from icmpstamp.wire import (
     message_checksum,
     pack_message,
     unpack_fields,
+    unpack_reply,
     verify_checksum,
 )
 
@@ -142,6 +144,69 @@ class TestDecode:
             msg.icmp_type, msg.code, msg.checksum, msg.ident, msg.seq,
             msg.orig_ts, msg.recv_ts, msg.xmit_ts,
         )
+
+
+class TestUnpackReply:
+    REPLY = pack_message(14, 0x1234, 0x5678, 45_296_789, 45_296_800, 45_296_801)
+
+    def test_valid_reply_is_its_fields(self):
+        assert unpack_reply(self.REPLY) == unpack_fields(self.REPLY)
+
+    def test_request_is_none(self):
+        assert unpack_reply(pack_message(13, 1, 2, 3)) is None
+        assert unpack_reply(bytes([13]) + bytes(19)) is None  # whatever its checksum
+
+    def test_zero_padding_keeps_the_checksum(self):
+        for pad in range(1, 6):
+            assert unpack_reply(self.REPLY + bytes(pad)) == unpack_fields(self.REPLY)
+
+    def test_other_padding_is_summed(self):
+        with pytest.raises(BadChecksum):
+            unpack_reply(self.REPLY + b"\x01")
+
+    @pytest.mark.parametrize("icmp_type", [0, 3, 8, 15])
+    def test_other_types_are_not_timestamps(self, icmp_type):
+        with pytest.raises(NotATimestamp):
+            unpack_reply(bytes([icmp_type]) + self.REPLY[1:])
+
+    def test_short_buffer(self):
+        with pytest.raises(TruncatedMessage):
+            unpack_reply(self.REPLY[:19])
+
+    # Real replies with a tail, a flipped bit or either type are drawn
+    # beside random bytes, which seldom start with type 13 or 14.
+    @given(
+        st.one_of(
+            st.binary(max_size=48),
+            st.builds(
+                lambda m, tail, bit: bytes(
+                    b ^ (1 << bit % 8) * (i == bit // 8)
+                    for i, b in enumerate(encode(fill_checksum(m)) + tail)
+                ),
+                messages.map(lambda m: m._replace(code=0)),
+                st.one_of(st.just(b""), st.binary(max_size=8).map(lambda b: bytes(len(b))),
+                          st.binary(max_size=8)),
+                st.integers(0, 400),
+            ),
+        )
+    )
+    def test_is_decode_then_verify_checksum(self, buf):
+        # The one-pass check agrees with the two calls it stands for: decode
+        # (length, type), requests set aside, then the checksum.
+        try:
+            msg = decode(buf)
+        except WireError as exc:
+            with pytest.raises(type(exc)) as raised:
+                unpack_reply(buf)
+            assert str(raised.value) == str(exc)
+            return
+        if msg.icmp_type == 13:
+            assert unpack_reply(buf) is None
+        elif not verify_checksum(buf):
+            with pytest.raises(BadChecksum):
+                unpack_reply(buf)
+        else:
+            assert unpack_reply(buf) == tuple(msg)
 
 
 class TestInternetChecksum:
