@@ -49,16 +49,16 @@ def replacing(path) -> Iterator[TextIO]:
     block runs, so a directory that cannot take it fails first.  If the
     block raises anything, ``KeyboardInterrupt`` included, the temporary
     file is removed and ``path`` is left as it was.  A file that replaces
-    another takes its permission bits, so rewriting a private file keeps
-    it private.
+    another takes its permission bits, before anything is written to it,
+    so rewriting a private file keeps it private.
     """
     partial = f"{path}.{os.getpid()}.tmp"
     fh = open(partial, "w", encoding="utf-8")
     try:
         with fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(partial, os.stat(path).st_mode & 0o777)
             yield fh
-        with contextlib.suppress(FileNotFoundError):
-            os.chmod(partial, os.stat(path).st_mode & 0o777)
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

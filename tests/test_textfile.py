@@ -1,6 +1,8 @@
 """The shared input-line reader, the location of every input error, and
 the one output writer."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,8 @@ class TestReplacing:
         path.write_text("old\n")
         path.chmod(mode)
         with replacing(path) as fh:
+            # The bits are set before the first byte is written.
+            assert os.fstat(fh.fileno()).st_mode & 0o777 == mode
             fh.write("new\n")
         assert path.stat().st_mode & 0o777 == mode
         assert path.read_text() == "new\n"
