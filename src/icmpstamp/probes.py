@@ -120,13 +120,14 @@ def dest_bytes(dest: str) -> bytes:
 def craft(
     kind: ProbeKind, dest: str, packed: bytes, now: int, rng
 ) -> tuple[ProbeRecord, bytes]:
-    """The probe of ``kind`` sent to ``dest`` at ``now``, and its wire image.
+    """The probe of ``kind`` sent to ``dest`` at ``now``, and its 20-byte
+    wire image.
 
-    ``packed`` is ``dest_bytes(dest)``.  The record is the one the kind's
-    ``make_*`` function returns.  ``rng`` is drawn from as those functions
-    are given or draw their values: a bad-clock probe's id, then its
-    sequence number; a bad-checksum probe's checksum, redrawn until the
-    message fails verification.  The other kinds draw nothing.
+    ``packed`` is ``dest_bytes(dest)``.  ``rng`` gives what a kind draws,
+    in this order: a bad-clock probe's id, then its sequence number, from
+    which the originate timestamp is hashed; a bad-checksum probe's
+    checksum, redrawn until the message fails verification.  Standard and
+    duplicate probes draw nothing.
     """
     if kind is _BAD_CLOCK:
         ident = rng.getrandbits(16)
