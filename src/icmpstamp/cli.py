@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error (bad flags or input files),
-3 transport failure mid-scan, 4 missing privilege for raw sockets.
+3 transport failure mid-scan, 4 missing privilege for raw sockets.  An
+unhandled SIGTERM ends ``main`` as ``SystemExit(143)``, which, as Ctrl-C
+does, removes every temporary output file and keeps the files it replaces.
 
 Every output file is written whole through ``textfile.replacing``, or not
 at all.  ``scan`` replaces ``--out`` when the scan ends, after a transport
@@ -22,6 +24,7 @@ import argparse
 import contextlib
 import logging
 import os
+import signal
 import sys
 
 from icmpstamp import reports, results, shares, textfile
@@ -244,12 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    unhandled = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    if unhandled:
+        signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         return args.func(args)
     except PrivilegeError as exc:
@@ -261,6 +271,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if unhandled:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

@@ -10,11 +10,13 @@ the next may go out one interval (1 s / rate, rounded up to a whole µs)
 after the later of the previous send's slot and its actual send time.
 
 One logical sender and one logical receiver interleave on the transport:
-between paced sends the engine drains arriving replies.  A reply
-is matched only against the probes sent to its own source, at most four,
-in send order: the first unanswered probe with the reply's (id, seq), or
-else the first unanswered probe with its originate timestamp.  Replies
-that match no probe are logged, never bound.
+before each send the engine matches every reply ``receive(slot)``
+returns, and sends once it returns None, at the slot.  Every wait is the
+transport's: the engine reads the clock only for the first slot and each
+send time.  A reply is matched only against the probes sent to its own
+source, at most four, in send order: the first unanswered probe with the
+reply's (id, seq), or else the first unanswered probe with its originate
+timestamp.  Replies that match no probe are logged, never bound.
 
 Each packet takes one pass in each direction.  A target's address is
 packed to 4 bytes once, and each probe is one ``probes.craft`` call that
@@ -158,9 +160,7 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
     discarded = 0
     sent_count = 0
     # The transport's methods, looked up once per scan.
-    now_us, receive, send, sleep_until = (
-        transport.now, transport.receive, transport.send, transport.sleep_until
-    )
+    now_us, receive, send = transport.now, transport.receive, transport.send
 
     def bind(st: _TargetState, i: int, fields, arrival: int, src: str) -> None:
         probe = st.probes[i]
@@ -208,18 +208,6 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             discarded += 1
             log.info("unmatched reply from %s (id=%d seq=%d)", src, ident, seq)
 
-    def pump_until(deadline: int) -> None:
-        now = now_us()
-        while now < deadline:
-            # As ``math.ceil(timedelta.total_seconds() * 1000)``: the float
-            # rounds a few whole-millisecond waits up by one, and the result
-            # bytes depend on the wait.
-            wait_ms = max(1, math.ceil((deadline - now) / 1_000_000 * 1000))
-            item = receive(wait_ms)
-            if item is not None:
-                handle(*item)
-            now = now_us()
-
     # No 1-second window holds more than rate_pps sends.
     interval = math.ceil(1_000_000 / cfg.rate_pps)
     gap = cfg.inter_round_gap_ms * 1000
@@ -236,8 +224,8 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
                 due = st.standard_sent + gap
                 if due > slot:
                     slot = due
-            pump_until(slot)
-            sleep_until(slot)
+            while (item := receive(slot)) is not None:
+                handle(*item)
             now = now_us()
             probe, image = craft(kind, dest, st.packed, now, rng)
             send(dest, image)
@@ -251,7 +239,9 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             next_slot = (next_slot if next_slot > now else now) + interval
 
         if last_send is not None:
-            pump_until(last_send + cfg.timeout_ms * 1000)
+            deadline = last_send + cfg.timeout_ms * 1000
+            while (item := receive(deadline)) is not None:
+                handle(*item)
     except (TransportError, OSError) as exc:
         aborted = exc
 

@@ -167,11 +167,6 @@ class _Given:
         return next(self._values)
 
 
-def hash_orig(dest: str, ident: int, seq: int) -> int:
-    """Originate timestamp for a bad-clock probe with chosen (id, seq)."""
-    return make_bad_clock(dest, ident, seq, 0).message.orig_ts
-
-
 def make_standard(dest: str, now: int) -> ProbeRecord:
     """Correct originate timestamp, zeroed receive/transmit fields."""
     return craft(_STANDARD, dest, dest_bytes(dest), now, None)[0]

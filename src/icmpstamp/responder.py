@@ -10,15 +10,16 @@ responder would.
 
 SimNetwork glues configured hosts to a virtual clock and satisfies the
 scan engine's transport contract: ``send`` enqueues, ``receive`` yields
-``(src, bytes, arrival_us)`` after modeled latency, and everything is
-deterministic under a fixed seed.  Instants are integer microseconds since
-the Unix epoch, as everywhere in the pipeline.
+``(src, bytes, arrival_us)`` after modeled latency or None at its
+deadline, and everything is deterministic under a fixed seed.  Instants
+are integer microseconds since the Unix epoch, as everywhere.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -267,6 +268,7 @@ class SimNetwork:
         return self._now
 
     def sleep_until(self, instant_us: int) -> None:
+        """Move the virtual clock to ``instant_us``, never back."""
         if instant_us > self._now:
             self._now = instant_us
 
@@ -287,20 +289,23 @@ class SimNetwork:
         arrival = self._now + rtt_ms * 1000
         heapq.heappush(self._queue, (arrival, next(self._counter), src, reply))
 
-    def receive(self, max_wait_ms: int) -> tuple[str, bytes, int] | None:
-        """Next queued reply within ``max_wait_ms``, advancing the clock.
+    def receive(self, deadline_us: int) -> tuple[str, bytes, int] | None:
+        """Next queued reply, advancing the clock; None once it reaches
+        ``deadline_us``.
 
-        Returns (source, bytes, arrival instant) or None if nothing arrives
-        in the window; in that case the clock still advances by the full
-        window, mirroring a blocking socket timeout.
-        """
-        deadline = self._now + max_wait_ms * 1000
-        if self._queue and self._queue[0][0] <= deadline:
-            arrival, _, src, data = heapq.heappop(self._queue)
-            if arrival > self._now:
-                self._now = arrival
-            return src, data, arrival
-        self._now = deadline
+        Waits as a poll-style timeout does, in a window of whole ms: the
+        time left as ``math.ceil(seconds * 1000)`` rounds it, float and all,
+        so a few waits of 2 s or more end 1 ms late.  A reply arriving in
+        the window is returned, even past the deadline."""
+        now = self._now
+        while now < deadline_us:
+            window_end = now + math.ceil((deadline_us - now) / 1_000_000 * 1000) * 1000
+            if self._queue and self._queue[0][0] <= window_end:
+                arrival, _, src, data = heapq.heappop(self._queue)
+                if arrival > now:
+                    self._now = arrival
+                return src, data, arrival
+            now = self._now = window_end
         return None
 
     def close(self) -> None:

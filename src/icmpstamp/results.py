@@ -358,6 +358,9 @@ def records_in(path, lines, first_lineno: int = 1):
 
 
 def read_records(path) -> list[ResultRecord]:
+    """Every record of ``path``, as a list: the benchmark takes its
+    ``len()`` and reads it twice, so a streaming reader must be another
+    function (or ``records_in``)."""
     with open(path, "rb") as fh:
         return list(records_in(path, fh))
 

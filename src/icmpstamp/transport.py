@@ -4,8 +4,8 @@ Transport contract (shared with responder.SimNetwork):
 
 * ``now()`` -> int, microseconds since the Unix epoch (UTC)
 * ``send(dest, payload)`` -> None, payload is the bare ICMP message
-* ``receive(max_wait_ms)`` -> (src, icmp_bytes, arrival_us) or None
-* ``sleep_until(instant_us)`` -> None
+* ``receive(deadline_us)`` -> (src, icmp_bytes, arrival_us), or None only
+  once ``now()`` has reached ``deadline_us``
 * ``close()``
 * ``tz``: the fixed UTC offset, a ``datetime.timezone``, that the
   transport's instants are written in when a result file is made
@@ -19,7 +19,9 @@ needs no lock; ``SimNetwork`` has none and is not thread-safe.
 The raw transport needs CAP_NET_RAW (or root); constructing one without
 privilege raises PrivilegeError so callers can map it to a distinct exit
 code.  The kernel prepends the IP header on receive, so inbound packets
-are stripped before they reach the wire codec.
+are stripped before they reach the wire codec.  ``receive`` waits to the
+microsecond; a timeout that ends early or a datagram without a well-formed
+IPv4 header only resumes the wait.
 """
 
 from __future__ import annotations
@@ -68,31 +70,27 @@ class RawTransport:
     def now(self) -> int:
         return time.time_ns() // 1000
 
-    def sleep_until(self, instant_us: int) -> None:
-        delay_us = instant_us - self.now()
-        if delay_us > 0:
-            time.sleep(delay_us / 1_000_000)
-
     def send(self, dest: str, payload: bytes) -> None:
         try:
             self._sock.sendto(payload, (dest, 0))
         except OSError as exc:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
-    def receive(self, max_wait_ms: int) -> tuple[str, bytes, int] | None:
-        self._sock.settimeout(max(max_wait_ms, 1) / 1000.0)
-        try:
-            packet, addr = self._sock.recvfrom(65535)
-        except (TimeoutError, BlockingIOError):
-            return None
-        except OSError as exc:
-            raise TransportError(f"receive failed: {exc}") from exc
-        arrival = self.now()
-        try:
-            payload = strip_ip_header(packet)
-        except ValueError:
-            return None
-        return addr[0], payload, arrival
+    def receive(self, deadline_us: int) -> tuple[str, bytes, int] | None:
+        while (wait_us := deadline_us - self.now()) > 0:
+            self._sock.settimeout(wait_us / 1_000_000)
+            try:
+                packet, addr = self._sock.recvfrom(65535)
+            except (TimeoutError, BlockingIOError):
+                continue
+            except OSError as exc:
+                raise TransportError(f"receive failed: {exc}") from exc
+            arrival = self.now()
+            try:
+                return addr[0], strip_ip_header(packet), arrival
+            except ValueError:
+                continue
+        return None
 
     def close(self) -> None:
         self._sock.close()

@@ -18,8 +18,8 @@ transport layer.
 
 ``TimestampMessage`` is an immutable ``NamedTuple`` in wire order.  Its
 constructor checks every field and names the first out of range;
-``decode`` and ``build_message``, whose fields are in range by
-construction, build it with ``tuple.__new__``, without the checks.
+``decode``, whose fields are in range by construction, builds it with
+``tuple.__new__``, without the checks.
 
 Each packet of a scan passes through here once in each direction.
 ``LAYOUT`` packs a crafted probe's fields straight to its image
@@ -237,24 +237,14 @@ def message_checksum(
     return ~((total - 1) % _U16 + 1 if total else 0) & _U16
 
 
-def build_message(
-    icmp_type: int, ident: int, seq: int,
-    orig_ts: int, recv_ts: int = 0, xmit_ts: int = 0,
-) -> TimestampMessage:
-    """A code-0 message with a valid checksum, constructed once."""
-    if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
-        raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")
-    checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
-    return _new(TimestampMessage, (icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts))
-
-
 def pack_message(
     icmp_type: int, ident: int, seq: int,
     orig_ts: int, recv_ts: int = 0, xmit_ts: int = 0,
 ) -> bytes:
-    """The wire image of ``build_message``'s message, with no message built.
+    """The wire image of the code-0 message with these fields and a valid
+    checksum, with no message built.
 
-    Rejects what ``build_message`` rejects, with the same ``WireError``.
+    A field out of range raises the ``WireError`` the constructor would.
     """
     if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
         raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")

@@ -3,7 +3,11 @@
 import errno
 import hashlib
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
@@ -363,6 +367,72 @@ class TestScanOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "hosts.txt", "old.jsonl", "targets.txt",
         ]
+
+
+    def test_sigterm_at_a_send_keeps_the_earlier_output(self, tmp_path):
+        # In a process of its own, since SIGTERM unhandled would end pytest:
+        # send 7 of the scan signals the process.
+        fixture = tmp_path / "hosts.txt"
+        fixture.write_text(FIXTURE)
+        targets = tmp_path / "targets.txt"
+        targets.write_text("".join(f"10.9.0.{i}\n" for i in range(1, 6)))
+        out = tmp_path / "old.jsonl"
+        out.write_bytes(b"oldbytes\n")
+        script = (
+            "import os, signal, sys\n"
+            "from icmpstamp import cli\n"
+            "from icmpstamp.responder import SimNetwork\n"
+            "def make_transport(spec):\n"
+            "    net = SimNetwork.from_file(spec[4:])\n"
+            "    send, sends = net.send, iter(range(7))\n"
+            "    def send_or_terminate(dest, data):\n"
+            "        if next(sends, None) is None:\n"
+            "            os.kill(os.getpid(), signal.SIGTERM)\n"
+            "        send(dest, data)\n"
+            "    net.send = send_or_terminate\n"
+            "    return net\n"
+            "cli.make_transport = make_transport\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "scan", "--targets", str(targets),
+             "--out", str(out), "--transport", f"sim:{fixture}"],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 128 + signal.SIGTERM, done.stderr
+        assert out.read_bytes() == b"oldbytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hosts.txt", "old.jsonl", "targets.txt",
+        ]
+
+    def test_sigterm_handler_is_set_only_where_none_is_and_put_back(
+        self, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def transport(fixture):
+            seen.append(signal.getsignal(signal.SIGTERM))
+            return SimNetwork.from_file(fixture)
+
+        _, argv = self.prepare(tmp_path, monkeypatch, transport)
+
+        def own(*_):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            assert main(argv) == EXIT_OK
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            signal.signal(signal.SIGTERM, own)
+            assert main(argv) == EXIT_OK
+            assert signal.getsignal(signal.SIGTERM) is own
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert seen == [cli._exit_on_signal, own]
 
 
 def disk_full() -> OSError:

@@ -53,15 +53,12 @@ class RecordingTransport:
     def now(self):
         return self.inner.now()
 
-    def sleep_until(self, instant):
-        self.inner.sleep_until(instant)
-
     def send(self, dest, data):
         self.sent.append((self.inner.now(), dest, data))
         self.inner.send(dest, data)
 
-    def receive(self, max_wait_ms):
-        return self.inner.receive(max_wait_ms)
+    def receive(self, deadline):
+        return self.inner.receive(deadline)
 
     def close(self):
         self.inner.close()
@@ -85,8 +82,9 @@ class ChaosTransport(RecordingTransport):
     the target list ride along.  With ``hostile``, so do copies with one
     bit flipped, copies padded with zeros or with other bytes, other ICMP
     types (echo reply, unreachable, echo request) and timestamp requests.
-    ``delivered`` lists every packet handed to the engine; packets still
-    held when the scan ends are lost.
+    ``delivered`` lists every packet handed to the engine; a held packet
+    is handed over before the inner transport is asked for more, so none
+    is lost when the scan ends.
     """
 
     OFF_TARGET = "198.18.0.1"
@@ -98,9 +96,11 @@ class ChaosTransport(RecordingTransport):
         self.held = []
         self.delivered = []
 
-    def receive(self, max_wait_ms):
-        item = self.inner.receive(max_wait_ms)
-        if item is not None:
+    def receive(self, deadline):
+        while not self.held:
+            item = self.inner.receive(deadline)
+            if item is None:
+                return None
             src, data, arrival = item
             roll = self.rng.random()
             self.held.extend([item] * (0 if roll < 0.1 else 2 if roll < 0.3 else 1))
@@ -110,8 +110,6 @@ class ChaosTransport(RecordingTransport):
                 self.held.append((self.OFF_TARGET, data, arrival))
             if self.hostile:
                 self.held.extend((src, junk, arrival) for junk in self.hostile_copies(data))
-        if not self.held:
-            return None
         item = self.held.pop(self.rng.randrange(min(2, len(self.held))))
         self.delivered.append(item)
         return item
@@ -139,20 +137,21 @@ class ChaosTransport(RecordingTransport):
         return copies
 
 
-class OversleepingTransport(RecordingTransport):
-    """Wakes ``late_us`` late from its ``late_call``-th ``sleep_until`` (from 0)."""
+class LateWakingTransport(RecordingTransport):
+    """Its ``late_call``-th idle ``receive`` (from 0) returns ``late_us`` past
+    the deadline, as a receive on a busy host may."""
 
     def __init__(self, inner, late_call, late_us):
         super().__init__(inner)
         self.late_call = late_call
         self.late_us = late_us
-        self.sleeps = 0
+        self.idle = 0
 
-    def sleep_until(self, instant):
-        if self.sleeps == self.late_call:
-            instant += self.late_us
-        self.sleeps += 1
-        self.inner.sleep_until(instant)
+    def receive(self, deadline):
+        late = self.late_us if self.idle == self.late_call else 0
+        item = self.inner.receive(deadline + late)
+        self.idle += item is None
+        return item
 
 
 class CountingTransport(RecordingTransport):
@@ -167,9 +166,9 @@ class CountingTransport(RecordingTransport):
         self.now_calls += 1
         return self.inner.now()
 
-    def receive(self, max_wait_ms):
+    def receive(self, deadline):
         self.receive_calls += 1
-        return self.inner.receive(max_wait_ms)
+        return self.inner.receive(deadline)
 
 
 class TestLoadTargets:
@@ -241,7 +240,7 @@ class TestScanConfig:
 
 class TestPacing:
     # 100 pps is a whole number of milliseconds per send, so the receive
-    # waits of an idle simulated network end exactly on each slot.
+    # windows of an idle simulated network end exactly on each slot.
     INTERVAL = 10_000
 
     def test_idle_sends_are_one_interval_apart(self, tmp_path):
@@ -258,7 +257,7 @@ class TestPacing:
         late = 5_000_000
         _, transport, _ = run_simple_scan(
             tmp_path, addrs, {}, rate_pps=100, seed=4,
-            transport_cls=lambda net: OversleepingTransport(net, 6, late),
+            transport_cls=lambda net: LateWakingTransport(net, 6, late),
         )
         times = [t for t, _, _ in transport.sent]
         assert times[5] == START_US + 5 * self.INTERVAL
@@ -352,10 +351,9 @@ class TestScan:
 
         assert run_once() == run_once()
 
-    def test_one_clock_read_per_receive(self, tmp_path):
-        # Each pump iteration reads the clock once; each send reads it twice
-        # (its pump's first check and its send time), plus the read that
-        # sets the first slot and the final timeout pump.
+    def test_one_clock_read_per_send(self, tmp_path):
+        # The engine reads the clock for each send time and for the first
+        # slot, and for nothing else: every wait is the transport's.
         addrs = [f"10.0.8.{i}" for i in range(1, 13)]
         hosts = lazy_hosts(addrs[:9], jitter_ms=30)
         _, transport, records = run_simple_scan(
@@ -365,7 +363,7 @@ class TestScan:
         sends = len(transport.sent)
         assert sends == 4 * len(addrs) and len(records) == 9
         assert transport.receive_calls > sends
-        assert transport.now_calls == transport.receive_calls + 2 * sends + 2
+        assert transport.now_calls == sends + 1
 
     def test_unresponsive_scan_is_empty_success(self, tmp_path):
         addrs = ["10.0.7.1", "10.0.7.2"]
@@ -559,8 +557,8 @@ def test_zero_padded_replies_bind(tmp_path, pad):
     # Zero bytes leave the ones'-complement sum as it was, at an even or an
     # odd length, so a padded reply binds as the bare one does.
     class Padding(RecordingTransport):
-        def receive(self, max_wait_ms):
-            item = self.inner.receive(max_wait_ms)
+        def receive(self, deadline):
+            item = self.inner.receive(deadline)
             return item and (item[0], item[1] + bytes(pad), item[2])
 
     addrs = [f"10.0.13.{i}" for i in range(1, 9)]
@@ -611,8 +609,8 @@ DEMO_GRID_SHA256 = "505b09f89864daadb100007c8d5ae6646a530faf9583147c3d0daea68a81
 def test_demo_scan_grid_bytes_are_pinned():
     # 120 scans of the demo fixture, seeds 0-39 at three rates: the bytes
     # pin the send schedule, both rounds of it.  Seeds 2 and 20 at 37 pps
-    # wait a whole-millisecond gap that the float wait rounding moves by
-    # one, so their bytes pin that rounding too.
+    # wait a whole-millisecond gap that the simulator's float wait rounding
+    # moves by one, so their bytes pin that rounding too.
     lines = []
     for seed in range(40):
         for rate in (37, 200, 333):

@@ -22,7 +22,6 @@ from icmpstamp.probes import (
     ProbeKind,
     ProbeRecord,
     TamperVerdict,
-    hash_orig,
     make_bad_checksum,
     make_bad_clock,
     make_duplicate,
@@ -84,7 +83,9 @@ class TestBadClock:
 
     def test_msb_set_about_half_the_time(self):
         # The hash output should not correlate with time of day.
-        values = [hash_orig(DEST, i, (i * 7) & 0xFFFF) for i in range(2000)]
+        values = [
+            make_bad_clock(DEST, i, (i * 7) & 0xFFFF, 0).message.orig_ts for i in range(2000)
+        ]
         msb_fraction = sum(1 for v in values if v >> 31) / len(values)
         assert 0.44 < msb_fraction < 0.56
 
@@ -269,7 +270,8 @@ class TestVerifyReply:
     def test_bad_clock_hash_collision_is_id_seq_modified(self):
         # (1, 0x2C09) and (1, 0x8056) hash to the same originate timestamp
         # for DEST, found by a birthday search over (id, seq).
-        assert hash_orig(DEST, 1, 0x2C09) == hash_orig(DEST, 1, 0x8056) == 0xD37D6348
+        first, second = (make_bad_clock(DEST, 1, seq, 0) for seq in (0x2C09, 0x8056))
+        assert first.message.orig_ts == second.message.orig_ts == 0xD37D6348
         probe = make_bad_clock(DEST, 1, 0x2C09, NOON_ISH)
         reply = echo_reply(probe, 5, 6)._replace(seq=0x8056)
         assert former_verify_reply(probe, reply, DEST) is TamperVerdict.CLEAN
@@ -335,7 +337,7 @@ def former_probe(kind, dest, now, rng):
         ident, seq = low32 >> 16, low32 & 0xFFFF
         if kind is ProbeKind.DUPLICATE:
             recv = orig
-    msg = wire.build_message(wire.TIMESTAMP_REQUEST, ident, seq, orig, recv, recv)
+    msg = wire.decode(wire.pack_message(wire.TIMESTAMP_REQUEST, ident, seq, orig, recv, recv))
     if kind is ProbeKind.BAD_CHECKSUM:
         while True:
             candidate = msg._replace(checksum=rng.getrandbits(16))

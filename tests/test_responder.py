@@ -207,8 +207,8 @@ def former_shape(cfg, value):
 
 def former_respond(cfg, request_bytes, now, rng):
     """``respond`` as it was when it decoded the request into a message,
-    built the reply as one (decode, then ``build_message``, then
-    ``encode``) and read the flags each class forced on."""
+    then packed the reply from its fields, and read the flags each class
+    forced on."""
     respond_to_bad_checksum = cfg.impl_class is ImplClass.CHECKSUM_LAZY
     if cfg.loss_rate and rng.random() < cfg.loss_rate:
         return None
@@ -243,9 +243,7 @@ def former_respond(cfg, request_bytes, now, rng):
         orig = (orig + 1) & 0xFFFFFFFF
     elif cfg.tamper == "id_seq":
         ident ^= 0x0001
-    return wire.encode(
-        wire.build_message(wire.TIMESTAMP_REPLY, ident, seq, orig, recv, xmit)
-    )
+    return wire.pack_message(wire.TIMESTAMP_REPLY, ident, seq, orig, recv, xmit)
 
 
 @st.composite
@@ -315,12 +313,12 @@ class TestSimNetwork:
     def test_unknown_destination_drops(self):
         net = SimNetwork(self.host(), start=NOON_ISH_START)
         net.send("198.51.100.99", request_bytes("198.51.100.99"))
-        assert net.receive(1000) is None
+        assert net.receive(net.now() + 1000 * 1000) is None
 
     def test_round_trip(self):
         net = SimNetwork(self.host(), latency_ms=10, start=NOON_ISH_START)
         net.send(DEST, request_bytes())
-        src, data, arrival = net.receive(1000)
+        src, data, arrival = net.receive(net.now() + 1000 * 1000)
         assert src == DEST
         assert wire.decode(data).icmp_type == 14
         assert arrival == NOON_ISH + 10_000
@@ -331,7 +329,7 @@ class TestSimNetwork:
         for _ in range(50):
             sent_at = net.now()
             net.send(DEST, request_bytes(now=sent_at))
-            _, _, arrival = net.receive(10_000)
+            _, _, arrival = net.receive(net.now() + 10_000 * 1000)
             delta = (arrival - sent_at) / 1000
             assert 15 <= delta <= 25
 
@@ -352,7 +350,7 @@ class TestSimNetwork:
         net = SimNetwork(self.host(), loss_rate=1.0, start=NOON_ISH_START)
         for _ in range(20):
             net.send(DEST, request_bytes())
-        assert net.receive(1000) is None
+        assert net.receive(net.now() + 1000 * 1000) is None
 
     def test_deterministic_under_seed(self):
         def run():
@@ -360,14 +358,14 @@ class TestSimNetwork:
             out = []
             for _ in range(10):
                 net.send(DEST, request_bytes(now=net.now()))
-                out.append(net.receive(5000))
+                out.append(net.receive(net.now() + 5000 * 1000))
             return out
 
         assert run() == run()
 
     def test_clock_advances_on_empty_receive(self):
         net = SimNetwork(self.host(), start=NOON_ISH_START)
-        assert net.receive(250) is None
+        assert net.receive(net.now() + 250 * 1000) is None
         assert net.now() == NOON_ISH + 250_000
 
     def test_sleep_until_never_goes_backward(self):
@@ -378,7 +376,7 @@ class TestSimNetwork:
     def test_tampered_source(self):
         net = SimNetwork(self.host(tamper="source"), start=NOON_ISH_START)
         net.send(DEST, request_bytes())
-        src, _, _ = net.receive(1000)
+        src, _, _ = net.receive(net.now() + 1000 * 1000)
         assert src != DEST
 
 

@@ -108,6 +108,16 @@ class TestRoundTrip:
         assert write_records(path, records) == 5
         assert read_records(path) == records
 
+    def test_read_records_returns_a_list(self, tmp_path):
+        # The benchmark's reclassify workload takes its len() and reads it
+        # twice; a streaming reader must be a function of its own.
+        records = [sample_record(f"10.7.2.{i}") for i in range(1, 4)]
+        path = tmp_path / "out.jsonl"
+        write_records(path, records)
+        read = read_records(path)
+        assert type(read) is list and len(read) == 3
+        assert list(read) == list(read) == records
+
     def test_bad_line_named(self, tmp_path):
         path = tmp_path / "out.jsonl"
         path.write_text('{"not": "a record"}\n')

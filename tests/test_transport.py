@@ -1,12 +1,20 @@
 """Raw-transport plumbing that can be tested without privileges."""
 
+import errno
 import socket
 import time
 from datetime import timedelta
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from icmpstamp.transport import PrivilegeError, RawTransport, strip_ip_header
+from icmpstamp.transport import (
+    PrivilegeError,
+    RawTransport,
+    TransportError,
+    strip_ip_header,
+)
 from icmpstamp.wire import TimestampMessage, decode, encode
 
 
@@ -58,10 +66,103 @@ class TestRawClock:
         assert type(now) is int
         assert abs(now - time.time_ns() // 1000) < 1_000_000
 
-    def test_sleep_until_past_instant_returns_at_once(self):
-        started = time.monotonic()
-        self.transport.sleep_until(self.transport.now() - 5_000_000)
-        assert time.monotonic() - started < 0.5
-
     def test_instants_are_written_in_utc(self):
         assert self.transport.tz.utcoffset(None) == timedelta(0)
+
+
+START_US = 1_538_827_200_000_000  # 2018-10-06T12:00:00Z
+SOURCE = "192.0.2.7"
+
+
+class FakeSocket:
+    """A raw socket's ``settimeout`` and ``recvfrom`` on a fake clock.
+
+    Each event takes its share (0 to 1) of the timeout set before it, then
+    delivers a datagram or raises: ``TimeoutError`` or ``BlockingIOError``
+    (a timeout, early below a share of 1) or another ``OSError``.  Once the
+    events run out, every call waits its whole timeout and times out.
+    """
+
+    def __init__(self, events):
+        self.now = START_US
+        self.events = iter(events)
+        self.consumed = []
+        self.timeout = None
+        # (clock reading, timeout in µs) at each settimeout.
+        self.timeouts = []
+
+    def settimeout(self, seconds):
+        self.timeout = round(seconds * 1_000_000)
+        self.timeouts.append((self.now, self.timeout))
+
+    def recvfrom(self, _size):
+        event = next(self.events, None)
+        if event is None:
+            self.now += self.timeout
+            raise TimeoutError("timed out")
+        self.consumed.append(event)
+        kind, share, datagram = event
+        self.now += int(self.timeout * share)
+        if kind == "datagram":
+            return datagram, (SOURCE, 0)
+        raise {"timeout": TimeoutError("timed out"),
+               "would block": BlockingIOError(errno.EAGAIN, "again"),
+               "error": OSError(errno.ENETDOWN, "network is down")}[kind]
+
+
+def fake_raw_transport(sock):
+    # Built without __init__, so no socket is opened.
+    transport = object.__new__(RawTransport)
+    transport._sock = sock
+    transport.now = lambda: sock.now
+    return transport
+
+
+def stripped(datagram):
+    try:
+        return strip_ip_header(datagram)
+    except ValueError:
+        return None
+
+
+datagrams = (
+    st.binary(max_size=60)
+    | st.builds(lambda ihl, payload: ipv4_header(ihl) + payload,
+                st.integers(5, 15), st.binary(max_size=40))
+    | st.builds(lambda payload: ipv4_header() + encode(TimestampMessage(14, recv_ts=9)) + payload,
+                st.binary(max_size=8))
+)
+events = st.lists(st.tuples(
+    st.sampled_from(["datagram", "datagram", "timeout", "would block", "error"]),
+    st.sampled_from([0.0, 0.25, 0.999, 1.0]) | st.floats(0, 1),
+    datagrams,
+), max_size=12)
+
+
+@given(events, st.integers(-1_000, 3_000_000))
+def test_receive_returns_a_reply_or_none_at_its_deadline_or_raises(events, wait_us):
+    # Replies come in arrival order, their IP headers stripped, options
+    # included; a datagram whose header is bad, like a timeout that ends
+    # early, only resumes the wait.  Every socket timeout is the time left.
+    sock = FakeSocket(events)
+    transport = fake_raw_transport(sock)
+    deadline = START_US + wait_us
+    replies = []
+    try:
+        while (item := transport.receive(deadline)) is not None:
+            src, payload, arrival = item
+            assert src == SOURCE and type(payload) is bytes and type(arrival) is int
+            assert arrival == sock.now <= deadline
+            replies.append(payload)
+    except TransportError:
+        assert sock.consumed[-1][0] == "error"
+    else:
+        assert sock.now >= deadline
+        assert "error" not in [kind for kind, _, _ in sock.consumed]
+    expected = [
+        stripped(datagram) for kind, _, datagram in sock.consumed if kind == "datagram"
+    ]
+    assert replies == [payload for payload in expected if payload is not None]
+    assert all(timeout == deadline - now > 0 for now, timeout in sock.timeouts)
+    if wait_us <= 0:
+        assert sock.timeouts == []

@@ -11,7 +11,6 @@ from icmpstamp import wire
 from icmpstamp.wire import (
     BadChecksum,
     NotATimestamp,
-    build_message,
     TimestampMessage,
     TruncatedMessage,
     WireError,
@@ -306,6 +305,13 @@ def test_fill_checksum_round_trips_valid():
     assert decode(encode(msg)) == msg
 
 
+def build_message(icmp_type, ident, seq, orig_ts, recv_ts=0, xmit_ts=0):
+    """The code-0 message with these fields and a valid checksum, built by
+    the checking constructor and ``fill_checksum``: what ``pack_message``
+    packs."""
+    return fill_checksum(TimestampMessage(icmp_type, 0, 0, ident, seq, orig_ts, recv_ts, xmit_ts))
+
+
 class TestMessageBuilding:
     """Building a message packs and constructs it once; same result as before."""
 
@@ -323,11 +329,11 @@ class TestMessageBuilding:
         assert filled.checksum == reference_checksum(zeroed)
 
     @given(messages)
-    def test_build_message_matches_fill_checksum(self, msg):
+    def test_packed_message_matches_fill_checksum(self, msg):
         msg = msg._replace(code=0)
-        built = build_message(
+        built = decode(pack_message(
             msg.icmp_type, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
-        )
+        ))
         assert built == fill_checksum(msg)
         assert message_checksum(
             msg.icmp_type, 0, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
