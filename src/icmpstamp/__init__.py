@@ -16,7 +16,7 @@ from icmpstamp.classify import (
     merge_fingerprints,
 )
 from icmpstamp.clock import DAY_MS, OffsetTable
-from icmpstamp.probes import ProbeKind, ProbeRecord, TamperVerdict
+from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.responder import BehaviorConfig, SimNetwork
 from icmpstamp.wire import TimestampMessage, decode, encode, internet_checksum
 
@@ -32,7 +32,7 @@ __all__ = [
     "ImplClass",
     "OffsetTable",
     "ProbeKind",
-    "ProbeRecord",
+    "ProbeOutcome",
     "SimNetwork",
     "TamperVerdict",
     "Timekeeping",

@@ -118,12 +118,13 @@ class HostObservation(_ObservationFields):
     """Everything collected for one target address, as classification reads it.
 
     Built as ``HostObservation(target, outcomes, duplicate_replies=0)``.
-    ``outcomes`` may hold every outcome of the target; an answered one has
-    a reply, an arrival instant and a tamper verdict, and the unanswered
-    ones are skipped.  One pass at construction derives what the rules
-    need: ``first`` maps each probe kind to its earliest-sent clean outcome
-    (the first of ties), and ``tampered`` says whether any answered
-    outcome's verdict is not clean.  The observation is an immutable
+    ``outcomes`` may hold every probe sent to the target, each one
+    ``ProbeOutcome``: an answered one has a reply, an arrival instant and a
+    tamper verdict, and an unanswered one, whose reply is None, is
+    skipped.  One pass at construction derives what the rules need:
+    ``first`` maps each probe kind to its earliest-sent clean outcome (the
+    first of ties), and ``tampered`` says whether any answered outcome's
+    verdict is not clean.  The observation is an immutable
     ``NamedTuple`` of those four fields, made in one tuple build with no
     per-field attribute writes; ``_make`` and ``_replace`` skip the pass.
     A scan builds one only for a target with an answered probe.
@@ -140,10 +141,9 @@ class HostObservation(_ObservationFields):
             if p.tamper is not _CLEAN:
                 tampered = True
                 continue
-            probe = p.probe
-            seen = first.get(probe.kind)
-            if seen is None or probe.send_time < seen.probe.send_time:
-                first[probe.kind] = p
+            seen = first.get(p.kind)
+            if seen is None or p.send_time < seen.send_time:
+                first[p.kind] = p
         return tuple.__new__(cls, (target, duplicate_replies, first, tampered))
 
 
@@ -259,7 +259,7 @@ def _implementation(
 
     if std is not None:
         recv, xmit = std.reply.recv_ts, std.reply.xmit_ts
-        orig = std.probe.message.orig_ts
+        orig = std.request.orig_ts
         if recv != xmit and recv != 0 and xmit != 0:
             classes.add(_NORMAL)
         if recv == xmit != 0:
@@ -275,7 +275,7 @@ def _implementation(
     if std is not None and dup is not None:
         s_recv, s_xmit = std.reply.recv_ts, std.reply.xmit_ts
         d_recv, d_xmit = dup.reply.recv_ts, dup.reply.xmit_ts
-        dup_req_value = dup.probe.message.recv_ts
+        dup_req_value = dup.request.recv_ts
         all_zero = s_recv == s_xmit == d_recv == d_xmit == 0
         if all_zero:
             # An all-zero observation could also be a reflector echoing the
@@ -291,13 +291,9 @@ def _implementation(
                     classes.add(_CONSTANT_1)
                 elif s_recv == CONSTANT_LE_ONE:
                     classes.add(_CONSTANT_LE_1)
-            if (s_recv, s_xmit) == (
-                std.probe.message.recv_ts,
-                std.probe.message.xmit_ts,
-            ) and (d_recv, d_xmit) == (
-                dup.probe.message.recv_ts,
-                dup.probe.message.xmit_ts,
-            ):
+            if (s_recv, s_xmit) == (std.request.recv_ts, std.request.xmit_ts) and (
+                d_recv, d_xmit
+            ) == (dup.request.recv_ts, dup.request.xmit_ts):
                 classes.add(_REFLECTION)
 
     if detect_htons_bug(obs):
@@ -329,10 +325,10 @@ def classify_timekeeping(obs: HostObservation) -> Timekeeping:
     if std is None or dup is None:
         return _TK_UNKNOWN
 
-    send_us = std.probe.send_time
+    send_us = std.send_time
     # Through float seconds, as ``timedelta.total_seconds() * 1000`` computes
     # it: a verdict at a half-millisecond gap depends on this rounding.
-    gap_ms = round((dup.probe.send_time - send_us) / 1_000_000 * 1000)
+    gap_ms = round((dup.send_time - send_us) / 1_000_000 * 1000)
     s_recv, d_recv = std.reply.recv_ts, dup.reply.recv_ts
 
     reported_ms = circular_diff(d_recv % DAY_MS, s_recv % DAY_MS)
@@ -386,7 +382,7 @@ def fingerprint_observation(
     dup = obs.first.get(_DUPLICATE)
 
     if std is not None:
-        correctness = classify_correctness(std.reply, std.probe.message.orig_ts, policy)
+        correctness = classify_correctness(std.reply, std.request.orig_ts, policy)
     else:
         correctness = _INCORRECT
         flags.add("no_standard_reply")
@@ -397,7 +393,7 @@ def fingerprint_observation(
     if std is None or _BAD_CLOCK not in obs.first:
         flags.add("htons_indeterminate")
     # CONSTANT_0 means the standard and duplicate replies were all zero.
-    if _CONSTANT_0 in classes and dup.probe.message.recv_ts == 0:
+    if _CONSTANT_0 in classes and dup.request.recv_ts == 0:
         flags.add("reflection_ambiguous")
     if obs.duplicate_replies:
         flags.add("duplicate_replies")

@@ -19,16 +19,17 @@ reply's (id, seq), or else the first unanswered probe with its originate
 timestamp.  Replies that match no probe are logged, never bound.
 
 Each packet takes one pass in each direction.  A target's address is
-packed to 4 bytes once, and each probe is one ``probes.craft`` call that
-returns the record kept and the image sent.  Each arriving packet is one
-``wire.unpack_reply`` call that checks its length, type and checksum and
-reads its fields; a ``TimestampMessage`` is built only for a reply that
-binds.
+packed to 4 bytes once, when the targets file is read, and each probe is
+one ``probes.craft`` call that returns the probe kept and the image
+sent.  Each arriving packet is one ``wire.unpack_reply`` call that checks
+its length, type and checksum and reads its fields; a
+``TimestampMessage`` is built only for a reply that binds.
 
-Each target keeps the probes sent to it and, beside each, the outcome
-bound to it: a ``ProbeOutcome`` is built once per probe, when a reply is
-bound or, for a probe left unanswered, when the target's record is made.
-A target with no answered probe is skipped before it is classified.
+Each target keeps one list, the probes sent to it in send order.  A probe
+as sent is its own unanswered ``ProbeOutcome``; a bound reply replaces it
+with the answered one, so the list is the target's record as it stands.
+A target with no answered probe is skipped before anything is built for
+it.
 
 The engine knows a transport only by the contract in ``transport``; the
 CLI builds the transport a scan runs on and writes every file.
@@ -47,7 +48,6 @@ from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
-    ProbeRecord,
     craft,
     dest_bytes,
     # Not called here: the benchmark's spans wrap each ``make_*`` function
@@ -101,16 +101,16 @@ class ScanConfig:
             raise ValueError(f"timeout_ms must be 1 to {DAY_MS} ms: {self.timeout_ms}")
 
 
-def _parse_target(text: str) -> str:
-    """``text``, once ``dest_bytes`` accepts it: what it accepts is already a
-    canonical dotted quad."""
-    dest_bytes(text)
-    return text
+def _parse_target(text: str) -> tuple[str, bytes]:
+    """``text`` and its packed form, once ``dest_bytes`` accepts it: what it
+    accepts is already a canonical dotted quad."""
+    return text, dest_bytes(text)
 
 
-def load_targets(path) -> list[str]:
-    """One IPv4 address per line, in first-seen order; duplicates dropped."""
-    return list(dict.fromkeys(parse_lines(path, _parse_target)))
+def load_targets(path) -> dict[str, bytes]:
+    """One IPv4 address per line, each mapped to its 4 packed bytes, in
+    first-seen order; duplicates dropped."""
+    return dict(parse_lines(path, _parse_target))
 
 
 class ScanAborted(TransportError):
@@ -126,13 +126,13 @@ class ScanAborted(TransportError):
 
 
 class _TargetState:
-    __slots__ = ("packed", "probes", "bound", "standard_sent", "duplicate_replies")
+    __slots__ = ("packed", "probes", "answered", "standard_sent", "duplicate_replies")
 
-    def __init__(self, dest: str):
-        self.packed = dest_bytes(dest)
-        self.probes: list[ProbeRecord] = []
-        # The outcome bound to ``probes[i]``, or None while it is unanswered.
-        self.bound: list[ProbeOutcome | None] = []
+    def __init__(self, packed: bytes):
+        self.packed = packed
+        # In send order; a probe is unanswered while its reply is None.
+        self.probes: list[ProbeOutcome] = []
+        self.answered = False
         self.standard_sent: int | None = None
         self.duplicate_replies = 0
 
@@ -148,7 +148,7 @@ def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
     return _scan(cfg, transport, load_targets(cfg.targets_path))
 
 
-def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultRecord]:
+def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[ResultRecord]:
     rng = random.Random(cfg.seed)
 
     schedule = [(t, k) for t in targets for k in _ROUND_ONE_ORDER]
@@ -156,16 +156,19 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
     # Each target's duplicate, in the order of its first round-one probe.
     schedule += [(t, _DUPLICATE) for t in dict.fromkeys(t for t, _ in schedule)]
 
-    state: dict[str, _TargetState] = {t: _TargetState(t) for t in targets}
+    state = {t: _TargetState(packed) for t, packed in targets.items()}
     discarded = 0
     sent_count = 0
     # The transport's methods, looked up once per scan.
     now_us, receive, send = transport.now, transport.receive, transport.send
 
     def bind(st: _TargetState, i: int, fields, arrival: int, src: str) -> None:
-        probe = st.probes[i]
-        msg = _new(TimestampMessage, fields)
-        st.bound[i] = _new(ProbeOutcome, (probe, msg, arrival, verify_reply(probe, msg, src)))
+        kind, dest, send_time, request, _, _, _ = probe = st.probes[i]
+        reply = _new(TimestampMessage, fields)
+        st.probes[i] = _new(ProbeOutcome, (
+            kind, dest, send_time, request, reply, arrival, verify_reply(probe, reply, src),
+        ))
+        st.answered = True
 
     def handle(src: str, data: bytes, arrival: int) -> None:
         nonlocal discarded
@@ -184,17 +187,17 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             return
         _, _, _, ident, seq, orig_ts, _, _ = fields
         st = state.get(src)
-        probes, bound = (st.probes, st.bound) if st is not None else ((), ())
+        probes = st.probes if st is not None else ()
         keyed = False
         by_orig = None
         for i, probe in enumerate(probes):
-            _, _, _, sent_ident, sent_seq, sent_orig, _, _ = probe.message
+            _, _, _, sent_ident, sent_seq, sent_orig, _, _ = probe.request
             if sent_ident == ident and sent_seq == seq:
-                if bound[i] is None:
+                if probe.reply is None:
                     bind(st, i, fields, arrival, src)
                     return
                 keyed = True
-            elif by_orig is None and sent_orig == orig_ts and bound[i] is None:
+            elif by_orig is None and sent_orig == orig_ts and probe.reply is None:
                 by_orig = i
         if keyed:
             # Every probe with this (id, seq) already holds a reply.
@@ -231,7 +234,6 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
             send(dest, image)
             sent_count += 1
             st.probes.append(probe)
-            st.bound.append(None)
             # The duplicate is timed from the standard probe.
             if kind is _STANDARD:
                 st.standard_sent = now
@@ -248,15 +250,10 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
              sent_count, discarded)
 
-    for target in targets:
-        st = state[target]
-        bound = st.bound
-        if not any(bound):
+    for target, st in state.items():
+        if not st.answered:
             continue
-        outcomes = tuple([
-            _new(ProbeOutcome, (probe, None, None, None)) if outcome is None else outcome
-            for probe, outcome in zip(st.probes, bound)
-        ])
+        outcomes = tuple(st.probes)
         obs = HostObservation(target, outcomes, st.duplicate_replies)
         yield ResultRecord(
             target, cfg.vantage, outcomes, fingerprint_observation(obs),
@@ -265,5 +262,5 @@ def _scan(cfg: ScanConfig, transport, targets: list[str]) -> Iterator[ResultReco
 
     if aborted is not None:
         # A target's duplicate is the last of its four probes.
-        unsent = [t for t in targets if len(state[t].probes) < len(ProbeKind)]
+        unsent = [t for t, st in state.items() if len(st.probes) < len(ProbeKind)]
         raise ScanAborted(str(aborted), unsent) from aborted

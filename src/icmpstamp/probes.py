@@ -12,13 +12,15 @@ crafted:
 call, from the destination's address already packed to 4 bytes: the
 engine calls it once per probe and sends the image as it is.  It holds
 the only copy of both hash recipes; the ``make_*`` functions return its
-records, one function per kind.
+probes, one function per kind.
 
-The engine keeps every probe it sends and binds each reply to one, so a
-reply is verified against the stored probe field by field, not by hashing
-it again: any in-flight rewrite of the source address, originate
-timestamp, identifier or sequence number shows as a difference.  MD5 is
-fine for crafting: nothing relies on it resisting collision search.
+A probe is one ``ProbeOutcome``: as sent, it is its own unanswered
+outcome, and binding a reply to it makes the answered one.  The engine
+keeps every probe it sends and binds each reply to one, so a reply is
+verified against the stored request field by field, not by hashing it
+again: any in-flight rewrite of the source address, originate timestamp,
+identifier or sequence number shows as a difference.  MD5 is fine for
+crafting: nothing relies on it resisting collision search.
 
 Hash input convention: the destination IPv4 address as 4 big-endian
 bytes, then the originate timestamp as 4 big-endian bytes (or id and seq
@@ -70,7 +72,7 @@ class TamperVerdict(IdentityEnum):
 
 _CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _UNMATCHED = TamperVerdict
 
-# ``craft`` builds each probe and its message from all their fields with
+# ``craft`` builds each probe and its request from all their fields with
 # this, skipping the generated ``__new__`` (and its defaults) of each class.
 _new = tuple.__new__
 _pack = wire.LAYOUT.pack
@@ -81,22 +83,18 @@ _id_seq_input = struct.Struct("!4sHH").pack
 _low32 = struct.Struct("!12xI").unpack
 
 
-class ProbeRecord(NamedTuple):
-    """One sent probe: what went out, where, and when (microseconds since
-    the Unix epoch)."""
+class ProbeOutcome(NamedTuple):
+    """One sent probe: what went out, where and when, and whatever came
+    back for it and when (instants in microseconds since the Unix epoch).
+
+    A probe as sent is unanswered: its reply, arrival and tamper verdict
+    are None.  An answered one holds all three.
+    """
 
     kind: ProbeKind
     dest: str
     send_time: int
-    message: TimestampMessage
-    round_no: int = 0
-
-
-class ProbeOutcome(NamedTuple):
-    """One sent probe and whatever came back for it, and when (microseconds
-    since the Unix epoch)."""
-
-    probe: ProbeRecord
+    request: TimestampMessage
     reply: TimestampMessage | None = None
     arrival: int | None = None
     tamper: TamperVerdict | None = None
@@ -119,9 +117,9 @@ def dest_bytes(dest: str) -> bytes:
 
 def craft(
     kind: ProbeKind, dest: str, packed: bytes, now: int, rng
-) -> tuple[ProbeRecord, bytes]:
-    """The probe of ``kind`` sent to ``dest`` at ``now``, and its 20-byte
-    wire image.
+) -> tuple[ProbeOutcome, bytes]:
+    """The probe of ``kind`` sent to ``dest`` at ``now``, unanswered, and
+    its 20-byte wire image.
 
     ``packed`` is ``dest_bytes(dest)``.  ``rng`` gives what a kind draws,
     in this order: a bad-clock probe's id, then its sequence number, from
@@ -152,8 +150,8 @@ def craft(
         while checksum % 0xFFFF == valid:
             checksum = rng.getrandbits(16)
     fields = (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, stamp, stamp)
-    probe = _new(ProbeRecord, (kind, dest, now, _new(TimestampMessage, fields),
-                               1 if kind is _DUPLICATE else 0))
+    probe = _new(ProbeOutcome, (kind, dest, now, _new(TimestampMessage, fields),
+                                None, None, None))
     return probe, _pack(*fields)
 
 
@@ -167,17 +165,17 @@ class _Given:
         return next(self._values)
 
 
-def make_standard(dest: str, now: int) -> ProbeRecord:
+def make_standard(dest: str, now: int) -> ProbeOutcome:
     """Correct originate timestamp, zeroed receive/transmit fields."""
     return craft(_STANDARD, dest, dest_bytes(dest), now, None)[0]
 
 
-def make_bad_clock(dest: str, ident: int, seq: int, now: int) -> ProbeRecord:
+def make_bad_clock(dest: str, ident: int, seq: int, now: int) -> ProbeOutcome:
     """Hash-derived originate timestamp; generally not a valid time of day."""
     return craft(_BAD_CLOCK, dest, dest_bytes(dest), now, _Given(ident, seq))[0]
 
 
-def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeRecord:
+def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeOutcome:
     """A standard probe carrying a deliberately wrong checksum.
 
     The checksum is drawn uniformly and redrawn until the message actually
@@ -186,7 +184,7 @@ def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeRecord:
     return craft(_BAD_CHECKSUM, dest, dest_bytes(dest), now, rng)[0]
 
 
-def make_duplicate(dest: str, now: int) -> ProbeRecord:
+def make_duplicate(dest: str, now: int) -> ProbeOutcome:
     """All three timestamps preset to the same correct value.
 
     Sent a few seconds after the standard probe; a responder echoing these
@@ -197,7 +195,7 @@ def make_duplicate(dest: str, now: int) -> ProbeRecord:
 
 
 def verify_reply(
-    probe: ProbeRecord, reply: TimestampMessage, reply_src: str
+    probe: ProbeOutcome, reply: TimestampMessage, reply_src: str
 ) -> TamperVerdict:
     """Check a reply against the stored probe it was bound to.
 
@@ -213,7 +211,7 @@ def verify_reply(
         raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
     if reply_src != probe.dest and dest_bytes(reply_src) != dest_bytes(probe.dest):
         return _UNMATCHED
-    sent = probe.message
+    sent = probe.request
     if reply.orig_ts != sent.orig_ts:
         return _ORIGINATE_MODIFIED
     if reply.ident != sent.ident or reply.seq != sent.seq:

@@ -49,12 +49,12 @@ def error_histogram(
     diffs = []
     for rec in records:
         for outcome in rec.outcomes:
-            if outcome.probe.kind is not _STANDARD:
+            if outcome.kind is not _STANDARD:
                 continue
             if outcome.reply is None or outcome.tamper is not _CLEAN:
                 continue
             diff = circular_diff(
-                outcome.reply.recv_ts % DAY_MS, outcome.probe.message.orig_ts
+                outcome.reply.recv_ts % DAY_MS, outcome.request.orig_ts
             )
             if exclude_correct and abs(diff) < CorrectnessPolicy.margin_ms:
                 continue

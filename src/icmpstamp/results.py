@@ -3,7 +3,9 @@
 One self-describing record per line, so result files are streamable,
 diff-able, and byte-stable for a fixed seed.  The record keeps every
 probe (answered or not) with enough request detail to re-run
-classification offline.
+classification offline.  A probe's ``round`` follows from its kind: 1
+for a duplicate probe, which goes out in the second round, and 0 for
+every other kind.
 
 A line is the record as ``json.dumps(..., sort_keys=True,
 separators=(",", ":"))`` would write it, and is written from fixed
@@ -21,6 +23,7 @@ local whole second is made once and cached.
 
 Reading a line is a trust boundary.  Message fields, ``round`` and
 ``duplicate_replies`` must be integers (not booleans or floats), with
+``round`` the one the probe's kind is written with,
 ``duplicate_replies`` not negative and each message field in the range
 ``TimestampMessage`` accepts, a standard request's originate timestamp
 below ``DAY_MS`` (classification and the PMF report read it as a time of
@@ -32,12 +35,12 @@ the program defines; anything else is a ``ValueError`` that
 fails on its own line, not later in classification or a report.
 
 A record is checked in one pass over its fields, and each object is
-built once, with ``tuple.__new__``, after its fields pass.  A message's
-eight fields are accepted by one test of their types and ranges; only a
-message that fails it goes through the ``TimestampMessage`` constructor,
-which names the first bad field.  A probe's kind and tamper verdict map
-through dicts; the functions that word the error for a bad value run
-only on one.
+built once, with ``tuple.__new__``, after its fields pass: one
+``ProbeOutcome`` per probe.  A message's eight fields are accepted by one
+test of their types and ranges; only a message that fails it goes
+through the ``TimestampMessage`` constructor, which names the first bad
+field.  Every enum value maps through a dict; only a value not in it
+goes through the enum itself, which words the error.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from icmpstamp.classify import (
     Timekeeping,
 )
 from icmpstamp.clock import DAY_MS
-from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
+from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.textfile import replacing
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
 
@@ -124,17 +127,14 @@ def _instant_json(instant_us: int, offset_us: int, suffix: str) -> str:
 
 
 def _outcome_json(outcome: ProbeOutcome, offset_us: int, suffix: str) -> str:
-    probe = outcome.probe
-    arrival = (
-        "null" if outcome.arrival is None
-        else _instant_json(outcome.arrival, offset_us, suffix)
-    )
-    reply = "null" if outcome.reply is None else _message_json(outcome.reply)
-    tamper = "null" if outcome.tamper is None else f'"{_VALUE[outcome.tamper]}"'
+    kind, _, send_time, request, reply, arrival, tamper = outcome
+    arrival = "null" if arrival is None else _instant_json(arrival, offset_us, suffix)
+    reply = "null" if reply is None else _message_json(reply)
+    tamper = "null" if tamper is None else f'"{_VALUE[tamper]}"'
     return (
-        f'{{"arrival":{arrival},"kind":"{_VALUE[probe.kind]}","reply":{reply},'
-        f'"request":{_message_json(probe.message)},"round":{probe.round_no},'
-        f'"send_time":{_instant_json(probe.send_time, offset_us, suffix)},"tamper":{tamper}}}'
+        f'{{"arrival":{arrival},"kind":"{_VALUE[kind]}","reply":{reply},'
+        f'"request":{_message_json(request)},"round":{1 if kind is _DUPLICATE else 0},'
+        f'"send_time":{_instant_json(send_time, offset_us, suffix)},"tamper":{tamper}}}'
     )
 
 
@@ -170,30 +170,14 @@ def record_to_line(rec: ResultRecord) -> str:
     )
 
 
-def _by_value(enum):
-    """A function mapping a value of ``enum`` to its member, as ``enum(value)``."""
-    members = {m.value: m for m in enum}
-
-    def member(value):
-        try:
-            return members[value]
-        except (KeyError, TypeError):
-            raise ValueError(f"{value!r} is not a valid {enum.__name__}") from None
-
-    return member
-
-
-_probe_kind = _by_value(ProbeKind)
-_tamper = _by_value(TamperVerdict)
-_impl_class = _by_value(ImplClass)
-_timekeeping = _by_value(Timekeeping)
-_correctness = _by_value(Correctness)
-
-# The per-probe loop maps values through these; the functions above only
-# word the error for a value not in them.
+# Each enum's members by value, as read.  A value not in its dict goes
+# through the enum itself, which raises "'x' is not a valid <enum>".
 _KINDS = {m.value: m for m in ProbeKind}
 _TAMPERS = {None: None, **{m.value: m for m in TamperVerdict}}
-_STANDARD = ProbeKind.STANDARD
+_IMPL_CLASSES = {m.value: m for m in ImplClass}
+_TIMEKEEPINGS = {m.value: m for m in Timekeeping}
+_CORRECTNESSES = {m.value: m for m in Correctness}
+_STANDARD, _DUPLICATE = ProbeKind.STANDARD, ProbeKind.DUPLICATE
 # Builds a NamedTuple from its fields, as ``wire.decode`` does, once they
 # are checked.
 _new = tuple.__new__
@@ -248,13 +232,23 @@ def fingerprint_from_dict(d: dict) -> Fingerprint:
         raise ValueError("classes and flags must be lists")
     for flag in flags:
         _str(flag, "flag")
+    target = _str(d["target"], "fingerprint target")
+    try:
+        classes = frozenset([_IMPL_CLASSES[c] for c in classes])
+    except (KeyError, TypeError):
+        classes = frozenset(map(ImplClass, classes))
+    timekeeping = d["timekeeping"]
+    try:
+        timekeeping = _TIMEKEEPINGS[timekeeping]
+    except (KeyError, TypeError):
+        timekeeping = Timekeeping(timekeeping)
+    correctness = d["correctness"]
+    try:
+        correctness = _CORRECTNESSES[correctness]
+    except (KeyError, TypeError):
+        correctness = Correctness(correctness)
     return Fingerprint(
-        _str(d["target"], "fingerprint target"),
-        frozenset(map(_impl_class, classes)),
-        _timekeeping(d["timekeeping"]),
-        _correctness(d["correctness"]),
-        _tz_offset(d["tz_offset"]),
-        frozenset(flags),
+        target, classes, timekeeping, correctness, _tz_offset(d["tz_offset"]), frozenset(flags)
     )
 
 
@@ -278,7 +272,7 @@ def record_from_dict(d: dict) -> ResultRecord:
         try:
             kind = _KINDS[kind]
         except (KeyError, TypeError):
-            _probe_kind(kind)
+            kind = ProbeKind(kind)
         text = entry["send_time"]
         instant = datetime.fromisoformat(text)
         zone = instant.tzinfo
@@ -290,9 +284,11 @@ def record_from_dict(d: dict) -> ResultRecord:
             raise ValueError(
                 f"a standard request's orig must be below {DAY_MS}, got {request.orig_ts}"
             )
-        round_no = entry["round"]
-        if type(round_no) is not int:
-            raise ValueError(f"round must be an integer, got {round_no!r}")
+        round_ = entry["round"]
+        if type(round_) is not int:
+            raise ValueError(f"round must be an integer, got {round_!r}")
+        if round_ != (1 if kind is _DUPLICATE else 0):
+            raise ValueError(f"round {round_} does not match kind {kind.value}")
         reply, arrival, tamper = entry["reply"], entry["arrival"], entry["tamper"]
         if reply is not None:
             reply = _message_from_dict(reply)
@@ -305,10 +301,9 @@ def record_from_dict(d: dict) -> ResultRecord:
         try:
             tamper = _TAMPERS[tamper]
         except (KeyError, TypeError):
-            _tamper(tamper)
+            tamper = TamperVerdict(tamper)
         outcomes.append(_new(ProbeOutcome, (
-            _new(ProbeRecord, (kind, target, send_time, request, round_no)),
-            reply, arrival, tamper,
+            kind, target, send_time, request, reply, arrival, tamper,
         )))
     vantage = _str(d["vantage"], "vantage")
     fingerprint = fingerprint_from_dict(d["fingerprint"])

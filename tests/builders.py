@@ -22,7 +22,6 @@ from icmpstamp.clock import DAY_MS, OffsetTable, offset_millis
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
-    ProbeRecord,
     TamperVerdict,
     make_bad_checksum,
     make_bad_clock,
@@ -35,6 +34,9 @@ from icmpstamp.wire import TimestampMessage
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 BASE_DAY_US = 1_538_784_000_000_000  # 2018-10-06T00:00:00Z
+# The README demo scan's output (fixtures/demo_*.txt, --rate 200 --seed 7
+# --vantage demo).
+DEMO_SCAN_SHA256 = "d94b3e737ed901f55c463e790a04199475205a7eb8988ed5816d3d4767b83194"
 
 
 def epoch_us(instant: datetime) -> int:
@@ -61,7 +63,7 @@ def reference_checksum(data: bytes) -> int:
 
 
 def former_verify_reply(
-    probe: ProbeRecord, reply: TimestampMessage, reply_src: str
+    probe: ProbeOutcome, reply: TimestampMessage, reply_src: str
 ) -> TamperVerdict:
     """The verdict of the verifier that recomputed the MD5 fields from the
     reply: source, then originate timestamp, then the hash relation."""
@@ -70,7 +72,7 @@ def former_verify_reply(
     dest = IPv4Address(probe.dest).packed
     if IPv4Address(reply_src).packed != dest:
         return TamperVerdict.UNMATCHED
-    if reply.orig_ts != probe.message.orig_ts:
+    if reply.orig_ts != probe.request.orig_ts:
         return TamperVerdict.ORIGINATE_MODIFIED
     if probe.kind is ProbeKind.BAD_CLOCK:
         payload = dest + reply.ident.to_bytes(2, "big") + reply.seq.to_bytes(2, "big")
@@ -109,9 +111,9 @@ def former_infer_timezone(
     return matches[0]
 
 
-def echo_reply(probe: ProbeRecord, recv: int, xmit: int) -> TimestampMessage:
+def echo_reply(probe: ProbeOutcome, recv: int, xmit: int) -> TimestampMessage:
     """An untampered reply to ``probe`` with chosen receive/transmit values."""
-    msg = probe.message
+    msg = probe.request
     return wire.fill_checksum(
         TimestampMessage(
             wire.TIMESTAMP_REPLY,
@@ -124,9 +126,8 @@ def echo_reply(probe: ProbeRecord, recv: int, xmit: int) -> TimestampMessage:
     )
 
 
-def pair_for(probe: ProbeRecord, reply: TimestampMessage) -> ProbeOutcome:
-    return ProbeOutcome(
-        probe=probe,
+def pair_for(probe: ProbeOutcome, reply: TimestampMessage) -> ProbeOutcome:
+    return probe._replace(
         reply=reply,
         arrival=probe.send_time,
         tamper=verify_reply(probe, reply, probe.dest),
@@ -158,11 +159,11 @@ def observe_direct(
     )
     pairs = []
     for probe, t in zip(probes, instants):
-        raw = respond(cfg, wire.encode(probe.message), at_ms(t), rng)
+        raw = respond(cfg, wire.encode(probe.request), at_ms(t), rng)
         if raw is None:
             continue
         reply = wire.decode(raw)
         pairs.append(
-            ProbeOutcome(probe, reply, at_ms(t), verify_reply(probe, reply, dest))
+            probe._replace(reply=reply, arrival=at_ms(t), tamper=verify_reply(probe, reply, dest))
         )
     return HostObservation(dest, pairs)

@@ -216,11 +216,11 @@ def test_c2_timezone_sweep():
                 # 15 hours behind late in the UTC day).
                 t0 = _wrapped_instant(rng, shift, accept)
             probe = make_standard("198.51.100.88", at_ms(t0))
-            raw = wire.encode(probe.message)
+            raw = wire.encode(probe.request)
             reply = wire.decode(respond_once(cfg, raw, t0, rng))
             from icmpstamp.classify import infer_timezone
 
-            inferred = infer_timezone(reply, probe.message.orig_ts, TABLE, POLICY)
+            inferred = infer_timezone(reply, probe.request.orig_ts, TABLE, POLICY)
             if inferred == off:
                 hits += 1
         if hits == 10:
@@ -309,13 +309,13 @@ def test_c5_htons_detector():
             dest,
             [
                 ProbeOutcome(
-                    std_probe,
+                    *std_probe[:4],
                     std_reply._replace(recv_ts=v1, xmit_ts=v1),
                     std_probe.send_time,
                     TamperVerdict.CLEAN,
                 ),
                 ProbeOutcome(
-                    bc_probe,
+                    *bc_probe[:4],
                     bc_reply._replace(recv_ts=v2, xmit_ts=v2),
                     bc_probe.send_time,
                     TamperVerdict.CLEAN,

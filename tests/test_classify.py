@@ -40,7 +40,6 @@ from icmpstamp.clock import (
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
-    ProbeRecord,
     TamperVerdict,
     make_bad_checksum,
     make_bad_clock,
@@ -202,17 +201,17 @@ class TestInferTimezone:
 def test_first_clean_is_the_earliest_clean_outcome(spec, kind):
     reply = reply_msg(0, 0)
     outcomes = [
-        ProbeOutcome(ProbeRecord(k, DEST, at_ms(t), reply), reply, at_ms(t), verdict)
+        ProbeOutcome(k, DEST, at_ms(t), reply, reply, at_ms(t), verdict)
         if verdict is not None
-        else ProbeOutcome(ProbeRecord(k, DEST, at_ms(t), reply))
+        else ProbeOutcome(k, DEST, at_ms(t), reply)
         for k, t, verdict in spec
     ]
     obs = HostObservation(DEST, outcomes)
     pairs = [o for o in outcomes if o.reply is not None]
     # The former formula: min() over a filtered list keeps the first of ties.
     clean = [p for p in pairs if p.tamper is TamperVerdict.CLEAN]
-    candidates = [p for p in clean if p.probe.kind is kind]
-    expected = min(candidates, key=lambda p: p.probe.send_time) if candidates else None
+    candidates = [p for p in clean if p.kind is kind]
+    expected = min(candidates, key=lambda p: p.send_time) if candidates else None
     assert obs.first.get(kind) is expected
     assert obs.tampered == (len(clean) < len(pairs))
 
@@ -292,7 +291,7 @@ class TestImplementationClasses:
     def test_reflection_echoes_duplicate_request(self):
         pairs, probes = build_pairs(std=(0, 0))
         dup_probe = probes["dup"]
-        dup_orig = dup_probe.message.orig_ts
+        dup_orig = dup_probe.request.orig_ts
         obs = HostObservation(
             DEST, [*pairs, pair_for(dup_probe, echo_reply(dup_probe, dup_orig, dup_orig))]
         )
@@ -336,7 +335,7 @@ class TestImplementationClasses:
         # indistinguishable from an echo; the rule refuses to call it stuck.
         pairs, probes = build_pairs(std=(0, 0))
         dup_probe = probes["dup"]
-        v = dup_probe.message.orig_ts
+        v = dup_probe.request.orig_ts
         obs = HostObservation(DEST, [*pairs, pair_for(dup_probe, echo_reply(dup_probe, v, v))])
         classes = classify_implementation(obs, POLICY, TABLE)
         assert ImplClass.STUCK not in classes
@@ -379,9 +378,9 @@ class TestImplementationClasses:
         std = probes["std"]
         tampered_reply = TimestampMessage(
             14,
-            ident=std.message.ident,
-            seq=std.message.seq,
-            orig_ts=std.message.orig_ts + 1,
+            ident=std.request.ident,
+            seq=std.request.seq,
+            orig_ts=std.request.orig_ts + 1,
             recv_ts=5,
             xmit_ts=5,
         )
@@ -389,7 +388,8 @@ class TestImplementationClasses:
             DEST,
             [
                 *pairs,
-                ProbeOutcome(std, tampered_reply, std.send_time, TamperVerdict.ORIGINATE_MODIFIED),
+                std._replace(reply=tampered_reply, arrival=std.send_time,
+                             tamper=TamperVerdict.ORIGINATE_MODIFIED),
             ],
         )
         with pytest.raises(NoCleanReplies):
@@ -584,7 +584,7 @@ class TestFingerprintObservation:
     def test_reflection_ambiguity_flag_at_midnight(self):
         pairs, probes = build_pairs(std=(0, 0), t0=0, gap_ms=DAY_MS)  # duplicate orig wraps to 0
         dup_probe = probes["dup"]
-        assert dup_probe.message.orig_ts == 0
+        assert dup_probe.request.orig_ts == 0
         obs = HostObservation(DEST, [*pairs, pair_for(dup_probe, echo_reply(dup_probe, 0, 0))])
         result = fingerprint_observation(obs)
         # At exact midnight the zero reply also satisfies the byte-swap rule
@@ -599,15 +599,16 @@ class TestFingerprintObservation:
         std = probes["std"]
         tampered = TimestampMessage(
             14,
-            ident=std.message.ident,
-            seq=std.message.seq,
-            orig_ts=std.message.orig_ts + 1,
+            ident=std.request.ident,
+            seq=std.request.seq,
+            orig_ts=std.request.orig_ts + 1,
             recv_ts=7,
             xmit_ts=7,
         )
         obs = HostObservation(
             DEST,
-            [*pairs, ProbeOutcome(std, tampered, std.send_time, TamperVerdict.ORIGINATE_MODIFIED)],
+            [*pairs, std._replace(reply=tampered, arrival=std.send_time,
+                                  tamper=TamperVerdict.ORIGINATE_MODIFIED)],
         )
         result = fingerprint_observation(obs)
         assert "tampered_replies" in result.flags
@@ -636,8 +637,8 @@ class _FormerObservation:
         for p in self.pairs:
             if (
                 p.tamper is TamperVerdict.CLEAN
-                and p.probe.kind is kind
-                and (first is None or p.probe.send_time < first.probe.send_time)
+                and p.kind is kind
+                and (first is None or p.send_time < first.send_time)
             ):
                 first = p
         return first
@@ -664,7 +665,7 @@ def _former_implementation(obs, policy, table):
         classes.add(ImplClass.CHECKSUM_LAZY)
     if std is not None:
         recv, xmit = std.reply.recv_ts, std.reply.xmit_ts
-        orig = std.probe.message.orig_ts
+        orig = std.request.orig_ts
         if recv != xmit and recv != 0 and xmit != 0:
             classes.add(ImplClass.NORMAL)
         if recv == xmit != 0:
@@ -682,16 +683,16 @@ def _former_implementation(obs, policy, table):
             classes.add(ImplClass.STUCK)
             classes.add(ImplClass.CONSTANT_0)
         else:
-            if s_recv == s_xmit == d_recv == d_xmit and s_recv != dup.probe.message.recv_ts:
+            if s_recv == s_xmit == d_recv == d_xmit and s_recv != dup.request.recv_ts:
                 classes.add(ImplClass.STUCK)
                 if s_recv == 1:
                     classes.add(ImplClass.CONSTANT_1)
                 elif s_recv == CONSTANT_LE_ONE:
                     classes.add(ImplClass.CONSTANT_LE_1)
-            if (s_recv, s_xmit) == (std.probe.message.recv_ts, std.probe.message.xmit_ts) and (
+            if (s_recv, s_xmit) == (std.request.recv_ts, std.request.xmit_ts) and (
                 d_recv,
                 d_xmit,
-            ) == (dup.probe.message.recv_ts, dup.probe.message.xmit_ts):
+            ) == (dup.request.recv_ts, dup.request.xmit_ts):
                 classes.add(ImplClass.REFLECTION)
     if _former_htons(obs):
         classes.add(ImplClass.HTONS_BUG)
@@ -703,8 +704,8 @@ def _former_timekeeping(obs):
     dup = obs.first_clean(ProbeKind.DUPLICATE)
     if std is None or dup is None:
         return Timekeeping.UNKNOWN
-    std_send = EPOCH + timedelta(microseconds=std.probe.send_time)
-    dup_send = EPOCH + timedelta(microseconds=dup.probe.send_time)
+    std_send = EPOCH + timedelta(microseconds=std.send_time)
+    dup_send = EPOCH + timedelta(microseconds=dup.send_time)
     gap_ms = round((dup_send - std_send).total_seconds() * 1000)
     s_recv, d_recv = std.reply.recv_ts, dup.reply.recv_ts
     if abs(circular_diff(d_recv % DAY_MS, s_recv % DAY_MS) - gap_ms) < 400:
@@ -745,8 +746,8 @@ def _former_fingerprint(obs, policy, table):
     bad_clock = obs.first_clean(ProbeKind.BAD_CLOCK)
     tz_offset = None
     if std is not None:
-        correctness = classify_correctness(std.reply, std.probe.message.orig_ts, policy)
-        tz_offset = infer_timezone(std.reply, std.probe.message.orig_ts, table, policy)
+        correctness = classify_correctness(std.reply, std.request.orig_ts, policy)
+        tz_offset = infer_timezone(std.reply, std.request.orig_ts, table, policy)
     else:
         correctness = Correctness.INCORRECT
         flags.add("no_standard_reply")
@@ -757,7 +758,7 @@ def _former_fingerprint(obs, policy, table):
         flags.add("htons_indeterminate")
     if std is not None and dup is not None:
         values = (std.reply.recv_ts, std.reply.xmit_ts, dup.reply.recv_ts, dup.reply.xmit_ts)
-        if all(v == 0 for v in values) and dup.probe.message.recv_ts == 0:
+        if all(v == 0 for v in values) and dup.request.recv_ts == 0:
             flags.add("reflection_ambiguous")
     if obs.duplicate_replies:
         flags.add("duplicate_replies")
@@ -811,9 +812,9 @@ def _observation_parts(draw):
             recv = draw(values)
             xmit = draw(st.just(recv) | values)
         request = TimestampMessage(13, orig_ts=orig, recv_ts=req_fields[0], xmit_ts=req_fields[1])
-        probe = ProbeRecord(kind, DEST, at_ms(send_ms), request)
         verdict = draw(st.just(TamperVerdict.CLEAN) | st.sampled_from(list(TamperVerdict)))
-        pairs.append(ProbeOutcome(probe, reply_msg(recv, xmit, orig=orig), probe.send_time, verdict))
+        pairs.append(ProbeOutcome(kind, DEST, at_ms(send_ms), request,
+                                  reply_msg(recv, xmit, orig=orig), at_ms(send_ms), verdict))
     return pairs, draw(st.integers(0, 2))
 
 

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from builders import DEMO_SCAN_SHA256
 from icmpstamp import cli
 from icmpstamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRIVILEGE, EXIT_TRANSPORT, main
 from icmpstamp.clock import DAY_MS
@@ -59,7 +60,6 @@ def scanned(tmp_path):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-DEMO_SCAN_SHA256 = "d94b3e737ed901f55c463e790a04199475205a7eb8988ed5816d3d4767b83194"
 
 
 def scan_demo(out) -> None:
@@ -554,6 +554,31 @@ class TestClassifyCommand:
         code = main(["classify", "--in", str(out), "--out", str(re_out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {out}:2: {OUT_OF_DAY_ERROR}\n"
+        assert re_out.read_bytes() == b"oldbytes\n"
+
+    @pytest.mark.parametrize("kind, round_, error", [
+        ("duplicate", 0, "round 0 does not match kind duplicate"),
+        ("standard", 1, "round 1 does not match kind standard"),
+        # Equal to 1, which a duplicate is written with, but not an int.
+        ("duplicate", True, "round must be an integer, got True"),
+    ])
+    def test_round_that_disagrees_with_its_kind_is_a_bad_record(
+        self, scanned, capsys, kind, round_, error,
+    ):
+        # A duplicate probe is written with round 1 and every other kind
+        # with round 0; a line with any other round is refused on its own.
+        tmp_path, out = scanned
+        lines = out.read_text().splitlines()
+        rec = json.loads(lines[1])
+        (probe,) = [p for p in rec["probes"] if p["kind"] == kind]
+        probe["round"] = round_
+        lines[1] = json.dumps(rec)
+        out.write_text("\n".join(lines) + "\n")
+        re_out = tmp_path / "re.jsonl"
+        re_out.write_bytes(b"oldbytes\n")
+        code = main(["classify", "--in", str(out), "--out", str(re_out)])
+        assert code == EXIT_CONFIG == 2
+        assert capsys.readouterr().err == f"error: {out}:2: bad record: {error}\n"
         assert re_out.read_bytes() == b"oldbytes\n"
 
     def test_custom_offsets_file(self, scanned, tmp_path):

@@ -1,6 +1,7 @@
 """Scan engine tests: pacing, matching, determinism, failure handling."""
 
 import hashlib
+import heapq
 import itertools
 import logging
 import random
@@ -14,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import epoch_us, former_verify_reply
-from icmpstamp import wire
+from builders import DEMO_SCAN_SHA256, EPOCH, epoch_us, former_verify_reply
+from icmpstamp import responder, wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
 from icmpstamp.engine import ScanAborted, ScanConfig, _parse_target, load_targets, run_scan
-from icmpstamp.probes import ProbeKind, ProbeOutcome, ProbeRecord, TamperVerdict
+from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.responder import BehaviorConfig, SimNetwork
 from icmpstamp.results import read_records, record_to_line
 from icmpstamp.transport import TransportError
@@ -175,17 +176,19 @@ class TestLoadTargets:
     def test_two_addresses(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("192.0.2.1\n198.51.100.7\n")
-        assert load_targets(path) == ["192.0.2.1", "198.51.100.7"]
+        assert list(load_targets(path).items()) == [
+            ("192.0.2.1", bytes([192, 0, 2, 1])), ("198.51.100.7", bytes([198, 51, 100, 7])),
+        ]
 
     def test_duplicates_removed_preserving_first(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("192.0.2.1\n198.51.100.7\n192.0.2.1\n")
-        assert load_targets(path) == ["192.0.2.1", "198.51.100.7"]
+        assert list(load_targets(path)) == ["192.0.2.1", "198.51.100.7"]
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("# hitlist\n\n192.0.2.1  # gateway\n")
-        assert load_targets(path) == ["192.0.2.1"]
+        assert load_targets(path) == {"192.0.2.1": bytes([192, 0, 2, 1])}
 
     def test_bad_line_names_line_number(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -213,12 +216,12 @@ dotted = st.builds(
 @given(dotted | st.text(max_size=20))
 def test_parse_target_accepts_what_ipv4address_accepts(text):
     try:
-        expected = str(IPv4Address(text))
+        addr = IPv4Address(text)
     except ValueError:
         with pytest.raises(ValueError, match=f"^not an IPv4 address: {re.escape(repr(text))}$"):
             _parse_target(text)
     else:
-        assert _parse_target(text) == expected
+        assert _parse_target(text) == (str(addr), addr.packed)
 
 
 class TestScanConfig:
@@ -314,10 +317,10 @@ class TestScan:
         _, _, records = run_simple_scan(tmp_path, addrs, lazy_hosts(addrs),
                                         rate_pps=200, seed=11, inter_round_gap_ms=3000)
         for rec in records:
-            by_kind = {o.probe.kind: o for o in rec.outcomes}
-            gap = by_kind[ProbeKind.DUPLICATE].probe.send_time - by_kind[
+            by_kind = {o.kind: o for o in rec.outcomes}
+            gap = by_kind[ProbeKind.DUPLICATE].send_time - by_kind[
                 ProbeKind.STANDARD
-            ].probe.send_time
+            ].send_time
             assert gap >= 3_000_000
 
     def test_matching_soundness(self, tmp_path):
@@ -329,9 +332,9 @@ class TestScan:
             for outcome in rec.outcomes:
                 if outcome.reply is None:
                     continue
-                assert outcome.probe.dest == rec.target
-                assert outcome.reply.ident == outcome.probe.message.ident
-                assert outcome.reply.seq == outcome.probe.message.seq
+                assert outcome.dest == rec.target
+                assert outcome.reply.ident == outcome.request.ident
+                assert outcome.reply.seq == outcome.request.seq
                 assert outcome.tamper is TamperVerdict.CLEAN
 
     def test_deterministic_output(self, tmp_path):
@@ -475,12 +478,12 @@ def test_matching_on_a_hostile_network(tmp_path_factory, fleet, chaos_seed):
         for outcome in rec.outcomes:
             if outcome.reply is None:
                 continue
-            sent = outcome.probe.message
+            sent = outcome.request
             assert (rec.target, wire.encode(outcome.reply)) in delivered
             by_key = (outcome.reply.ident, outcome.reply.seq) == (sent.ident, sent.seq)
             assert by_key or outcome.reply.orig_ts == sent.orig_ts
             assert outcome.tamper is former_verify_reply(
-                outcome.probe, outcome.reply, rec.target
+                outcome, outcome.reply, rec.target
             )
             bound_by_key += by_key
         # Every (id, seq)-matching copy beyond the one bound is a duplicate.
@@ -624,6 +627,59 @@ def test_demo_scan_grid_bytes_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DEMO_GRID_SHA256
 
 
+class RecordingNetwork(SimNetwork):
+    """``SimNetwork``, noting the reply it queues for each request."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # (dest, request bytes) -> (arrival, src, reply bytes)
+        self.replies = {}
+
+    def send(self, dest, data):
+        queued = len(self._queue)
+        super().send(dest, data)
+        if len(self._queue) > queued:
+            # The reply just queued holds the newest tie-break count.
+            arrival, _, src, reply = max(self._queue, key=lambda item: item[1])
+            assert (dest, data) not in self.replies
+            self.replies[dest, data] = (arrival, src, reply)
+
+
+class ReplayNetwork(SimNetwork):
+    """``SimNetwork``'s virtual clock and delivery queue with no host behind
+    them: each request is answered with the reply recorded for it, found by
+    dict lookup."""
+
+    def __init__(self, replies, start):
+        super().__init__({}, start=start)
+        self.replies = replies
+
+    def send(self, dest, data):
+        recorded = self.replies.get((dest, data))
+        if recorded is not None:
+            arrival, src, reply = recorded
+            heapq.heappush(self._queue, (arrival, next(self._counter), src, reply))
+
+
+def test_demo_scan_replays_from_recorded_replies(monkeypatch):
+    # The engine against the transport contract alone: replies recorded
+    # from the simulator and played back with no responder give the
+    # pinned demo bytes.
+    cfg = ScanConfig(
+        targets_path=str(FIXTURES / "demo_targets.txt"), rate_pps=200, seed=7, vantage="demo",
+    )
+    recorder = RecordingNetwork.from_file(FIXTURES / "demo_hosts.txt")
+    start = (EPOCH + timedelta(microseconds=recorder.now())).astimezone(recorder.tz)
+    recorded = "".join(record_to_line(r) + "\n" for r in run_scan(cfg, recorder))
+    assert recorder.replies
+
+    monkeypatch.setattr(responder, "respond", None)
+    replay = ReplayNetwork(recorder.replies, start)
+    replayed = "".join(record_to_line(r) + "\n" for r in run_scan(cfg, replay))
+    assert replayed == recorded
+    assert hashlib.sha256(replayed.encode()).hexdigest() == DEMO_SCAN_SHA256
+
+
 def test_demo_records_hold_exact_full_length_tuples(tmp_path):
     # The engine, the probe makers and the codec build these tuples with
     # tuple.__new__, which checks neither the class's fields nor their
@@ -639,8 +695,7 @@ def test_demo_records_hold_exact_full_length_tuples(tmp_path):
         for outcome in rec.outcomes:
             built = [
                 (outcome, ProbeOutcome),
-                (outcome.probe, ProbeRecord),
-                (outcome.probe.message, TimestampMessage),
+                (outcome.request, TimestampMessage),
             ]
             if outcome.reply is None:
                 unanswered += 1

@@ -20,7 +20,7 @@ from icmpstamp import probes
 from icmpstamp.clock import ms_since_utc_midnight
 from icmpstamp.probes import (
     ProbeKind,
-    ProbeRecord,
+    ProbeOutcome,
     TamperVerdict,
     make_bad_checksum,
     make_bad_clock,
@@ -47,7 +47,7 @@ def rewrite_mask(bits):
 class TestStandard:
     def test_fields(self):
         probe = make_standard(DEST, NOON_ISH)
-        msg = probe.message
+        msg = probe.request
         assert probe.kind is ProbeKind.STANDARD
         assert msg.orig_ts == 45_296_789
         assert msg.recv_ts == 0 and msg.xmit_ts == 0
@@ -58,33 +58,33 @@ class TestStandard:
     def test_deterministic(self):
         a = make_standard(DEST, NOON_ISH)
         b = make_standard(DEST, NOON_ISH)
-        assert (a.message.ident, a.message.seq) == (b.message.ident, b.message.seq)
+        assert (a.request.ident, a.request.seq) == (b.request.ident, b.request.seq)
 
     def test_checksum_valid(self):
         probe = make_standard(DEST, NOON_ISH)
-        assert wire.verify_checksum(wire.encode(probe.message))
+        assert wire.verify_checksum(wire.encode(probe.request))
 
 
 class TestBadClock:
     def test_orig_from_hash(self):
         probe = make_bad_clock(DEST, 0x0001, 0x0002, NOON_ISH)
         expected = reference_low32(bytes([192, 0, 2, 1, 0x00, 0x01, 0x00, 0x02]))
-        assert probe.message.orig_ts == expected == 0xA5780DF3
-        assert probe.message.recv_ts == 0 and probe.message.xmit_ts == 0
+        assert probe.request.orig_ts == expected == 0xA5780DF3
+        assert probe.request.recv_ts == 0 and probe.request.xmit_ts == 0
 
     def test_deterministic(self):
         a = make_bad_clock(DEST, 7, 9, NOON_ISH)
         b = make_bad_clock(DEST, 7, 9, NOON_ISH)
-        assert a.message.orig_ts == b.message.orig_ts
+        assert a.request.orig_ts == b.request.orig_ts
 
     def test_checksum_valid(self):
         probe = make_bad_clock(DEST, 7, 9, NOON_ISH)
-        assert wire.verify_checksum(wire.encode(probe.message))
+        assert wire.verify_checksum(wire.encode(probe.request))
 
     def test_msb_set_about_half_the_time(self):
         # The hash output should not correlate with time of day.
         values = [
-            make_bad_clock(DEST, i, (i * 7) & 0xFFFF, 0).message.orig_ts for i in range(2000)
+            make_bad_clock(DEST, i, (i * 7) & 0xFFFF, 0).request.orig_ts for i in range(2000)
         ]
         msb_fraction = sum(1 for v in values if v >> 31) / len(values)
         assert 0.44 < msb_fraction < 0.56
@@ -95,14 +95,14 @@ class TestBadChecksum:
         rng = random.Random(3)
         for _ in range(50):
             probe = make_bad_checksum(DEST, NOON_ISH, rng)
-            assert not wire.verify_checksum(wire.encode(probe.message))
+            assert not wire.verify_checksum(wire.encode(probe.request))
 
     def test_same_orig_and_id_as_standard(self):
         rng = random.Random(4)
         probe = make_bad_checksum(DEST, NOON_ISH, rng)
         std = make_standard(DEST, NOON_ISH)
-        assert probe.message.orig_ts == std.message.orig_ts
-        assert (probe.message.ident, probe.message.seq) == (std.message.ident, std.message.seq)
+        assert probe.request.orig_ts == std.request.orig_ts
+        assert (probe.request.ident, probe.request.seq) == (std.request.ident, std.request.seq)
 
     def test_wrong_checksums_roughly_uniform(self):
         # Chi-square over 16 buckets of the 16-bit space; 10,000 samples.
@@ -111,7 +111,7 @@ class TestBadChecksum:
         samples = 10_000
         for _ in range(samples):
             probe = make_bad_checksum(DEST, NOON_ISH, rng)
-            counts[probe.message.checksum >> 12] += 1
+            counts[probe.request.checksum >> 12] += 1
         expected = samples / 16
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 37.70  # chi-square 99.9% quantile, 15 dof
@@ -123,7 +123,7 @@ class TestBadChecksum:
         def redraw_loop(dest, now, rng):
             base = make_standard(dest, now)
             while True:
-                candidate = base.message._replace(checksum=rng.getrandbits(16))
+                candidate = base.request._replace(checksum=rng.getrandbits(16))
                 if not wire.verify_checksum(wire.encode(candidate)):
                     return candidate
 
@@ -131,7 +131,7 @@ class TestBadChecksum:
         for i in range(count):
             now = at_ms((ms + 997 * i) % 86_400_000)
             probe = make_bad_checksum(DEST, now, ours)
-            assert probe.message == redraw_loop(DEST, now, theirs)
+            assert probe.request == redraw_loop(DEST, now, theirs)
             assert ours.getstate() == theirs.getstate()
 
     def test_both_zero_checksums_redrawn(self):
@@ -139,7 +139,7 @@ class TestBadChecksum:
         # 0xFFFF (ones'-complement zero); find such a message and force a
         # generator that offers both before a wrong value.
         for ms in range(86_400_000 // 2, 86_400_000):
-            if make_standard(DEST, at_ms(ms)).message.checksum == 0:
+            if make_standard(DEST, at_ms(ms)).request.checksum == 0:
                 break
         else:
             pytest.fail("no zero-checksum probe found")
@@ -150,23 +150,23 @@ class TestBadChecksum:
 
         rng = Scripted()
         rng.draws = [0x0000, 0xFFFF, 0x1234]
-        assert make_bad_checksum(DEST, at_ms(ms), rng).message.checksum == 0x1234
+        assert make_bad_checksum(DEST, at_ms(ms), rng).request.checksum == 0x1234
         assert rng.draws == []
 
 
 class TestDuplicate:
     def test_midnight_all_zero(self):
         probe = make_duplicate(DEST, at_ms(0))
-        msg = probe.message
+        msg = probe.request
         assert msg.orig_ts == msg.recv_ts == msg.xmit_ts == 0
 
     def test_three_equal_fields(self):
-        msg = make_duplicate(DEST, NOON_ISH).message
+        msg = make_duplicate(DEST, NOON_ISH).request
         assert msg.orig_ts == msg.recv_ts == msg.xmit_ts == 45_296_789
 
     def test_shares_id_seq_with_standard(self):
-        dup = make_duplicate(DEST, NOON_ISH).message
-        std = make_standard(DEST, NOON_ISH).message
+        dup = make_duplicate(DEST, NOON_ISH).request
+        std = make_standard(DEST, NOON_ISH).request
         assert (dup.ident, dup.seq) == (std.ident, std.seq)
 
 
@@ -228,7 +228,7 @@ class TestVerifyReply:
     def test_request_type_rejected(self):
         probe = make_standard(DEST, NOON_ISH)
         with pytest.raises(ValueError):
-            verify_reply(probe, probe.message, DEST)
+            verify_reply(probe, probe.request, DEST)
 
     @given(
         kind=st.sampled_from(ProbeKind),
@@ -271,7 +271,7 @@ class TestVerifyReply:
         # (1, 0x2C09) and (1, 0x8056) hash to the same originate timestamp
         # for DEST, found by a birthday search over (id, seq).
         first, second = (make_bad_clock(DEST, 1, seq, 0) for seq in (0x2C09, 0x8056))
-        assert first.message.orig_ts == second.message.orig_ts == 0xD37D6348
+        assert first.request.orig_ts == second.request.orig_ts == 0xD37D6348
         probe = make_bad_clock(DEST, 1, 0x2C09, NOON_ISH)
         reply = echo_reply(probe, 5, 6)._replace(seq=0x8056)
         assert former_verify_reply(probe, reply, DEST) is TamperVerdict.CLEAN
@@ -344,7 +344,7 @@ def former_probe(kind, dest, now, rng):
             if not wire.verify_checksum(wire.encode(candidate)):
                 msg = candidate
                 break
-    return ProbeRecord(kind, dest, now, msg, 1 if kind is ProbeKind.DUPLICATE else 0)
+    return ProbeOutcome(kind, dest, now, msg)
 
 
 @given(
@@ -366,11 +366,12 @@ def test_craft_is_the_probe_makers_and_the_encoder(kind, dest, now, seed):
         made = make_duplicate(dest, now)
     expected = former_probe(kind, dest, now, former)
     assert probe == made == expected
-    assert type(probe) is ProbeRecord and type(probe.message) is wire.TimestampMessage
-    assert type(probe.round_no) is int
+    assert type(probe) is ProbeOutcome and type(probe.request) is wire.TimestampMessage
+    # As sent, a probe is its own unanswered outcome.
+    assert probe.reply is probe.arrival is probe.tamper is None
     # The same draws, in the same order.
     assert ours.getstate() == makers.getstate() == former.getstate()
-    assert image == wire.encode(probe.message)
+    assert image == wire.encode(probe.request)
     assert wire.verify_checksum(image) is (kind is not ProbeKind.BAD_CHECKSUM)
 
 
@@ -410,9 +411,9 @@ def test_verify_reply_rejects_unparseable_source():
         verify_reply(probe, echo_reply(probe, 1, 2), "192.0.2.01")
 
 
-def test_probe_record_carries_round_and_send_time():
+def test_duplicate_probe_carries_its_kind_and_send_time():
     probe = make_duplicate(DEST, NOON_ISH)
-    assert probe.round_no == 1
+    assert probe.kind is ProbeKind.DUPLICATE
     assert probe.send_time == NOON_ISH
     later = make_duplicate(DEST, NOON_ISH + 3_000_000)
-    assert later.message.orig_ts == 45_296_789 + 3000
+    assert later.request.orig_ts == 45_296_789 + 3000

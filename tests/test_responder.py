@@ -29,7 +29,7 @@ DEST = "203.0.113.5"
 
 
 def request_bytes(dest=DEST, now=NOON_ISH):
-    return wire.encode(make_standard(dest, now).message)
+    return wire.encode(make_standard(dest, now).request)
 
 
 def answer(cfg, req=None, now=NOON_ISH, seed=9):
@@ -95,7 +95,7 @@ class TestRespond:
         assert reply.recv_ts == reply.xmit_ts == 45_296_789
 
     def test_reply_copies_orig_id_seq(self):
-        req = make_standard(DEST, NOON_ISH).message
+        req = make_standard(DEST, NOON_ISH).request
         reply = answer(BehaviorConfig(ImplClass.LAZY))
         assert reply.icmp_type == 14
         assert (reply.ident, reply.seq, reply.orig_ts) == (req.ident, req.seq, req.orig_ts)
@@ -180,12 +180,12 @@ class TestRespond:
         assert respond(BehaviorConfig(), reply_in, NOON_ISH, random.Random(1)) is None
 
     def test_orig_tamper(self):
-        req = make_standard(DEST, NOON_ISH).message
+        req = make_standard(DEST, NOON_ISH).request
         reply = answer(BehaviorConfig(ImplClass.LAZY, tamper="orig_ts"))
         assert reply.orig_ts == req.orig_ts + 1
 
     def test_id_tamper(self):
-        req = make_standard(DEST, NOON_ISH).message
+        req = make_standard(DEST, NOON_ISH).request
         reply = answer(BehaviorConfig(ImplClass.LAZY, tamper="id_seq"))
         assert reply.ident == req.ident ^ 1
 

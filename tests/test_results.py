@@ -24,7 +24,6 @@ from icmpstamp.engine import ScanConfig, run_scan
 from icmpstamp.probes import (
     ProbeKind,
     ProbeOutcome,
-    ProbeRecord,
     TamperVerdict,
     make_bad_clock,
     make_duplicate,
@@ -62,7 +61,7 @@ def sample_record(target="10.7.0.1", answered=True):
             pairs.append(pair)
             outcomes.append(pair)
         else:
-            outcomes.append(ProbeOutcome(probe))
+            outcomes.append(probe)
     obs = HostObservation(target, pairs, duplicate_replies=1)
     fp = fingerprint_observation(obs) if answered else None
     if fp is None:
@@ -87,14 +86,14 @@ class TestRoundTrip:
         rec = record_from_line(record_to_line(sample_record()))
         assert type(rec) is ResultRecord and type(rec.fingerprint) is Fingerprint
         for outcome in rec.outcomes:
-            assert type(outcome) is ProbeOutcome and type(outcome.probe) is ProbeRecord
-            for msg in (outcome.probe.message, outcome.reply):
+            assert type(outcome) is ProbeOutcome
+            for msg in (outcome.request, outcome.reply):
                 assert type(msg) is TimestampMessage
                 assert type(decode(encode(msg))) is TimestampMessage
                 assert decode(encode(msg)) == msg
         outcome = rec.outcomes[0]
         for obj, name in [(rec, "target"), (rec.fingerprint, "classes"), (outcome, "reply"),
-                          (outcome.probe, "send_time"), (outcome.reply, "recv_ts")]:
+                          (outcome, "send_time"), (outcome.reply, "recv_ts")]:
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))
 
@@ -158,10 +157,10 @@ def former_record_to_dict(rec):
         "vantage": rec.vantage,
         "probes": [
             {
-                "kind": o.probe.kind.value,
-                "send_time": instant(o.probe.send_time),
-                "round": o.probe.round_no,
-                "request": message(o.probe.message),
+                "kind": o.kind.value,
+                "send_time": instant(o.send_time),
+                "round": 1 if o.kind is ProbeKind.DUPLICATE else 0,
+                "request": message(o.request),
                 "reply": message(o.reply) if o.reply else None,
                 "arrival": instant(o.arrival) if o.arrival else None,
                 "tamper": o.tamper.value if o.tamper else None,
@@ -227,12 +226,12 @@ def records(draw):
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(ProbeKind))
         request = draw(standard_requests if kind is ProbeKind.STANDARD else messages)
-        probe = ProbeRecord(kind, target, draw(instants), request, draw(st.integers(0, 3)))
+        probe = ProbeOutcome(kind, target, draw(instants), request)
         if draw(st.booleans()):
-            outcomes.append(ProbeOutcome(probe))
+            outcomes.append(probe)
         else:
-            outcomes.append(ProbeOutcome(probe, draw(messages), draw(instants),
-                                         draw(st.sampled_from(TamperVerdict))))
+            outcomes.append(probe._replace(reply=draw(messages), arrival=draw(instants),
+                                           tamper=draw(st.sampled_from(TamperVerdict))))
     fingerprint = Fingerprint(
         draw(st.just(target) | texts),
         draw(st.frozensets(st.sampled_from(ImplClass))),
@@ -291,14 +290,14 @@ instants_1970_2100 = st.integers(0, 4_102_444_800_000_000 - 1)
 
 @given(instants_1970_2100, st.sampled_from(NAMED_OFFSETS) | offsets)
 def test_instant_text_is_isoformat_and_reads_back(instant_us, tz):
-    probe = ProbeRecord(ProbeKind.STANDARD, "t", instant_us, TimestampMessage(13))
+    probe = ProbeOutcome(ProbeKind.STANDARD, "t", instant_us, TimestampMessage(13))
     fp = Fingerprint("t", frozenset(), Timekeeping.UNKNOWN, Correctness.INCORRECT)
-    line = record_to_line(ResultRecord("t", "v", (ProbeOutcome(probe),), fp, 0, tz))
+    line = record_to_line(ResultRecord("t", "v", (probe,), fp, 0, tz))
     expected = (EPOCH + timedelta(microseconds=instant_us)).astimezone(tz)
     text = json.loads(line)["probes"][0]["send_time"]
     assert text == expected.isoformat(timespec="microseconds")
     parsed = record_from_line(line)
-    assert parsed.outcomes[0].probe.send_time == instant_us
+    assert parsed.outcomes[0].send_time == instant_us
     assert parsed.tz.utcoffset(None) == tz.utcoffset(None)
 
 
@@ -354,6 +353,39 @@ def test_ill_typed_field_is_a_bad_record(tmp_path, case):
     path.write_text(record_to_line(sample_record()) + "\n" + json.dumps(d) + "\n")
     with pytest.raises(ValueError, match="out.jsonl:2: bad record"):
         read_records(path)
+
+
+# Where each enum's value sits in a written line's dict, and values of
+# every type JSON reads that are none of its members'.
+ENUM_FIELDS = {
+    ProbeKind: ("probes", 0, "kind"),
+    TamperVerdict: ("probes", 0, "tamper"),
+    ImplClass: ("fingerprint", "classes", 0),
+    Timekeeping: ("fingerprint", "timekeeping"),
+    Correctness: ("fingerprint", "correctness"),
+}
+NOT_MEMBERS = ["x", "STANDARD", None, ["standard"], {"clean": 1}, 1, 0, True, 1.5]
+
+
+@pytest.mark.parametrize("enum, value", [
+    pytest.param(enum, value, id=f"{enum.__name__}-{value!r}")
+    for enum in ENUM_FIELDS
+    for value in NOT_MEMBERS
+    # An unanswered probe's tamper is null.
+    if not (enum is TamperVerdict and value is None)
+])
+def test_enum_value_not_a_member_is_named_with_its_enum(tmp_path, enum, value):
+    *path, key = ENUM_FIELDS[enum]
+    d = json.loads(record_to_line(sample_record()))
+    holder = d
+    for step in path:
+        holder = holder[step]
+    holder[key] = value
+    out = tmp_path / "out.jsonl"
+    out.write_text(json.dumps(d) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_records(out)
+    assert str(info.value) == f"{out}:1: bad record: {value!r} is not a valid {enum.__name__}"
 
 
 @pytest.mark.parametrize("field, value, error", [
@@ -417,7 +449,7 @@ def assert_message_read_as_before(message, m):
         assert str(raised.value) == str(exc)
     else:
         outcome = record_from_line(line).outcomes[1]
-        got = outcome.probe.message if message == "request" else outcome.reply
+        got = outcome.request if message == "request" else outcome.reply
         assert type(got) is TimestampMessage and got == expected
 
 

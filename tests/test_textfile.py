@@ -18,7 +18,7 @@ from icmpstamp.responder import load_behavior_file
 from icmpstamp.results import ResultRecord, read_records, record_to_line
 from icmpstamp.textfile import parse_lines, replacing
 
-REQUEST_HEX = wire.encode(make_standard("192.0.2.1", at_ms(1000)).message).hex()
+REQUEST_HEX = wire.encode(make_standard("192.0.2.1", at_ms(1000)).request).hex()
 RECORD_LINE = record_to_line(
     ResultRecord(
         "192.0.2.1",

@@ -4,9 +4,10 @@ import errno
 import socket
 import time
 from datetime import timedelta
+from ipaddress import IPv4Address
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icmpstamp.transport import (
@@ -116,6 +117,42 @@ def fake_raw_transport(sock):
     transport._sock = sock
     transport.now = lambda: sock.now
     return transport
+
+
+class SendingSocket:
+    """A raw socket's ``sendto``: records each call, or raises ``error``."""
+
+    def __init__(self, error=None):
+        self.error = error
+        self.sent = []
+
+    def sendto(self, payload, address):
+        if self.error is not None:
+            raise self.error
+        self.sent.append((payload, address))
+        return len(payload)
+
+
+@given(st.integers(0, 2**32 - 1).map(lambda n: str(IPv4Address(n))), st.binary(max_size=64))
+@example("192.0.2.7", encode(TimestampMessage(13, orig_ts=5)) + bytes(range(16)))
+def test_send_passes_the_payload_to_sendto_unchanged(dest, payload):
+    sock = SendingSocket()
+    fake_raw_transport(sock).send(dest, payload)
+    assert sock.sent == [(payload, (dest, 0))]
+    assert sock.sent[0][0] is payload
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENETUNREACH, "Network is unreachable"),
+    PermissionError(errno.EPERM, "Operation not permitted"),
+    BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"),
+], ids=lambda error: type(error).__name__)
+def test_send_failure_is_a_transport_error_naming_the_destination(error):
+    transport = fake_raw_transport(SendingSocket(error))
+    with pytest.raises(TransportError) as info:
+        transport.send("198.51.100.23", encode(TimestampMessage(13)))
+    assert str(info.value) == f"send to 198.51.100.23 failed: {error}"
+    assert info.value.__cause__ is error
 
 
 def stripped(datagram):
