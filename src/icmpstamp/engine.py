@@ -25,11 +25,16 @@ sent.  Each arriving packet is one ``wire.unpack_reply`` call that checks
 its length, type and checksum and reads its fields; a
 ``TimestampMessage`` is built only for a reply that binds.
 
-Each target keeps one list, the probes sent to it in send order.  A probe
-as sent is its own unanswered ``ProbeOutcome``; a bound reply replaces it
-with the answered one, so the list is the target's record as it stands.
-A target with no answered probe is skipped before anything is built for
-it.
+A target's scan state is one list, the probes sent to it in send order.
+A probe as sent is its own unanswered ``ProbeOutcome``; a bound reply
+replaces it with the answered one, so the list is the target's record as
+it stands.  No fact the scan holds elsewhere is stored beside the list:
+the packed address is read from the targets map, the duplicate's slot
+from the send time of the standard probe in the list, whether the target
+answered from its list when its record is made (a target with no
+answered probe is skipped before anything is built for it), and the
+closing count of probes sent from the lists' total length.  Duplicate
+replies are counted in a map that holds only the targets that have one.
 
 The engine knows a transport only by the contract in ``transport``; the
 CLI builds the transport a scan runs on and writes every file.
@@ -125,18 +130,6 @@ class ScanAborted(TransportError):
         self.unsent = unsent
 
 
-class _TargetState:
-    __slots__ = ("packed", "probes", "answered", "standard_sent", "duplicate_replies")
-
-    def __init__(self, packed: bytes):
-        self.packed = packed
-        # In send order; a probe is unanswered while its reply is None.
-        self.probes: list[ProbeOutcome] = []
-        self.answered = False
-        self.standard_sent: int | None = None
-        self.duplicate_replies = 0
-
-
 def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
     """Execute a scan; the iterator yields one ResultRecord per responsive target.
 
@@ -156,19 +149,21 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
     # Each target's duplicate, in the order of its first round-one probe.
     schedule += [(t, _DUPLICATE) for t in dict.fromkeys(t for t, _ in schedule)]
 
-    state = {t: _TargetState(packed) for t, packed in targets.items()}
+    # Each target's probes in send order; a probe is unanswered while its
+    # reply is None.
+    state: dict[str, list[ProbeOutcome]] = {t: [] for t in targets}
+    # Only the targets that have a duplicate reply.
+    duplicate_replies: dict[str, int] = {}
     discarded = 0
-    sent_count = 0
     # The transport's methods, looked up once per scan.
     now_us, receive, send = transport.now, transport.receive, transport.send
 
-    def bind(st: _TargetState, i: int, fields, arrival: int, src: str) -> None:
-        kind, dest, send_time, request, _, _, _ = probe = st.probes[i]
+    def bind(probes: list[ProbeOutcome], i: int, fields, arrival: int, src: str) -> None:
+        kind, dest, send_time, request, _, _, _ = probe = probes[i]
         reply = _new(TimestampMessage, fields)
-        st.probes[i] = _new(ProbeOutcome, (
+        probes[i] = _new(ProbeOutcome, (
             kind, dest, send_time, request, reply, arrival, verify_reply(probe, reply, src),
         ))
-        st.answered = True
 
     def handle(src: str, data: bytes, arrival: int) -> None:
         nonlocal discarded
@@ -186,27 +181,26 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
             # A timestamp request is not a reply: ignored, not discarded.
             return
         _, _, _, ident, seq, orig_ts, _, _ = fields
-        st = state.get(src)
-        probes = st.probes if st is not None else ()
+        probes = state.get(src, ())
         keyed = False
         by_orig = None
         for i, probe in enumerate(probes):
             _, _, _, sent_ident, sent_seq, sent_orig, _, _ = probe.request
             if sent_ident == ident and sent_seq == seq:
                 if probe.reply is None:
-                    bind(st, i, fields, arrival, src)
+                    bind(probes, i, fields, arrival, src)
                     return
                 keyed = True
             elif by_orig is None and sent_orig == orig_ts and probe.reply is None:
                 by_orig = i
         if keyed:
             # Every probe with this (id, seq) already holds a reply.
-            st.duplicate_replies += 1
+            duplicate_replies[src] = duplicate_replies.get(src, 0) + 1
         elif by_orig is not None:
             # No (id, seq) match: fall back to the originate timestamp so
             # replies whose id/seq were rewritten in flight are still
             # observed (they classify as tampered, never as clean).
-            bind(st, by_orig, fields, arrival, src)
+            bind(probes, by_orig, fields, arrival, src)
         else:
             discarded += 1
             log.info("unmatched reply from %s (id=%d seq=%d)", src, ident, seq)
@@ -220,23 +214,23 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
 
     try:
         for dest, kind in schedule:
-            st = state[dest]
+            probes = state[dest]
             slot = next_slot
             if kind is _DUPLICATE:
-                # The standard probe went out earlier in the schedule.
-                due = st.standard_sent + gap
+                # The duplicate is timed from the standard probe, which
+                # round one, earlier in the schedule, put in the list.
+                for probe in probes:
+                    if probe.kind is _STANDARD:
+                        due = probe.send_time + gap
+                        break
                 if due > slot:
                     slot = due
             while (item := receive(slot)) is not None:
                 handle(*item)
             now = now_us()
-            probe, image = craft(kind, dest, st.packed, now, rng)
+            probe, image = craft(kind, dest, targets[dest], now, rng)
             send(dest, image)
-            sent_count += 1
-            st.probes.append(probe)
-            # The duplicate is timed from the standard probe.
-            if kind is _STANDARD:
-                st.standard_sent = now
+            probes.append(probe)
             last_send = now
             next_slot = (next_slot if next_slot > now else now) + interval
 
@@ -248,19 +242,20 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
         aborted = exc
 
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
-             sent_count, discarded)
+             sum(map(len, state.values())), discarded)
 
-    for target, st in state.items():
-        if not st.answered:
+    for target, probes in state.items():
+        if all(p.reply is None for p in probes):
             continue
-        outcomes = tuple(st.probes)
-        obs = HostObservation(target, outcomes, st.duplicate_replies)
+        outcomes = tuple(probes)
+        duplicates = duplicate_replies.get(target, 0)
+        obs = HostObservation(target, outcomes, duplicates)
         yield ResultRecord(
             target, cfg.vantage, outcomes, fingerprint_observation(obs),
-            st.duplicate_replies, transport.tz,
+            duplicates, transport.tz,
         )
 
     if aborted is not None:
         # A target's duplicate is the last of its four probes.
-        unsent = [t for t, st in state.items() if len(st.probes) < len(ProbeKind)]
+        unsent = [t for t, probes in state.items() if len(probes) < len(ProbeKind)]
         raise ScanAborted(str(aborted), unsent) from aborted

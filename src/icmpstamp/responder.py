@@ -363,10 +363,15 @@ def load_behavior_file(path) -> tuple[dict[str, BehaviorConfig], dict]:
             SimNetwork({}, **params)
             return
         addr = str(IPv4Address(tokens[0]))
+        if len(tokens) < 2:
+            raise ValueError("no implementation class: expected <ipv4> <class> [key=value ...]")
+        impl = _CLASS_BY_NAME.get(tokens[1])
+        if impl is None:
+            raise ValueError(f"unknown implementation class {tokens[1]!r}")
         settings = _parse_settings(tokens[2:], _HOST_KEYS)
         if addr in hosts:
             raise ValueError(f"duplicate host {addr}")
-        hosts[addr] = BehaviorConfig(_CLASS_BY_NAME[tokens[1]], **settings)
+        hosts[addr] = BehaviorConfig(impl, **settings)
 
     parse_lines(path, parse)
     return hosts, params

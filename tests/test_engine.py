@@ -402,9 +402,12 @@ class TestScan:
         net = SimNetwork(lazy_hosts(addrs), start=START)
         transport = FailingTransport(net, fail_after=fail_after)
         records = []
-        with pytest.raises(ScanAborted) as aborted:
+        with EngineLog() as engine_log, pytest.raises(ScanAborted) as aborted:
             for rec in run_scan(cfg, transport):
                 records.append(rec)
+        # The send that failed is not counted.
+        sent, _ = engine_log.closing_counts()
+        assert sent == len(transport.sent) == fail_after
         return transport, records, aborted.value.unsent
 
     def test_transport_failure_flushes_and_writes_resume(self, tmp_path):
@@ -474,6 +477,12 @@ def test_matching_on_a_hostile_network(tmp_path_factory, fleet, chaos_seed):
 
     assert set(keyed) <= {r.target for r in records}
     for rec in records:
+        # Whether the standard probe went unanswered, was bound by its
+        # originate timestamp or drew duplicates, the duplicate waits the
+        # gap after it.
+        by_kind = {o.kind: o for o in rec.outcomes}
+        gap = by_kind[ProbeKind.DUPLICATE].send_time - by_kind[ProbeKind.STANDARD].send_time
+        assert gap >= cfg.inter_round_gap_ms * 1000
         bound_by_key = 0
         for outcome in rec.outcomes:
             if outcome.reply is None:
@@ -511,6 +520,12 @@ class EngineLog(logging.Handler):
         self.logger.removeHandler(self)
         self.logger.setLevel(self.level)
 
+    def closing_counts(self):
+        """Probes sent and replies discarded, from the scan's closing line."""
+        (closing,) = [m for m in self.messages if m.startswith("sent ")]
+        counts = re.fullmatch(r"sent (\d+) probes; discarded (\d+) .*", closing).groups()
+        return tuple(map(int, counts))
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -544,8 +559,8 @@ def test_every_hostile_packet_is_counted_once(tmp_path_factory, fleet, chaos_see
     with EngineLog() as engine_log:
         records = list(run_scan(cfg, transport))
 
-    (closing,) = [m for m in engine_log.messages if m.startswith("sent ")]
-    discarded = int(re.fullmatch(r"sent \d+ probes; discarded (\d+) .*", closing).group(1))
+    sent, discarded = engine_log.closing_counts()
+    assert sent == len(transport.sent)
     bound = sum(o.reply is not None for r in records for o in r.outcomes)
     duplicates = sum(r.duplicate_replies for r in records)
     requests = sum(

@@ -407,9 +407,14 @@ class TestBehaviorFile:
 
     def test_bad_class_names_line(self, tmp_path):
         path = tmp_path / "hosts.txt"
-        path.write_text("192.0.2.1 sleepy\n")
-        with pytest.raises(ValueError, match="hosts.txt:1"):
-            load_behavior_file(path)
+        for line, reason in [
+            ("192.0.2.1 sleepy", "unknown implementation class 'sleepy'"),
+            ("192.0.2.1", "no implementation class: expected <ipv4> <class> [key=value ...]"),
+        ]:
+            path.write_text(f"{line}\n")
+            with pytest.raises(ValueError) as exc:
+                load_behavior_file(path)
+            assert str(exc.value) == f"{path}:1: {reason}"
 
     def test_duplicate_host_rejected(self, tmp_path):
         path = tmp_path / "hosts.txt"
