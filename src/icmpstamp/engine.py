@@ -16,7 +16,8 @@ transport's: the engine reads the clock only for the first slot and each
 send time.  A reply is matched only against the probes sent to its own
 source, at most four, in send order: the first unanswered probe with the
 reply's (id, seq), or else the first unanswered probe with its originate
-timestamp.  Replies that match no probe are logged, never bound.
+timestamp.  Replies that match no probe are logged, never bound.  This
+filing by source is the scan's one check of a reply's source.
 
 Each packet takes one pass in each direction.  A target's address is
 packed to 4 bytes once, when the targets file is read, and each probe is
@@ -158,12 +159,11 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
     # The transport's methods, looked up once per scan.
     now_us, receive, send = transport.now, transport.receive, transport.send
 
-    def bind(probes: list[ProbeOutcome], i: int, fields, arrival: int, src: str) -> None:
-        kind, dest, send_time, request, _, _, _ = probe = probes[i]
+    def bind(probes: list[ProbeOutcome], i: int, fields, arrival: int) -> None:
+        kind, send_time, request, _, _, _ = probe = probes[i]
         reply = _new(TimestampMessage, fields)
-        probes[i] = _new(ProbeOutcome, (
-            kind, dest, send_time, request, reply, arrival, verify_reply(probe, reply, src),
-        ))
+        tamper = verify_reply(probe, reply)
+        probes[i] = _new(ProbeOutcome, (kind, send_time, request, reply, arrival, tamper))
 
     def handle(src: str, data: bytes, arrival: int) -> None:
         nonlocal discarded
@@ -188,7 +188,7 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
             _, _, _, sent_ident, sent_seq, sent_orig, _, _ = probe.request
             if sent_ident == ident and sent_seq == seq:
                 if probe.reply is None:
-                    bind(probes, i, fields, arrival, src)
+                    bind(probes, i, fields, arrival)
                     return
                 keyed = True
             elif by_orig is None and sent_orig == orig_ts and probe.reply is None:
@@ -200,7 +200,7 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
             # No (id, seq) match: fall back to the originate timestamp so
             # replies whose id/seq were rewritten in flight are still
             # observed (they classify as tampered, never as clean).
-            bind(probes, by_orig, fields, arrival, src)
+            bind(probes, by_orig, fields, arrival)
         else:
             discarded += 1
             log.info("unmatched reply from %s (id=%d seq=%d)", src, ident, seq)
@@ -228,7 +228,7 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
             while (item := receive(slot)) is not None:
                 handle(*item)
             now = now_us()
-            probe, image = craft(kind, dest, targets[dest], now, rng)
+            probe, image = craft(kind, targets[dest], now, rng)
             send(dest, image)
             probes.append(probe)
             last_send = now

@@ -15,10 +15,11 @@ the only copy of both hash recipes; the ``make_*`` functions return its
 probes, one function per kind.
 
 A probe is one ``ProbeOutcome``: as sent, it is its own unanswered
-outcome, and binding a reply to it makes the answered one.  The engine
-keeps every probe it sends and binds each reply to one, so a reply is
-verified against the stored request field by field, not by hashing it
-again: any in-flight rewrite of the source address, originate timestamp,
+outcome, and binding a reply to it makes the answered one.  It holds no
+destination: the engine files each reply under its source, so a reply
+with a rewritten source is never compared with its sender's probes.  A
+bound reply is verified against the stored request field by field, not
+by hashing it again: any in-flight rewrite of the originate timestamp,
 identifier or sequence number shows as a difference.  MD5 is fine for
 crafting: nothing relies on it resisting collision search.
 
@@ -67,10 +68,11 @@ class TamperVerdict(IdentityEnum):
     CLEAN = "clean"
     ORIGINATE_MODIFIED = "originate_modified"
     ID_SEQ_MODIFIED = "id_seq_modified"
+    # Read from result files; a scan never writes it.
     UNMATCHED = "unmatched"
 
 
-_CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _UNMATCHED = TamperVerdict
+_CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _ = TamperVerdict
 
 # ``craft`` builds each probe and its request from all their fields with
 # this, skipping the generated ``__new__`` (and its defaults) of each class.
@@ -84,15 +86,14 @@ _low32 = struct.Struct("!12xI").unpack
 
 
 class ProbeOutcome(NamedTuple):
-    """One sent probe: what went out, where and when, and whatever came
-    back for it and when (instants in microseconds since the Unix epoch).
+    """One sent probe: what went out and when, and whatever came back for
+    it and when (instants in microseconds since the Unix epoch).
 
     A probe as sent is unanswered: its reply, arrival and tamper verdict
     are None.  An answered one holds all three.
     """
 
     kind: ProbeKind
-    dest: str
     send_time: int
     request: TimestampMessage
     reply: TimestampMessage | None = None
@@ -115,17 +116,14 @@ def dest_bytes(dest: str) -> bytes:
         raise ValueError(f"not an IPv4 address: {dest!r}") from None
 
 
-def craft(
-    kind: ProbeKind, dest: str, packed: bytes, now: int, rng
-) -> tuple[ProbeOutcome, bytes]:
-    """The probe of ``kind`` sent to ``dest`` at ``now``, unanswered, and
-    its 20-byte wire image.
+def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[ProbeOutcome, bytes]:
+    """The probe of ``kind`` sent at ``now`` to ``packed``, an address as
+    ``dest_bytes`` packs it, unanswered, and its 20-byte wire image.
 
-    ``packed`` is ``dest_bytes(dest)``.  ``rng`` gives what a kind draws,
-    in this order: a bad-clock probe's id, then its sequence number, from
-    which the originate timestamp is hashed; a bad-checksum probe's
-    checksum, redrawn until the message fails verification.  Standard and
-    duplicate probes draw nothing.
+    ``rng`` gives what a kind draws, in this order: a bad-clock probe's
+    id, then its sequence number, from which the originate timestamp is
+    hashed; a bad-checksum probe's checksum, redrawn until the message
+    fails verification.  Standard and duplicate probes draw nothing.
     """
     if kind is _BAD_CLOCK:
         ident = rng.getrandbits(16)
@@ -150,8 +148,7 @@ def craft(
         while checksum % 0xFFFF == valid:
             checksum = rng.getrandbits(16)
     fields = (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, stamp, stamp)
-    probe = _new(ProbeOutcome, (kind, dest, now, _new(TimestampMessage, fields),
-                                None, None, None))
+    probe = _new(ProbeOutcome, (kind, now, _new(TimestampMessage, fields), None, None, None))
     return probe, _pack(*fields)
 
 
@@ -167,12 +164,12 @@ class _Given:
 
 def make_standard(dest: str, now: int) -> ProbeOutcome:
     """Correct originate timestamp, zeroed receive/transmit fields."""
-    return craft(_STANDARD, dest, dest_bytes(dest), now, None)[0]
+    return craft(_STANDARD, dest_bytes(dest), now, None)[0]
 
 
 def make_bad_clock(dest: str, ident: int, seq: int, now: int) -> ProbeOutcome:
     """Hash-derived originate timestamp; generally not a valid time of day."""
-    return craft(_BAD_CLOCK, dest, dest_bytes(dest), now, _Given(ident, seq))[0]
+    return craft(_BAD_CLOCK, dest_bytes(dest), now, _Given(ident, seq))[0]
 
 
 def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeOutcome:
@@ -181,7 +178,7 @@ def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeOutcome:
     The checksum is drawn uniformly and redrawn until the message actually
     fails verification.
     """
-    return craft(_BAD_CHECKSUM, dest, dest_bytes(dest), now, rng)[0]
+    return craft(_BAD_CHECKSUM, dest_bytes(dest), now, rng)[0]
 
 
 def make_duplicate(dest: str, now: int) -> ProbeOutcome:
@@ -191,26 +188,23 @@ def make_duplicate(dest: str, now: int) -> ProbeOutcome:
     fields back unchanged exposes itself as a reflector, and one returning
     the same constant as before exposes a stuck clock.
     """
-    return craft(_DUPLICATE, dest, dest_bytes(dest), now, None)[0]
+    return craft(_DUPLICATE, dest_bytes(dest), now, None)[0]
 
 
-def verify_reply(
-    probe: ProbeOutcome, reply: TimestampMessage, reply_src: str
-) -> TamperVerdict:
-    """Check a reply against the stored probe it was bound to.
+def verify_reply(probe: ProbeOutcome, reply: TimestampMessage) -> TamperVerdict:
+    """Check a reply against the stored probe it was bound to, which was
+    sent to the reply's source: the engine files replies by source.
 
     The verdict names the first field group that differs from the probe,
-    checked in order: source address, originate timestamp, then
-    id/sequence.  Nothing is hashed: for every probe the ``make_*``
-    functions craft, the stored fields are what the hash chose.  So a
+    checked in order: originate timestamp, then id/sequence.  Nothing is
+    hashed: for every probe ``craft`` makes, the stored fields are what
+    the hash chose.  So a
     bad-clock reply whose rewritten (id, seq) happens to hash to the same
     originate timestamp (probability 2**-32 per rewritten reply) is
     ``ID_SEQ_MODIFIED``; recomputing the hash used to call it ``CLEAN``.
     """
     if reply.icmp_type != TIMESTAMP_REPLY:
         raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
-    if reply_src != probe.dest and dest_bytes(reply_src) != dest_bytes(probe.dest):
-        return _UNMATCHED
     sent = probe.request
     if reply.orig_ts != sent.orig_ts:
         return _ORIGINATE_MODIFIED

@@ -8,6 +8,7 @@ scanner analysis, and the two-vantage consensus merge.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
@@ -76,12 +77,15 @@ class TzEntry:
 def _parse_tz_entry(text: str) -> TzEntry:
     parts = text.split()
     try:
+        if len(parts) not in (2, 3):
+            raise ValueError(f"expected <cidr> <std_offset> [dst_offset], got {text!r}")
         network = IPv4Network(parts[0])
-        std = float(parts[1])
-        dst = float(parts[2]) if len(parts) > 2 else None
-    except (ValueError, IndexError) as exc:
+        std, *dst = offsets = [float(p) for p in parts[1:]]
+        if not all(map(math.isfinite, offsets)):
+            raise ValueError(f"offsets must be finite numbers, got {text!r}")
+    except ValueError as exc:
         raise ValueError(f"bad tz entry: {exc}") from None
-    return TzEntry(network, std, dst)
+    return TzEntry(network, std, *dst)
 
 
 def load_tz_db(path) -> list[TzEntry]:

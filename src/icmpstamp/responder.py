@@ -340,7 +340,10 @@ def _parse_settings(tokens: list[str], keys: dict) -> dict:
     for token in tokens:
         key, _, value = token.partition("=")
         name, conv = keys[key]
-        settings[name] = conv(value)
+        try:
+            settings[name] = conv(value)
+        except ValueError:
+            raise ValueError(f"bad value for {key}: {value!r}") from None
     return settings
 
 

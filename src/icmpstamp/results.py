@@ -127,7 +127,7 @@ def _instant_json(instant_us: int, offset_us: int, suffix: str) -> str:
 
 
 def _outcome_json(outcome: ProbeOutcome, offset_us: int, suffix: str) -> str:
-    kind, _, send_time, request, reply, arrival, tamper = outcome
+    kind, send_time, request, reply, arrival, tamper = outcome
     arrival = "null" if arrival is None else _instant_json(arrival, offset_us, suffix)
     reply = "null" if reply is None else _message_json(reply)
     tamper = "null" if tamper is None else f'"{_VALUE[tamper]}"'
@@ -302,9 +302,7 @@ def record_from_dict(d: dict) -> ResultRecord:
             tamper = _TAMPERS[tamper]
         except (KeyError, TypeError):
             tamper = TamperVerdict(tamper)
-        outcomes.append(_new(ProbeOutcome, (
-            kind, target, send_time, request, reply, arrival, tamper,
-        )))
+        outcomes.append(_new(ProbeOutcome, (kind, send_time, request, reply, arrival, tamper)))
     vantage = _str(d["vantage"], "vantage")
     fingerprint = fingerprint_from_dict(d["fingerprint"])
     duplicates = _int(d["duplicate_replies"], "duplicate_replies")

@@ -63,23 +63,22 @@ def reference_checksum(data: bytes) -> int:
 
 
 def former_verify_reply(
-    probe: ProbeOutcome, reply: TimestampMessage, reply_src: str
+    probe: ProbeOutcome, reply: TimestampMessage, dest: str
 ) -> TamperVerdict:
     """The verdict of the verifier that recomputed the MD5 fields from the
-    reply: source, then originate timestamp, then the hash relation."""
+    reply to ``probe``, sent to ``dest``: originate timestamp, then the
+    hash relation."""
     if reply.icmp_type != wire.TIMESTAMP_REPLY:
         raise ValueError(f"not a timestamp reply: type {reply.icmp_type}")
-    dest = IPv4Address(probe.dest).packed
-    if IPv4Address(reply_src).packed != dest:
-        return TamperVerdict.UNMATCHED
+    packed = IPv4Address(dest).packed
     if reply.orig_ts != probe.request.orig_ts:
         return TamperVerdict.ORIGINATE_MODIFIED
     if probe.kind is ProbeKind.BAD_CLOCK:
-        payload = dest + reply.ident.to_bytes(2, "big") + reply.seq.to_bytes(2, "big")
+        payload = packed + reply.ident.to_bytes(2, "big") + reply.seq.to_bytes(2, "big")
         low32 = int.from_bytes(md5(payload).digest()[-4:], "big")
         intact = reply.orig_ts == low32
     else:
-        payload = dest + reply.orig_ts.to_bytes(4, "big")
+        payload = packed + reply.orig_ts.to_bytes(4, "big")
         low32 = int.from_bytes(md5(payload).digest()[-4:], "big")
         intact = (reply.ident, reply.seq) == (low32 >> 16, low32 & 0xFFFF)
     return TamperVerdict.CLEAN if intact else TamperVerdict.ID_SEQ_MODIFIED
@@ -130,7 +129,7 @@ def pair_for(probe: ProbeOutcome, reply: TimestampMessage) -> ProbeOutcome:
     return probe._replace(
         reply=reply,
         arrival=probe.send_time,
-        tamper=verify_reply(probe, reply, probe.dest),
+        tamper=verify_reply(probe, reply),
     )
 
 
@@ -164,6 +163,6 @@ def observe_direct(
             continue
         reply = wire.decode(raw)
         pairs.append(
-            probe._replace(reply=reply, arrival=at_ms(t), tamper=verify_reply(probe, reply, dest))
+            probe._replace(reply=reply, arrival=at_ms(t), tamper=verify_reply(probe, reply))
         )
     return HostObservation(dest, pairs)

@@ -11,7 +11,9 @@ windows are computed with plain modular arithmetic, independent of the
 classifier under test; everything runs on fixed seeds.
 """
 
+import logging
 import random
+import re
 import time
 
 from builders import at_ms, echo_reply, observe_direct, reference_checksum
@@ -309,13 +311,13 @@ def test_c5_htons_detector():
             dest,
             [
                 ProbeOutcome(
-                    *std_probe[:4],
+                    *std_probe[:3],
                     std_reply._replace(recv_ts=v1, xmit_ts=v1),
                     std_probe.send_time,
                     TamperVerdict.CLEAN,
                 ),
                 ProbeOutcome(
-                    *bc_probe[:4],
+                    *bc_probe[:3],
                     bc_reply._replace(recv_ts=v2, xmit_ts=v2),
                     bc_probe.send_time,
                     TamperVerdict.CLEAN,
@@ -334,7 +336,7 @@ def test_c5_htons_detector():
 
 # --- criterion 6: tamper detection -------------------------------------------
 
-def test_c6_tamper_detection():
+def test_c6_tamper_detection(tmp_path, caplog):
     rng = random.Random(11_000)
     makers = [
         lambda dest, t: make_standard(dest, at_ms(t)),
@@ -346,27 +348,50 @@ def test_c6_tamper_detection():
         dest = f"10.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(1, 255)}"
         probe = makers[i % 3](dest, rng.randrange(DAY_MS))
         reply = echo_reply(probe, rng.randrange(DAY_MS), rng.randrange(DAY_MS))
-        if verify_reply(probe, reply, dest) is TamperVerdict.CLEAN:
+        if verify_reply(probe, reply) is TamperVerdict.CLEAN:
             clean_ok += 1
     assert clean_ok == 10_000
 
+    # A rewritten originate timestamp, id or sequence number is told by
+    # verify_reply, from the probe the reply binds to.
     tampered_ok = 0
     for i in range(10_000):
+        field = i % 4
+        if field == 3:
+            continue  # a rewritten source: the scan below
         dest = f"10.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(1, 255)}"
         probe = makers[i % 3](dest, rng.randrange(DAY_MS))
         reply = echo_reply(probe, rng.randrange(DAY_MS), rng.randrange(DAY_MS))
-        field = i % 4
-        src = dest
         if field == 0:
             reply = reply._replace(orig_ts=reply.orig_ts ^ rng.randrange(1, 1 << 32))
         elif field == 1:
             reply = reply._replace(ident=reply.ident ^ rng.randrange(1, 1 << 16))
-        elif field == 2:
-            reply = reply._replace(seq=reply.seq ^ rng.randrange(1, 1 << 16))
         else:
-            src = f"172.16.{rng.randrange(256)}.{rng.randrange(1, 255)}"
-        if verify_reply(probe, reply, src) is not TamperVerdict.CLEAN:
+            reply = reply._replace(seq=reply.seq ^ rng.randrange(1, 1 << 16))
+        if verify_reply(probe, reply) is not TamperVerdict.CLEAN:
             tampered_ok += 1
+
+    # A rewritten source is told where the engine files each reply under
+    # its source.  625 hosts answer all four probes from dest ^ 1, which,
+    # with every target's last octet even, is no target: no reply binds.
+    class Counting(SimNetwork):
+        delivered = 0
+
+        def receive(self, deadline_us):
+            item = super().receive(deadline_us)
+            self.delivered += item is not None
+            return item
+
+    addrs = [f"10.6.{i // 128}.{2 * (i % 128)}" for i in range(625)]
+    (tmp_path / "targets.txt").write_text("\n".join(addrs) + "\n")
+    net = Counting({a: BehaviorConfig(ImplClass.CHECKSUM_LAZY, tamper="source") for a in addrs})
+    cfg = ScanConfig(targets_path=str(tmp_path / "targets.txt"), rate_pps=1000, seed=11)
+    with caplog.at_level(logging.INFO, logger="icmpstamp.engine"):
+        assert list(run_scan(cfg, net)) == []
+    (closing,) = [m for m in caplog.messages if m.startswith("sent ")]
+    discarded = int(re.fullmatch(r"sent \d+ probes; discarded (\d+) .*", closing)[1])
+    assert discarded == net.delivered == 2_500
+    tampered_ok += discarded
     assert tampered_ok == 10_000
     report("6 tamper detection (10000/10000 clean, 10000/10000 mutated): PASS")
 

@@ -201,9 +201,9 @@ class TestInferTimezone:
 def test_first_clean_is_the_earliest_clean_outcome(spec, kind):
     reply = reply_msg(0, 0)
     outcomes = [
-        ProbeOutcome(k, DEST, at_ms(t), reply, reply, at_ms(t), verdict)
+        ProbeOutcome(k, at_ms(t), reply, reply, at_ms(t), verdict)
         if verdict is not None
-        else ProbeOutcome(k, DEST, at_ms(t), reply)
+        else ProbeOutcome(k, at_ms(t), reply)
         for k, t, verdict in spec
     ]
     obs = HostObservation(DEST, outcomes)
@@ -813,7 +813,7 @@ def _observation_parts(draw):
             xmit = draw(st.just(recv) | values)
         request = TimestampMessage(13, orig_ts=orig, recv_ts=req_fields[0], xmit_ts=req_fields[1])
         verdict = draw(st.just(TamperVerdict.CLEAN) | st.sampled_from(list(TamperVerdict)))
-        pairs.append(ProbeOutcome(kind, DEST, at_ms(send_ms), request,
+        pairs.append(ProbeOutcome(kind, at_ms(send_ms), request,
                                   reply_msg(recv, xmit, orig=orig), at_ms(send_ms), verdict))
     return pairs, draw(st.integers(0, 2))
 

@@ -332,7 +332,10 @@ class TestScan:
             for outcome in rec.outcomes:
                 if outcome.reply is None:
                     continue
-                assert outcome.dest == rec.target
+                # Crafted for this target: its hashed fields hold.
+                assert former_verify_reply(outcome, outcome.reply, rec.target) is (
+                    TamperVerdict.CLEAN
+                )
                 assert outcome.reply.ident == outcome.request.ident
                 assert outcome.reply.seq == outcome.request.seq
                 assert outcome.tamper is TamperVerdict.CLEAN
@@ -391,6 +394,28 @@ class TestScan:
             _, _, records = run_simple_scan(tmp_path, addrs, hosts, rate_pps=100, seed=1)
         assert records == []
         assert any("unmatched" in message for message in caplog.messages)
+
+    def test_source_rewritten_onto_another_target_binds_nothing(self, tmp_path):
+        # .1 answers from .0, which is a target too: each of .1's replies is
+        # filed under .0 and matches none of .0's probes.
+        addrs = ["10.0.9.0", "10.0.9.1"]
+        hosts = {
+            addrs[0]: BehaviorConfig(ImplClass.LAZY),
+            addrs[1]: BehaviorConfig(ImplClass.LAZY, tamper="source"),
+        }
+        with EngineLog() as engine_log:
+            _, _, records = run_simple_scan(tmp_path, addrs, hosts, rate_pps=100, seed=1)
+        (rec,) = records
+        assert rec.target == addrs[0] and rec.duplicate_replies == 0
+        answered = [o for o in rec.outcomes if o.reply is not None]
+        # A lazy host answers every probe but the bad-checksum one.
+        assert sorted(o.kind.value for o in answered) == ["bad_clock", "duplicate", "standard"]
+        for outcome in answered:
+            assert outcome.tamper is TamperVerdict.CLEAN
+            assert former_verify_reply(outcome, outcome.reply, addrs[0]) is TamperVerdict.CLEAN
+        # All three of .1's replies are discarded as unmatched.
+        _, discarded = engine_log.closing_counts()
+        assert discarded == 3
 
     def failing_scan(self, tmp_path, addrs, fail_after):
         """Records and unsent targets of a scan whose send fails."""

@@ -174,7 +174,7 @@ class TestVerifyReply:
     def test_clean_echo(self):
         probe = make_standard(DEST, NOON_ISH)
         reply = echo_reply(probe, 1, 2)
-        assert verify_reply(probe, reply, DEST) is TamperVerdict.CLEAN
+        assert verify_reply(probe, reply) is TamperVerdict.CLEAN
 
     def test_originate_modified(self):
         probe = make_standard(DEST, NOON_ISH)
@@ -187,7 +187,7 @@ class TestVerifyReply:
             recv_ts=1,
             xmit_ts=2,
         )
-        assert verify_reply(probe, tampered, DEST) is TamperVerdict.ORIGINATE_MODIFIED
+        assert verify_reply(probe, tampered) is TamperVerdict.ORIGINATE_MODIFIED
 
     def test_id_modified(self):
         probe = make_standard(DEST, NOON_ISH)
@@ -200,17 +200,12 @@ class TestVerifyReply:
             recv_ts=1,
             xmit_ts=2,
         )
-        assert verify_reply(probe, tampered, DEST) is TamperVerdict.ID_SEQ_MODIFIED
-
-    def test_wrong_source_unmatched(self):
-        probe = make_standard(DEST, NOON_ISH)
-        reply = echo_reply(probe, 1, 2)
-        assert verify_reply(probe, reply, "192.0.2.2") is TamperVerdict.UNMATCHED
+        assert verify_reply(probe, tampered) is TamperVerdict.ID_SEQ_MODIFIED
 
     def test_bad_clock_round_trip(self):
         probe = make_bad_clock(DEST, 0x1234, 0x5678, NOON_ISH)
         reply = echo_reply(probe, 5, 6)
-        assert verify_reply(probe, reply, DEST) is TamperVerdict.CLEAN
+        assert verify_reply(probe, reply) is TamperVerdict.CLEAN
 
     def test_bad_clock_id_modified(self):
         probe = make_bad_clock(DEST, 0x1234, 0x5678, NOON_ISH)
@@ -223,12 +218,12 @@ class TestVerifyReply:
             recv_ts=5,
             xmit_ts=6,
         )
-        assert verify_reply(probe, tampered, DEST) is TamperVerdict.ID_SEQ_MODIFIED
+        assert verify_reply(probe, tampered) is TamperVerdict.ID_SEQ_MODIFIED
 
     def test_request_type_rejected(self):
         probe = make_standard(DEST, NOON_ISH)
         with pytest.raises(ValueError):
-            verify_reply(probe, probe.request, DEST)
+            verify_reply(probe, probe.request)
 
     @given(
         kind=st.sampled_from(ProbeKind),
@@ -236,14 +231,12 @@ class TestVerifyReply:
         now=st.integers(0, 86_400_000_000 - 1).map(lambda us: at_ms(0) + us),
         bad_clock_id_seq=st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
         rng_seed=st.integers(0, 2**32 - 1),
-        src_mask=rewrite_mask(32),
         orig_mask=rewrite_mask(32),
         ident_mask=rewrite_mask(16),
         seq_mask=rewrite_mask(16),
     )
     def test_agrees_with_former_hashing_verifier(
-        self, kind, dest, now, bad_clock_id_seq, rng_seed,
-        src_mask, orig_mask, ident_mask, seq_mask,
+        self, kind, dest, now, bad_clock_id_seq, rng_seed, orig_mask, ident_mask, seq_mask,
     ):
         if kind is ProbeKind.STANDARD:
             probe = make_standard(dest, now)
@@ -259,13 +252,12 @@ class TestVerifyReply:
             ident=echo.ident ^ ident_mask,
             seq=echo.seq ^ seq_mask,
         )
-        src = str(IPv4Address(int(IPv4Address(dest)) ^ src_mask))
-        expected = former_verify_reply(probe, reply, src)
+        expected = former_verify_reply(probe, reply, dest)
         if expected is TamperVerdict.CLEAN and (ident_mask or seq_mask):
             # The one change: a rewritten (id, seq) that reproduces a
             # bad-clock probe's hashed originate timestamp (pinned below).
             expected = TamperVerdict.ID_SEQ_MODIFIED
-        assert verify_reply(probe, reply, src) is expected
+        assert verify_reply(probe, reply) is expected
 
     def test_bad_clock_hash_collision_is_id_seq_modified(self):
         # (1, 0x2C09) and (1, 0x8056) hash to the same originate timestamp
@@ -275,7 +267,7 @@ class TestVerifyReply:
         probe = make_bad_clock(DEST, 1, 0x2C09, NOON_ISH)
         reply = echo_reply(probe, 5, 6)._replace(seq=0x8056)
         assert former_verify_reply(probe, reply, DEST) is TamperVerdict.CLEAN
-        assert verify_reply(probe, reply, DEST) is TamperVerdict.ID_SEQ_MODIFIED
+        assert verify_reply(probe, reply) is TamperVerdict.ID_SEQ_MODIFIED
 
     def test_hashes_nothing(self, monkeypatch):
         standard = make_standard(DEST, NOON_ISH)
@@ -288,18 +280,15 @@ class TestVerifyReply:
 
         monkeypatch.setattr(probes, "md5", no_md5)
         cases = [
-            (standard, standard_echo, DEST, TamperVerdict.CLEAN),
-            (bad_clock, bad_clock_echo, DEST, TamperVerdict.CLEAN),
-            (standard, standard_echo, "192.0.2.2", TamperVerdict.UNMATCHED),
-            (standard, standard_echo._replace(orig_ts=7), DEST,
-             TamperVerdict.ORIGINATE_MODIFIED),
-            (standard, standard_echo._replace(ident=standard_echo.ident ^ 1), DEST,
+            (standard, standard_echo, TamperVerdict.CLEAN),
+            (bad_clock, bad_clock_echo, TamperVerdict.CLEAN),
+            (standard, standard_echo._replace(orig_ts=7), TamperVerdict.ORIGINATE_MODIFIED),
+            (standard, standard_echo._replace(ident=standard_echo.ident ^ 1),
              TamperVerdict.ID_SEQ_MODIFIED),
-            (bad_clock, bad_clock_echo._replace(seq=0), DEST,
-             TamperVerdict.ID_SEQ_MODIFIED),
+            (bad_clock, bad_clock_echo._replace(seq=0), TamperVerdict.ID_SEQ_MODIFIED),
         ]
-        for probe, reply, src, verdict in cases:
-            assert verify_reply(probe, reply, src) is verdict
+        for probe, reply, verdict in cases:
+            assert verify_reply(probe, reply) is verdict
 
     @given(st.integers(0, 63), st.sampled_from(["standard", "duplicate", "bad_clock"]))
     def test_any_bit_flip_in_verified_fields_detected(self, bit, kind):
@@ -320,7 +309,7 @@ class TestVerifyReply:
         flipped = wire.TimestampMessage(
             14, ident=ident, seq=seq, orig_ts=orig, recv_ts=11, xmit_ts=12
         )
-        assert verify_reply(probe, flipped, DEST) is not TamperVerdict.CLEAN
+        assert verify_reply(probe, flipped) is not TamperVerdict.CLEAN
 
 
 def former_probe(kind, dest, now, rng):
@@ -344,7 +333,7 @@ def former_probe(kind, dest, now, rng):
             if not wire.verify_checksum(wire.encode(candidate)):
                 msg = candidate
                 break
-    return ProbeOutcome(kind, dest, now, msg)
+    return ProbeOutcome(kind, now, msg)
 
 
 @given(
@@ -355,7 +344,7 @@ def former_probe(kind, dest, now, rng):
 )
 def test_craft_is_the_probe_makers_and_the_encoder(kind, dest, now, seed):
     ours, makers, former = (random.Random(seed) for _ in range(3))
-    probe, image = probes.craft(kind, dest, probes.dest_bytes(dest), now, ours)
+    probe, image = probes.craft(kind, probes.dest_bytes(dest), now, ours)
     if kind is ProbeKind.STANDARD:
         made = make_standard(dest, now)
     elif kind is ProbeKind.BAD_CLOCK:
@@ -403,12 +392,6 @@ class TestDestBytes:
     def test_every_address_round_trips(self, n):
         addr = IPv4Address(n)
         assert probes.dest_bytes(str(addr)) == addr.packed
-
-
-def test_verify_reply_rejects_unparseable_source():
-    probe = make_standard(DEST, NOON_ISH)
-    with pytest.raises(ValueError):
-        verify_reply(probe, echo_reply(probe, 1, 2), "192.0.2.01")
 
 
 def test_duplicate_probe_carries_its_kind_and_send_time():

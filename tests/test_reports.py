@@ -147,9 +147,19 @@ class TestGeolocate:
 
     def test_malformed_db(self, tmp_path):
         path = tmp_path / "tz.db"
-        path.write_text("10.3.0.0/24 nine\n")
-        with pytest.raises(ValueError, match="tz.db:1"):
-            load_tz_db(path)
+        for line, reason in [
+            ("10.3.0.0/24 nine", "could not convert string to float: 'nine'"),
+            ("192.0.2.0/28 nan", "offsets must be finite numbers, got '192.0.2.0/28 nan'"),
+            ("0.0.0.0/0 inf", "offsets must be finite numbers, got '0.0.0.0/0 inf'"),
+            ("0.0.0.0/0 9 -inf", "offsets must be finite numbers, got '0.0.0.0/0 9 -inf'"),
+            ("0.0.0.0/0 9 10 junk",
+             "expected <cidr> <std_offset> [dst_offset], got '0.0.0.0/0 9 10 junk'"),
+            ("10.3.0.0/24", "expected <cidr> <std_offset> [dst_offset], got '10.3.0.0/24'"),
+        ]:
+            path.write_text(f"{line}\n")
+            with pytest.raises(ValueError) as exc:
+                load_tz_db(path)
+            assert str(exc.value) == f"{path}:1: bad tz entry: {reason}"
 
 
 def linear_lookup_tz(entries, addr):

@@ -410,6 +410,10 @@ class TestBehaviorFile:
         for line, reason in [
             ("192.0.2.1 sleepy", "unknown implementation class 'sleepy'"),
             ("192.0.2.1", "no implementation class: expected <ipv4> <class> [key=value ...]"),
+            ("192.0.2.1 lazy latency=abc", "bad value for latency: 'abc'"),
+            ("192.0.2.1 timezone tz", "bad value for tz: ''"),
+            ("192.0.2.1 stuck value=0xbeefy", "bad value for value: '0xbeefy'"),
+            ("@network start=noon", "bad value for start: 'noon'"),
         ]:
             path.write_text(f"{line}\n")
             with pytest.raises(ValueError) as exc:

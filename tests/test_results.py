@@ -226,7 +226,7 @@ def records(draw):
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(ProbeKind))
         request = draw(standard_requests if kind is ProbeKind.STANDARD else messages)
-        probe = ProbeOutcome(kind, target, draw(instants), request)
+        probe = ProbeOutcome(kind, draw(instants), request)
         if draw(st.booleans()):
             outcomes.append(probe)
         else:
@@ -290,7 +290,7 @@ instants_1970_2100 = st.integers(0, 4_102_444_800_000_000 - 1)
 
 @given(instants_1970_2100, st.sampled_from(NAMED_OFFSETS) | offsets)
 def test_instant_text_is_isoformat_and_reads_back(instant_us, tz):
-    probe = ProbeOutcome(ProbeKind.STANDARD, "t", instant_us, TimestampMessage(13))
+    probe = ProbeOutcome(ProbeKind.STANDARD, instant_us, TimestampMessage(13))
     fp = Fingerprint("t", frozenset(), Timekeeping.UNKNOWN, Correctness.INCORRECT)
     line = record_to_line(ResultRecord("t", "v", (probe,), fp, 0, tz))
     expected = (EPOCH + timedelta(microseconds=instant_us)).astimezone(tz)
