@@ -20,7 +20,6 @@ influence classes, timekeeping or correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from icmpstamp.clock import (
@@ -32,7 +31,7 @@ from icmpstamp.clock import (
     offsets_equal,
 )
 from icmpstamp.probes import IdentityEnum, ProbeKind, ProbeOutcome, TamperVerdict
-from icmpstamp.wire import TIMESTAMP_REQUEST, TimestampMessage, byte_swap_32
+from icmpstamp.wire import TimestampMessage, byte_swap_32
 
 MSB = 1 << 31
 SECONDS_PER_DAY = 86_400
@@ -83,15 +82,6 @@ _MILLISECOND, _SECOND, _EPOCH, _TK_UNKNOWN = Timekeeping
 _CORRECT, _CORRECT_LE, _CORRECT_MSB, _INCORRECT = Correctness
 
 
-class ScannerKind(Enum):
-    NMAP_LIKE = "nmap_like"
-    OTHER_SCANNER = "other_scanner"
-
-
-class NoCleanReplies(ValueError):
-    """Observation holds no clean probe/reply pair to classify."""
-
-
 class AmbiguousTimezone(RuntimeError):
     """Multiple candidate offsets matched; margin too wide for the table."""
 
@@ -108,7 +98,6 @@ class CorrectnessPolicy:
 
 
 class _ObservationFields(NamedTuple):
-    target: str
     duplicate_replies: int
     first: dict[ProbeKind, ProbeOutcome]
     tampered: bool
@@ -117,22 +106,23 @@ class _ObservationFields(NamedTuple):
 class HostObservation(_ObservationFields):
     """Everything collected for one target address, as classification reads it.
 
-    Built as ``HostObservation(target, outcomes, duplicate_replies=0)``.
-    ``outcomes`` may hold every probe sent to the target, each one
+    Built as ``HostObservation(outcomes, duplicate_replies=0)``; the
+    target's address is its record's, not the observation's.  ``outcomes``
+    may hold every probe sent to the target, each one
     ``ProbeOutcome``: an answered one has a reply, an arrival instant and a
     tamper verdict, and an unanswered one, whose reply is None, is
     skipped.  One pass at construction derives what the rules need:
     ``first`` maps each probe kind to its earliest-sent clean outcome (the
     first of ties), and ``tampered`` says whether any answered outcome's
     verdict is not clean.  The observation is an immutable
-    ``NamedTuple`` of those four fields, made in one tuple build with no
+    ``NamedTuple`` of those three fields, made in one tuple build with no
     per-field attribute writes; ``_make`` and ``_replace`` skip the pass.
     A scan builds one only for a target with an answered probe.
     """
 
     __slots__ = ()
 
-    def __new__(cls, target: str, outcomes, duplicate_replies: int = 0):
+    def __new__(cls, outcomes, duplicate_replies: int = 0):
         first: dict[ProbeKind, ProbeOutcome] = {}
         tampered = False
         for p in outcomes:
@@ -144,13 +134,12 @@ class HostObservation(_ObservationFields):
             seen = first.get(p.kind)
             if seen is None or p.send_time < seen.send_time:
                 first[p.kind] = p
-        return tuple.__new__(cls, (target, duplicate_replies, first, tampered))
+        return tuple.__new__(cls, (duplicate_replies, first, tampered))
 
 
 class Fingerprint(NamedTuple):
-    """Behavior summary for one host."""
+    """Behavior summary for one host; the host's address is its record's."""
 
-    target: str
     classes: frozenset[ImplClass]
     timekeeping: Timekeeping
     correctness: Correctness
@@ -227,28 +216,16 @@ def detect_htons_bug(obs: HostObservation) -> bool:
     return all(v % 65536 == 0 for v in values)
 
 
-def classify_implementation(
-    obs: HostObservation,
-    policy: CorrectnessPolicy,
-    table: OffsetTable,
-) -> set[ImplClass]:
-    """Apply every implementation fingerprint rule; return all that fire.
-
-    An observation with no clean replies cannot be classified and raises
-    NoCleanReplies.  If nothing fires the result is {UNKNOWN}.
-    """
-    return _implementation(obs, policy, table)[0]
-
-
 def _implementation(
     obs: HostObservation, policy: CorrectnessPolicy, table: OffsetTable
 ) -> tuple[set[ImplClass], float | None]:
-    """``classify_implementation``'s classes, and the offset that
-    ``infer_timezone`` found for the standard reply (None if there is none),
-    from one evaluation of it."""
-    if not obs.first:
-        raise NoCleanReplies(f"no clean replies for {obs.target}")
+    """Every implementation fingerprint rule that fires ({UNKNOWN} if none
+    does), and the offset that ``infer_timezone`` found for the standard
+    reply (None if there is none), from one evaluation of it.
 
+    ``obs`` holds at least one clean reply: ``fingerprint_observation``
+    classifies an observation without one before calling this.
+    """
     classes: set[ImplClass] = set()
     tz_offset: float | None = None
     std = obs.first.get(_STANDARD)
@@ -348,15 +325,6 @@ def classify_timekeeping(obs: HostObservation) -> Timekeeping:
     return _TK_UNKNOWN
 
 
-def classify_scanner_request(req: TimestampMessage) -> ScannerKind:
-    """Zero-valued originate timestamps are the mark of nmap host discovery."""
-    if req.icmp_type != TIMESTAMP_REQUEST:
-        raise ValueError(f"not a timestamp request: type {req.icmp_type}")
-    if req.orig_ts == 0:
-        return ScannerKind.NMAP_LIKE
-    return ScannerKind.OTHER_SCANNER
-
-
 def fingerprint_observation(
     obs: HostObservation,
     # Both defaults are frozen, so every host classified with them shares them.
@@ -372,8 +340,8 @@ def fingerprint_observation(
     """
     if not obs.first:
         return Fingerprint(
-            obs.target, frozenset({_UNKNOWN}), _TK_UNKNOWN,
-            _INCORRECT, flags=frozenset({"all_replies_tampered"}),
+            frozenset({_UNKNOWN}), _TK_UNKNOWN, _INCORRECT,
+            flags=frozenset({"all_replies_tampered"}),
         )
     classes, tz_offset = _implementation(obs, policy, table)
     flags: set[str] = set()
@@ -401,7 +369,7 @@ def fingerprint_observation(
         flags.add("tampered_replies")
 
     return Fingerprint(
-        obs.target, frozenset(classes), timekeeping, correctness, tz_offset, frozenset(flags)
+        frozenset(classes), timekeeping, correctness, tz_offset, frozenset(flags)
     )
 
 
@@ -416,19 +384,18 @@ def _merge_offset(a: float | None, b: float | None) -> float | None:
 def merge_fingerprints(a: Fingerprint, b: Fingerprint) -> Fingerprint:
     """Consensus of two vantage points' fingerprints for the same target.
 
-    Classes intersect (a host must exhibit a behavior from both vantages
-    to keep it); disagreeing correctness, timekeeping, or timezone
-    verdicts are downgraded.  Two offsets that name the same point on the
+    A fingerprint does not hold its target: the caller pairs them, as
+    ``reports.merge_records`` does by the records' targets.  Classes
+    intersect (a host must exhibit a behavior from both vantages to keep
+    it); disagreeing correctness, timekeeping, or timezone verdicts are
+    downgraded.  Two offsets that name the same point on the
     day circle (+12 and -12, or +9 and -15) agree, and the merge keeps its
     normalized form.  Idempotent and commutative.
     """
-    if a.target != b.target:
-        raise ValueError(f"fingerprints for different targets: {a.target} vs {b.target}")
     classes = a.classes & b.classes
     if not classes:
         classes = frozenset({_UNKNOWN})
     return Fingerprint(
-        target=a.target,
         classes=classes,
         timekeeping=a.timekeeping if a.timekeeping == b.timekeeping else _TK_UNKNOWN,
         correctness=a.correctness if a.correctness == b.correctness else _INCORRECT,

@@ -249,7 +249,7 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
             continue
         outcomes = tuple(probes)
         duplicates = duplicate_replies.get(target, 0)
-        obs = HostObservation(target, outcomes, duplicates)
+        obs = HostObservation(outcomes, duplicates)
         yield ResultRecord(
             target, cfg.vantage, outcomes, fingerprint_observation(obs),
             duplicates, transport.tz,

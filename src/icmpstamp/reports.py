@@ -15,12 +15,7 @@ from ipaddress import IPv4Address, IPv4Network
 from typing import NamedTuple
 
 from icmpstamp import wire
-from icmpstamp.classify import (
-    CorrectnessPolicy,
-    ScannerKind,
-    classify_scanner_request,
-    merge_fingerprints,
-)
+from icmpstamp.classify import CorrectnessPolicy, merge_fingerprints
 from icmpstamp.clock import DAY_MS, circular_diff, offsets_equal
 from icmpstamp.probes import ProbeKind, TamperVerdict
 from icmpstamp.results import ResultRecord
@@ -190,7 +185,10 @@ class CaptureEntry(NamedTuple):
 
 def _parse_capture_entry(text: str) -> CaptureEntry:
     try:
-        src, _, payload = text.split()
+        parts = text.split()
+        if len(parts) != 3:
+            raise ValueError(f"expected <src_ip> <iso_instant|-> <hex_payload>, got {text!r}")
+        src, _, payload = parts
         return CaptureEntry(str(IPv4Address(src)), wire.decode(bytes.fromhex(payload)))
     except ValueError as exc:
         raise ValueError(f"bad capture line: {exc}") from None
@@ -227,7 +225,8 @@ def analyze_requests(entries: list[CaptureEntry], top_n: int = 10) -> RequestSum
             continue
         summary.total_requests += 1
         summary.per_source[entry.src] += 1
-        if classify_scanner_request(entry.message) is ScannerKind.NMAP_LIKE:
+        # A zero originate timestamp is the mark of nmap host discovery.
+        if entry.message.orig_ts == 0:
             summary.nmap_like += 1
     summary.top_sources = summary.per_source.most_common(top_n)
     return summary

@@ -11,7 +11,9 @@ A line is the record as ``json.dumps(..., sort_keys=True,
 separators=(",", ":"))`` would write it, and is written from fixed
 templates whose keys are already in that order.  Only the strings the
 program does not choose (target, vantage, flags) go through JSON's ASCII
-string escaping; enum values, ISO instants and integers need none.
+string escaping; enum values, ISO instants and integers need none.  The
+target is written twice, in the record and in its fingerprint, from one
+escaping: a ``Fingerprint`` holds no target of its own.
 Flags are sorted as JSON reads them back, so a line read back writes
 the same line.
 
@@ -29,9 +31,10 @@ Reading a line is a trust boundary.  Message fields, ``round`` and
 below ``DAY_MS`` (classification and the PMF report read it as a time of
 day), target, vantage and flags strings, ``send_time`` and ``arrival``
 ISO instants with a UTC offset, the same offset for every instant of a
-record, ``tz_offset`` null or a finite number, and every enum value one
-the program defines; anything else is a ``ValueError`` that
-``records_in`` reports as ``path:line: bad record``.  So a bad record
+record, ``tz_offset`` null or a finite number, the fingerprint's target
+the record's, and every enum value one the program defines; anything
+else is a ``ValueError`` that ``records_in`` reports as ``path:line: bad
+record``.  So a bad record
 fails on its own line, not later in classification or a report.
 
 A record is checked in one pass over its fields, and each object is
@@ -147,7 +150,8 @@ def _as_read(text: str) -> str:
     return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
 
-def _fingerprint_json(fp: Fingerprint) -> str:
+def _fingerprint_json(fp: Fingerprint, target: str) -> str:
+    """``fp`` as its line writes it; ``target`` is the record's, as JSON."""
     classes = ",".join([f'"{v}"' for v in sorted([_VALUE[c] for c in fp.classes])])
     # Sorted as read back, so a written line reads into a record that
     # writes the same line.
@@ -155,7 +159,7 @@ def _fingerprint_json(fp: Fingerprint) -> str:
     tz = "null" if fp.tz_offset is None else repr(fp.tz_offset)
     return (
         f'{{"classes":[{classes}],"correctness":"{_VALUE[fp.correctness]}",'
-        f'"flags":[{flags}],"target":{_json_str(fp.target)},'
+        f'"flags":[{flags}],"target":{target},'
         f'"timekeeping":"{_VALUE[fp.timekeeping]}","tz_offset":{tz}}}'
     )
 
@@ -163,10 +167,11 @@ def _fingerprint_json(fp: Fingerprint) -> str:
 def record_to_line(rec: ResultRecord) -> str:
     offset_us, suffix = _offset_text(rec.tz)
     probes = ",".join([_outcome_json(o, offset_us, suffix) for o in rec.outcomes])
+    target = _json_str(rec.target)
     return (
         f'{{"duplicate_replies":{rec.duplicate_replies},'
-        f'"fingerprint":{_fingerprint_json(rec.fingerprint)},"probes":[{probes}],'
-        f'"target":{_json_str(rec.target)},"vantage":{_json_str(rec.vantage)}}}'
+        f'"fingerprint":{_fingerprint_json(rec.fingerprint, target)},"probes":[{probes}],'
+        f'"target":{target},"vantage":{_json_str(rec.vantage)}}}'
     )
 
 
@@ -226,13 +231,16 @@ def _tz_offset(value) -> float | None:
     return value
 
 
-def fingerprint_from_dict(d: dict) -> Fingerprint:
+def fingerprint_from_dict(d: dict, target: str) -> Fingerprint:
+    """The fingerprint of the record whose target is ``target``; ``d`` must
+    name that target too."""
     classes, flags = d["classes"], d["flags"]
     if type(classes) is not list or type(flags) is not list:
         raise ValueError("classes and flags must be lists")
     for flag in flags:
         _str(flag, "flag")
-    target = _str(d["target"], "fingerprint target")
+    if d["target"] != target:
+        raise ValueError(f"fingerprint target {d['target']!r} is not the record's {target!r}")
     try:
         classes = frozenset([_IMPL_CLASSES[c] for c in classes])
     except (KeyError, TypeError):
@@ -248,7 +256,7 @@ def fingerprint_from_dict(d: dict) -> Fingerprint:
     except (KeyError, TypeError):
         correctness = Correctness(correctness)
     return Fingerprint(
-        target, classes, timekeeping, correctness, _tz_offset(d["tz_offset"]), frozenset(flags)
+        classes, timekeeping, correctness, _tz_offset(d["tz_offset"]), frozenset(flags)
     )
 
 
@@ -304,7 +312,7 @@ def record_from_dict(d: dict) -> ResultRecord:
             tamper = TamperVerdict(tamper)
         outcomes.append(_new(ProbeOutcome, (kind, send_time, request, reply, arrival, tamper)))
     vantage = _str(d["vantage"], "vantage")
-    fingerprint = fingerprint_from_dict(d["fingerprint"])
+    fingerprint = fingerprint_from_dict(d["fingerprint"], target)
     duplicates = _int(d["duplicate_replies"], "duplicate_replies")
     if duplicates < 0:
         raise ValueError(f"duplicate_replies must not be negative, got {duplicates}")
@@ -360,4 +368,4 @@ def read_records(path) -> list[ResultRecord]:
 
 def observation_from_record(rec: ResultRecord) -> HostObservation:
     """Rebuild the observation so classification can be re-run offline."""
-    return HostObservation(rec.target, rec.outcomes, rec.duplicate_replies)
+    return HostObservation(rec.outcomes, rec.duplicate_replies)

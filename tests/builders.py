@@ -165,4 +165,4 @@ def observe_direct(
         pairs.append(
             probe._replace(reply=reply, arrival=at_ms(t), tamper=verify_reply(probe, reply))
         )
-    return HostObservation(dest, pairs)
+    return HostObservation(pairs)

@@ -24,9 +24,9 @@ from icmpstamp.classify import (
     HostObservation,
     ImplClass,
     classify_correctness,
-    classify_implementation,
     classify_timekeeping,
     detect_htons_bug,
+    fingerprint_observation,
     Timekeeping,
 )
 from icmpstamp.clock import DAY_MS, DEFAULT_OFFSET_HOURS, OffsetTable, offset_millis
@@ -189,7 +189,7 @@ def test_c1_taxonomy_round_trip():
         for trial in range(100):
             t0 = draw_instant(rng, accept)
             obs = observe_direct(cfg, t0, rng)
-            classes = classify_implementation(obs, POLICY, TABLE)
+            classes = fingerprint_observation(obs, POLICY, TABLE).classes
             assert classes == expected, (
                 f"{cfg.impl_class.value} trial {trial} at t0={t0}: "
                 f"got {sorted(c.value for c in classes)}"
@@ -308,7 +308,6 @@ def test_c5_htons_detector():
         v1 = randrange(DAY_MS)
         v2 = randrange(DAY_MS)
         obs = HostObservation(
-            dest,
             [
                 ProbeOutcome(
                     *std_probe[:3],

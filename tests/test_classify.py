@@ -18,12 +18,8 @@ from icmpstamp.classify import (
     Fingerprint,
     HostObservation,
     ImplClass,
-    NoCleanReplies,
-    ScannerKind,
     Timekeeping,
     classify_correctness,
-    classify_implementation,
-    classify_scanner_request,
     classify_timekeeping,
     detect_htons_bug,
     fingerprint_observation,
@@ -87,7 +83,7 @@ def build_pairs(
 def build_obs(**fields):
     """Observation with echo replies carrying the given (recv, xmit) pairs."""
     pairs, probes = build_pairs(**fields)
-    return HostObservation(DEST, pairs), probes
+    return HostObservation(pairs), probes
 
 
 class TestCorrectness:
@@ -206,7 +202,7 @@ def test_first_clean_is_the_earliest_clean_outcome(spec, kind):
         else ProbeOutcome(k, at_ms(t), reply)
         for k, t, verdict in spec
     ]
-    obs = HostObservation(DEST, outcomes)
+    obs = HostObservation(outcomes)
     pairs = [o for o in outcomes if o.reply is not None]
     # The former formula: min() over a filtered list keeps the first of ties.
     clean = [p for p in pairs if p.tamper is TamperVerdict.CLEAN]
@@ -279,11 +275,14 @@ class TestImplementationClasses:
             std=(ORIG + tz, ORIG + tz),
             dup=((ORIG + 3000 + tz) % DAY_MS, (ORIG + 3000 + tz) % DAY_MS),
         )
-        assert classify_implementation(obs, POLICY, TABLE) == {ImplClass.LAZY, ImplClass.TIMEZONE}
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+            ImplClass.LAZY,
+            ImplClass.TIMEZONE,
+        }
 
     def test_all_zero_is_stuck_constant_zero(self):
         obs, _ = build_obs(std=(0, 0), dup=(0, 0))
-        assert classify_implementation(obs, POLICY, TABLE) == {
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
             ImplClass.STUCK,
             ImplClass.CONSTANT_0,
         }
@@ -293,21 +292,21 @@ class TestImplementationClasses:
         dup_probe = probes["dup"]
         dup_orig = dup_probe.request.orig_ts
         obs = HostObservation(
-            DEST, [*pairs, pair_for(dup_probe, echo_reply(dup_probe, dup_orig, dup_orig))]
+            [*pairs, pair_for(dup_probe, echo_reply(dup_probe, dup_orig, dup_orig))]
         )
-        assert classify_implementation(obs, POLICY, TABLE) == {ImplClass.REFLECTION}
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.REFLECTION}
 
     def test_normal(self):
         obs, _ = build_obs(std=(ORIG + 40, ORIG + 43))
-        assert classify_implementation(obs, POLICY, TABLE) == {ImplClass.NORMAL}
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.NORMAL}
 
     def test_lazy(self):
         obs, _ = build_obs(std=(ORIG + 40, ORIG + 40))
-        assert classify_implementation(obs, POLICY, TABLE) == {ImplClass.LAZY}
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.LAZY}
 
     def test_checksum_lazy(self):
         obs, _ = build_obs(std=(ORIG + 40, ORIG + 40), bad_checksum=(ORIG + 60, ORIG + 60))
-        assert classify_implementation(obs, POLICY, TABLE) == {
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
             ImplClass.LAZY,
             ImplClass.CHECKSUM_LAZY,
         }
@@ -315,20 +314,23 @@ class TestImplementationClasses:
     def test_non_utc_needs_both_fields(self):
         both = ORIG | 2**31
         obs, _ = build_obs(std=(both, both))
-        assert ImplClass.NON_UTC in classify_implementation(obs, POLICY, TABLE)
+        assert ImplClass.NON_UTC in fingerprint_observation(obs, POLICY, TABLE).classes
         obs2, _ = build_obs(std=(both, ORIG))
-        assert ImplClass.NON_UTC not in classify_implementation(obs2, POLICY, TABLE)
+        assert ImplClass.NON_UTC not in fingerprint_observation(obs2, POLICY, TABLE).classes
 
     def test_little_endian(self):
         swapped = byte_swap_32(ORIG + 5)
         obs, _ = build_obs(std=(swapped, swapped))
-        classes = classify_implementation(obs, POLICY, TABLE)
+        classes = fingerprint_observation(obs, POLICY, TABLE).classes
         assert ImplClass.LITTLE_ENDIAN in classes
 
     def test_stuck_nonzero_constant(self):
         c = 123_456
         obs, _ = build_obs(std=(c, c), dup=(c, c))
-        assert classify_implementation(obs, POLICY, TABLE) == {ImplClass.LAZY, ImplClass.STUCK}
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+            ImplClass.LAZY,
+            ImplClass.STUCK,
+        }
 
     def test_stuck_requires_constant_differ_from_duplicate_request(self):
         # A "constant" equal to the duplicate request's preset fields is
@@ -336,13 +338,13 @@ class TestImplementationClasses:
         pairs, probes = build_pairs(std=(0, 0))
         dup_probe = probes["dup"]
         v = dup_probe.request.orig_ts
-        obs = HostObservation(DEST, [*pairs, pair_for(dup_probe, echo_reply(dup_probe, v, v))])
-        classes = classify_implementation(obs, POLICY, TABLE)
+        obs = HostObservation([*pairs, pair_for(dup_probe, echo_reply(dup_probe, v, v))])
+        classes = fingerprint_observation(obs, POLICY, TABLE).classes
         assert ImplClass.STUCK not in classes
 
     def test_constant_one(self):
         obs, _ = build_obs(std=(1, 1), dup=(1, 1))
-        assert classify_implementation(obs, POLICY, TABLE) == {
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
             ImplClass.LAZY,
             ImplClass.STUCK,
             ImplClass.CONSTANT_1,
@@ -351,7 +353,7 @@ class TestImplementationClasses:
     def test_constant_le_one(self):
         le1 = byte_swap_32(1)
         obs, _ = build_obs(std=(le1, le1), dup=(le1, le1))
-        assert classify_implementation(obs, POLICY, TABLE) == {
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
             ImplClass.LAZY,
             ImplClass.STUCK,
             ImplClass.CONSTANT_LE_1,
@@ -362,7 +364,7 @@ class TestImplementationClasses:
         # once the bad-clock reply repeats it; an accepted rule overlap.
         le1 = byte_swap_32(1)
         obs, _ = build_obs(std=(le1, le1), dup=(le1, le1), bad_clock=(le1, le1))
-        assert classify_implementation(obs, POLICY, TABLE) == {
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
             ImplClass.LAZY,
             ImplClass.STUCK,
             ImplClass.CONSTANT_LE_1,
@@ -371,9 +373,9 @@ class TestImplementationClasses:
 
     def test_unclassifiable_is_unknown(self):
         obs, _ = build_obs(std=(0, 0x00ABCD01))
-        assert classify_implementation(obs, POLICY, TABLE) == {ImplClass.UNKNOWN}
+        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.UNKNOWN}
 
-    def test_no_clean_replies_raises(self):
+    def test_no_clean_replies_is_unknown_and_all_tampered(self):
         pairs, probes = build_pairs()
         std = probes["std"]
         tampered_reply = TimestampMessage(
@@ -385,17 +387,13 @@ class TestImplementationClasses:
             xmit_ts=5,
         )
         obs = HostObservation(
-            DEST,
             [
                 *pairs,
                 std._replace(reply=tampered_reply, arrival=std.send_time,
                              tamper=TamperVerdict.ORIGINATE_MODIFIED),
             ],
         )
-        with pytest.raises(NoCleanReplies):
-            classify_implementation(obs, POLICY, TABLE)
         assert fingerprint_observation(obs, POLICY, TABLE) == Fingerprint(
-            target=DEST,
             classes=frozenset({ImplClass.UNKNOWN}),
             timekeeping=Timekeeping.UNKNOWN,
             correctness=Correctness.INCORRECT,
@@ -412,7 +410,7 @@ class TestClassSetInvariants:
     @given(reply_fields, st.one_of(st.none(), reply_fields))
     def test_exhaustive_and_constants_imply_stuck(self, std_fields, dup_fields):
         obs, _ = build_obs(std=std_fields, dup=dup_fields)
-        classes = classify_implementation(obs, POLICY, TABLE)
+        classes = fingerprint_observation(obs, POLICY, TABLE).classes
         assert classes  # anything with a clean reply gets at least Unknown
         constants = {ImplClass.CONSTANT_0, ImplClass.CONSTANT_1, ImplClass.CONSTANT_LE_1}
         if classes & constants:
@@ -472,26 +470,9 @@ class TestTimekeeping:
         )
 
 
-class TestScannerSignature:
-    def test_zero_originate_is_nmap_like(self):
-        req = TimestampMessage(13, orig_ts=0)
-        assert classify_scanner_request(req) is ScannerKind.NMAP_LIKE
-
-    def test_real_time_is_other(self):
-        assert classify_scanner_request(TimestampMessage(13, orig_ts=ORIG)) is ScannerKind.OTHER_SCANNER
-
-    def test_one_is_other(self):
-        assert classify_scanner_request(TimestampMessage(13, orig_ts=1)) is ScannerKind.OTHER_SCANNER
-
-    def test_reply_rejected(self):
-        with pytest.raises(ValueError):
-            classify_scanner_request(TimestampMessage(14, orig_ts=0))
-
-
 def fp(classes, timekeeping=Timekeeping.MILLISECOND, correctness=Correctness.CORRECT,
-       tz=None, flags=frozenset(), target="192.0.2.9"):
+       tz=None, flags=frozenset()):
     return Fingerprint(
-        target=target,
         classes=frozenset(classes),
         timekeeping=timekeeping,
         correctness=correctness,
@@ -535,10 +516,6 @@ class TestMerge:
             )
             assert result.tz_offset == merged
             assert result.classes == {ImplClass.TIMEZONE}
-
-    def test_different_targets_rejected(self):
-        with pytest.raises(ValueError):
-            merge_fingerprints(fp({ImplClass.LAZY}), fp({ImplClass.LAZY}, target="192.0.2.10"))
 
     fingerprints = st.builds(
         fp,
@@ -585,7 +562,7 @@ class TestFingerprintObservation:
         pairs, probes = build_pairs(std=(0, 0), t0=0, gap_ms=DAY_MS)  # duplicate orig wraps to 0
         dup_probe = probes["dup"]
         assert dup_probe.request.orig_ts == 0
-        obs = HostObservation(DEST, [*pairs, pair_for(dup_probe, echo_reply(dup_probe, 0, 0))])
+        obs = HostObservation([*pairs, pair_for(dup_probe, echo_reply(dup_probe, 0, 0))])
         result = fingerprint_observation(obs)
         # At exact midnight the zero reply also satisfies the byte-swap rule
         # (swap(0) == 0 == orig); the constant interpretation still wins over
@@ -606,7 +583,6 @@ class TestFingerprintObservation:
             xmit_ts=7,
         )
         obs = HostObservation(
-            DEST,
             [*pairs, std._replace(reply=tampered, arrival=std.send_time,
                                   tamper=TamperVerdict.ORIGINATE_MODIFIED)],
         )
@@ -616,7 +592,7 @@ class TestFingerprintObservation:
 
     def test_duplicate_replies_flagged(self):
         pairs, _ = build_pairs(std=(ORIG + 30, ORIG + 30))
-        obs = HostObservation(DEST, pairs, duplicate_replies=2)
+        obs = HostObservation(pairs, duplicate_replies=2)
         assert "duplicate_replies" in fingerprint_observation(obs).flags
 
 
@@ -624,8 +600,7 @@ class _FormerObservation:
     """The observation as classified before ``HostObservation.first``:
     each rule looked its replies up again with ``first_clean``."""
 
-    def __init__(self, target, pairs, duplicate_replies):
-        self.target = target
+    def __init__(self, pairs, duplicate_replies):
         self.pairs = list(pairs)
         self.duplicate_replies = duplicate_replies
 
@@ -657,7 +632,7 @@ def _former_htons(obs):
 
 def _former_implementation(obs, policy, table):
     if not obs.clean_pairs():
-        raise NoCleanReplies(obs.target)
+        raise ValueError("no clean replies")
     classes = set()
     std = obs.first_clean(ProbeKind.STANDARD)
     dup = obs.first_clean(ProbeKind.DUPLICATE)
@@ -733,7 +708,6 @@ def _former_timekeeping(obs):
 def _former_fingerprint(obs, policy, table):
     if not obs.clean_pairs():
         return Fingerprint(
-            target=obs.target,
             classes=frozenset({ImplClass.UNKNOWN}),
             timekeeping=Timekeeping.UNKNOWN,
             correctness=Correctness.INCORRECT,
@@ -765,7 +739,6 @@ def _former_fingerprint(obs, policy, table):
     if any(p.tamper is not TamperVerdict.CLEAN for p in obs.pairs):
         flags.add("tampered_replies")
     return Fingerprint(
-        target=obs.target,
         classes=frozenset(classes),
         timekeeping=timekeeping,
         correctness=correctness,
@@ -845,9 +818,9 @@ def test_fingerprint_equals_former_lookups(parts, custom):
     pairs, duplicate_replies = parts
     table, policy = custom if custom is not None else (TABLE, POLICY)
     new = _result(
-        fingerprint_observation, HostObservation(DEST, pairs, duplicate_replies), policy, table
+        fingerprint_observation, HostObservation(pairs, duplicate_replies), policy, table
     )
     former = _result(
-        _former_fingerprint, _FormerObservation(DEST, pairs, duplicate_replies), policy, table
+        _former_fingerprint, _FormerObservation(pairs, duplicate_replies), policy, table
     )
     assert new == former

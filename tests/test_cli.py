@@ -737,6 +737,31 @@ class TestMergeCommand:
         ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--in", "{bent}", "--out", "{out}"],
+    ["merge", "{bent}", "{good}", "--out", "{out}"],
+    ["merge", "{good}", "{bent}", "--out", "{out}"],
+])
+def test_fingerprint_target_not_the_records_is_a_bad_record(scanned, capsys, argv):
+    # Such a line used to be read: classify then wrote the record's target
+    # over it, and merge failed without naming the line.
+    tmp_path, good = scanned
+    lines = good.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["fingerprint"]["target"] = "203.0.113.9"
+    bent = tmp_path / "bent.jsonl"
+    bent.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    out = tmp_path / "re.jsonl"
+    out.write_bytes(b"oldbytes\n")
+    paths = {"bent": bent, "good": good, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {bent}:2: bad record: fingerprint target '203.0.113.9' "
+        f"is not the record's {rec['target']!r}\n"
+    )
+    assert out.read_bytes() == b"oldbytes\n"
+
+
 def test_python_dash_m_entry_point():
     import os
     import subprocess

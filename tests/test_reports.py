@@ -40,7 +40,6 @@ def standard_record(target, orig_ms, recv_offset_ms, vantage="A", tz=None,
     reply = echo_reply(probe, recv, recv)
     pair = pair_for(probe, reply)
     fingerprint = Fingerprint(
-        target=target,
         classes=classes,
         timekeeping=Timekeeping.MILLISECOND,
         correctness=Correctness.CORRECT if abs(recv_offset_ms) < 200 else Correctness.INCORRECT,
@@ -241,10 +240,34 @@ class TestAnalyzeRequests:
     @pytest.mark.parametrize("kept", [(0, 2), (0, 1, 2, 2)])
     def test_line_needs_three_columns(self, tmp_path, kept):
         columns = capture_line("10.4.3.1", 0).split()
+        row = " ".join(columns[i] for i in kept)
         path = tmp_path / "capture.txt"
-        path.write_text(" ".join(columns[i] for i in kept) + "\n")
-        with pytest.raises(ValueError, match="capture.txt:1: bad capture line"):
+        path.write_text(row + "\n")
+        with pytest.raises(ValueError) as info:
             load_capture(path)
+        assert str(info.value) == (
+            f"{path}:1: bad capture line: "
+            f"expected <src_ip> <iso_instant|-> <hex_payload>, got {row!r}"
+        )
+
+    @staticmethod
+    def summary_of(tmp_path, message):
+        path = tmp_path / "capture.txt"
+        path.write_text(f"10.4.4.1 - {wire.encode(wire.fill_checksum(message)).hex()}\n")
+        summary = analyze_requests(load_capture(path))
+        return summary.total_requests, summary.nmap_like
+
+    def test_zero_originate_is_nmap_like(self, tmp_path):
+        assert self.summary_of(tmp_path, TimestampMessage(13, orig_ts=0)) == (1, 1)
+
+    def test_real_time_is_other(self, tmp_path):
+        assert self.summary_of(tmp_path, TimestampMessage(13, orig_ts=45_296_789)) == (1, 0)
+
+    def test_one_is_other(self, tmp_path):
+        assert self.summary_of(tmp_path, TimestampMessage(13, orig_ts=1)) == (1, 0)
+
+    def test_reply_is_not_a_request(self, tmp_path):
+        assert self.summary_of(tmp_path, TimestampMessage(14, orig_ts=0)) == (0, 0)
 
 
 class TestMergeRecords:
@@ -282,7 +305,7 @@ def test_fingerprint_observation_consistency_with_reports():
     pair = pair_for(probe, reply)
     from icmpstamp.classify import HostObservation
 
-    obs = HostObservation("10.6.0.1", [pair])
+    obs = HostObservation([pair])
     fp = fingerprint_observation(obs)
     rec = ResultRecord("10.6.0.1", "A", (pair,), fp)
     rows = error_histogram([rec], bin_ms=100)

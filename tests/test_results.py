@@ -62,13 +62,12 @@ def sample_record(target="10.7.0.1", answered=True):
             outcomes.append(pair)
         else:
             outcomes.append(probe)
-    obs = HostObservation(target, pairs, duplicate_replies=1)
+    obs = HostObservation(pairs, duplicate_replies=1)
     fp = fingerprint_observation(obs) if answered else None
     if fp is None:
         from icmpstamp.classify import Correctness, Fingerprint, ImplClass, Timekeeping
 
-        fp = Fingerprint(target, frozenset({ImplClass.UNKNOWN}),
-                         Timekeeping.UNKNOWN, Correctness.INCORRECT)
+        fp = Fingerprint(frozenset({ImplClass.UNKNOWN}), Timekeeping.UNKNOWN, Correctness.INCORRECT)
     return ResultRecord(target, "lab", tuple(outcomes), fp, duplicate_replies=1)
 
 
@@ -169,7 +168,7 @@ def former_record_to_dict(rec):
         ],
         "duplicate_replies": rec.duplicate_replies,
         "fingerprint": {
-            "target": fp.target,
+            "target": rec.target,
             "classes": sorted(c.value for c in fp.classes),
             "timekeeping": fp.timekeeping.value,
             "correctness": fp.correctness.value,
@@ -233,7 +232,6 @@ def records(draw):
             outcomes.append(probe._replace(reply=draw(messages), arrival=draw(instants),
                                            tamper=draw(st.sampled_from(TamperVerdict))))
     fingerprint = Fingerprint(
-        draw(st.just(target) | texts),
         draw(st.frozensets(st.sampled_from(ImplClass))),
         draw(st.sampled_from(Timekeeping)),
         draw(st.sampled_from(Correctness)),
@@ -242,6 +240,23 @@ def records(draw):
     )
     return ResultRecord(target, draw(texts), tuple(outcomes), fingerprint,
                         draw(st.integers(0, 2**40)), tz)
+
+
+@given(records(), texts)
+def test_a_fingerprint_target_not_the_records_is_rejected(rec, other):
+    # The writer cannot put another target in the fingerprint, so the
+    # reader is fed one by hand.
+    d = json.loads(record_to_line(rec))
+    d["fingerprint"]["target"] = other
+    line = json.dumps(d)
+    # Both as JSON reads them: a pair of lone surrogates reads as one character.
+    target, read = d["target"], json.loads(line)["fingerprint"]["target"]
+    if read == target:
+        assert record_to_line(record_from_line(line)) == record_to_line(rec)
+        return
+    with pytest.raises(ValueError) as info:
+        record_from_line(line)
+    assert str(info.value) == f"fingerprint target {read!r} is not the record's {target!r}"
 
 
 class TestLineTemplate:
@@ -258,7 +273,7 @@ class TestLineTemplate:
     def test_surrogate_pair_flags(self):
         # "\ud800\udfff" is written as the escape of U+103FF and read back as
         # that character, which sorts after "\udfff" and equals the third flag.
-        fp = Fingerprint("t", frozenset(), Timekeeping.MILLISECOND, Correctness.CORRECT, None,
+        fp = Fingerprint(frozenset(), Timekeeping.MILLISECOND, Correctness.CORRECT, None,
                          frozenset({'"\ud800\udfff', '"\udfff', '"\U000103ff'}))
         line = record_to_line(ResultRecord("t", "v", (), fp))
         assert '"flags":["\\"\\udfff","\\"\\ud800\\udfff"]' in line
@@ -291,7 +306,7 @@ instants_1970_2100 = st.integers(0, 4_102_444_800_000_000 - 1)
 @given(instants_1970_2100, st.sampled_from(NAMED_OFFSETS) | offsets)
 def test_instant_text_is_isoformat_and_reads_back(instant_us, tz):
     probe = ProbeOutcome(ProbeKind.STANDARD, instant_us, TimestampMessage(13))
-    fp = Fingerprint("t", frozenset(), Timekeeping.UNKNOWN, Correctness.INCORRECT)
+    fp = Fingerprint(frozenset(), Timekeeping.UNKNOWN, Correctness.INCORRECT)
     line = record_to_line(ResultRecord("t", "v", (probe,), fp, 0, tz))
     expected = (EPOCH + timedelta(microseconds=instant_us)).astimezone(tz)
     text = json.loads(line)["probes"][0]["send_time"]

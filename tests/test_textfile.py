@@ -24,7 +24,7 @@ RECORD_LINE = record_to_line(
         "192.0.2.1",
         "lab",
         (),
-        Fingerprint("192.0.2.1", frozenset({ImplClass.UNKNOWN}),
+        Fingerprint(frozenset({ImplClass.UNKNOWN}),
                     Timekeeping.UNKNOWN, Correctness.INCORRECT),
     )
 )
