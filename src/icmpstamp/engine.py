@@ -21,21 +21,27 @@ filing by source is the scan's one check of a reply's source.
 
 Each packet takes one pass in each direction.  A target's address is
 packed to 4 bytes once, when the targets file is read, and each probe is
-one ``probes.craft`` call that returns the probe kept and the image
+one ``probes.craft`` call that returns the numbers kept and the image
 sent.  Each arriving packet is one ``wire.unpack_reply`` call that checks
-its length, type and checksum and reads its fields; a
-``TimestampMessage`` is built only for a reply that binds.
+its length, type and checksum and reads its fields.
 
-A target's scan state is one list, the probes sent to it in send order.
-A probe as sent is its own unanswered ``ProbeOutcome``; a bound reply
-replaces it with the answered one, so the list is the target's record as
-it stands.  No fact the scan holds elsewhere is stored beside the list:
-the packed address is read from the targets map, the duplicate's slot
-from the send time of the standard probe in the list, whether the target
-answered from its list when its record is made (a target with no
-answered probe is skipped before anything is built for it), and the
-closing count of probes sent from the lists' total length.  Duplicate
-replies are counted in a map that holds only the targets that have one.
+The scan's state is flat storage by number, allocated whole before the
+first send, so that it holds no object per probe for the collector to
+track.  Target ``i`` is the ``i``-th of the targets file, and its probe
+of kind ``k`` (``ProbeKind`` order, the duplicate last) is probe
+``p = 4*i + k``.  The schedule is an array of probe numbers.  Per probe,
+arrays hold the send instant and the (id, seq), originate timestamp and
+checksum that rebuild the request; a list holds the reply's first 20
+bytes, None while it is unanswered, and an array its arrival.  Per target,
+a byte counts the probes sent and four more hold their kinds in send
+order, which is the order replies are matched in.  One map files a source
+under its target's number.  Duplicate replies are counted in a map that
+holds only the targets that have one.
+
+Objects are built once, when a target's record is made: each probe's
+``ProbeOutcome`` and request, and a bound reply's ``TimestampMessage`` and
+tamper verdict (``probes.verify_reply``).  A target with no bound reply is
+skipped before anything is built for it.
 
 The engine knows a transport only by the contract in ``transport``; the
 CLI builds the transport a scan runs on and writes every file.
@@ -46,6 +52,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -59,27 +66,34 @@ from icmpstamp.probes import (
     # Not called here: the benchmark's spans wrap each ``make_*`` function
     # on every module that holds it, and its tests check this one.
     make_standard,  # noqa: F401
+    sent_probe,
     verify_reply,
 )
 from icmpstamp.results import ResultRecord
 from icmpstamp.textfile import parse_lines
 from icmpstamp.transport import TransportError
-from icmpstamp.wire import BadChecksum, TimestampMessage, WireError, unpack_reply
+from icmpstamp.wire import (
+    LAYOUT,
+    MESSAGE_LEN,
+    BadChecksum,
+    TimestampMessage,
+    WireError,
+    unpack_reply,
+)
 
 log = logging.getLogger(__name__)
 
-# The per-probe paths read these members as module names: on Python 3.11
-# and older, ``EnumType.__getattr__`` makes a lookup on an Enum class cost
-# several global reads.
-_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM, _DUPLICATE = ProbeKind
-
-# Every kind but the duplicate, which goes out in the second round.
-_ROUND_ONE_ORDER = (_STANDARD, _BAD_CLOCK, _BAD_CHECKSUM)
+# Probe ``k`` of a target is its kind ``_KINDS[k]``: a tuple, because on
+# Python 3.11 and older a lookup on an Enum class costs several global
+# reads.  The duplicate is the last kind, sent in the second round.
+_KINDS = tuple(ProbeKind)
+_DUPLICATE_K = 3
 
 # Builds a NamedTuple from a tuple of all its fields, without the class's
-# generated ``__new__``: for the per-packet paths, whose field counts are
+# generated ``__new__``: for the record builder, whose field counts are
 # fixed here.
 _new = tuple.__new__
+_unpack_from = LAYOUT.unpack_from
 
 
 @dataclass(frozen=True)
@@ -142,28 +156,52 @@ def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
     return _scan(cfg, transport, load_targets(cfg.targets_path))
 
 
-def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[ResultRecord]:
-    rng = random.Random(cfg.seed)
-
-    schedule = [(t, k) for t in targets for k in _ROUND_ONE_ORDER]
+def _schedule(n: int, rng: random.Random) -> array:
+    """The probe numbers of ``n`` targets in send order (see the module
+    docstring)."""
+    # Round one: every target's first three probes, shuffled.  The shuffle
+    # draws on the length alone, so it permutes these as it would the
+    # (target, kind) pairs they number.
+    schedule = array("I", range(4 * n))
+    del schedule[_DUPLICATE_K::4]
     rng.shuffle(schedule)
-    # Each target's duplicate, in the order of its first round-one probe.
-    schedule += [(t, _DUPLICATE) for t in dict.fromkeys(t for t, _ in schedule)]
+    # Round two: each target's duplicate, in the order of its first
+    # round-one probe.
+    seen = bytearray(n)
+    duplicates = array("I")
+    for p in schedule:
+        i = p >> 2
+        if not seen[i]:
+            seen[i] = 1
+            duplicates.append(p | _DUPLICATE_K)
+    schedule += duplicates
+    return schedule
 
-    # Each target's probes in send order; a probe is unanswered while its
-    # reply is None.
-    state: dict[str, list[ProbeOutcome]] = {t: [] for t in targets}
+
+def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[ResultRecord]:
+    names = list(targets)
+    packed = list(targets.values())
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    rng = random.Random(cfg.seed)
+    schedule = _schedule(n, rng)
+
+    # Per probe (see the module docstring).
+    send_times = array("q", [0]) * (4 * n)
+    keys = array("I", [0]) * (4 * n)
+    origs = array("I", [0]) * (4 * n)
+    checksums = array("H", [0]) * (4 * n)
+    replies: list[bytes | None] = [None] * (4 * n)
+    arrivals = array("q", [0]) * (4 * n)
+    # Per target: the number of probes sent, and their kinds in send order
+    # at 4*i to 4*i + n_sent[i] - 1.
+    n_sent = bytearray(n)
+    order = bytearray(4 * n)
     # Only the targets that have a duplicate reply.
-    duplicate_replies: dict[str, int] = {}
+    duplicate_replies: dict[int, int] = {}
     discarded = 0
     # The transport's methods, looked up once per scan.
     now_us, receive, send = transport.now, transport.receive, transport.send
-
-    def bind(probes: list[ProbeOutcome], i: int, fields, arrival: int) -> None:
-        kind, send_time, request, _, _, _ = probe = probes[i]
-        reply = _new(TimestampMessage, fields)
-        tamper = verify_reply(probe, reply)
-        probes[i] = _new(ProbeOutcome, (kind, send_time, request, reply, arrival, tamper))
 
     def handle(src: str, data: bytes, arrival: int) -> None:
         nonlocal discarded
@@ -181,29 +219,35 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
             # A timestamp request is not a reply: ignored, not discarded.
             return
         _, _, _, ident, seq, orig_ts, _, _ = fields
-        probes = state.get(src, ())
-        keyed = False
-        by_orig = None
-        for i, probe in enumerate(probes):
-            _, _, _, sent_ident, sent_seq, sent_orig, _, _ = probe.request
-            if sent_ident == ident and sent_seq == seq:
-                if probe.reply is None:
-                    bind(probes, i, fields, arrival)
-                    return
-                keyed = True
-            elif by_orig is None and sent_orig == orig_ts and probe.reply is None:
-                by_orig = i
-        if keyed:
-            # Every probe with this (id, seq) already holds a reply.
-            duplicate_replies[src] = duplicate_replies.get(src, 0) + 1
-        elif by_orig is not None:
-            # No (id, seq) match: fall back to the originate timestamp so
-            # replies whose id/seq were rewritten in flight are still
-            # observed (they classify as tampered, never as clean).
-            bind(probes, by_orig, fields, arrival)
-        else:
-            discarded += 1
-            log.info("unmatched reply from %s (id=%d seq=%d)", src, ident, seq)
+        i = index.get(src)
+        if i is not None:
+            key = ident << 16 | seq
+            base = i << 2
+            keyed = False
+            by_orig = -1
+            for k in order[base:base + n_sent[i]]:
+                p = base + k
+                if keys[p] == key:
+                    if replies[p] is None:
+                        replies[p] = data[:MESSAGE_LEN]
+                        arrivals[p] = arrival
+                        return
+                    keyed = True
+                elif by_orig < 0 and origs[p] == orig_ts and replies[p] is None:
+                    by_orig = p
+            if keyed:
+                # Every probe with this (id, seq) already holds a reply.
+                duplicate_replies[i] = duplicate_replies.get(i, 0) + 1
+                return
+            if by_orig >= 0:
+                # No (id, seq) match: fall back to the originate timestamp
+                # so replies whose id/seq were rewritten in flight are still
+                # observed (they classify as tampered, never as clean).
+                replies[by_orig] = data[:MESSAGE_LEN]
+                arrivals[by_orig] = arrival
+                return
+        discarded += 1
+        log.info("unmatched reply from %s (id=%d seq=%d)", src, ident, seq)
 
     # No 1-second window holds more than rate_pps sends.
     interval = math.ceil(1_000_000 / cfg.rate_pps)
@@ -213,24 +257,27 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
     aborted: Exception | None = None
 
     try:
-        for dest, kind in schedule:
-            probes = state[dest]
+        for p in schedule:
+            i = p >> 2
+            k = p & 3
             slot = next_slot
-            if kind is _DUPLICATE:
-                # The duplicate is timed from the standard probe, which
-                # round one, earlier in the schedule, put in the list.
-                for probe in probes:
-                    if probe.kind is _STANDARD:
-                        due = probe.send_time + gap
-                        break
+            if k == _DUPLICATE_K:
+                # Timed from the standard probe, sent in round one.
+                due = send_times[p - _DUPLICATE_K] + gap
                 if due > slot:
                     slot = due
             while (item := receive(slot)) is not None:
                 handle(*item)
             now = now_us()
-            probe, image = craft(kind, targets[dest], now, rng)
-            send(dest, image)
-            probes.append(probe)
+            key, orig, checksum, image = craft(_KINDS[k], packed[i], now, rng)
+            send(names[i], image)
+            send_times[p] = now
+            keys[p] = key
+            origs[p] = orig
+            checksums[p] = checksum
+            sent = n_sent[i]
+            order[(i << 2) + sent] = k
+            n_sent[i] = sent + 1
             last_send = now
             next_slot = (next_slot if next_slot > now else now) + interval
 
@@ -242,13 +289,27 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
         aborted = exc
 
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
-             sum(map(len, state.values())), discarded)
+             sum(n_sent), discarded)
 
-    for target, probes in state.items():
-        if all(p.reply is None for p in probes):
+    for i, target in enumerate(names):
+        base = i << 2
+        if not any(replies[base:base + 4]):
             continue
-        outcomes = tuple(probes)
-        duplicates = duplicate_replies.get(target, 0)
+        outcomes = []
+        for k in order[base:base + n_sent[i]]:
+            p = base + k
+            kind = _KINDS[k]
+            probe = sent_probe(kind, send_times[p], keys[p], origs[p], checksums[p])
+            data = replies[p]
+            if data is not None:
+                reply = _new(TimestampMessage, _unpack_from(data))
+                tamper = verify_reply(probe, reply)
+                probe = _new(ProbeOutcome, (
+                    kind, probe.send_time, probe.request, reply, arrivals[p], tamper,
+                ))
+            outcomes.append(probe)
+        outcomes = tuple(outcomes)
+        duplicates = duplicate_replies.get(i, 0)
         obs = HostObservation(outcomes, duplicates)
         yield ResultRecord(
             target, cfg.vantage, outcomes, fingerprint_observation(obs),
@@ -257,5 +318,5 @@ def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[Res
 
     if aborted is not None:
         # A target's duplicate is the last of its four probes.
-        unsent = [t for t, probes in state.items() if len(probes) < len(ProbeKind)]
+        unsent = [names[i] for i in range(n) if n_sent[i] < len(ProbeKind)]
         raise ScanAborted(str(aborted), unsent) from aborted

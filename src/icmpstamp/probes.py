@@ -8,11 +8,15 @@ crafted:
 * bad-clock requests pick (id, seq) and derive the originate timestamp
   from the low 32 bits of MD5(destination . id . seq).
 
-``craft`` makes a probe of any kind and its 20-byte wire image in one
-call, from the destination's address already packed to 4 bytes: the
-engine calls it once per probe and sends the image as it is.  It holds
-the only copy of both hash recipes; the ``make_*`` functions return its
-probes, one function per kind.
+``craft`` makes a probe of any kind in one call, from the destination's
+address already packed to 4 bytes.  It returns the three numbers that
+rebuild the request, (id, seq) as one 32-bit key, the originate
+timestamp and the checksum, and the 20-byte wire image: the engine
+stores the numbers in arrays, sends the image as it is, and builds no
+object for the probe until the target's record is made.  ``craft`` holds
+the only copy of both hash recipes; ``sent_probe`` turns its numbers
+into the probe they describe, and the ``make_*`` functions return that
+probe, one function per kind.
 
 A probe is one ``ProbeOutcome``: as sent, it is its own unanswered
 outcome, and binding a reply to it makes the answered one.  It holds no
@@ -74,10 +78,13 @@ class TamperVerdict(IdentityEnum):
 
 _CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _ = TamperVerdict
 
-# ``craft`` builds each probe and its request from all their fields with
-# this, skipping the generated ``__new__`` (and its defaults) of each class.
+# ``sent_probe`` builds each probe and its request from all their fields
+# with this, skipping the generated ``__new__`` (and its defaults) of each
+# class.
 _new = tuple.__new__
-_pack = wire.LAYOUT.pack
+# ``wire.LAYOUT`` with id and seq as one big-endian 32-bit key, which packs
+# to the same bytes: type, code, checksum, key, orig, receive, transmit.
+_pack = struct.Struct("!BBHIIII").pack
 
 # The hash inputs (see the module docstring) and the digest's low 32 bits.
 _orig_input = struct.Struct("!4sI").pack
@@ -116,9 +123,11 @@ def dest_bytes(dest: str) -> bytes:
         raise ValueError(f"not an IPv4 address: {dest!r}") from None
 
 
-def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[ProbeOutcome, bytes]:
+def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int, bytes]:
     """The probe of ``kind`` sent at ``now`` to ``packed``, an address as
-    ``dest_bytes`` packs it, unanswered, and its 20-byte wire image.
+    ``dest_bytes`` packs it: ``(key, orig, checksum, image)``, where
+    ``key`` is ``id << 16 | seq`` and ``image`` the 20-byte wire image.
+    ``sent_probe(kind, now, key, orig, checksum)`` is the probe itself.
 
     ``rng`` gives what a kind draws, in this order: a bad-clock probe's
     id, then its sequence number, from which the originate timestamp is
@@ -128,13 +137,14 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[ProbeOutcome, 
     if kind is _BAD_CLOCK:
         ident = rng.getrandbits(16)
         seq = rng.getrandbits(16)
+        key = ident << 16 | seq
         (orig,) = _low32(md5(_id_seq_input(packed, ident, seq)).digest())
         stamp = 0
     else:
         orig = ms_since_utc_midnight(now)
-        (low32,) = _low32(md5(_orig_input(packed, orig)).digest())
-        ident = low32 >> 16
-        seq = low32 & 0xFFFF
+        (key,) = _low32(md5(_orig_input(packed, orig)).digest())
+        ident = key >> 16
+        seq = key & 0xFFFF
         # A duplicate presets all three timestamps to the same value.
         stamp = orig if kind is _DUPLICATE else 0
     checksum = wire.message_checksum(TIMESTAMP_REQUEST, 0, ident, seq, orig, stamp, stamp)
@@ -147,9 +157,15 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[ProbeOutcome, 
         checksum = rng.getrandbits(16)
         while checksum % 0xFFFF == valid:
             checksum = rng.getrandbits(16)
-    fields = (TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, stamp, stamp)
-    probe = _new(ProbeOutcome, (kind, now, _new(TimestampMessage, fields), None, None, None))
-    return probe, _pack(*fields)
+    return key, orig, checksum, _pack(TIMESTAMP_REQUEST, 0, checksum, key, orig, stamp, stamp)
+
+
+def sent_probe(kind: ProbeKind, now: int, key: int, orig: int, checksum: int) -> ProbeOutcome:
+    """The unanswered probe of ``kind`` sent at ``now`` whose request
+    ``craft`` described by ``key``, ``orig`` and ``checksum``."""
+    stamp = orig if kind is _DUPLICATE else 0
+    request = (TIMESTAMP_REQUEST, 0, checksum, key >> 16, key & 0xFFFF, orig, stamp, stamp)
+    return _new(ProbeOutcome, (kind, now, _new(TimestampMessage, request), None, None, None))
 
 
 class _Given:
@@ -164,12 +180,13 @@ class _Given:
 
 def make_standard(dest: str, now: int) -> ProbeOutcome:
     """Correct originate timestamp, zeroed receive/transmit fields."""
-    return craft(_STANDARD, dest_bytes(dest), now, None)[0]
+    return sent_probe(_STANDARD, now, *craft(_STANDARD, dest_bytes(dest), now, None)[:3])
 
 
 def make_bad_clock(dest: str, ident: int, seq: int, now: int) -> ProbeOutcome:
     """Hash-derived originate timestamp; generally not a valid time of day."""
-    return craft(_BAD_CLOCK, dest_bytes(dest), now, _Given(ident, seq))[0]
+    crafted = craft(_BAD_CLOCK, dest_bytes(dest), now, _Given(ident, seq))
+    return sent_probe(_BAD_CLOCK, now, *crafted[:3])
 
 
 def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeOutcome:
@@ -178,7 +195,7 @@ def make_bad_checksum(dest: str, now: int, rng: random.Random) -> ProbeOutcome:
     The checksum is drawn uniformly and redrawn until the message actually
     fails verification.
     """
-    return craft(_BAD_CHECKSUM, dest_bytes(dest), now, rng)[0]
+    return sent_probe(_BAD_CHECKSUM, now, *craft(_BAD_CHECKSUM, dest_bytes(dest), now, rng)[:3])
 
 
 def make_duplicate(dest: str, now: int) -> ProbeOutcome:
@@ -188,7 +205,7 @@ def make_duplicate(dest: str, now: int) -> ProbeOutcome:
     fields back unchanged exposes itself as a reflector, and one returning
     the same constant as before exposes a stuck clock.
     """
-    return craft(_DUPLICATE, dest_bytes(dest), now, None)[0]
+    return sent_probe(_DUPLICATE, now, *craft(_DUPLICATE, dest_bytes(dest), now, None)[:3])
 
 
 def verify_reply(probe: ProbeOutcome, reply: TimestampMessage) -> TamperVerdict:

@@ -1,11 +1,13 @@
 """Scan engine tests: pacing, matching, determinism, failure handling."""
 
+import gc
 import hashlib
 import heapq
 import itertools
 import logging
 import random
 import re
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import DEMO_SCAN_SHA256, EPOCH, epoch_us, former_verify_reply
-from icmpstamp import responder, wire
+from former_engine import former_scan
+from icmpstamp import engine, responder, wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
 from icmpstamp.engine import ScanAborted, ScanConfig, _parse_target, load_targets, run_scan
@@ -595,23 +598,135 @@ def test_every_hostile_packet_is_counted_once(tmp_path_factory, fleet, chaos_see
     assert len(transport.delivered) == bound + duplicates + discarded + requests
 
 
+class PaddingTransport(RecordingTransport):
+    """Appends ``pad`` zero bytes to every reply."""
+
+    def __init__(self, inner, pad):
+        super().__init__(inner)
+        self.pad = bytes(pad)
+
+    def receive(self, deadline):
+        item = self.inner.receive(deadline)
+        return item and (item[0], item[1] + self.pad, item[2])
+
+
 @pytest.mark.parametrize("pad", [1, 2, 5, 8])
 def test_zero_padded_replies_bind(tmp_path, pad):
     # Zero bytes leave the ones'-complement sum as it was, at an even or an
     # odd length, so a padded reply binds as the bare one does.
-    class Padding(RecordingTransport):
-        def receive(self, deadline):
-            item = self.inner.receive(deadline)
-            return item and (item[0], item[1] + bytes(pad), item[2])
-
     addrs = [f"10.0.13.{i}" for i in range(1, 9)]
     hosts = lazy_hosts(addrs[:6], jitter_ms=20)
     _, _, bare = run_simple_scan(tmp_path, addrs, hosts, rate_pps=300, seed=23)
     _, _, padded = run_simple_scan(
-        tmp_path, addrs, hosts, rate_pps=300, seed=23, transport_cls=Padding
+        tmp_path, addrs, hosts, rate_pps=300, seed=23,
+        transport_cls=lambda net: PaddingTransport(net, pad),
     )
     assert len(bare) == 6
     assert [record_to_line(r) for r in padded] == [record_to_line(r) for r in bare]
+
+
+class ExactWaitNetwork(SimNetwork):
+    """``SimNetwork`` whose waits end at the deadline to the µs, not at the
+    end of a whole millisecond, so that at a high rate several probes go
+    out within one millisecond."""
+
+    def receive(self, deadline_us):
+        if self._queue and self._queue[0][0] <= deadline_us:
+            arrival, _, src, data = heapq.heappop(self._queue)
+            self._now = max(self._now, arrival)
+            return src, data, arrival
+        self._now = max(self._now, deadline_us)
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fleet=st.lists(
+        st.tuples(
+            st.sampled_from([None, ImplClass.LAZY, ImplClass.NORMAL, ImplClass.CHECKSUM_LAZY,
+                             ImplClass.REFLECTION, ImplClass.STUCK]),
+            st.sampled_from([None, "orig_ts", "id_seq", "source"]),
+            st.sampled_from([0.0, 0.0, 0.5]),
+        ),
+        min_size=len(CHAOS_TARGETS),
+        max_size=len(CHAOS_TARGETS),
+    ),
+    chaos_seed=st.integers(0, 2**32 - 1),
+    hostile=st.booleans(),
+    pad=st.sampled_from([0, 0, 1, 6]),
+    rate=st.sampled_from([200, 5000, 100_000]),
+    network=st.sampled_from([SimNetwork, ExactWaitNetwork]),
+    fail_at=st.none() | st.integers(0, 4 * len(CHAOS_TARGETS) - 1),
+)
+def test_array_engine_agrees_with_the_list_engine(
+    tmp_path_factory, fleet, chaos_seed, hostile, pad, rate, network, fail_at,
+):
+    # The engine's per-probe arrays against the list-of-outcomes engine
+    # they replaced, over a lossy, tampering, duplicating, reordering and
+    # padding network whose link may fail at a drawn send: the same
+    # records, and the same abort with the same unsent targets.  On the
+    # exact-wait network at 100,000 pps, a target's probes share an
+    # originate timestamp, so the fallback has more than one to choose
+    # from.
+    hosts = {
+        addr: BehaviorConfig(impl, tamper=tamper, jitter_ms=30, loss_rate=loss)
+        for addr, (impl, tamper, loss) in zip(CHAOS_TARGETS, fleet)
+        if impl is not None
+    }
+    cfg = ScanConfig(
+        targets_path=write_targets(tmp_path_factory.mktemp("arrays"), CHAOS_TARGETS),
+        rate_pps=rate, inter_round_gap_ms=1000, timeout_ms=1000, seed=chaos_seed,
+    )
+
+    def scanned(scan):
+        net = network(hosts, start=START, loss_rate=0.1, seed=chaos_seed)
+        transport = ChaosTransport(net, random.Random(chaos_seed), hostile=hostile)
+        if pad:
+            transport = PaddingTransport(transport, pad)
+        if fail_at is not None:
+            transport = FailingTransport(transport, fail_at)
+        records = []
+        try:
+            for record in scan(cfg, transport, load_targets(cfg.targets_path)):
+                records.append(record)
+        except ScanAborted as exc:
+            return records, (str(exc), exc.unsent), transport.sent
+        return records, None, transport.sent
+
+    records, aborted, sent = scanned(engine._scan)
+    former_records, former_aborted, former_sent = scanned(former_scan)
+    assert sent == former_sent
+    assert records == former_records
+    assert list(map(record_to_line, records)) == list(map(record_to_line, former_records))
+    assert aborted == former_aborted
+    assert (aborted is None) is (fail_at is None)
+
+
+def test_scan_state_holds_no_objects_per_probe(tmp_path):
+    # Measured when the first record is made, the last reply in: a scan
+    # of 4,096 answering targets holds each target's probes and replies in
+    # arrays and bytes, which the collector does not track (about 540 bytes
+    # per target).  The list-based state, a ProbeOutcome and its request
+    # per probe, held 2,830 bytes and 16 tracked objects per target.
+    addrs = [f"10.{i >> 16}.{i >> 8 & 255}.{i & 255}" for i in range(1, 4097)]
+    cfg = ScanConfig(targets_path=write_targets(tmp_path, addrs), rate_pps=1000, seed=3)
+    net = SimNetwork(lazy_hosts(addrs, jitter_ms=20), start=START, latency_ms=10)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = run_scan(cfg, net)
+        first = next(records)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    grown = len(gc.get_objects()) - tracked
+    assert first.target == addrs[0]
+    assert held / len(addrs) < 1000
+    assert grown / len(addrs) < 0.1
+    assert len(list(records)) == len(addrs) - 1
 
 
 def test_mixed_behavior_fingerprints_match_configs(tmp_path):

@@ -344,7 +344,8 @@ def former_probe(kind, dest, now, rng):
 )
 def test_craft_is_the_probe_makers_and_the_encoder(kind, dest, now, seed):
     ours, makers, former = (random.Random(seed) for _ in range(3))
-    probe, image = probes.craft(kind, probes.dest_bytes(dest), now, ours)
+    key, orig, checksum, image = probes.craft(kind, probes.dest_bytes(dest), now, ours)
+    probe = probes.sent_probe(kind, now, key, orig, checksum)
     if kind is ProbeKind.STANDARD:
         made = make_standard(dest, now)
     elif kind is ProbeKind.BAD_CLOCK:
