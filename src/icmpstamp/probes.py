@@ -82,9 +82,7 @@ _CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _ = TamperVerdict
 # with this, skipping the generated ``__new__`` (and its defaults) of each
 # class.
 _new = tuple.__new__
-# ``wire.LAYOUT`` with id and seq as one big-endian 32-bit key, which packs
-# to the same bytes: type, code, checksum, key, orig, receive, transmit.
-_pack = struct.Struct("!BBHIIII").pack
+_pack = wire.LAYOUT.pack
 
 # The hash inputs (see the module docstring) and the digest's low 32 bits.
 _orig_input = struct.Struct("!4sI").pack
@@ -139,15 +137,13 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
         seq = rng.getrandbits(16)
         key = ident << 16 | seq
         (orig,) = _low32(md5(_id_seq_input(packed, ident, seq)).digest())
-        stamp = 0
     else:
         orig = ms_since_utc_midnight(now)
         (key,) = _low32(md5(_orig_input(packed, orig)).digest())
         ident = key >> 16
         seq = key & 0xFFFF
-        # A duplicate presets all three timestamps to the same value.
-        stamp = orig if kind is _DUPLICATE else 0
-    checksum = wire.message_checksum(TIMESTAMP_REQUEST, 0, ident, seq, orig, stamp, stamp)
+    tail = _request_tail(kind, ident, seq, orig)
+    checksum = wire.message_checksum(TIMESTAMP_REQUEST, 0, *tail)
     if kind is _BAD_CHECKSUM:
         # 0x0000 and 0xFFFF are both zero in ones'-complement arithmetic
         # (RFC 1624), so a checksum verifies iff it equals the valid one
@@ -157,15 +153,22 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
         checksum = rng.getrandbits(16)
         while checksum % 0xFFFF == valid:
             checksum = rng.getrandbits(16)
-    return key, orig, checksum, _pack(TIMESTAMP_REQUEST, 0, checksum, key, orig, stamp, stamp)
+    return key, orig, checksum, _pack(TIMESTAMP_REQUEST, 0, checksum, *tail)
 
 
 def sent_probe(kind: ProbeKind, now: int, key: int, orig: int, checksum: int) -> ProbeOutcome:
     """The unanswered probe of ``kind`` sent at ``now`` whose request
     ``craft`` described by ``key``, ``orig`` and ``checksum``."""
-    stamp = orig if kind is _DUPLICATE else 0
-    request = (TIMESTAMP_REQUEST, 0, checksum, key >> 16, key & 0xFFFF, orig, stamp, stamp)
+    request = (TIMESTAMP_REQUEST, 0, checksum, *_request_tail(kind, key >> 16, key & 0xFFFF, orig))
     return _new(ProbeOutcome, (kind, now, _new(TimestampMessage, request), None, None, None))
+
+
+def _request_tail(kind: ProbeKind, ident: int, seq: int, orig: int) -> tuple[int, ...]:
+    """A request's fields after its checksum, in wire order: a duplicate
+    presets all three timestamps to the same value, every other kind
+    zeroes receive and transmit."""
+    stamp = orig if kind is _DUPLICATE else 0
+    return ident, seq, orig, stamp, stamp
 
 
 class _Given:

@@ -21,8 +21,7 @@ privilege raises PrivilegeError so callers can map it to a distinct exit
 code.  The kernel prepends the IP header on receive, so inbound packets
 are stripped before they reach the wire codec.  ``receive`` waits to the
 microsecond; a timeout that ends early or a datagram without a well-formed
-IPv4 header only resumes the wait.  Each datagram is read into one buffer
-that the transport owns, and only its ICMP message is copied out.
+IPv4 header only resumes the wait.
 """
 
 from __future__ import annotations
@@ -40,20 +39,15 @@ class PrivilegeError(TransportError):
     """Raw sockets need elevated privilege."""
 
 
-# The largest IPv4 datagram: no read of one is cut short.
-_MAX_DATAGRAM = 65535
-
-
-def strip_ip_header(packet) -> bytes:
-    """Return the payload of a raw IPv4 datagram (the ICMP message), as
-    bytes, from ``packet``, any bytes-like object."""
+def strip_ip_header(packet: bytes) -> bytes:
+    """Return the payload of a raw IPv4 datagram (the ICMP message)."""
     if len(packet) < 20:
         raise ValueError(f"short IP packet: {len(packet)} bytes")
     version = packet[0] >> 4
     header_len = (packet[0] & 0x0F) * 4
     if version != 4 or header_len < 20 or len(packet) < header_len:
         raise ValueError("not a well-formed IPv4 packet")
-    return bytes(packet[header_len:])
+    return packet[header_len:]
 
 
 class RawTransport:
@@ -72,7 +66,6 @@ class RawTransport:
             ) from exc
         except OSError as exc:
             raise TransportError(f"cannot open raw socket: {exc}") from exc
-        self._buffer = memoryview(bytearray(_MAX_DATAGRAM))
 
     def now(self) -> int:
         return time.time_ns() // 1000
@@ -84,18 +77,17 @@ class RawTransport:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
     def receive(self, deadline_us: int) -> tuple[str, bytes, int] | None:
-        buffer = self._buffer
         while (wait_us := deadline_us - self.now()) > 0:
             self._sock.settimeout(wait_us / 1_000_000)
             try:
-                size, addr = self._sock.recvfrom_into(buffer)
+                packet, addr = self._sock.recvfrom(65535)
             except (TimeoutError, BlockingIOError):
                 continue
             except OSError as exc:
                 raise TransportError(f"receive failed: {exc}") from exc
             arrival = self.now()
             try:
-                return addr[0], strip_ip_header(buffer[:size]), arrival
+                return addr[0], strip_ip_header(packet), arrival
             except ValueError:
                 continue
         return None

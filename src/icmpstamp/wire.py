@@ -25,7 +25,7 @@ Each packet of a scan passes through here once in each direction.
 ``LAYOUT`` packs a crafted probe's fields straight to its image
 (``probes.craft``), and ``unpack_reply`` checks a received packet's
 length, type and checksum and reads its fields in one call, so the
-engine builds a ``TimestampMessage`` only for a reply it binds.
+engine builds no ``TimestampMessage`` while it matches replies.
 
 The checksum and byte swap are plain Python.  Since 2**16 is 1 modulo
 0xFFFF, the sum of a buffer's 16-bit words is congruent to the buffer

@@ -76,14 +76,12 @@ SOURCE = "192.0.2.7"
 
 
 class FakeSocket:
-    """A raw socket's ``settimeout``, ``recvfrom`` and ``recvfrom_into`` on a
-    fake clock.
+    """A raw socket's ``settimeout`` and ``recvfrom`` on a fake clock.
 
     Each event takes its share (0 to 1) of the timeout set before it, then
     delivers a datagram or raises: ``TimeoutError`` or ``BlockingIOError``
     (a timeout, early below a share of 1) or another ``OSError``.  Once the
     events run out, every call waits its whole timeout and times out.
-    ``reads`` names the receive method of each call.
     """
 
     def __init__(self, events):
@@ -93,23 +91,12 @@ class FakeSocket:
         self.timeout = None
         # (clock reading, timeout in µs) at each settimeout.
         self.timeouts = []
-        self.reads = []
 
     def settimeout(self, seconds):
         self.timeout = round(seconds * 1_000_000)
         self.timeouts.append((self.now, self.timeout))
 
-    def recvfrom_into(self, buffer):
-        self.reads.append("recvfrom_into")
-        datagram, addr = self._next(len(buffer))
-        buffer[:len(datagram)] = datagram
-        return len(datagram), addr
-
-    def recvfrom(self, size):
-        self.reads.append("recvfrom")
-        return self._next(size)
-
-    def _next(self, size):
+    def recvfrom(self, _size):
         event = next(self.events, None)
         if event is None:
             self.now += self.timeout
@@ -118,7 +105,7 @@ class FakeSocket:
         kind, share, datagram = event
         self.now += int(self.timeout * share)
         if kind == "datagram":
-            return datagram[:size], (SOURCE, 0)
+            return datagram, (SOURCE, 0)
         raise {"timeout": TimeoutError("timed out"),
                "would block": BlockingIOError(errno.EAGAIN, "again"),
                "error": OSError(errno.ENETDOWN, "network is down")}[kind]
@@ -128,7 +115,6 @@ def fake_raw_transport(sock):
     # Built without __init__, so no socket is opened.
     transport = object.__new__(RawTransport)
     transport._sock = sock
-    transport._buffer = memoryview(bytearray(65535))
     transport.now = lambda: sock.now
     return transport
 
@@ -217,46 +203,3 @@ def test_receive_returns_a_reply_or_none_at_its_deadline_or_raises(events, wait_
     assert all(timeout == deadline - now > 0 for now, timeout in sock.timeouts)
     if wait_us <= 0:
         assert sock.timeouts == []
-
-
-def former_receive(transport, deadline_us):
-    """``RawTransport.receive`` as it read each datagram, with ``recvfrom``
-    into a new 64 KiB bytes object."""
-    while (wait_us := deadline_us - transport.now()) > 0:
-        transport._sock.settimeout(wait_us / 1_000_000)
-        try:
-            packet, addr = transport._sock.recvfrom(65535)
-        except (TimeoutError, BlockingIOError):
-            continue
-        except OSError as exc:
-            raise TransportError(f"receive failed: {exc}") from exc
-        arrival = transport.now()
-        try:
-            return addr[0], strip_ip_header(packet), arrival
-        except ValueError:
-            continue
-    return None
-
-
-@given(events, st.lists(st.integers(-1_000, 1_500_000), min_size=1, max_size=4))
-def test_receive_into_the_owned_buffer_returns_what_recvfrom_did(events, waits):
-    # Drawn datagrams, bad IPv4 headers, early timeouts and errors, over
-    # one or more deadlines: reading each datagram into the transport's one
-    # buffer returns the replies, waits and errors that reading each into a
-    # new bytes object did.  A longer datagram read earlier into the buffer
-    # leaves nothing behind in a shorter one.
-    def received(receive, sock):
-        transport = fake_raw_transport(sock)
-        items = []
-        try:
-            for wait in waits:
-                while (item := receive(transport, START_US + wait)) is not None:
-                    items.append(item)
-        except TransportError as exc:
-            items.append(str(exc))
-        return items, sock.timeouts, sock.now
-
-    ours, former = FakeSocket(events), FakeSocket(events)
-    assert received(RawTransport.receive, ours) == received(former_receive, former)
-    assert set(ours.reads) <= {"recvfrom_into"} and set(former.reads) <= {"recvfrom"}
-    assert len(ours.reads) == len(former.reads)
