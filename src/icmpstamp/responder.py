@@ -13,6 +13,12 @@ scan engine's transport contract: ``send`` enqueues, ``receive`` yields
 ``(src, bytes, arrival_us)`` after modeled latency or None at its
 deadline, and everything is deterministic under a fixed seed.  Instants
 are integer microseconds since the Unix epoch, as everywhere.
+
+A request is read in one pass: a length and type test, the checksum
+(``wire.verify_checksum``) unless the host is checksum-lazy, then one
+``wire.LAYOUT.unpack_from``.  The delays drawn per request, a path's
+jitter and a normal host's processing time, are ``draws.below`` calls
+that make the draws ``Random.randint`` makes, with fewer Python frames.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from ipaddress import IPv4Address
 from icmpstamp import wire
 from icmpstamp.classify import CONSTANT_LE_ONE, MSB, ImplClass
 from icmpstamp.clock import DAY_MS, ms_since_utc_midnight, offset_millis
+from icmpstamp.draws import below
 from icmpstamp.textfile import parse_lines
-from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST
+from icmpstamp.wire import MESSAGE_LEN, TIMESTAMP_REPLY, TIMESTAMP_REQUEST
 
 DEFAULT_START = datetime(2018, 10, 6, 12, 0, 0, tzinfo=timezone.utc)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -37,6 +44,8 @@ _US = timedelta(microseconds=1)
 DEFAULT_STUCK_VALUE = 123_456
 
 _TAMPER_MODES = (None, "orig_ts", "id_seq", "source")
+
+_unpack_from = wire.LAYOUT.unpack_from
 
 # The per-request paths read the members as module names: on Python 3.11
 # and older, ``EnumType.__getattr__`` makes a lookup on an Enum class cost
@@ -169,25 +178,21 @@ def respond(
 ) -> bytes | None:
     """Answer one encoded timestamp request, or stay silent.
 
-    Returns None on modeled loss, on malformed input, and on checksum
-    failure unless the host is checksum-lazy.  Otherwise packs the
-    type-14 reply: originate/id/seq copied from the request, receive and
-    transmit filled per the configured class, checksum recomputed.  The
-    request is read and the reply written as bytes; no message is built.
+    Returns None on modeled loss, on input shorter than 20 bytes or not
+    a timestamp request (type 13), and on checksum failure unless the
+    host is checksum-lazy.  Otherwise packs the type-14 reply:
+    originate/id/seq copied from the request, receive and transmit filled
+    per the configured class, checksum recomputed.  The request is read
+    and the reply written as bytes; no message is built.
     """
     if cfg.loss_rate and rng.random() < cfg.loss_rate:
         return None
-    try:
-        icmp_type, _, _, ident, seq, orig, req_recv, req_xmit = wire.unpack_fields(
-            request_bytes
-        )
-    except wire.WireError:
-        return None
-    if icmp_type != TIMESTAMP_REQUEST:
+    if len(request_bytes) < MESSAGE_LEN or request_bytes[0] != TIMESTAMP_REQUEST:
         return None
     cls = cfg.impl_class
     if cls is not _CHECKSUM_LAZY and not wire.verify_checksum(request_bytes):
         return None
+    _, _, _, ident, seq, orig, req_recv, req_xmit = _unpack_from(request_bytes)
 
     if cls is _REFLECTION:
         recv, xmit = req_recv, req_xmit
@@ -196,7 +201,7 @@ def respond(
     elif cls is _NORMAL:
         # Two lookups separated by 1-5 ms of processing time.
         recv = _shape(cls, _clock_value(cfg, now))
-        processing = rng.randint(1, 5)
+        processing = 1 + below(rng.getrandbits, 5)
         xmit = _shape(cls, _clock_value(cfg, now + processing * 1000))
     elif cls is _UNKNOWN:
         recv = 0
@@ -278,9 +283,11 @@ class SimNetwork:
             return
         if self._loss_rate and self._rng.random() < self._loss_rate:
             return
-        total_fixed = self._latency_ms + cfg.latency_ms
-        total_jitter = self._jitter_ms + cfg.jitter_ms
-        rtt_ms = total_fixed + (self._rng.randint(0, total_jitter) if total_jitter else 0)
+        rtt_ms = self._latency_ms + cfg.latency_ms
+        jitter = self._jitter_ms + cfg.jitter_ms
+        if jitter:
+            # A uniform draw from 0 to ``jitter`` ms, as ``randint`` makes it.
+            rtt_ms += below(self._rng.getrandbits, jitter + 1)
         host_time = self._now + rtt_ms // 2 * 1000
         reply = respond(cfg, data, host_time, self._rng)
         if reply is None:

@@ -6,12 +6,17 @@ timestamp (4 bytes) or id+seq (2+2 bytes); low 32 bits = last four digest
 bytes big-endian; id gets the high half.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from hashlib import md5
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import at_ms, echo_reply, former_verify_reply
@@ -363,6 +368,57 @@ def test_craft_is_the_probe_makers_and_the_encoder(kind, dest, now, seed):
     assert ours.getstate() == makers.getstate() == former.getstate()
     assert image == wire.encode(probe.request)
     assert wire.verify_checksum(image) is (kind is not ProbeKind.BAD_CHECKSUM)
+
+
+# Crafts each case of a JSON list read from stdin, with CPython's built-in
+# MD5 blocked as in a build made without it, and writes the results.
+_CRAFT_WITHOUT_BUILTIN_MD5 = """
+import hashlib, json, random, sys
+sys.modules["_md5"] = None
+from icmpstamp import probes
+assert probes.md5.func is hashlib.md5, probes.md5
+out = []
+for kind, dest, now, seed in json.load(sys.stdin):
+    key, orig, checksum, image = probes.craft(
+        probes.ProbeKind(kind), probes.dest_bytes(dest), now, random.Random(seed)
+    )
+    out.append([key, orig, checksum, image.hex()])
+json.dump(out, sys.stdout)
+"""
+
+
+def test_hashes_with_the_built_in_md5_where_there_is_one():
+    builtin = pytest.importorskip("_md5")
+    assert probes.md5 is builtin.md5
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from([kind.value for kind in ProbeKind]),
+        st.integers(0, 2**32 - 1).map(lambda n: str(IPv4Address(n))),
+        st.integers(0, 2**53),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1, max_size=40,
+))
+def test_craft_without_the_built_in_md5_is_the_same(cases):
+    src = str(Path(probes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", _CRAFT_WITHOUT_BUILTIN_MD5], input=json.dumps(cases),
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    expected = []
+    for kind, dest, now, seed in cases:
+        key, orig, checksum, image = probes.craft(
+            ProbeKind(kind), probes.dest_bytes(dest), now, random.Random(seed)
+        )
+        expected.append([key, orig, checksum, image.hex()])
+    assert json.loads(done.stdout) == expected
 
 
 class TestDestBytes:

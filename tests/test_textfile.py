@@ -1,7 +1,9 @@
 """The shared input-line reader, the location of every input error, and
 the one output writer."""
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,11 @@ from builders import at_ms
 from icmpstamp import wire
 from icmpstamp.classify import Correctness, Fingerprint, ImplClass, Timekeeping
 from icmpstamp.clock import OffsetTable
-from icmpstamp.engine import load_targets
+from icmpstamp.engine import ScanConfig, load_targets, run_scan
 from icmpstamp.probes import make_standard
 from icmpstamp.reports import load_capture, load_tz_db
-from icmpstamp.responder import load_behavior_file
-from icmpstamp.results import ResultRecord, read_records, record_to_line
+from icmpstamp.responder import SimNetwork, load_behavior_file
+from icmpstamp.results import ResultRecord, read_records, record_to_line, records_in
 from icmpstamp.textfile import parse_lines, replacing
 
 REQUEST_HEX = wire.encode(make_standard("192.0.2.1", at_ms(1000)).request).hex()
@@ -148,3 +150,101 @@ class TestReplacing:
                 ran.append(True)
         assert ran == []
         assert list(tmp_path.iterdir()) == []
+
+
+# Lines of every input format, fuzzed.  A line either reads or raises
+# ``ValueError`` naming its path and line; nothing else may escape.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.fixture(scope="module")
+def demo_record_lines():
+    """The result lines of the demo scan: every probe kind, answered and not."""
+    cfg = ScanConfig(str(FIXTURES / "demo_targets.txt"), rate_pps=200, seed=7, vantage="demo")
+    net = SimNetwork.from_file(FIXTURES / "demo_hosts.txt")
+    return [record_to_line(rec) for rec in run_scan(cfg, net)]
+
+
+def _nodes(value, path=()):
+    """The path of every value inside a decoded JSON value, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_DELETE = object()
+
+
+def _reads_or_names_line_1(load, path):
+    try:
+        load()
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:1:"), exc
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_a_record_with_one_value_replaced_or_deleted_reads_or_names_its_line(
+    demo_record_lines, data
+):
+    record = json.loads(data.draw(st.sampled_from(demo_record_lines)))
+    nodes = dict(_nodes(record))
+    *parents, last = data.draw(st.sampled_from(list(nodes)))
+    owner = record
+    for key in parents:
+        owner = owner[key]
+    # The record's own values are drawn as well as fresh ones, so that a
+    # value lands in a field that takes another of its kind.
+    own = [v for v in nodes.values() if not isinstance(v, (dict, list))]
+    replacement = data.draw(st.one_of(st.just(_DELETE), json_values, st.sampled_from(own)))
+    if replacement is _DELETE:
+        del owner[last]
+    else:
+        owner[last] = replacement
+    line = json.dumps(record).encode()
+    _reads_or_names_line_1(lambda: list(records_in("fuzz.jsonl", [line])), "fuzz.jsonl")
+
+
+# Words from every line format, right and wrong, that random lines are made of.
+LINE_WORDS = [
+    "192.0.2.1", "10.0.0.0/8", "192.0.2.300", "1.2.3", "0.0.0.0/0", "10.0.0.1/8", "::1",
+    "9", "-3.5", "5.75", "0", "-0", "1e400", "-1e400", "nan", "inf", "0x10",
+    "99999999999999999999", "-", "@network", "0d00", "zz",
+    REQUEST_HEX, REQUEST_HEX[:-2], REQUEST_HEX[:-1],
+    *(c.value for c in ImplClass),
+    *(f"{key}={value}" for key in (
+        "tz", "units", "clock_error", "latency", "jitter", "loss", "value", "tamper", "seed",
+        "start", "bogus",
+    ) for value in (
+        "", "9", "-1", "nan", "1e400", "0x10", "86400001", "ms", "epoch", "source",
+        "2018-10-06T12:00:00Z", "2018-10-06T12:00:00",
+    )),
+]
+random_lines = st.one_of(
+    st.lists(st.sampled_from(LINE_WORDS), min_size=1, max_size=6).map(" ".join).map(str.encode),
+    st.text(max_size=30).map(lambda s: s.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=30),
+).map(lambda line: line.replace(b"\n", b" ").replace(b"\r", b" "))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["targets", "offsets", "fixture", "tzdb", "capture"]), random_lines)
+def test_a_random_line_reads_or_names_its_line(tmp_path_factory, reader, line):
+    load = READERS[reader][0]
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{reader}.txt"
+    path.write_bytes(line + b"\n")
+    _reads_or_names_line_1(lambda: load(path), path)
