@@ -82,10 +82,6 @@ _MILLISECOND, _SECOND, _EPOCH, _TK_UNKNOWN = Timekeeping
 _CORRECT, _CORRECT_LE, _CORRECT_MSB, _INCORRECT = Correctness
 
 
-class AmbiguousTimezone(RuntimeError):
-    """Multiple candidate offsets matched; margin too wide for the table."""
-
-
 @dataclass(frozen=True)
 class CorrectnessPolicy:
     """Error margin for calling a timestamp correct (strict less-than)."""
@@ -172,25 +168,18 @@ def infer_timezone(
     table: OffsetTable,
     policy: CorrectnessPolicy,
 ) -> float | None:
-    """The unique candidate offset explaining the receive timestamp, if any.
+    """The candidate offset explaining the receive timestamp, if any.
 
     The receive value must be interpretable as day milliseconds (most
     significant bit clear, below one day).  Candidate expectations are
     computed modulo one day, so a host nine hours ahead that appears
-    fifteen hours behind still matches +9.
+    fifteen hours behind still matches +9.  Raises ``ValueError`` (see
+    ``OffsetTable.check_margin``) for a margin the table does not admit.
     """
     recv = reply.recv_ts
     if recv & MSB or recv >= DAY_MS:
         return None
-    matches = table.near((recv - probe_orig) % DAY_MS, policy.margin_ms)
-    if not matches:
-        return None
-    if len(matches) > 1:
-        raise AmbiguousTimezone(
-            f"margin {policy.margin_ms} ms matches offsets {matches}; "
-            "narrow the margin or thin the table"
-        )
-    return matches[0]
+    return table.near((recv - probe_orig) % DAY_MS, policy.margin_ms)
 
 
 def detect_htons_bug(obs: HostObservation) -> bool:

@@ -87,19 +87,10 @@ def _cmd_scan(args) -> int:
 
 
 def _policy_and_table(args) -> tuple[CorrectnessPolicy, OffsetTable]:
-    """The margin and table, checked as a pair before any input is read.
-
-    Two candidate offsets closer than twice the margin could both match one
-    receive timestamp, so such a table is rejected up front.
-    """
+    """The margin and table, checked as a pair before any input is read."""
     policy = CorrectnessPolicy(margin_ms=args.margin_ms)
     table = OffsetTable.from_file(args.offsets) if args.offsets else OffsetTable()
-    spacing = table.min_spacing_ms()
-    if spacing is not None and spacing < 2 * policy.margin_ms:
-        raise ValueError(
-            f"margin {policy.margin_ms} ms is more than half the {spacing} ms "
-            "between the closest candidate offsets; narrow the margin or thin the table"
-        )
+    table.check_margin(policy.margin_ms)
     return policy, table
 
 
@@ -136,12 +127,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_report_pmf(args) -> int:
-    records = results.read_records(args.input)
-    rows = reports.error_histogram(
-        records,
-        bin_ms=args.bin_ms,
-        exclude_correct=args.exclude_correct,
-    )
+    with open(args.input, "rb") as fh:
+        rows = reports.error_histogram(
+            results.records_in(args.input, fh),
+            bin_ms=args.bin_ms,
+            exclude_correct=args.exclude_correct,
+        )
     print("bin_start_ms\tprobability")
     for start, probability in rows:
         print(f"{start}\t{probability:.6f}")
@@ -149,9 +140,9 @@ def _cmd_report_pmf(args) -> int:
 
 
 def _cmd_report_geo(args) -> int:
-    records = results.read_records(args.input)
     tz_db = reports.load_tz_db(args.tzdb)
-    summary = reports.geolocate_report(records, tz_db)
+    with open(args.input, "rb") as fh:
+        summary = reports.geolocate_report(results.records_in(args.input, fh), tz_db)
     print(f"timezone-classified hosts: {summary.total}")
     print(f"  matched std offset (zone without DST): {summary.match_std_no_dst}")
     print(f"  matched DST offset:                    {summary.match_dst}")
@@ -192,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="ICMP timestamp prober, classifier, and report generator",
     )
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log unmatched replies and scan progress")
+                        help="log each discarded packet and the closing sent/discarded counts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="probe targets and record fingerprints")

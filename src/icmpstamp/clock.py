@@ -11,7 +11,7 @@ throughout.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from icmpstamp.textfile import parse_lines
@@ -92,10 +92,14 @@ class OffsetTable:
     The default holds the 29 offsets seen in the wild; pass your own tuple
     (or load one from a file) to widen or narrow the search.
 
+    A margin is usable with a table only when it is at most half the
+    day-circle distance between the table's two closest entries, so that no
+    point is within the margin of two entries (``check_margin``).
+
     The table builds one index when it is made: the day-circle point of
     every entry (its offset in milliseconds modulo a day), sorted.  ``near``
-    answers a lookup from it with two binary searches, not a pass over
-    every entry.
+    answers a lookup from it with one binary search, not a pass over every
+    entry.
     """
 
     offsets: tuple[float, ...] = DEFAULT_OFFSET_HOURS
@@ -104,41 +108,47 @@ class OffsetTable:
     # ``_entries[k]`` is the table index of ``_points[k]``.
     _points: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _entries: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The day-circle distance between the two closest entries; a whole day
+    # for a table of fewer than two.
+    _closest_ms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ring = sorted((offset_millis(o) % DAY_MS, i) for i, o in enumerate(self.offsets))
         ring += [(point + DAY_MS, i) for point, i in ring]
-        object.__setattr__(self, "_points", tuple(point for point, _ in ring))
+        points = tuple(point for point, _ in ring)
+        object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_entries", tuple(i for _, i in ring))
+        # points[n] is points[0] one day on: the gap across midnight.
+        gaps = (points[k + 1] - points[k] for k in range(len(self.offsets)))
+        object.__setattr__(self, "_closest_ms", min(gaps, default=DAY_MS))
 
     @classmethod
     def from_file(cls, path) -> "OffsetTable":
         """Load a table from a text file of one decimal hour offset per line."""
         return cls(tuple(parse_lines(path, _parse_offset)))
 
-    def near(self, point_ms: int, margin_ms: int) -> list[float]:
-        """The entries less than ``margin_ms`` from ``point_ms`` on the day
-        circle, in table order; an entry listed twice is returned twice.
+    def check_margin(self, margin_ms: int) -> None:
+        """Raise ValueError unless ``margin_ms`` is usable with this table:
+        at most half the day-circle distance between its two closest
+        entries."""
+        if 2 * margin_ms > self._closest_ms:
+            raise ValueError(
+                f"margin {margin_ms} ms is more than half the {self._closest_ms} ms "
+                "between the closest candidate offsets; narrow the margin or thin the table"
+            )
 
-        ``point_ms`` is in [0, DAY_MS) and ``margin_ms`` in (0, HALF_DAY_MS],
-        so the window is shorter than the day and meets each entry's point
-        at most once.
+    def near(self, point_ms: int, margin_ms: int) -> float | None:
+        """The entry less than ``margin_ms`` from ``point_ms`` on the day
+        circle, or None.
+
+        ``point_ms`` is in [0, DAY_MS).  Raises what ``check_margin`` raises
+        for a margin the table does not admit.
         """
+        self.check_margin(margin_ms)
         if point_ms < margin_ms:
             point_ms += DAY_MS
         points = self._points
         lo = bisect_right(points, point_ms - margin_ms)
-        hi = bisect_left(points, point_ms + margin_ms, lo)
-        if lo == hi:
-            return []
-        offsets = self.offsets
-        return [offsets[i] for i in sorted(self._entries[lo:hi])]
-
-    def min_spacing_ms(self) -> int | None:
-        """Shortest day-circle distance between two entries (None if < 2)."""
-        n = len(self.offsets)
-        if n < 2:
-            return None
-        points = self._points
-        # points[n] is points[0] one day on: the gap across midnight.
-        return min(points[k + 1] - points[k] for k in range(n))
+        if lo < len(points) and points[lo] < point_ms + margin_ms:
+            return self.offsets[self._entries[lo]]
+        return None

@@ -156,7 +156,11 @@ def run_scan(cfg: ScanConfig, transport) -> Iterator[ResultRecord]:
     transport failure the records gathered so far are still yielded, and
     ``ScanAborted`` is raised after the final record.
     """
-    return _scan(cfg, transport, load_targets(cfg.targets_path))
+    targets = load_targets(cfg.targets_path)
+    # Only these outlive this call: the scan does not hold ``targets``.
+    names = list(targets)
+    index = {name: i for i, name in enumerate(names)}
+    return _scan(cfg, transport, names, list(targets.values()), index)
 
 
 def _schedule(n: int, rng: random.Random) -> array:
@@ -181,11 +185,12 @@ def _schedule(n: int, rng: random.Random) -> array:
     return schedule
 
 
-def _scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterator[ResultRecord]:
-    names = list(targets)
-    packed = list(targets.values())
+def _scan(
+    cfg: ScanConfig, transport, names: list[str], packed: list[bytes], index: dict[str, int]
+) -> Iterator[ResultRecord]:
+    """The scan proper: target ``i`` is ``names[i]``, its address packed as
+    ``packed[i]``, and ``index`` maps each name back to its ``i``."""
     n = len(names)
-    index = {name: i for i, name in enumerate(names)}
     rng = random.Random(cfg.seed)
     schedule = _schedule(n, rng)
 

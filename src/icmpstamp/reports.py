@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
 from typing import NamedTuple
@@ -29,7 +30,7 @@ _CLEAN = TamperVerdict.CLEAN
 
 
 def error_histogram(
-    records: list[ResultRecord],
+    records: Iterable[ResultRecord],
     bin_ms: int,
     exclude_correct: bool = False,
 ) -> list[tuple[int, float]]:
@@ -38,11 +39,12 @@ def error_histogram(
     Returns (bin_start_ms, probability) rows sorted by bin start.  With
     ``exclude_correct`` the replies inside the default correctness margin
     are dropped first, which is the convention that makes the hourly
-    timezone peaks stand out.
+    timezone peaks stand out.  ``bin_ms`` is checked before the first
+    record is read, and ``records`` is read once.
     """
     if bin_ms < 1:
         raise ValueError(f"bin_ms must be positive: {bin_ms}")
-    diffs = []
+    counts: Counter[int] = Counter()
     for rec in records:
         for outcome in rec.outcomes:
             if outcome.kind is not _STANDARD:
@@ -54,11 +56,10 @@ def error_histogram(
             )
             if exclude_correct and abs(diff) < CorrectnessPolicy.margin_ms:
                 continue
-            diffs.append(diff)
-    if not diffs:
+            counts[diff // bin_ms * bin_ms] += 1
+    if not counts:
         raise ValueError("no standard-probe replies to bin")
-    counts = Counter((d // bin_ms) * bin_ms for d in diffs)
-    total = len(diffs)
+    total = counts.total()
     return [(start, counts[start] / total) for start in sorted(counts)]
 
 
@@ -145,8 +146,9 @@ class GeoSummary:
         return self.matched / self.total if self.total else 0.0
 
 
-def geolocate_report(records: list[ResultRecord], tz_db: list[TzEntry]) -> GeoSummary:
-    """Compare inferred offsets against the database, host by host.
+def geolocate_report(records: Iterable[ResultRecord], tz_db: list[TzEntry]) -> GeoSummary:
+    """Compare inferred offsets against the database, host by host, reading
+    ``records`` once.
 
     A host counts as matched when its inferred offset equals the standard
     offset or, where the zone observes daylight saving, the DST offset.  A

@@ -300,19 +300,22 @@ class SimNetwork:
         """Next queued reply, advancing the clock; None once it reaches
         ``deadline_us``.
 
-        Waits as a poll-style timeout does, in a window of whole ms: the
+        Waits as a poll-style timeout does, in one window of whole ms: the
         time left as ``math.ceil(seconds * 1000)`` rounds it, float and all,
-        so a few waits of 2 s or more end 1 ms late.  A reply arriving in
-        the window is returned, even past the deadline."""
+        so a few waits of 2 s or more end 1 ms late.  For waits up to a day
+        the float error is below 1e-7 ms, so the window never ends before
+        the deadline.  A reply arriving in the window is returned, even
+        past the deadline."""
         now = self._now
-        while now < deadline_us:
-            window_end = now + math.ceil((deadline_us - now) / 1_000_000 * 1000) * 1000
-            if self._queue and self._queue[0][0] <= window_end:
-                arrival, _, src, data = heapq.heappop(self._queue)
-                if arrival > now:
-                    self._now = arrival
-                return src, data, arrival
-            now = self._now = window_end
+        if now >= deadline_us:
+            return None
+        window_end = now + math.ceil((deadline_us - now) / 1_000_000 * 1000) * 1000
+        if self._queue and self._queue[0][0] <= window_end:
+            arrival, _, src, data = heapq.heappop(self._queue)
+            if arrival > now:
+                self._now = arrival
+            return src, data, arrival
+        self._now = window_end
         return None
 
     def close(self) -> None:

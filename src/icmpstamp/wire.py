@@ -32,8 +32,7 @@ The checksum and byte swap are plain Python.  Since 2**16 is 1 modulo
 read as one integer, and a message's to the sum of its fields with the
 type counted 256 times, so ``message_checksum`` packs no image.
 ``pack_message`` packs a message with a valid checksum straight to its
-wire image, and ``unpack_fields`` reads one back as a tuple, for
-callers that need no ``TimestampMessage``.
+wire image, for callers that need no ``TimestampMessage``.
 """
 
 from __future__ import annotations
@@ -131,21 +130,6 @@ def encode(msg: TimestampMessage) -> bytes:
     return LAYOUT.pack(*msg)
 
 
-def unpack_fields(buf) -> tuple[int, int, int, int, int, int, int, int]:
-    """The eight fields of the timestamp message at the start of ``buf``.
-
-    In wire order: type, code, checksum, ident, seq, orig_ts, recv_ts,
-    xmit_ts.  Raises TruncatedMessage below 20 bytes and NotATimestamp
-    for other ICMP types.  Bytes past 20 are ignored.
-    """
-    if len(buf) < MESSAGE_LEN:
-        raise TruncatedMessage(f"need {MESSAGE_LEN} bytes, got {len(buf)}")
-    icmp_type = buf[0]
-    if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
-        raise NotATimestamp(f"ICMP type {icmp_type} is not a timestamp message")
-    return LAYOUT.unpack_from(buf)
-
-
 def unpack_reply(buf) -> tuple[int, int, int, int, int, int, int, int] | None:
     """The eight fields of the timestamp reply at the start of ``buf``, in
     wire order, once every check on it holds; None for a timestamp request.
@@ -168,12 +152,17 @@ def unpack_reply(buf) -> tuple[int, int, int, int, int, int, int, int] | None:
 
 
 def decode(buf) -> TimestampMessage:
-    """Parse a timestamp message from ``buf``.
+    """Parse the timestamp message at the start of ``buf``.
 
-    Raises what ``unpack_fields`` raises.  Bytes past 20 (middleboxes
-    pad) are ignored.
+    Raises TruncatedMessage below 20 bytes and NotATimestamp for other
+    ICMP types.  Bytes past 20 (middleboxes pad) are ignored.
     """
-    return _new(TimestampMessage, unpack_fields(buf))
+    if len(buf) < MESSAGE_LEN:
+        raise TruncatedMessage(f"need {MESSAGE_LEN} bytes, got {len(buf)}")
+    icmp_type = buf[0]
+    if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
+        raise NotATimestamp(f"ICMP type {icmp_type} is not a timestamp message")
+    return _new(TimestampMessage, LAYOUT.unpack_from(buf))
 
 
 def _ones_complement_sum(data) -> int:

@@ -6,7 +6,9 @@ the production checksum; keep it naive on purpose.  former_verify_reply
 is the stateless verifier that hashed each reply again, kept as the
 reference that field-by-field verification is compared with.
 former_infer_timezone is the timezone lookup that tested every table
-entry in turn, kept as the reference for the table's day-circle index.
+entry in turn, kept as the reference for the table's day-circle index;
+reference_closest_ms measures every pair of entries, as the reference for
+which margins a table admits.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hashlib import md5
 from ipaddress import IPv4Address
 
 from icmpstamp import wire
-from icmpstamp.classify import AmbiguousTimezone, CorrectnessPolicy, HostObservation
+from icmpstamp.classify import CorrectnessPolicy, HostObservation
 from icmpstamp.clock import DAY_MS, OffsetTable, offset_millis
 from icmpstamp.probes import (
     ProbeKind,
@@ -84,15 +86,40 @@ def former_verify_reply(
     return TamperVerdict.CLEAN if intact else TamperVerdict.ID_SEQ_MODIFIED
 
 
+def reference_closest_ms(offsets) -> int | None:
+    """The day-circle distance between the two closest of ``offsets``,
+    found by measuring every pair; None for fewer than two."""
+    points = [offset_millis(o) % DAY_MS for o in offsets]
+    distances = [
+        min(abs(a - b), DAY_MS - abs(a - b))
+        for k, a in enumerate(points)
+        for b in points[k + 1:]
+    ]
+    return min(distances, default=None)
+
+
+def margin_refusal(margin_ms: int, closest_ms: int) -> str:
+    """The text a table whose closest entries are ``closest_ms`` apart
+    refuses ``margin_ms`` with."""
+    return (
+        f"margin {margin_ms} ms is more than half the {closest_ms} ms "
+        "between the closest candidate offsets; narrow the margin or thin the table"
+    )
+
+
 def former_infer_timezone(
     reply: TimestampMessage, probe_orig: int, table: OffsetTable, policy: CorrectnessPolicy
 ) -> float | None:
     """The offset of the one table entry within the margin, found by testing
-    every entry in table order."""
+    every entry in table order; a margin more than half the distance between
+    the two closest entries is refused with the table's text."""
     recv = reply.recv_ts
     if recv & (1 << 31) or recv >= DAY_MS:
         return None
     margin = policy.margin_ms
+    closest = reference_closest_ms(table.offsets)
+    if closest is not None and 2 * margin > closest:
+        raise ValueError(margin_refusal(margin, closest))
     # d is recv minus the expectation, taken forward round the day circle;
     # the circular distance is min(d, DAY_MS - d).
     matches = [
@@ -100,14 +127,8 @@ def former_infer_timezone(
         for o in table.offsets
         if (d := (recv - probe_orig - offset_millis(o)) % DAY_MS) < margin or DAY_MS - d < margin
     ]
-    if not matches:
-        return None
-    if len(matches) > 1:
-        raise AmbiguousTimezone(
-            f"margin {policy.margin_ms} ms matches offsets {matches}; "
-            "narrow the margin or thin the table"
-        )
-    return matches[0]
+    assert len(matches) <= 1, matches
+    return matches[0] if matches else None
 
 
 def echo_reply(probe: ProbeOutcome, recv: int, xmit: int) -> TimestampMessage:

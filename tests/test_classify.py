@@ -8,11 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import EPOCH, at_ms, echo_reply, former_infer_timezone, pair_for
+from builders import (
+    EPOCH,
+    at_ms,
+    echo_reply,
+    former_infer_timezone,
+    margin_refusal,
+    pair_for,
+    reference_closest_ms,
+)
 from icmpstamp.classify import (
     CONSTANT_LE_ONE,
     MSB,
-    AmbiguousTimezone,
     Correctness,
     CorrectnessPolicy,
     Fingerprint,
@@ -46,8 +53,16 @@ from icmpstamp.wire import TimestampMessage, byte_swap_32
 
 POLICY = CorrectnessPolicy()
 TABLE = OffsetTable()
+
 DEST = "198.51.100.7"
 ORIG = 45_296_789  # 12:34:56.789Z
+
+
+def admits(offsets, margin_ms):
+    """Whether a table of ``offsets`` admits ``margin_ms``, by the
+    reference's pairwise measure."""
+    closest = reference_closest_ms(offsets)
+    return closest is None or 2 * margin_ms <= closest
 
 
 def reply_msg(recv, xmit, orig=ORIG, ident=0, seq=0):
@@ -133,10 +148,22 @@ class TestInferTimezone:
         assert infer_timezone(reply_msg(recv, 0), ORIG, TABLE, POLICY) == -12.0
 
     def test_wide_margin_is_ambiguous(self):
-        wide = CorrectnessPolicy(margin_ms=1_900_000)
-        recv = 11_700_000  # halfway between the +3 and +3.5 candidates
-        with pytest.raises(AmbiguousTimezone):
-            infer_timezone(reply_msg(recv, 0), 0, TABLE, wide)
+        # Wider than half the 30 minutes between +3 and +3.5: refused at
+        # the lookup, wherever the receive value lands.
+        wide = CorrectnessPolicy(margin_ms=900_001)
+        for recv in (11_700_000, 0):  # halfway between +3 and +3.5; near none
+            with pytest.raises(ValueError) as info:
+                infer_timezone(reply_msg(recv, 0), 0, TABLE, wide)
+            assert str(info.value) == margin_refusal(900_001, 1_800_000)
+
+    def test_fingerprint_refuses_a_margin_the_table_does_not_admit(self):
+        obs, _ = build_obs(std=(77_696_789, 77_696_790))  # nine hours ahead
+        table = OffsetTable((9.0, 11.0))
+        fp = fingerprint_observation(obs, CorrectnessPolicy(margin_ms=3_600_000), table)
+        assert fp.tz_offset == 9.0
+        with pytest.raises(ValueError) as info:
+            fingerprint_observation(obs, CorrectnessPolicy(margin_ms=3_600_001), table)
+        assert str(info.value) == margin_refusal(3_600_001, 7_200_000)
 
     @staticmethod
     @st.composite
@@ -144,7 +171,13 @@ class TestInferTimezone:
         offsets = draw(st.lists(st.integers(-48, 48), max_size=8, unique=True))
         offsets = tuple(n / 2 for n in offsets)
         orig = draw(st.integers(0, DAY_MS - 1))
-        margin = draw(st.integers(1, 5_000) | st.integers(1, 43_199_999))
+        margins = st.integers(1, 5_000) | st.integers(1, 43_199_999)
+        closest = reference_closest_ms(offsets)
+        if closest:
+            # Either side of the widest margin admitted, half the closest
+            # spacing (at most 6 h for two or more entries).
+            margins |= st.integers(closest // 2 - 1, closest // 2 + 1)
+        margin = draw(margins)
         if offsets and draw(st.booleans()):
             # Land on or near a candidate's margin edge, either side.
             centre = orig + offset_millis(draw(st.sampled_from(offsets)))
@@ -166,16 +199,14 @@ class TestInferTimezone:
                 o for o in offsets
                 if abs(circular_diff(recv, (orig + offset_millis(o)) % DAY_MS)) < margin
             ]
-        if len(matches) > 1:
-            with pytest.raises(AmbiguousTimezone) as info:
-                infer_timezone(reply_msg(recv, 0, orig=orig), orig, table, policy)
-            assert str(info.value) == (
-                f"margin {margin} ms matches offsets {matches}; "
-                "narrow the margin or thin the table"
-            )
-        else:
+        if recv & 2**31 or recv >= DAY_MS or admits(offsets, margin):
+            assert len(matches) <= 1
             expected = matches[0] if matches else None
             assert infer_timezone(reply_msg(recv, 0, orig=orig), orig, table, policy) == expected
+        else:
+            with pytest.raises(ValueError) as info:
+                infer_timezone(reply_msg(recv, 0, orig=orig), orig, table, policy)
+            assert str(info.value) == margin_refusal(margin, reference_closest_ms(offsets))
 
 
 @given(
@@ -217,17 +248,21 @@ def timezone_lookups(draw):
     """A table, a margin, an originate value and a receive value.
 
     Tables may repeat an entry, hold both +12 and -12 (one point on the day
-    circle), or hold entries outside [-12, +12]; margins run up to the width
-    at which most lookups are ambiguous.  Receive values include ones with
-    the MSB set or of a day or more, and ones on either side of an entry's
-    margin edge.
+    circle), or hold entries outside [-12, +12]; margins run up to half a
+    day, and include the widest the table admits and the next one up.
+    Receive values include ones with the MSB set or of a day or more, and
+    ones on either side of an entry's margin edge.
     """
     entry = (
         st.sampled_from(DEFAULT_OFFSET_HOURS + (12.0, -12.0))
         | st.integers(-100, 100).map(lambda n: n / 2)
     )
     offsets = tuple(draw(st.lists(entry, max_size=40)))
-    margin = draw(st.integers(1, 5_000) | st.integers(1, DAY_MS // 2 - 1))
+    margins = st.integers(1, 5_000) | st.integers(1, DAY_MS // 2 - 1)
+    closest = reference_closest_ms(offsets)
+    if closest:
+        margins |= st.sampled_from([closest // 2, closest // 2 + 1])
+    margin = draw(margins)
     orig = draw(st.integers(0, DAY_MS - 1) | st.integers(0, 2**32 - 1))
     if offsets and draw(st.booleans()):
         centre = orig + offset_millis(draw(st.sampled_from(offsets)))
@@ -241,11 +276,15 @@ def timezone_lookups(draw):
 @given(timezone_lookups())
 @settings(max_examples=500)
 def test_timezone_lookup_equals_former_linear_scan(lookup):
+    # Over admitted pairs the lookups agree; a pair the table does not admit
+    # is refused by both with one text, once the receive value is a time of
+    # day.
     table, policy, orig, recv = lookup
     reply = reply_msg(recv, 0, orig=orig)
-    assert _result(infer_timezone, reply, orig, table, policy) == _result(
-        former_infer_timezone, reply, orig, table, policy
-    )
+    new = _result(infer_timezone, reply, orig, table, policy)
+    assert new == _result(former_infer_timezone, reply, orig, table, policy)
+    if recv < DAY_MS and not admits(table.offsets, policy.margin_ms):
+        assert new == margin_refusal(policy.margin_ms, reference_closest_ms(table.offsets))
 
 
 class TestHtonsBug:
@@ -647,7 +686,7 @@ def _former_implementation(obs, policy, table):
             classes.add(ImplClass.LAZY)
         if recv > MSB - 1 and xmit > MSB - 1:
             classes.add(ImplClass.NON_UTC)
-        if infer_timezone(std.reply, orig, table, policy) is not None:
+        if former_infer_timezone(std.reply, orig, table, policy) is not None:
             classes.add(ImplClass.TIMEZONE)
         if abs(circular_diff(byte_swap_32(recv) % DAY_MS, orig)) < policy.margin_ms:
             classes.add(ImplClass.LITTLE_ENDIAN)
@@ -721,7 +760,7 @@ def _former_fingerprint(obs, policy, table):
     tz_offset = None
     if std is not None:
         correctness = classify_correctness(std.reply, std.request.orig_ts, policy)
-        tz_offset = infer_timezone(std.reply, std.request.orig_ts, table, policy)
+        tz_offset = former_infer_timezone(std.reply, std.request.orig_ts, table, policy)
     else:
         correctness = Correctness.INCORRECT
         flags.add("no_standard_reply")
@@ -792,9 +831,12 @@ def _observation_parts(draw):
 
 
 def _result(fn, *args):
+    """What ``fn`` returns, or the text of the margin refusal it raises."""
     try:
         return fn(*args)
-    except AmbiguousTimezone as exc:
+    except ValueError as exc:
+        if not str(exc).startswith("margin "):
+            raise
         return str(exc)
 
 
@@ -820,7 +862,11 @@ def test_fingerprint_equals_former_lookups(parts, custom):
     new = _result(
         fingerprint_observation, HostObservation(pairs, duplicate_replies), policy, table
     )
-    former = _result(
-        _former_fingerprint, _FormerObservation(pairs, duplicate_replies), policy, table
-    )
+    former_obs = _FormerObservation(pairs, duplicate_replies)
+    former = _result(_former_fingerprint, former_obs, policy, table)
     assert new == former
+    # A pair the table does not admit is refused at the first lookup: the
+    # clean standard reply's, once its receive value is a time of day.
+    std = former_obs.first_clean(ProbeKind.STANDARD)
+    if std is not None and std.reply.recv_ts < DAY_MS and not admits(table.offsets, policy.margin_ms):
+        assert new == margin_refusal(policy.margin_ms, reference_closest_ms(table.offsets))

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from builders import DEMO_SCAN_SHA256
-from icmpstamp import cli
+from icmpstamp import cli, results
 from icmpstamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRIVILEGE, EXIT_TRANSPORT, main
 from icmpstamp.clock import DAY_MS
 from icmpstamp.engine import ScanConfig
@@ -523,9 +523,10 @@ class TestClassifyCommand:
         code = main(["classify", "--in", str(out), "--out", str(tmp_path / "re.jsonl"),
                      "--margin-ms", "2000000"])
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "margin 2000000 ms" in err
-        assert "bad record" not in err
+        assert capsys.readouterr().err == (
+            "error: margin 2000000 ms is more than half the 1800000 ms between the "
+            "closest candidate offsets; narrow the margin or thin the table\n"
+        )
 
     @pytest.mark.parametrize("key", ["send_time", "arrival"])
     def test_naive_instant_is_config_error(self, scanned, capsys, key):
@@ -669,6 +670,43 @@ class TestReportCommands:
                      "--tzdb", str(tmp_path / "nope.db")])
         assert code == EXIT_CONFIG
 
+    def test_reports_stream_the_records(self, scanned, tmp_path, capsys, monkeypatch):
+        # Neither report holds the whole file: each reads it line by line,
+        # and prints what it printed from the list of every record.
+        _, out = scanned
+        tzdb = tmp_path / "tz.db"
+        tzdb.write_text(TZ_DB)
+        argvs = [
+            ["report", "pmf", "--in", str(out), "--bin-ms", "3600000"],
+            ["report", "geo", "--in", str(out), "--tzdb", str(tzdb)],
+        ]
+        listed = []
+        for argv in argvs:
+            assert main(argv) == EXIT_OK
+            listed.append(capsys.readouterr().out)
+
+        def read_records(path):
+            raise AssertionError(f"read_records({path!r}) called")
+
+        monkeypatch.setattr(results, "read_records", read_records)
+        for argv, expected in zip(argvs, listed):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == expected
+
+    def test_pmf_checks_the_bin_width_before_reading(self, scanned, capsys):
+        _, out = scanned
+        write_out_of_day_originate(out)
+        assert main(["report", "pmf", "--in", str(out), "--bin-ms", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: bin_ms must be positive: 0\n"
+
+    def test_geo_loads_the_database_before_reading(self, scanned, tmp_path, capsys):
+        _, out = scanned
+        write_out_of_day_originate(out)
+        tzdb = tmp_path / "tz.db"
+        tzdb.write_text("10.9.0.0/24 nan\n")
+        assert main(["report", "geo", "--in", str(out), "--tzdb", str(tzdb)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {tzdb}:1: bad tz entry:")
+
 
 class TestAnalyzeRequestsCommand:
     def test_summary(self, tmp_path, capsys):
@@ -760,6 +798,13 @@ def test_fingerprint_target_not_the_records_is_a_bad_record(scanned, capsys, arg
         f"is not the record's {rec['target']!r}\n"
     )
     assert out.read_bytes() == b"oldbytes\n"
+
+
+def test_verbose_help_names_what_is_logged():
+    # The engine logs each packet it discards and its closing counts; it
+    # logs no progress.
+    (verbose,) = [a for a in cli.build_parser()._actions if "-v" in a.option_strings]
+    assert verbose.help == "log each discarded packet and the closing sent/discarded counts"
 
 
 def test_python_dash_m_entry_point():

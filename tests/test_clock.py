@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import epoch_us
+from builders import epoch_us, margin_refusal
 from icmpstamp.clock import (
     DAY_MS,
     DEFAULT_OFFSET_HOURS,
@@ -140,10 +140,28 @@ class TestOffsetTable:
             OffsetTable.from_file(path)
 
     def test_min_spacing_on_the_day_circle(self):
-        assert OffsetTable().min_spacing_ms() == 1_800_000
-        assert OffsetTable((11.0, -11.0)).min_spacing_ms() == 7_200_000
-        assert OffsetTable((12.0, -12.0)).min_spacing_ms() == 0
-        assert OffsetTable((9.0,)).min_spacing_ms() is None
+        # A table admits margins up to half the day-circle distance between
+        # its two closest entries, and names that distance when it refuses.
+        for offsets, closest in [
+            (DEFAULT_OFFSET_HOURS, 1_800_000),
+            ((11.0, -11.0), 7_200_000),
+            ((12.0, -12.0), 0),
+        ]:
+            table = OffsetTable(offsets)
+            if closest:
+                table.check_margin(closest // 2)
+            with pytest.raises(ValueError) as info:
+                table.check_margin(closest // 2 + 1)
+            assert str(info.value) == margin_refusal(closest // 2 + 1, closest)
+        # Fewer than two entries admit any margin up to half a day.
+        for offsets in [(9.0,), ()]:
+            OffsetTable(offsets).check_margin(DAY_MS // 2)
+
+    def test_near_refuses_a_margin_the_table_does_not_admit(self):
+        with pytest.raises(ValueError, match="margin 900001 ms"):
+            OffsetTable().near(0, 900_001)
+        assert OffsetTable().near(offset_millis(3.0), 900_000) == 3.0
+        assert OffsetTable().near(offset_millis(3.0) + 900_000, 900_000) is None
 
     def test_wraparound_invariant(self):
         for o in OffsetTable().offsets:
@@ -174,12 +192,12 @@ class TestOffsetTable:
     def test_offsets_in_milliseconds(self):
         # Each entry sits at its offset in milliseconds on the day circle.
         table = OffsetTable((9.0, -3.5, 12.0))
-        assert table.near(32_400_000, 1) == [9.0]
-        assert table.near(DAY_MS - 12_600_000, 1) == [-3.5]
-        assert table.near(43_200_000, 1) == [12.0]
+        assert table.near(32_400_000, 1) == 9.0
+        assert table.near(DAY_MS - 12_600_000, 1) == -3.5
+        assert table.near(43_200_000, 1) == 12.0
         default = OffsetTable()
         for o in DEFAULT_OFFSET_HOURS:
-            assert default.near(offset_millis(o) % DAY_MS, 1) == [o]
+            assert default.near(offset_millis(o) % DAY_MS, 1) == o
 
 
 def test_offsets_equal_identifies_circle_points():

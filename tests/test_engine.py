@@ -136,7 +136,7 @@ class ChaosTransport(RecordingTransport):
         if rng.random() < 0.3:
             copies.append(bytes([rng.choice((0, 3, 8))]) + data[1:])
         if rng.random() < 0.3:
-            _, _, _, ident, seq, orig, recv, xmit = wire.unpack_fields(data)
+            _, _, _, ident, seq, orig, recv, xmit = wire.decode(data)
             copies.append(wire.pack_message(wire.TIMESTAMP_REQUEST, ident, seq, orig, recv, xmit))
         return copies
 
@@ -687,14 +687,16 @@ def test_array_engine_agrees_with_the_list_engine(
             transport = FailingTransport(transport, fail_at)
         records = []
         try:
-            for record in scan(cfg, transport, load_targets(cfg.targets_path)):
+            for record in scan(cfg, transport):
                 records.append(record)
         except ScanAborted as exc:
             return records, (str(exc), exc.unsent), transport.sent
         return records, None, transport.sent
 
-    records, aborted, sent = scanned(engine._scan)
-    former_records, former_aborted, former_sent = scanned(former_scan)
+    records, aborted, sent = scanned(engine.run_scan)
+    former_records, former_aborted, former_sent = scanned(
+        lambda cfg, transport: former_scan(cfg, transport, load_targets(cfg.targets_path))
+    )
     assert sent == former_sent
     assert records == former_records
     assert list(map(record_to_line, records)) == list(map(record_to_line, former_records))

@@ -368,6 +368,20 @@ class TestSimNetwork:
         assert net.receive(net.now() + 250 * 1000) is None
         assert net.now() == NOON_ISH + 250_000
 
+    @given(
+        st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1), timezones=st.just(timezone.utc)),
+        st.integers(1, DAY_MS * 1000),
+    )
+    def test_one_window_reaches_the_deadline(self, start, wait_us):
+        # For any wait up to a day, the one window of whole milliseconds a
+        # receive waits ends at the deadline or less than 2 ms past it.
+        net = SimNetwork(self.host(), start=start)
+        before = net.now()
+        deadline = before + wait_us
+        assert net.receive(deadline) is None
+        assert deadline <= net.now() < deadline + 2000
+        assert (net.now() - before) % 1000 == 0
+
     def test_sleep_until_never_goes_backward(self):
         net = SimNetwork(self.host(), start=NOON_ISH_START)
         net.sleep_until(NOON_ISH - 5_000_000)

@@ -21,7 +21,6 @@ from icmpstamp.wire import (
     internet_checksum,
     message_checksum,
     pack_message,
-    unpack_fields,
     unpack_reply,
     verify_checksum,
 )
@@ -131,25 +130,29 @@ class TestDecode:
         assert encode(msg) == buf[:20]
 
     @given(st.binary(max_size=40))
-    def test_unpack_fields_is_decode_without_the_message(self, buf):
+    def test_decode_is_the_layout_read_after_its_checks(self, buf):
+        # Below 20 bytes a TruncatedMessage, for a type other than 13 and 14
+        # a NotATimestamp, and otherwise the first 20 bytes' fields.
         try:
             msg = decode(buf)
         except WireError as exc:
-            with pytest.raises(type(exc)) as raised:
-                unpack_fields(buf)
-            assert str(raised.value) == str(exc)
+            if len(buf) < 20:
+                assert type(exc) is TruncatedMessage
+                assert str(exc) == f"need 20 bytes, got {len(buf)}"
+            else:
+                assert type(exc) is NotATimestamp
+                assert buf[0] not in (13, 14)
+                assert str(exc) == f"ICMP type {buf[0]} is not a timestamp message"
             return
-        assert unpack_fields(buf) == (
-            msg.icmp_type, msg.code, msg.checksum, msg.ident, msg.seq,
-            msg.orig_ts, msg.recv_ts, msg.xmit_ts,
-        )
+        assert len(buf) >= 20 and buf[0] in (13, 14)
+        assert tuple(msg) == struct.unpack("!BBHHHIII", buf[:20])
 
 
 class TestUnpackReply:
     REPLY = pack_message(14, 0x1234, 0x5678, 45_296_789, 45_296_800, 45_296_801)
 
     def test_valid_reply_is_its_fields(self):
-        assert unpack_reply(self.REPLY) == unpack_fields(self.REPLY)
+        assert unpack_reply(self.REPLY) == tuple(decode(self.REPLY))
 
     def test_request_is_none(self):
         assert unpack_reply(pack_message(13, 1, 2, 3)) is None
@@ -157,7 +160,7 @@ class TestUnpackReply:
 
     def test_zero_padding_keeps_the_checksum(self):
         for pad in range(1, 6):
-            assert unpack_reply(self.REPLY + bytes(pad)) == unpack_fields(self.REPLY)
+            assert unpack_reply(self.REPLY + bytes(pad)) == tuple(decode(self.REPLY))
 
     def test_other_padding_is_summed(self):
         with pytest.raises(BadChecksum):
