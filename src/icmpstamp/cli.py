@@ -10,10 +10,11 @@ at all.  ``scan`` replaces ``--out`` when the scan ends, after a transport
 failure too.  Only then does it remove an earlier ``<out>.resume`` and,
 after a transport failure, write this scan's.
 
-``classify`` uses one process per CPU it may run on, each classifying a
-contiguous share of the input's lines of at least ``shares.MIN_SHARE``
-lines (see ``shares``).  Its output bytes and error texts do not depend on
-the number of processes.  It runs in a single process for an input too
+``classify`` uses one process per CPU it may run on, each reading one line
+at a time of a contiguous share of the input's lines, of at least
+``shares.MIN_SHARE`` lines; a child's text waits in an unnamed file beside
+``--out`` (see ``shares``).  Its output bytes and error texts do not depend
+on the number of processes.  It runs in a single process for an input too
 small for two shares, on one usable CPU, while another thread is running,
 and where ``os.fork`` or ``os.sched_getaffinity`` does not exist.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import os
 import signal
@@ -94,34 +96,23 @@ def _policy_and_table(args) -> tuple[CorrectnessPolicy, OffsetTable]:
     return policy, table
 
 
-def _classify_share(path, lines, first_lineno, policy, table) -> str:
-    """The records on ``lines`` (undecoded lines of ``path``, the first
-    numbered ``first_lineno``) classified again, as the text to write."""
-    return "".join([
-        results.record_to_line(
-            rec._replace(
-                fingerprint=fingerprint_observation(
-                    results.observation_from_record(rec), policy, table
-                )
-            )
-        ) + "\n"
-        for rec in results.records_in(path, lines, first_lineno)
-    ])
+def _classify_share(path, policy, table, lines, start, out) -> int:
+    """Write the records on ``lines``, the undecoded lines of ``path`` from
+    line ``start + 1`` on, classified again to ``out``; returns how many."""
+    count = 0
+    for count, rec in enumerate(results.records_in(path, lines, start + 1), 1):
+        fingerprint = fingerprint_observation(results.observation_from_record(rec), policy, table)
+        out.write(results.record_to_line(rec._replace(fingerprint=fingerprint)) + "\n")
+    return count
 
 
 def _cmd_classify(args) -> int:
     policy, table = _policy_and_table(args)
-    with open(args.input, "rb") as fh:
-        lines = fh.readlines()
-    texts = shares.run(
-        lambda share, start: _classify_share(args.input, share, start + 1, policy, table),
-        lines,
-    )
-    # Written only once every line is classified: a bad line leaves --out
-    # as it was, and --out may be --in.
-    with textfile.replacing(args.out) as fh:
-        fh.writelines(texts)
-    count = sum(text.count("\n") for text in texts)
+    # --in is opened before --out.  --out is replaced only once every line
+    # is classified: a bad line leaves it as it was, and it may be --in.
+    with open(args.input, "rb") as src, textfile.replacing(args.out) as fh:
+        job = functools.partial(_classify_share, args.input, policy, table)
+        count = shares.run(job, src, fh)
     print(f"reclassified {count} records into {args.out}")
     return EXIT_OK
 
@@ -169,10 +160,12 @@ def _cmd_analyze_requests(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    records_a = results.read_records(args.file_a)
-    records_b = results.read_records(args.file_b)
-    merged = reports.merge_records(records_a, records_b)
-    count = results.write_records(args.out, merged)
+    # Both files are opened before --out; a bad line in B is found first.
+    with open(args.file_a, "rb") as fh_a, open(args.file_b, "rb") as fh_b:
+        merged = reports.merge_records(
+            results.records_in(args.file_a, fh_a), results.records_in(args.file_b, fh_b)
+        )
+        count = results.write_records(args.out, merged)
     print(f"merged {count} consensus records into {args.out}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from icmpstamp.textfile import parse_lines
+from icmpstamp.textfile import numbered_lines
 
 DAY_MS = 86_400_000
 HALF_DAY_MS = DAY_MS // 2
@@ -124,8 +124,15 @@ class OffsetTable:
 
     @classmethod
     def from_file(cls, path) -> "OffsetTable":
-        """Load a table from a text file of one decimal hour offset per line."""
-        return cls(tuple(parse_lines(path, _parse_offset)))
+        """Load a table from a text file of one decimal hour offset per line;
+        a line at an earlier line's day-circle point raises ValueError."""
+        by_point: dict[int, tuple[int, float]] = {}
+        for lineno, offset in numbered_lines(path, _parse_offset):
+            first, _ = by_point.setdefault(offset_millis(offset) % DAY_MS, (lineno, offset))
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: offset {offset:g} repeats the point "
+                                 f"of line {first} on the day circle")
+        return cls(tuple(offset for _, offset in by_point.values()))
 
     def check_margin(self, margin_ms: int) -> None:
         """Raise ValueError unless ``margin_ms`` is usable with this table:

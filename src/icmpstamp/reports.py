@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
 from typing import NamedTuple
@@ -235,23 +235,22 @@ def analyze_requests(entries: list[CaptureEntry], top_n: int = 10) -> RequestSum
 
 
 def merge_records(
-    records_a: list[ResultRecord], records_b: list[ResultRecord]
-) -> list[ResultRecord]:
+    records_a: Iterable[ResultRecord], records_b: Iterable[ResultRecord]
+) -> Iterator[ResultRecord]:
     """Two-vantage consensus: targets seen by both, fingerprints intersected.
 
     Output order follows the first file.  Merged records carry the joined
     vantage label and no probe detail of their own (the inputs keep it).
+    Only what a merged record takes from ``records_b`` is kept, read whole
+    at the first record asked for; ``records_a`` is read as records are.
     """
-    by_target_b = {rec.target: rec for rec in records_b}
-    merged = []
+    by_target_b = {r.target: (r.vantage, r.fingerprint, r.duplicate_replies) for r in records_b}
     for rec_a in records_a:
-        rec_b = by_target_b.get(rec_a.target)
-        if rec_b is None:
-            continue
-        merged.append(rec_a._replace(
-            vantage=f"{rec_a.vantage}+{rec_b.vantage}",
-            outcomes=(),
-            fingerprint=merge_fingerprints(rec_a.fingerprint, rec_b.fingerprint),
-            duplicate_replies=rec_a.duplicate_replies + rec_b.duplicate_replies,
-        ))
-    return merged
+        if rec_a.target in by_target_b:
+            vantage_b, fingerprint_b, duplicates_b = by_target_b[rec_a.target]
+            yield rec_a._replace(
+                vantage=f"{rec_a.vantage}+{vantage_b}",
+                outcomes=(),
+                fingerprint=merge_fingerprints(rec_a.fingerprint, fingerprint_b),
+                duplicate_replies=rec_a.duplicate_replies + duplicates_b,
+            )

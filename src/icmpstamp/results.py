@@ -223,6 +223,14 @@ def _message_from_dict(d: dict) -> TimestampMessage:
     return TimestampMessage(*fields)
 
 
+def _member(table: dict, enum, value):
+    """``table[value]``, or ``enum(value)`` for a value not in ``table``."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
 def _tz_offset(value) -> float | None:
     if value is None:
         return None
@@ -245,18 +253,12 @@ def fingerprint_from_dict(d: dict, target: str) -> Fingerprint:
         classes = frozenset([_IMPL_CLASSES[c] for c in classes])
     except (KeyError, TypeError):
         classes = frozenset(map(ImplClass, classes))
-    timekeeping = d["timekeeping"]
-    try:
-        timekeeping = _TIMEKEEPINGS[timekeeping]
-    except (KeyError, TypeError):
-        timekeeping = Timekeeping(timekeeping)
-    correctness = d["correctness"]
-    try:
-        correctness = _CORRECTNESSES[correctness]
-    except (KeyError, TypeError):
-        correctness = Correctness(correctness)
     return Fingerprint(
-        classes, timekeeping, correctness, _tz_offset(d["tz_offset"]), frozenset(flags)
+        classes,
+        _member(_TIMEKEEPINGS, Timekeeping, d["timekeeping"]),
+        _member(_CORRECTNESSES, Correctness, d["correctness"]),
+        _tz_offset(d["tz_offset"]),
+        frozenset(flags),
     )
 
 
@@ -276,11 +278,7 @@ def record_from_dict(d: dict) -> ResultRecord:
     tz = _NO_INSTANT
     outcomes = []
     for entry in d["probes"]:
-        kind = entry["kind"]
-        try:
-            kind = _KINDS[kind]
-        except (KeyError, TypeError):
-            kind = ProbeKind(kind)
+        kind = _member(_KINDS, ProbeKind, entry["kind"])
         text = entry["send_time"]
         instant = datetime.fromisoformat(text)
         zone = instant.tzinfo
@@ -306,10 +304,7 @@ def record_from_dict(d: dict) -> ResultRecord:
             if zone is not tz and zone != tz:
                 tz = _record_zone("arrival", arrival, zone, tz)
             arrival = (instant - _EPOCH) // _US
-        try:
-            tamper = _TAMPERS[tamper]
-        except (KeyError, TypeError):
-            tamper = TamperVerdict(tamper)
+        tamper = _member(_TAMPERS, TamperVerdict, tamper)
         outcomes.append(_new(ProbeOutcome, (kind, send_time, request, reply, arrival, tamper)))
     vantage = _str(d["vantage"], "vantage")
     fingerprint = fingerprint_from_dict(d["fingerprint"], target)

@@ -1,28 +1,28 @@
-"""One job over the contiguous shares of a list, one process per usable CPU.
+"""One job over the contiguous shares of a file's lines, one process per
+usable CPU.
 
-``run(job, items)`` splits ``items`` into contiguous shares, one per CPU
-the process may run on, but none smaller than ``MIN_SHARE``.  The caller's
-process runs share 0, and one ``os.fork()``ed child runs each other share
-and sends its text back through a pipe.  ``job`` runs the same way
-whatever the number of shares, so the result does not depend on it.
+``run(job, src, out)`` splits the lines of ``src`` into contiguous shares,
+one per CPU the process may run on, but none smaller than ``MIN_SHARE``.
+Each process reads only its share's lines, so memory is about one line per
+process.  The caller's process runs share 0 into ``out``, and one
+``os.fork()``ed child runs each other share into an unnamed file in
+``out``'s directory, copied into ``out`` in share order.  ``job`` runs the
+same way whatever the number of shares, so the result does not depend on it.
 
 A single share, and no child, is used where ``os.fork`` or
 ``os.sched_getaffinity`` does not exist, and while another thread is
 alive: forking copies only the calling thread, so a lock another thread
 holds would stay held in the child (Python 3.12 and later warn on it).
-
-Text, not objects, crosses the pipe: unpickling a parsed result record
-costs about as much as parsing its line again.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import tempfile
 import threading
-from typing import BinaryIO, Callable, Sequence, TypeVar
-
-T = TypeVar("T")
+from itertools import islice
+from typing import BinaryIO, Callable, Iterable, TextIO
 
 # The smallest share a child is forked for.  Forking a 56 MB process,
 # ending the child and reaping it took about 4.4 ms, and classify took
@@ -30,11 +30,11 @@ T = TypeVar("T")
 # lines do, a sixth of the smallest share's work.
 MIN_SHARE = 256
 
-# A child's message: b"+" and the job's text, or b"!" and the text of the
-# ValueError it raised, each after its length in bytes and a newline.  A
-# message cut short marks a child that ended before it was done.
-_DONE = b"+"
-_FAILED = b"!"
+# A child's exit status once its file holds the job's text, or the text of
+# the ValueError the job raised.  Any other status, 0 included, marks a
+# child that ended before it was done.
+_DONE = 100
+_FAILED = 101
 
 
 def share_count(n_items: int) -> int:
@@ -48,9 +48,12 @@ def share_count(n_items: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_items // MIN_SHARE))
 
 
-def run(job: Callable[[Sequence[T], int], str], items: Sequence[T]) -> list[str]:
-    """``job(share, start)`` for each contiguous share of ``items`` in order,
-    where ``share`` is ``items[start:end]``.
+def run(job: Callable[[Iterable[bytes], int, TextIO], int], src: BinaryIO, out: TextIO) -> int:
+    """``job(lines, start, fh)`` for each contiguous share of the lines of
+    ``src``, a binary file opened by name, in order: ``lines`` are the
+    share's undecoded lines from line ``start + 1`` on, and ``job`` writes
+    its text to ``fh`` and returns how many lines it wrote.  Returns how
+    many lines ``out`` received.
 
     A ``ValueError`` that ``job`` raises on the earliest share to raise one
     is raised here with the same text, and only once every earlier share
@@ -58,23 +61,38 @@ def run(job: Callable[[Sequence[T], int], str], items: Sequence[T]) -> list[str]
     run again in this process.  No child outlives the call: when it raises,
     every child still running is killed and reaped.
     """
-    n = share_count(len(items))
-    bounds = [len(items) * k // n for k in range(n + 1)]
-    shares = [(items[bounds[k]:bounds[k + 1]], bounds[k]) for k in range(n)]
-    children: dict[int, tuple[int, BinaryIO]] = {}
+    n_lines = sum(1 for _ in src)
+    n = share_count(n_lines)
+    bounds = [n_lines * k // n for k in range(n + 1)]
+    parts = os.path.dirname(os.path.abspath(out.name))
+    children: dict[int, tuple[int, TextIO]] = {}
     try:
+        # Every child is forked before this process writes to ``out``,
+        # whose buffer each child inherits.
         for k in range(1, n):
-            child = _fork(job, *shares[k])
-            if child is not None:
-                children[k] = child
-        texts = [job(*shares[0])]
-        for k in range(1, n):
-            text = _collect(children, k)
-            texts.append(job(*shares[k]) if text is None else text)
-        return texts
+            part = None
+            try:
+                # In --out's directory, not /tmp, which may be held in memory.
+                part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=parts)
+                pid = os.fork()
+            except OSError:  # No child: this process runs the share.
+                if part is not None:
+                    part.close()
+                continue
+            if pid == 0:
+                _child(job, src.name, bounds[k], bounds[k + 1], part)
+            children[k] = pid, part
+        count = 0
+        for k in range(n):
+            copied = _collect(children, k, out) if k in children else None
+            if copied is None:
+                src.seek(0)
+                copied = job(islice(src, bounds[k], bounds[k + 1]), bounds[k], out)
+            count += copied
+        return count
     finally:
-        for pid, pipe in children.values():
-            pipe.close()
+        for pid, part in children.values():
+            part.close()
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -82,67 +100,46 @@ def run(job: Callable[[Sequence[T], int], str], items: Sequence[T]) -> list[str]
                 pass
 
 
-def _fork(job, share, start):
-    """(pid, read end of its pipe) of a child running ``job`` on ``share``,
-    or None if no child could be started."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        _child(job, share, start, read_fd, write_fd)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _child(job, share, start, read_fd: int, write_fd: int) -> None:
-    """Run ``job`` on ``share``, send its message and end the process.
-
-    No code of the caller's runs after the job: ``os._exit`` skips its
-    ``finally`` blocks, ``atexit`` handlers and buffered output.
-    """
+def _child(job, path, start, end, part: TextIO) -> None:
+    """Run ``job`` on its share into ``part`` and end the process: no code of
+    the caller's runs after the job, as ``os._exit`` skips its ``finally``
+    blocks, ``atexit`` handlers and buffered output."""
     code = 1
     try:
         # The caller's handlers, such as one that removes a work directory
         # on SIGTERM, are not the child's to run.
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.close(read_fd)
         try:
-            tag, text = _DONE, job(share, start)
+            with open(path, "rb") as src:
+                job(islice(src, start, end), start, part)
+            status = _DONE
         except ValueError as exc:
-            tag, text = _FAILED, str(exc)
-        body = text.encode("utf-8")
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(b"%s%d\n" % (tag, len(body)))
-            pipe.write(body)
-        code = 0
+            part.seek(0)
+            part.truncate()
+            part.write(str(exc))
+            status = _FAILED
+        part.flush()
+        code = status
     finally:
         os._exit(code)
 
 
-def _collect(children: dict, k: int) -> str | None:
-    """Share ``k``'s text from its child, which is reaped; None if it sent no
-    complete message.  Raises the ``ValueError`` the child reported."""
-    if k not in children:
-        return None
-    pid, pipe = children[k]
-    head = pipe.readline()
-    size = int(head[1:-1]) if head[1:-1].isdigit() else -1
-    # Read to its announced length, into one buffer.
-    body = pipe.read(size) if size >= 0 else b""
-    pipe.close()
-    os.waitpid(pid, 0)
+def _collect(children: dict, k: int, out: TextIO) -> int | None:
+    """Copy share ``k``'s text from its child, which is reaped, into ``out``
+    and return how many lines it holds; None if the child did not finish.
+    Raises the ``ValueError`` the child reported."""
+    pid, part = children[k]
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     del children[k]
-    if head[:1] not in (_DONE, _FAILED) or len(body) != size:
-        return None
-    text = body.decode("utf-8")
-    if head[:1] == _FAILED:
-        raise ValueError(text)
-    return text
+    with part:
+        if code not in (_DONE, _FAILED):
+            return None
+        part.seek(0)
+        if code == _FAILED:
+            raise ValueError(part.read())
+        lines = 0
+        while chunk := part.read(1 << 16):
+            out.write(chunk)
+            lines += chunk.count("\n")
+        return lines

@@ -22,7 +22,12 @@ def parse_lines(path, parse: Callable[[str], T]) -> list[T]:
     ``IndexError`` or ``KeyError`` (an unknown key), raises
     ``ValueError("<path>:<line>: <reason>")``.
     """
-    parsed: list[T] = []
+    return [value for _, value in numbered_lines(path, parse)]
+
+
+def numbered_lines(path, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
+    """``parse_lines`` with each value's line number: ``(line number,
+    parse(text))`` for each data line of ``path``, in file order."""
     # Strict decoding would fail a whole read-ahead chunk before the line
     # holding a bad byte is reached; surrogateescape carries the byte to
     # its own line, where the check below reports it.
@@ -32,13 +37,14 @@ def parse_lines(path, parse: Callable[[str], T]) -> list[T]:
                 if not line.isascii():
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 text = line.split("#", 1)[0].strip()
-                if text:
-                    parsed.append(parse(text))
+                if not text:
+                    continue
+                value = parse(text)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: unknown key {exc}") from None
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return parsed
+            yield lineno, value
 
 
 @contextlib.contextmanager

@@ -478,8 +478,9 @@ class TestClassifyCommand:
         ]
 
     def test_in_place_classify_keeps_the_bytes(self, scanned):
-        # The whole input is read before --out is opened, so one file may
-        # be both, and at the scan's margin it is written back as read.
+        # --out is replaced only once every line of --in is read, so one
+        # file may be both, and at the scan's margin it is written back as
+        # read.
         _, out = scanned
         before = out.read_bytes()
         assert main(["classify", "--in", str(out), "--out", str(out)]) == EXIT_OK
@@ -490,8 +491,8 @@ class TestClassifyCommand:
         before = out.read_bytes()
         run = cli.shares.run
 
-        def classify_then_fill_disk(job, lines):
-            yield run(job, lines)[0].splitlines(keepends=True)[0]
+        def classify_then_fill_disk(job, src, out):
+            run(job, src, out)
             raise disk_full()
 
         monkeypatch.setattr(cli.shares, "run", classify_then_fill_disk)
@@ -581,6 +582,22 @@ class TestClassifyCommand:
         assert code == EXIT_CONFIG == 2
         assert capsys.readouterr().err == f"error: {out}:2: bad record: {error}\n"
         assert re_out.read_bytes() == b"oldbytes\n"
+
+    @pytest.mark.parametrize("text, repeated", [
+        ("9\n# again\n9\n", "offset 9 repeats the point of line 1"),
+        ("12\n3.5\n-12\n", "offset -12 repeats the point of line 1"),
+    ])
+    def test_offsets_file_that_repeats_a_point_names_it(self, scanned, capsys, text, repeated):
+        # Such a table used to refuse every margin, as one whose closest
+        # entries are 0 ms apart.
+        tmp_path, out = scanned
+        offsets = tmp_path / "offsets.txt"
+        offsets.write_text(text)
+        code = main(["classify", "--in", str(out), "--out", str(tmp_path / "re.jsonl"),
+                     "--offsets", str(offsets)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {offsets}:3: {repeated} on the day circle\n"
+        assert not (tmp_path / "re.jsonl").exists()
 
     def test_custom_offsets_file(self, scanned, tmp_path):
         _, out = scanned

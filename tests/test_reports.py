@@ -275,7 +275,7 @@ class TestMergeRecords:
         a = [standard_record("10.5.0.1", 1_000_000, 3, vantage="boston"),
              standard_record("10.5.0.2", 1_000_000, 3, vantage="boston")]
         b = [standard_record("10.5.0.2", 2_000_000, 4, vantage="sandiego")]
-        merged = merge_records(a, b)
+        merged = list(merge_records(a, b))
         assert [r.target for r in merged] == ["10.5.0.2"]
         assert merged[0].vantage == "boston+sandiego"
 
@@ -284,7 +284,7 @@ class TestMergeRecords:
                              classes=frozenset({ImplClass.NORMAL}))]
         b = [standard_record("10.5.1.1", 2_000_000, 4,
                              classes=frozenset({ImplClass.LAZY}))]
-        merged = merge_records(a, b)
+        merged = list(merge_records(a, b))
         assert merged[0].fingerprint.classes == {ImplClass.UNKNOWN}
 
     def test_agreeing_fingerprints_survive(self):
@@ -292,7 +292,7 @@ class TestMergeRecords:
                              classes=frozenset({ImplClass.LAZY, ImplClass.TIMEZONE}))]
         b = [standard_record("10.5.2.1", 9_000_000, 32_400_000, tz=9.0,
                              classes=frozenset({ImplClass.LAZY, ImplClass.TIMEZONE}))]
-        merged = merge_records(a, b)
+        merged = list(merge_records(a, b))
         assert merged[0].fingerprint.classes == {ImplClass.LAZY, ImplClass.TIMEZONE}
         assert merged[0].fingerprint.tz_offset == 9.0
 

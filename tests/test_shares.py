@@ -1,5 +1,5 @@
 """``classify`` in forked shares: the same bytes and errors from any number
-of shares, and no process left behind."""
+of shares, and no process or file left behind."""
 
 import os
 import signal
@@ -121,24 +121,18 @@ def test_earliest_bad_line_is_named(tmp_path, monkeypatch, capsys, demo_lines, f
     assert errors[0].startswith(f"error: {tmp_path / 'in.jsonl'}:{bad[0]}: bad record: ")
 
 
-class CutPipe:
-    """A child's pipe that ends the child, with status 0, once ``size``
-    bytes are written."""
+class CutFile:
+    """A child's part file that ends the child, with status 0, once ``size``
+    characters are written to it."""
 
-    def __init__(self, pipe, size):
-        self.pipe, self.left = pipe, size
+    def __init__(self, part, size):
+        self.part, self.left = part, size
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.pipe.close()
-
-    def write(self, data):
-        self.pipe.write(data[:self.left])
-        self.left -= len(data[:self.left])
+    def write(self, text):
+        self.part.write(text[:self.left])
+        self.left -= len(text[:self.left])
         if not self.left:
-            self.pipe.flush()
+            self.part.flush()
             os._exit(0)
 
 
@@ -150,8 +144,8 @@ def test_share_of_a_dead_child_is_run_again(tmp_path, monkeypatch, demo_lines, f
     def dying(*args):
         if os.getpid() != parent:
             if death == "mid_message":
-                fdopen = os.fdopen
-                os.fdopen = lambda fd, mode: CutPipe(fdopen(fd, mode), 100)
+                # A part file cut mid-write: its 100 characters are not copied.
+                args = (*args[:-1], CutFile(args[-1], 100))
             elif death == "sigkill":
                 os.kill(os.getpid(), signal.SIGKILL)
             else:
@@ -226,12 +220,56 @@ def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch, demo_lines, fo
     assert out.read_bytes() == b"".join(demo_lines)
 
 
-def test_at_most_one_child_per_other_cpu(monkeypatch, forks):
+def test_at_most_one_child_per_other_cpu(tmp_path, monkeypatch, forks):
     cpus(monkeypatch, 5)
-    texts = shares.run(lambda share, start: f"{start}:{len(share)};", range(100))
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_bytes(b"line\n" * 100)
+
+    def job(lines, start, fh):
+        fh.write(f"{start}:{sum(1 for _ in lines)};\n")
+        return 1
+
+    with open(src, "rb") as fh_in, open(out, "w", encoding="utf-8") as fh_out:
+        count = shares.run(job, fh_in, fh_out)
     assert len(forks) == 4
-    assert texts == ["0:20;", "20:20;", "40:20;", "60:20;", "80:20;"]
+    assert out.read_text().splitlines() == ["0:20;", "20:20;", "40:20;", "60:20;", "80:20;"]
+    assert count == 5
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("end", ["success", "bad_line", "interrupt"])
+def test_no_file_is_left_beside_out(tmp_path, monkeypatch, demo_lines, forks, end):
+    # Each child's part file has no name in --out's directory, which holds
+    # only what it held before, whichever way classify ends.
+    lines = list(demo_lines)
+    if end == "bad_line":
+        lines[13] = b'{"target": 1}\n'
+    if end == "interrupt":
+        parent = os.getpid()
+        classify_share = cli._classify_share
+
+        def interrupted(*args):
+            count = classify_share(*args)
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return count
+
+        monkeypatch.setattr(cli, "_classify_share", interrupted)
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_bytes(b"".join(lines))
+    out.write_bytes(b"oldbytes\n")
+    before = sorted(tmp_path.iterdir())
+    cpus(monkeypatch, 3)
+    argv = ["classify", "--in", str(src), "--out", str(out)]
+    if end == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == (EXIT_OK if end == "success" else EXIT_CONFIG)
+    assert_no_child_left()
+    assert len(forks) == 2
+    assert sorted(tmp_path.iterdir()) == before
+    assert out.read_bytes() == (b"".join(lines) if end == "success" else b"oldbytes\n")
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
