@@ -16,7 +16,9 @@ at a time of a contiguous share of the input's lines, of at least
 ``--out`` (see ``shares``).  Its output bytes and error texts do not depend
 on the number of processes.  It runs in a single process for an input too
 small for two shares, on one usable CPU, while another thread is running,
-and where ``os.fork`` or ``os.sched_getaffinity`` does not exist.
+and where ``os.fork`` or ``os.sched_getaffinity`` does not exist.  A
+``--in`` that cannot seek, such as ``/dev/stdin`` on a pipe, is read once,
+in one process.
 """
 
 from __future__ import annotations

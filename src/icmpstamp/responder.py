@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -297,25 +296,21 @@ class SimNetwork:
         heapq.heappush(self._queue, (arrival, next(self._counter), src, reply))
 
     def receive(self, deadline_us: int) -> tuple[str, bytes, int] | None:
-        """Next queued reply, advancing the clock; None once it reaches
-        ``deadline_us``.
+        """Next queued reply, advancing the clock to its arrival; None once
+        the clock reaches ``deadline_us``.
 
-        Waits as a poll-style timeout does, in one window of whole ms: the
-        time left as ``math.ceil(seconds * 1000)`` rounds it, float and all,
-        so a few waits of 2 s or more end 1 ms late.  For waits up to a day
-        the float error is below 1e-7 ms, so the window never ends before
-        the deadline.  A reply arriving in the window is returned, even
-        past the deadline."""
+        Waits to the microsecond, as ``RawTransport.receive`` does: a reply
+        is returned only if it arrives by the deadline, and otherwise the
+        clock moves to the deadline."""
         now = self._now
         if now >= deadline_us:
             return None
-        window_end = now + math.ceil((deadline_us - now) / 1_000_000 * 1000) * 1000
-        if self._queue and self._queue[0][0] <= window_end:
+        if self._queue and self._queue[0][0] <= deadline_us:
             arrival, _, src, data = heapq.heappop(self._queue)
             if arrival > now:
                 self._now = arrival
             return src, data, arrival
-        self._now = window_end
+        self._now = deadline_us
         return None
 
     def close(self) -> None:

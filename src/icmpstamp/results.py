@@ -348,7 +348,7 @@ def records_in(path, lines, first_lineno: int = 1):
             continue
         try:
             record = record_from_line(raw.decode("utf-8"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
         yield record
 

@@ -13,6 +13,7 @@ A single share, and no child, is used where ``os.fork`` or
 ``os.sched_getaffinity`` does not exist, and while another thread is
 alive: forking copies only the calling thread, so a lock another thread
 holds would stay held in the child (Python 3.12 and later warn on it).
+A ``src`` that cannot seek, such as a pipe, is read once as the one share.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def run(job: Callable[[Iterable[bytes], int, TextIO], int], src: BinaryIO, out: 
     run again in this process.  No child outlives the call: when it raises,
     every child still running is killed and reaped.
     """
+    if not src.seekable():
+        return job(src, 0, out)
     n_lines = sum(1 for _ in src)
     n = share_count(n_lines)
     bounds = [n_lines * k // n for k in range(n + 1)]

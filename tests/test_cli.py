@@ -817,6 +817,48 @@ def test_fingerprint_target_not_the_records_is_a_bad_record(scanned, capsys, arg
     assert out.read_bytes() == b"oldbytes\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--in", "{deep}", "--out", "{out}"],
+    ["report", "pmf", "--in", "{deep}"],
+    ["merge", "{good}", "{deep}", "--out", "{out}"],
+])
+def test_a_deeply_nested_line_is_a_bad_record(scanned, capsys, argv):
+    # The JSON decoder raises RecursionError on such a line, which used to
+    # end the command with a traceback.
+    tmp_path, good = scanned
+    deep = tmp_path / "deep.jsonl"
+    deep.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+    out = tmp_path / "deep-out.jsonl"
+    paths = {"deep": deep, "good": good, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"error: {deep}:1: bad record: maximum recursion depth exceeded"
+    )
+    assert not out.exists()
+
+
+def test_classify_reads_a_pipe_once(tmp_path):
+    # /dev/stdin on a pipe cannot seek, so its lines are neither counted
+    # first nor split into shares: 1,900 records are read once and
+    # written back as they came.
+    out = tmp_path / "demo.jsonl"
+    scan_demo(out)
+    data = out.read_bytes() * 100
+    piped = tmp_path / "piped.jsonl"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "icmpstamp", "classify", "--in", "/dev/stdin",
+         "--out", str(piped)],
+        input=data, env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == f"reclassified 1900 records into {piped}\n".encode()
+    assert piped.read_bytes() == data
+
+
 def test_verbose_help_names_what_is_logged():
     # The engine logs each packet it discards and its closing counts; it
     # logs no progress.

@@ -26,7 +26,7 @@ from icmpstamp.engine import ScanAborted, ScanConfig, _parse_target, load_target
 from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.responder import BehaviorConfig, SimNetwork
 from icmpstamp.results import read_records, record_to_line
-from icmpstamp.transport import TransportError
+from icmpstamp.transport import RawTransport, TransportError
 from icmpstamp.wire import TimestampMessage
 
 # 9:13:27.296 puts the day-millisecond low byte at zero, so short scan
@@ -245,9 +245,21 @@ class TestScanConfig:
 
 
 class TestPacing:
-    # 100 pps is a whole number of milliseconds per send, so the receive
-    # windows of an idle simulated network end exactly on each slot.
+    # The simulator waits to the microsecond, so on an idle network each
+    # send goes out exactly on its slot.
     INTERVAL = 10_000
+
+    @pytest.mark.parametrize("rate, gap", [(100_000, 10), (37, 27_028)])
+    def test_answering_hosts_are_probed_one_interval_apart(self, tmp_path, rate, gap):
+        # 1 s / rate rounded up to a whole µs, not to a whole millisecond.
+        addrs = [f"10.0.14.{i}" for i in range(1, 7)]
+        _, transport, records = run_simple_scan(
+            tmp_path, addrs, lazy_hosts(addrs), rate_pps=rate, seed=4,
+        )
+        assert len(records) == len(addrs)
+        round_one = [t for t, _, _ in transport.sent[: 3 * len(addrs)]]
+        assert round_one[0] == START_US
+        assert {b - a for a, b in zip(round_one, round_one[1:])} == {gap}
 
     def test_idle_sends_are_one_interval_apart(self, tmp_path):
         addrs = [f"10.0.11.{i}" for i in range(1, 9)]
@@ -625,20 +637,6 @@ def test_zero_padded_replies_bind(tmp_path, pad):
     assert [record_to_line(r) for r in padded] == [record_to_line(r) for r in bare]
 
 
-class ExactWaitNetwork(SimNetwork):
-    """``SimNetwork`` whose waits end at the deadline to the µs, not at the
-    end of a whole millisecond, so that at a high rate several probes go
-    out within one millisecond."""
-
-    def receive(self, deadline_us):
-        if self._queue and self._queue[0][0] <= deadline_us:
-            arrival, _, src, data = heapq.heappop(self._queue)
-            self._now = max(self._now, arrival)
-            return src, data, arrival
-        self._now = max(self._now, deadline_us)
-        return None
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     fleet=st.lists(
@@ -655,19 +653,17 @@ class ExactWaitNetwork(SimNetwork):
     hostile=st.booleans(),
     pad=st.sampled_from([0, 0, 1, 6]),
     rate=st.sampled_from([200, 5000, 100_000]),
-    network=st.sampled_from([SimNetwork, ExactWaitNetwork]),
     fail_at=st.none() | st.integers(0, 4 * len(CHAOS_TARGETS) - 1),
 )
 def test_array_engine_agrees_with_the_list_engine(
-    tmp_path_factory, fleet, chaos_seed, hostile, pad, rate, network, fail_at,
+    tmp_path_factory, fleet, chaos_seed, hostile, pad, rate, fail_at,
 ):
     # The engine's per-probe arrays against the list-of-outcomes engine
     # they replaced, over a lossy, tampering, duplicating, reordering and
     # padding network whose link may fail at a drawn send: the same
-    # records, and the same abort with the same unsent targets.  On the
-    # exact-wait network at 100,000 pps, a target's probes share an
-    # originate timestamp, so the fallback has more than one to choose
-    # from.
+    # records, and the same abort with the same unsent targets.  At
+    # 100,000 pps a target's probes share an originate timestamp, so the
+    # fallback has more than one to choose from.
     hosts = {
         addr: BehaviorConfig(impl, tamper=tamper, jitter_ms=30, loss_rate=loss)
         for addr, (impl, tamper, loss) in zip(CHAOS_TARGETS, fleet)
@@ -679,7 +675,7 @@ def test_array_engine_agrees_with_the_list_engine(
     )
 
     def scanned(scan):
-        net = network(hosts, start=START, loss_rate=0.1, seed=chaos_seed)
+        net = SimNetwork(hosts, start=START, loss_rate=0.1, seed=chaos_seed)
         transport = ChaosTransport(net, random.Random(chaos_seed), hostile=hostile)
         if pad:
             transport = PaddingTransport(transport, pad)
@@ -763,14 +759,14 @@ def test_mixed_behavior_fingerprints_match_configs(tmp_path):
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-DEMO_GRID_SHA256 = "505b09f89864daadb100007c8d5ae6646a530faf9583147c3d0daea68a816443"
+DEMO_GRID_SHA256 = "acd0412571ca66b209a9808e82e5d5000435895386d2cec1472033204fd82ac7"
 
 
 def test_demo_scan_grid_bytes_are_pinned():
     # 120 scans of the demo fixture, seeds 0-39 at three rates: the bytes
-    # pin the send schedule, both rounds of it.  Seeds 2 and 20 at 37 pps
-    # wait a whole-millisecond gap that the simulator's float wait rounding
-    # moves by one, so their bytes pin that rounding too.
+    # pin the send schedule, both rounds of it.  At 37 and 333 pps the
+    # interval, 27,028 and 3,004 µs, is not a whole millisecond, so the
+    # bytes also pin that the simulator waits to the µs.
     lines = []
     for seed in range(40):
         for rate in (37, 200, 333):
@@ -837,6 +833,63 @@ def test_demo_scan_replays_from_recorded_replies(monkeypatch):
     assert hashlib.sha256(replayed.encode()).hexdigest() == DEMO_SCAN_SHA256
 
 
+class ReplaySocket:
+    """A raw socket on a fake clock, answering each ``sendto`` with the
+    reply recorded for its request behind a 20-byte IPv4 header, due at
+    its recorded arrival.  ``recvfrom`` delivers the head reply if it is
+    due within the timeout; otherwise it moves the clock on by the timeout
+    and raises ``TimeoutError``."""
+
+    IP_HEADER = bytes([0x45]) + bytes(19)
+
+    def __init__(self, replies, now):
+        self.replies = replies
+        self.now = now
+        self.timeout = None
+        self.queue = []
+        self.counter = itertools.count()
+
+    def settimeout(self, seconds):
+        self.timeout = round(seconds * 1_000_000)
+
+    def sendto(self, payload, address):
+        recorded = self.replies.get((address[0], payload))
+        if recorded is not None:
+            arrival, src, reply = recorded
+            heapq.heappush(
+                self.queue, (arrival, next(self.counter), src, self.IP_HEADER + reply)
+            )
+        return len(payload)
+
+    def recvfrom(self, _size):
+        if self.queue and self.queue[0][0] <= self.now + self.timeout:
+            arrival, _, src, datagram = heapq.heappop(self.queue)
+            self.now = max(self.now, arrival)
+            return datagram, (src, 0)
+        self.now += self.timeout
+        raise TimeoutError("timed out")
+
+
+@pytest.mark.parametrize("rate", [37, 200, 100_000])
+def test_raw_transport_on_replayed_replies_writes_the_sim_scan(rate):
+    # The simulator waits as ``RawTransport.receive`` does, to the µs: a
+    # raw transport, built without a socket of its own and fed the replies
+    # the simulator queued, writes the simulated scan's bytes.  No raw
+    # socket is opened.
+    cfg = ScanConfig(
+        targets_path=str(FIXTURES / "demo_targets.txt"), rate_pps=rate, seed=7,
+        vantage="demo",
+    )
+    recorder = RecordingNetwork.from_file(FIXTURES / "demo_hosts.txt")
+    sock = ReplaySocket(recorder.replies, recorder.now())
+    simulated = [record_to_line(r) for r in run_scan(cfg, recorder)]
+    transport = object.__new__(RawTransport)
+    transport._sock = sock
+    transport.now = lambda: sock.now
+    assert [record_to_line(r) for r in run_scan(cfg, transport)] == simulated
+    assert len(simulated) == 19
+
+
 def test_demo_records_hold_exact_full_length_tuples(tmp_path):
     # The engine, the probe makers and the codec build these tuples with
     # tuple.__new__, which checks neither the class's fields nor their
@@ -873,7 +926,7 @@ SWEEP_GAPS_MS = (1000, 3000)
 SWEEP_TIMEOUTS_MS = (1000, 5000)
 SWEEP_LOSSES = (0.0, 0.25, 0.5)
 SWEEP_TAMPERS = (None, None, None, None, "orig_ts", "id_seq", "source")
-SWEEP_SHA256 = "b2c103312ec7b2674cbd3a30183e6a76c6892844754cdf1325d0f6d205bad948"
+SWEEP_SHA256 = "a7faa637e04b31b7eb67275c2302c2ce0afc5ced6c88ffce9dfe748a0a77ce6e"
 
 
 def draw_host(rng) -> BehaviorConfig:
@@ -954,5 +1007,5 @@ def test_drawn_fleet_sweep_bytes_are_pinned(tmp_path):
     assert {("tamper", t) for t in SWEEP_TAMPERS} <= set(drawn)
     assert {("loss", x) for x in SWEEP_LOSSES} <= set(drawn)
     assert drawn["fail round one"] == drawn["fail round two"] == 40
-    assert len(lines) == 1913
+    assert len(lines) == 1909
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_SHA256

@@ -370,17 +370,37 @@ class TestSimNetwork:
 
     @given(
         st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1), timezones=st.just(timezone.utc)),
-        st.integers(1, DAY_MS * 1000),
+        st.none() | st.integers(0, DAY_MS),
+        st.data(),
     )
-    def test_one_window_reaches_the_deadline(self, start, wait_us):
-        # For any wait up to a day, the one window of whole milliseconds a
-        # receive waits ends at the deadline or less than 2 ms past it.
-        net = SimNetwork(self.host(), start=start)
+    def test_a_wait_ends_exactly_at_its_deadline(self, start, latency_ms, data):
+        # To the µs, for waits from 1 µs to a day: an empty network wakes
+        # at the deadline, and a queued reply is returned, the clock moved
+        # to its arrival, only if it arrives by the deadline.  A deadline
+        # drawn next to the arrival tests the boundary.
+        net = SimNetwork(self.host(latency_ms=latency_ms or 0), start=start)
         before = net.now()
+        near = (latency_ms or 0) * 1000
+        wait_us = data.draw(
+            st.integers(1, DAY_MS * 1000)
+            | st.sampled_from([near - 1, near, near + 1]).map(
+                lambda w: min(max(w, 1), DAY_MS * 1000)
+            )
+        )
         deadline = before + wait_us
-        assert net.receive(deadline) is None
-        assert deadline <= net.now() < deadline + 2000
-        assert (net.now() - before) % 1000 == 0
+        if latency_ms is not None:
+            net.send(DEST, request_bytes(now=before))
+        arrival = before + near
+        got = net.receive(deadline)
+        if latency_ms is not None and arrival <= deadline:
+            assert got[2] == arrival == net.now()
+        else:
+            assert got is None
+            assert net.now() == deadline
+        # A deadline the clock has reached returns at once.
+        now = net.now()
+        assert net.receive(now) is None
+        assert net.now() == now
 
     def test_sleep_until_never_goes_backward(self):
         net = SimNetwork(self.host(), start=NOON_ISH_START)

@@ -187,6 +187,16 @@ json_values = st.recursive(
     max_leaves=6,
 )
 _DELETE = object()
+# JSON text of arrays or of objects nested up to 100,000 deep; past the
+# recursion limit ``json.loads`` raises RecursionError.  It is spliced into
+# a line in place of the placeholder, as ``json.dumps`` cannot write it.
+_NESTED = "<nested>"
+nested_json = st.builds(
+    lambda depth, arrays: "[" * depth + "]" * depth if arrays
+    else '{"a":' * depth + "0" + "}" * depth,
+    st.integers(1, 5000) | st.just(100_000),
+    st.booleans(),
+)
 
 
 def _reads_or_names_line_1(load, path):
@@ -210,12 +220,17 @@ def test_a_record_with_one_value_replaced_or_deleted_reads_or_names_its_line(
     # The record's own values are drawn as well as fresh ones, so that a
     # value lands in a field that takes another of its kind.
     own = [v for v in nodes.values() if not isinstance(v, (dict, list))]
-    replacement = data.draw(st.one_of(st.just(_DELETE), json_values, st.sampled_from(own)))
+    replacement = data.draw(st.one_of(
+        st.just(_DELETE), st.just(_NESTED), json_values, st.sampled_from(own)
+    ))
     if replacement is _DELETE:
         del owner[last]
     else:
         owner[last] = replacement
-    line = json.dumps(record).encode()
+    line = json.dumps(record)
+    if replacement is _NESTED:
+        line = line.replace(json.dumps(_NESTED), data.draw(nested_json))
+    line = line.encode()
     _reads_or_names_line_1(lambda: list(records_in("fuzz.jsonl", [line])), "fuzz.jsonl")
 
 
