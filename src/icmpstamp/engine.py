@@ -320,8 +320,7 @@ def _scan(
         duplicates = duplicate_replies.get(i, 0)
         obs = HostObservation(outcomes, duplicates)
         yield ResultRecord(
-            target, cfg.vantage, outcomes, fingerprint_observation(obs),
-            duplicates, transport.tz,
+            target, cfg.vantage, outcomes, fingerprint_observation(obs), duplicates,
         )
 
     if aborted is not None:

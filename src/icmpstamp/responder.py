@@ -39,6 +39,8 @@ from icmpstamp.wire import MESSAGE_LEN, TIMESTAMP_REPLY, TIMESTAMP_REQUEST
 
 DEFAULT_START = datetime(2018, 10, 6, 12, 0, 0, tzinfo=timezone.utc)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# A simulated network starts before this instant.
+_START_END = datetime(9000, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
 DEFAULT_STUCK_VALUE = 123_456
 
@@ -230,9 +232,11 @@ class SimNetwork:
     advances the virtual clock as needed.  Unknown destinations drop
     silently, like unresponsive hosts.
 
-    The aware ``start`` is turned into microseconds once, and its UTC
-    offset becomes ``tz``, the offset the network's instants are written
-    in.
+    The aware ``start`` names the instant the virtual clock starts at, in
+    any UTC offset; it is turned into microseconds once, and its offset is
+    not kept: a result file writes every instant in UTC.  It must be from
+    the Unix epoch to before the year 9000, so every instant a scan
+    reaches can be written as ISO text, whose years end at 9999.
 
     Single-threaded, like the engine that drives it: nothing here is
     locked, so one thread at a time may use a network.
@@ -253,12 +257,16 @@ class SimNetwork:
             start = DEFAULT_START
         elif start.tzinfo is None:
             raise ValueError(f"start must be timezone-aware: {start.isoformat()}")
+        if not _EPOCH <= start < _START_END:
+            raise ValueError(
+                "start must be at or after 1970-01-01T00:00:00Z and before "
+                f"9000-01-01T00:00:00Z: {start.isoformat()}"
+            )
         self._hosts = dict(hosts)
         self._latency_ms = latency_ms
         self._jitter_ms = jitter_ms
         self._loss_rate = loss_rate
         self._rng = random.Random(seed)
-        self.tz = timezone(start.utcoffset())
         self._now = (start - _EPOCH) // _US
         self._queue: list[tuple[int, int, str, bytes]] = []
         self._counter = itertools.count()

@@ -18,10 +18,10 @@ Flags are sorted as JSON reads them back, so a line read back writes
 the same line.
 
 Instants are integer microseconds since the Unix epoch everywhere else in
-the program; here they become ISO text in the record's one UTC offset,
-``ResultRecord.tz``, exactly as ``datetime.isoformat(timespec=
-"microseconds")`` writes the same instant in that zone.  The text of each
-local whole second is made once and cached.
+the program; here they become ISO text in UTC, exactly as
+``datetime.isoformat(timespec="microseconds")`` writes the same instant
+in ``timezone.utc``: always ending ``+00:00``.  The text of each whole
+second is made once and cached.
 
 Reading a line is a trust boundary.  Message fields, ``round`` and
 ``duplicate_replies`` must be integers (not booleans or floats), with
@@ -30,12 +30,12 @@ Reading a line is a trust boundary.  Message fields, ``round`` and
 ``TimestampMessage`` accepts, a standard request's originate timestamp
 below ``DAY_MS`` (classification and the PMF report read it as a time of
 day), target, vantage and flags strings, ``send_time`` and ``arrival``
-ISO instants with a UTC offset, the same offset for every instant of a
-record, ``tz_offset`` null or a finite number, the fingerprint's target
-the record's, and every enum value one the program defines; anything
-else is a ``ValueError`` that ``records_in`` reports as ``path:line: bad
-record``.  So a bad record
-fails on its own line, not later in classification or a report.
+ISO instants in UTC (a naive instant or any other offset is refused),
+``tz_offset`` null or a finite number, the fingerprint's target the
+record's, and every enum value one the program defines; anything else
+is a ``ValueError`` that ``records_in`` reports as ``path:line: bad
+record``.  So a bad record fails on its own line, not later in
+classification or a report.
 
 A record is checked in one pass over its fields, and each object is
 built once, with ``tuple.__new__``, after its fields pass: one
@@ -48,7 +48,6 @@ goes through the enum itself, which words the error.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from datetime import datetime, timedelta, timezone
@@ -69,18 +68,13 @@ from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
 
 
 class ResultRecord(NamedTuple):
-    """Everything a scan learned about one target.
-
-    ``tz`` is the UTC offset the record's instants are written in: the
-    scan's transport's, or the one read from the record's line.
-    """
+    """Everything a scan learned about one target."""
 
     target: str
     vantage: str
     outcomes: tuple[ProbeOutcome, ...]
     fingerprint: Fingerprint
     duplicate_replies: int = 0
-    tz: timezone = timezone.utc
 
 
 # Each member's value: reading ``.value`` runs a Python-level property.
@@ -97,47 +91,39 @@ def _message_json(m: TimestampMessage) -> str:
     )
 
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_LOCAL_EPOCH = datetime(1970, 1, 1)
+_UTC = timezone.utc
+_EPOCH = datetime(1970, 1, 1, tzinfo=_UTC)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
 _US = timedelta(microseconds=1)
 
 
-@functools.lru_cache(maxsize=64)
-def _offset_text(tz: timezone) -> tuple[int, str]:
-    """``tz``'s offset in microseconds, and as isoformat writes it (with the
-    closing quote)."""
-    # A date far from either end of the calendar, in any offset.
-    text = datetime(2000, 1, 2, tzinfo=tz).isoformat(timespec="microseconds")
-    return tz.utcoffset(None) // _US, text[26:] + '"'
-
-
-# Local whole second -> '"YYYY-MM-DDTHH:MM:SS.', the same in every offset;
-# cleared when full, and a scan touches a few dozen seconds.
+# UTC whole second since the epoch -> '"YYYY-MM-DDTHH:MM:SS.'; cleared when
+# full, and a scan touches a few dozen seconds.
 _SECOND_TEXT: dict[int, str] = {}
 _MAX_SECONDS = 4096
 
 
-def _instant_json(instant_us: int, offset_us: int, suffix: str) -> str:
-    second, fraction = divmod(instant_us + offset_us, 1_000_000)
+def _instant_json(instant_us: int) -> str:
+    second, fraction = divmod(instant_us, 1_000_000)
     head = _SECOND_TEXT.get(second)
     if head is None:
         if len(_SECOND_TEXT) >= _MAX_SECONDS:
             _SECOND_TEXT.clear()
         head = _SECOND_TEXT[second] = (
-            f'"{(_LOCAL_EPOCH + timedelta(seconds=second)).isoformat()}.'
+            f'"{(_NAIVE_EPOCH + timedelta(seconds=second)).isoformat()}.'
         )
-    return f"{head}{fraction:06d}{suffix}"
+    return f'{head}{fraction:06d}+00:00"'
 
 
-def _outcome_json(outcome: ProbeOutcome, offset_us: int, suffix: str) -> str:
+def _outcome_json(outcome: ProbeOutcome) -> str:
     kind, send_time, request, reply, arrival, tamper = outcome
-    arrival = "null" if arrival is None else _instant_json(arrival, offset_us, suffix)
+    arrival = "null" if arrival is None else _instant_json(arrival)
     reply = "null" if reply is None else _message_json(reply)
     tamper = "null" if tamper is None else f'"{_VALUE[tamper]}"'
     return (
         f'{{"arrival":{arrival},"kind":"{_VALUE[kind]}","reply":{reply},'
         f'"request":{_message_json(request)},"round":{1 if kind is _DUPLICATE else 0},'
-        f'"send_time":{_instant_json(send_time, offset_us, suffix)},"tamper":{tamper}}}'
+        f'"send_time":{_instant_json(send_time)},"tamper":{tamper}}}'
     )
 
 
@@ -165,8 +151,7 @@ def _fingerprint_json(fp: Fingerprint, target: str) -> str:
 
 
 def record_to_line(rec: ResultRecord) -> str:
-    offset_us, suffix = _offset_text(rec.tz)
-    probes = ",".join([_outcome_json(o, offset_us, suffix) for o in rec.outcomes])
+    probes = ",".join([_outcome_json(o) for o in rec.outcomes])
     target = _json_str(rec.target)
     return (
         f'{{"duplicate_replies":{rec.duplicate_replies},'
@@ -186,9 +171,6 @@ _STANDARD, _DUPLICATE = ProbeKind.STANDARD, ProbeKind.DUPLICATE
 # Builds a NamedTuple from its fields, as ``wire.decode`` does, once they
 # are checked.
 _new = tuple.__new__
-# What ``tz`` holds in ``record_from_dict`` before the record's first
-# instant: not None, which is a naive instant's zone.
-_NO_INSTANT = object()
 
 
 def _int(value, key: str) -> int:
@@ -262,29 +244,23 @@ def fingerprint_from_dict(d: dict, target: str) -> Fingerprint:
     )
 
 
-def _record_zone(key: str, text: str, zone, tz):
-    """``zone``, the offset of a record's first instant; raises for any
-    other instant not in ``tz``, the offset of those before it."""
-    # A naive instant would be read in the machine's local zone.
-    if zone is None:
-        raise ValueError(f"{key} must carry a UTC offset, got {text!r}")
-    if tz is not _NO_INSTANT:
-        raise ValueError(f"{key} {text!r} is not in the record's UTC offset {tz}")
-    return zone
+def _utc_us(text: str, key: str) -> int:
+    """The instant ``text`` names, in microseconds since the Unix epoch; it
+    must be in UTC, the one zone a line is written in."""
+    instant = datetime.fromisoformat(text)
+    # ``fromisoformat`` reads every zero offset as ``timezone.utc``; a naive
+    # instant would be read in the machine's local zone.
+    if instant.tzinfo is not _UTC:
+        raise ValueError(f"{key} must be in UTC (+00:00), got {text!r}")
+    return (instant - _EPOCH) // _US
 
 
 def record_from_dict(d: dict) -> ResultRecord:
     target = _str(d["target"], "target")
-    tz = _NO_INSTANT
     outcomes = []
     for entry in d["probes"]:
         kind = _member(_KINDS, ProbeKind, entry["kind"])
-        text = entry["send_time"]
-        instant = datetime.fromisoformat(text)
-        zone = instant.tzinfo
-        if zone is not tz and zone != tz:
-            tz = _record_zone("send_time", text, zone, tz)
-        send_time = (instant - _EPOCH) // _US
+        send_time = _utc_us(entry["send_time"], "send_time")
         request = _message_from_dict(entry["request"])
         if kind is _STANDARD and request.orig_ts >= DAY_MS:
             raise ValueError(
@@ -299,11 +275,7 @@ def record_from_dict(d: dict) -> ResultRecord:
         if reply is not None:
             reply = _message_from_dict(reply)
         if arrival is not None:
-            instant = datetime.fromisoformat(arrival)
-            zone = instant.tzinfo
-            if zone is not tz and zone != tz:
-                tz = _record_zone("arrival", arrival, zone, tz)
-            arrival = (instant - _EPOCH) // _US
+            arrival = _utc_us(arrival, "arrival")
         tamper = _member(_TAMPERS, TamperVerdict, tamper)
         outcomes.append(_new(ProbeOutcome, (kind, send_time, request, reply, arrival, tamper)))
     vantage = _str(d["vantage"], "vantage")
@@ -311,10 +283,7 @@ def record_from_dict(d: dict) -> ResultRecord:
     duplicates = _int(d["duplicate_replies"], "duplicate_replies")
     if duplicates < 0:
         raise ValueError(f"duplicate_replies must not be negative, got {duplicates}")
-    return _new(ResultRecord, (
-        target, vantage, tuple(outcomes), fingerprint, duplicates,
-        timezone.utc if tz is _NO_INSTANT else tz,
-    ))
+    return _new(ResultRecord, (target, vantage, tuple(outcomes), fingerprint, duplicates))
 
 
 def record_from_line(line: str) -> ResultRecord:

@@ -7,11 +7,10 @@ Transport contract (shared with responder.SimNetwork):
 * ``receive(deadline_us)`` -> (src, icmp_bytes, arrival_us), or None only
   once ``now()`` has reached ``deadline_us``
 * ``close()``
-* ``tz``: the fixed UTC offset, a ``datetime.timezone``, that the
-  transport's instants are written in when a result file is made
 
 Every instant is an integer, so the engine's pacing and matching never
-build a ``datetime``; only the result file turns instants into ISO text.
+build a ``datetime``; only the result file turns instants into ISO text,
+always in UTC.
 
 The engine calls a transport from one thread only, so an implementation
 needs no lock; ``SimNetwork`` has none and is not thread-safe.
@@ -22,13 +21,17 @@ code.  The kernel prepends the IP header on receive, so inbound packets
 are stripped before they reach the wire codec.  ``receive`` waits to the
 microsecond; a timeout that ends early or a datagram without a well-formed
 IPv4 header only resumes the wait.
+
+``RawTransport.now`` is the wall clock read once, when the transport is
+opened, plus the monotonic time since: a step of the wall clock during a
+scan moves no deadline and no stamp, and every stamp keeps the error the
+wall clock had at open.
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from datetime import timezone
 
 
 class TransportError(RuntimeError):
@@ -53,8 +56,6 @@ def strip_ip_header(packet: bytes) -> bytes:
 class RawTransport:
     """Sends ICMP payloads over a raw socket; receives and strips IP headers."""
 
-    tz = timezone.utc
-
     def __init__(self):
         try:
             self._sock = socket.socket(
@@ -66,9 +67,11 @@ class RawTransport:
             ) from exc
         except OSError as exc:
             raise TransportError(f"cannot open raw socket: {exc}") from exc
+        # Wall time at open minus monotonic time at open, in microseconds.
+        self._epoch_us = time.time_ns() // 1000 - time.monotonic_ns() // 1000
 
     def now(self) -> int:
-        return time.time_ns() // 1000
+        return self._epoch_us + time.monotonic_ns() // 1000
 
     def send(self, dest: str, payload: bytes) -> None:
         try:

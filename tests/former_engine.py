@@ -144,8 +144,7 @@ def former_scan(cfg: ScanConfig, transport, targets: dict[str, bytes]) -> Iterat
         duplicates = duplicate_replies.get(target, 0)
         obs = HostObservation(outcomes, duplicates)
         yield ResultRecord(
-            target, cfg.vantage, outcomes, fingerprint_observation(obs),
-            duplicates, transport.tz,
+            target, cfg.vantage, outcomes, fingerprint_observation(obs), duplicates,
         )
 
     if aborted is not None:

@@ -8,11 +8,13 @@ import signal
 import socket
 import subprocess
 import sys
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from builders import DEMO_SCAN_SHA256
 from icmpstamp import cli, results
@@ -104,32 +106,71 @@ def test_demo_classify_and_merge_bytes_are_pinned(tmp_path):
     )
 
 
-def test_non_utc_simulator_clock_text_is_pinned(tmp_path):
-    # The simulated network starts at the same instant as FIXTURE's, written
-    # at +05:30: every instant keeps that offset in its text.
-    fixture = tmp_path / "hosts.txt"
-    fixture.write_text(FIXTURE.replace("T09:13:27.296Z", "T14:43:27.296+05:30"))
-    targets = tmp_path / "targets.txt"
+def scan_fixture(fixture, targets, out) -> int:
+    return main(["scan", "--targets", str(targets), "--out", str(out),
+                 "--transport", f"sim:{fixture}", "--seed", "7"])
+
+
+@pytest.fixture(scope="module")
+def five_targets(tmp_path_factory):
+    targets = tmp_path_factory.mktemp("targets") / "targets.txt"
     targets.write_text("".join(f"10.9.0.{i}\n" for i in range(1, 6)))
-    out = tmp_path / "results.jsonl"
-    assert main(["scan", "--targets", str(targets), "--out", str(out),
-                 "--transport", f"sim:{fixture}", "--seed", "7"]) == EXIT_OK
+    return targets
+
+
+@pytest.fixture(scope="module")
+def z_scan(tmp_path_factory, five_targets):
+    """FIXTURE's scan of ``five_targets``, as bytes."""
+    tmp = tmp_path_factory.mktemp("z")
+    (tmp / "hosts.txt").write_text(FIXTURE)
+    assert scan_fixture(tmp / "hosts.txt", five_targets, tmp / "out.jsonl") == EXIT_OK
+    return (tmp / "out.jsonl").read_bytes()
+
+
+@settings(max_examples=25)
+@given(st.integers(-23 * 60 - 59, 23 * 60 + 59))
+@example(5 * 60 + 30)
+def test_a_start_at_any_offset_writes_the_utc_scan(tmp_path_factory, five_targets, z_scan,
+                                                    minutes):
+    # The simulated network starts at FIXTURE's instant, written at another
+    # offset: the offset names the instant, and the output, in UTC, is
+    # FIXTURE's scan to the byte.
+    start = datetime(2018, 10, 6, 9, 13, 27, 296000, tzinfo=timezone.utc).astimezone(
+        timezone(timedelta(minutes=minutes))
+    )
+    tmp = tmp_path_factory.mktemp("offset")
+    fixture = tmp / "hosts.txt"
+    fixture.write_text(FIXTURE.replace("2018-10-06T09:13:27.296Z", start.isoformat()))
+    assert scan_fixture(fixture, five_targets, tmp / "out.jsonl") == EXIT_OK
+    assert (tmp / "out.jsonl").read_bytes() == z_scan
     instants = [
         probe[key]
-        for line in out.read_text().splitlines()
+        for line in z_scan.splitlines()
         for probe in json.loads(line)["probes"]
         for key in ("send_time", "arrival")
         if probe[key] is not None
     ]
     assert len(instants) == 35
-    assert all(instant.endswith("+05:30") for instant in instants)
-    assert sha256_of(out) == (
-        "e973d3fb3c2723b9f02715cac19dde32b33780597665b45647727520cbe658d7"
+    assert all(instant.endswith("+00:00") for instant in instants)
+
+
+@pytest.mark.parametrize("start", ["9999-12-31T23:59:58Z", "0001-01-01T00:00:00+05:00"])
+def test_a_start_near_either_end_of_the_calendar_is_a_config_error(
+    tmp_path, capsys, five_targets, start,
+):
+    # A simulated scan's instants must be ones the result file can write:
+    # the first start used to crash the writer, and the second, in UTC year
+    # 0, was written as year-1 local text.
+    fixture = tmp_path / "hosts.txt"
+    fixture.write_text(f"@network seed=1 start={start}\n10.9.0.1 lazy\n")
+    out = tmp_path / "out.jsonl"
+    assert scan_fixture(fixture, five_targets, out) == EXIT_CONFIG
+    text = datetime.fromisoformat(start.replace("Z", "+00:00")).isoformat()
+    assert capsys.readouterr().err == (
+        f"error: {fixture}:1: start must be at or after 1970-01-01T00:00:00Z and "
+        f"before 9000-01-01T00:00:00Z: {text}\n"
     )
-    # Read back, the records keep +05:30 and write the same bytes.
-    again = tmp_path / "again.jsonl"
-    assert main(["classify", "--in", str(out), "--out", str(again)]) == EXIT_OK
-    assert again.read_bytes() == out.read_bytes()
+    assert not out.exists()
 
 
 class TestScanCommand:
@@ -537,14 +578,16 @@ class TestClassifyCommand:
         lines = out.read_text().splitlines()
         rec = json.loads(lines[1])
         probe = rec["probes"][-1]
-        probe[key] = datetime.fromisoformat(probe[key]).replace(tzinfo=None).isoformat()
+        probe[key] = text = datetime.fromisoformat(probe[key]).replace(tzinfo=None).isoformat()
         lines[1] = json.dumps(rec)
         out.write_text("\n".join(lines) + "\n")
         re_out = tmp_path / "re.jsonl"
         re_out.write_bytes(b"oldbytes\n")
         code = main(["classify", "--in", str(out), "--out", str(re_out)])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"error: {out}:2: bad record: {key} must carry")
+        assert capsys.readouterr().err == (
+            f"error: {out}:2: bad record: {key} must be in UTC (+00:00), got {text!r}\n"
+        )
         assert re_out.read_bytes() == b"oldbytes\n"
 
     def test_out_of_day_originate_is_a_bad_record(self, scanned, capsys):

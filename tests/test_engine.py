@@ -51,7 +51,6 @@ class RecordingTransport:
 
     def __init__(self, inner):
         self.inner = inner
-        self.tz = inner.tz
         self.sent = []
 
     def now(self):
@@ -822,7 +821,7 @@ def test_demo_scan_replays_from_recorded_replies(monkeypatch):
         targets_path=str(FIXTURES / "demo_targets.txt"), rate_pps=200, seed=7, vantage="demo",
     )
     recorder = RecordingNetwork.from_file(FIXTURES / "demo_hosts.txt")
-    start = (EPOCH + timedelta(microseconds=recorder.now())).astimezone(recorder.tz)
+    start = EPOCH + timedelta(microseconds=recorder.now())
     recorded = "".join(record_to_line(r) + "\n" for r in run_scan(cfg, recorder))
     assert recorder.replies
 

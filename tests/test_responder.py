@@ -3,16 +3,17 @@
 import functools
 import random
 import struct
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import at_ms, epoch_us
 from icmpstamp import responder, wire
 from icmpstamp.classify import ImplClass
 from icmpstamp.clock import DAY_MS
+from icmpstamp.engine import ScanConfig, run_scan
 from icmpstamp.probes import make_standard
 from icmpstamp.responder import (
     DEFAULT_STUCK_VALUE,
@@ -21,6 +22,7 @@ from icmpstamp.responder import (
     load_behavior_file,
     respond,
 )
+from icmpstamp.results import record_from_line, record_to_line
 from icmpstamp.wire import TimestampMessage, byte_swap_32
 
 NOON_ISH = at_ms(45_296_789)  # 12:34:56.789Z
@@ -414,6 +416,35 @@ class TestSimNetwork:
         assert src != DEST
 
 
+@pytest.fixture(scope="module")
+def dest_targets(tmp_path_factory):
+    targets = tmp_path_factory.mktemp("start") / "targets.txt"
+    targets.write_text(f"{DEST}\n")
+    return targets
+
+
+@given(st.datetimes(timezones=st.integers(-23 * 60 - 59, 23 * 60 + 59).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))
+)))
+@example(datetime(9999, 12, 31, 23, 59, 58, tzinfo=timezone.utc))
+@example(datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))))
+@example(datetime(1970, 1, 1, tzinfo=timezone.utc))
+@example(datetime(1970, 1, 1, 5, 29, 59, tzinfo=timezone(timedelta(hours=5, minutes=30))))
+@example(datetime(8999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc))
+def test_a_start_is_refused_or_scans_into_lines_that_read_back(dest_targets, start):
+    # Any aware start of the calendar: either the network refuses it, or a
+    # one-host scan from it writes lines the reader takes back unchanged.
+    try:
+        net = SimNetwork({DEST: BehaviorConfig(ImplClass.LAZY)}, start=start)
+    except ValueError as exc:
+        assert str(exc).startswith("start must be at or after 1970-01-01T00:00:00Z")
+        return
+    assert net.now() == epoch_us(start)
+    lines = [record_to_line(r) for r in run_scan(ScanConfig(str(dest_targets)), net)]
+    assert len(lines) == 1
+    assert [record_to_line(record_from_line(line)) for line in lines] == lines
+
+
 class TestBehaviorFile:
     def test_parse(self, tmp_path):
         path = tmp_path / "hosts.txt"
@@ -448,6 +479,9 @@ class TestBehaviorFile:
             ("192.0.2.1 timezone tz", "bad value for tz: ''"),
             ("192.0.2.1 stuck value=0xbeefy", "bad value for value: '0xbeefy'"),
             ("@network start=noon", "bad value for start: 'noon'"),
+            ("@network start=1969-12-31T23:59:59.999999Z",
+             "start must be at or after 1970-01-01T00:00:00Z and before "
+             "9000-01-01T00:00:00Z: 1969-12-31T23:59:59.999999+00:00"),
         ]:
             path.write_text(f"{line}\n")
             with pytest.raises(ValueError) as exc:

@@ -3,7 +3,6 @@
 import errno
 import socket
 import time
-from datetime import timedelta
 from ipaddress import IPv4Address
 
 import pytest
@@ -59,16 +58,34 @@ def test_privilege_error_without_cap(monkeypatch):
 
 
 class TestRawClock:
-    # Built without __init__, so no socket is opened.
-    transport = object.__new__(RawTransport)
+    @pytest.fixture(autouse=True)
+    def no_socket(self, monkeypatch):
+        monkeypatch.setattr(socket, "socket", lambda *args: object())
 
     def test_now_is_integer_microseconds(self):
-        now = self.transport.now()
+        now = RawTransport().now()
         assert type(now) is int
         assert abs(now - time.time_ns() // 1000) < 1_000_000
 
-    def test_instants_are_written_in_utc(self):
-        assert self.transport.tz.utcoffset(None) == timedelta(0)
+    @pytest.mark.parametrize("step_s", [-10, 10])
+    def test_a_wall_clock_step_moves_no_instant(self, monkeypatch, step_s):
+        # The wall clock is read at open; the time since is the monotonic
+        # clock's, so a step of the wall clock later on changes nothing.
+        wall_ns, mono_ns = [1_538_827_200_123_456_789], [7_000_000_000]
+        monkeypatch.setattr(time, "time_ns", lambda: wall_ns[0])
+        monkeypatch.setattr(time, "monotonic_ns", lambda: mono_ns[0])
+        transport = RawTransport()
+
+        def elapse(seconds):
+            wall_ns[0] += seconds * 1_000_000_000
+            mono_ns[0] += seconds * 1_000_000_000
+
+        elapse(3)
+        assert transport.now() == START_US + 3_123_456
+        wall_ns[0] += step_s * 1_000_000_000
+        assert transport.now() == START_US + 3_123_456
+        elapse(2)
+        assert transport.now() == START_US + 5_123_456
 
 
 START_US = 1_538_827_200_000_000  # 2018-10-06T12:00:00Z
