@@ -51,7 +51,7 @@ from functools import partial
 from typing import NamedTuple
 
 from icmpstamp import wire
-from icmpstamp.clock import ms_since_utc_midnight
+from icmpstamp.clock import DAY_MS
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
 
 try:
@@ -143,6 +143,11 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
     id, then its sequence number, from which the originate timestamp is
     hashed; a bad-checksum probe's checksum, redrawn until the message
     fails verification.  Standard and duplicate probes draw nothing.
+
+    The time of day, the duplicate's preset stamps and the valid checksum
+    are computed here, in this one frame per probe, as
+    ``clock.ms_since_utc_midnight``, ``_request_tail`` and
+    ``wire.message_checksum`` define them.
     """
     if kind is _BAD_CLOCK:
         ident = rng.getrandbits(16)
@@ -150,12 +155,15 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
         key = ident << 16 | seq
         (orig,) = _low32(md5(_id_seq_input(packed, ident, seq)).digest())
     else:
-        orig = ms_since_utc_midnight(now)
+        orig = now // 1000 % DAY_MS
         (key,) = _low32(md5(_orig_input(packed, orig)).digest())
         ident = key >> 16
         seq = key & 0xFFFF
-    tail = _request_tail(kind, ident, seq, orig)
-    checksum = wire.message_checksum(TIMESTAMP_REQUEST, 0, *tail)
+    stamp = orig if kind is _DUPLICATE else 0
+    # ``wire.message_checksum`` of these fields, every one in range: the type
+    # counts 256 times and makes the sum nonzero, so it folds into [1, 0xFFFF].
+    total = (TIMESTAMP_REQUEST << 8) + ident + seq + orig + stamp + stamp
+    checksum = ~((total - 1) % 0xFFFF + 1) & 0xFFFF
     if kind is _BAD_CHECKSUM:
         # 0x0000 and 0xFFFF are both zero in ones'-complement arithmetic
         # (RFC 1624), so a checksum verifies iff it equals the valid one
@@ -165,7 +173,8 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
         checksum = rng.getrandbits(16)
         while checksum % 0xFFFF == valid:
             checksum = rng.getrandbits(16)
-    return key, orig, checksum, _pack(TIMESTAMP_REQUEST, 0, checksum, *tail)
+    image = _pack(TIMESTAMP_REQUEST, 0, checksum, ident, seq, orig, stamp, stamp)
+    return key, orig, checksum, image
 
 
 def sent_probe(kind: ProbeKind, now: int, key: int, orig: int, checksum: int) -> ProbeOutcome:

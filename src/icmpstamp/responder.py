@@ -15,10 +15,13 @@ deadline, and everything is deterministic under a fixed seed.  Instants
 are integer microseconds since the Unix epoch, as everywhere.
 
 A request is read in one pass: a length and type test, the checksum
-(``wire.verify_checksum``) unless the host is checksum-lazy, then one
-``wire.LAYOUT.unpack_from``.  The delays drawn per request, a path's
-jitter and a normal host's processing time, are ``draws.below`` calls
-that make the draws ``Random.randint`` makes, with fewer Python frames.
+unless the host is checksum-lazy, then one ``wire.LAYOUT.unpack_from``.
+``respond`` tests the checksum and sums the reply's in line, as
+``wire.verify_checksum`` and ``wire.pack_message`` define them, so a
+request is one frame in this layer.  The delays drawn per request, a
+path's jitter and a normal host's processing time, are ``draws.below``
+calls that make the draws ``Random.randint`` makes, with fewer Python
+frames.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ DEFAULT_STUCK_VALUE = 123_456
 
 _TAMPER_MODES = (None, "orig_ts", "id_seq", "source")
 
+_pack = wire.LAYOUT.pack
 _unpack_from = wire.LAYOUT.unpack_from
 
 # The per-request paths read the members as module names: on Python 3.11
@@ -191,7 +195,8 @@ def respond(
     if len(request_bytes) < MESSAGE_LEN or request_bytes[0] != TIMESTAMP_REQUEST:
         return None
     cls = cfg.impl_class
-    if cls is not _CHECKSUM_LAZY and not wire.verify_checksum(request_bytes):
+    # ``wire.verify_checksum``, summed as ``wire.unpack_reply`` sums a reply.
+    if cls is not _CHECKSUM_LAZY and int.from_bytes(request_bytes, "big") % 0xFFFF:
         return None
     _, _, _, ident, seq, orig, req_recv, req_xmit = _unpack_from(request_bytes)
 
@@ -216,11 +221,10 @@ def respond(
     elif cfg.tamper == "id_seq":
         ident ^= 0x0001
 
-    return wire.pack_message(TIMESTAMP_REPLY, ident, seq, orig, recv, xmit)
-
-
-def _tampered_source(dest: str) -> str:
-    return str(IPv4Address(int(IPv4Address(dest)) ^ 1))
+    # ``wire.pack_message``, summed as ``probes.craft`` sums a request.
+    total = (TIMESTAMP_REPLY << 8) + ident + seq + orig + recv + xmit
+    checksum = ~((total - 1) % 0xFFFF + 1) & 0xFFFF
+    return _pack(TIMESTAMP_REPLY, 0, checksum, ident, seq, orig, recv, xmit)
 
 
 class SimNetwork:
@@ -231,6 +235,11 @@ class SimNetwork:
     request's arrival instant) and schedules the reply; ``receive``
     advances the virtual clock as needed.  Unknown destinations drop
     silently, like unresponsive hosts.
+
+    Each host's delivery is resolved once, when the network is made, into
+    a plan: its config, the network's latency and jitter plus its own, and
+    its replies' source, the address with its last bit flipped for
+    ``tamper=source``.  ``send`` reads the one plan of its destination.
 
     The aware ``start`` names the instant the virtual clock starts at, in
     any UTC offset; it is turned into microseconds once, and its offset is
@@ -262,9 +271,16 @@ class SimNetwork:
                 "start must be at or after 1970-01-01T00:00:00Z and before "
                 f"9000-01-01T00:00:00Z: {start.isoformat()}"
             )
-        self._hosts = dict(hosts)
-        self._latency_ms = latency_ms
-        self._jitter_ms = jitter_ms
+        # dest -> (config, latency ms, jitter ms, replies' source)
+        self._plans = {
+            dest: (
+                cfg,
+                latency_ms + cfg.latency_ms,
+                jitter_ms + cfg.jitter_ms,
+                str(IPv4Address(int(IPv4Address(dest)) ^ 1)) if cfg.tamper == "source" else dest,
+            )
+            for dest, cfg in hosts.items()
+        }
         self._loss_rate = loss_rate
         self._rng = random.Random(seed)
         self._now = (start - _EPOCH) // _US
@@ -285,13 +301,12 @@ class SimNetwork:
             self._now = instant_us
 
     def send(self, dest: str, data: bytes) -> None:
-        cfg = self._hosts.get(dest)
-        if cfg is None:
+        plan = self._plans.get(dest)
+        if plan is None:
             return
         if self._loss_rate and self._rng.random() < self._loss_rate:
             return
-        rtt_ms = self._latency_ms + cfg.latency_ms
-        jitter = self._jitter_ms + cfg.jitter_ms
+        cfg, rtt_ms, jitter, src = plan
         if jitter:
             # A uniform draw from 0 to ``jitter`` ms, as ``randint`` makes it.
             rtt_ms += below(self._rng.getrandbits, jitter + 1)
@@ -299,7 +314,6 @@ class SimNetwork:
         reply = respond(cfg, data, host_time, self._rng)
         if reply is None:
             return
-        src = _tampered_source(dest) if cfg.tamper == "source" else dest
         arrival = self._now + rtt_ms * 1000
         heapq.heappush(self._queue, (arrival, next(self._counter), src, reply))
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
@@ -95,6 +96,9 @@ _UTC = timezone.utc
 _EPOCH = datetime(1970, 1, 1, tzinfo=_UTC)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _US = timedelta(microseconds=1)
+# An offset with a fraction of a second at the end of an instant's text: a
+# sign, then only digits and colons up to the decimal mark.
+_FRACTIONAL_OFFSET = re.compile(r"[+-][\d:]*[.,]\d*\Z")
 
 
 # UTC whole second since the epoch -> '"YYYY-MM-DDTHH:MM:SS.'; cleared when
@@ -247,12 +251,18 @@ def fingerprint_from_dict(d: dict, target: str) -> Fingerprint:
 def _utc_us(text: str, key: str) -> int:
     """The instant ``text`` names, in microseconds since the Unix epoch; it
     must be in UTC, the one zone a line is written in."""
-    instant = datetime.fromisoformat(text)
-    # ``fromisoformat`` reads every zero offset as ``timezone.utc``; a naive
-    # instant would be read in the machine's local zone.
-    if instant.tzinfo is not _UTC:
-        raise ValueError(f"{key} must be in UTC (+00:00), got {text!r}")
-    return (instant - _EPOCH) // _US
+    # ``fromisoformat`` drops the fraction of an offset of no whole seconds
+    # (``+00:00:00.5`` reads as UTC; on 3.10, six digits only), so an offset
+    # written with a fraction is refused before it is read.  The text every
+    # line is written with ends in ``+00:00`` and skips that search, and a
+    # value that is not text goes on to ``fromisoformat``'s ``TypeError``.
+    if type(text) is not str or text[-6:] == "+00:00" or not _FRACTIONAL_OFFSET.search(text):
+        instant = datetime.fromisoformat(text)
+        # ``fromisoformat`` reads every zero offset as ``timezone.utc``; a
+        # naive instant would be read in the machine's local zone.
+        if instant.tzinfo is _UTC:
+            return (instant - _EPOCH) // _US
+    raise ValueError(f"{key} must be in UTC (+00:00), got {text!r}")
 
 
 def record_from_dict(d: dict) -> ResultRecord:

@@ -21,18 +21,22 @@ constructor checks every field and names the first out of range;
 ``decode``, whose fields are in range by construction, builds it with
 ``tuple.__new__``, without the checks.
 
-Each packet of a scan passes through here once in each direction.
-``LAYOUT`` packs a crafted probe's fields straight to its image
-(``probes.craft``), and ``unpack_reply`` checks a received packet's
-length, type and checksum and reads its fields in one call, so the
-engine builds no ``TimestampMessage`` while it matches replies.
-
 The checksum and byte swap are plain Python.  Since 2**16 is 1 modulo
 0xFFFF, the sum of a buffer's 16-bit words is congruent to the buffer
 read as one integer, and a message's to the sum of its fields with the
 type counted 256 times, so ``message_checksum`` packs no image.
 ``pack_message`` packs a message with a valid checksum straight to its
 wire image, for callers that need no ``TimestampMessage``.
+
+Each packet of a scan is one Python frame in each layer it crosses, and
+these functions define what those frames compute without calling them:
+``probes.craft`` sums a probe's fields as ``message_checksum`` does and
+packs them with ``LAYOUT``, ``responder.respond`` checks a request as
+``verify_checksum`` does and packs its reply as ``pack_message`` does,
+and ``unpack_reply`` checks a received packet's length, type and
+checksum and reads its fields in one call, summing it in line, so the
+engine builds no ``TimestampMessage`` while it matches replies.  The
+tests hold each in-line copy to the definition here.
 """
 
 from __future__ import annotations
@@ -146,7 +150,11 @@ def unpack_reply(buf) -> tuple[int, int, int, int, int, int, int, int] | None:
         if icmp_type == TIMESTAMP_REQUEST:
             return None
         raise NotATimestamp(f"ICMP type {icmp_type} is not a timestamp message")
-    if _ones_complement_sum(buf) != _U16:
+    # ``verify_checksum``'s test without its frame.  The sum folds to 0xFFFF
+    # iff the buffer, read as one integer, is a nonzero multiple of 0xFFFF,
+    # and this one is not zero: its type byte is 14.  An odd buffer's zero
+    # pad byte multiplies it by 256, which is prime to 0xFFFF.
+    if int.from_bytes(buf, "big") % _U16:
         raise BadChecksum("checksum over the reply does not verify")
     return LAYOUT.unpack_from(buf)
 

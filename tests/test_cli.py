@@ -106,6 +106,26 @@ def test_demo_classify_and_merge_bytes_are_pinned(tmp_path):
     )
 
 
+def test_demo_instant_half_a_second_off_utc_is_a_bad_record(tmp_path, capsys):
+    # ``+00:00:00.5`` once read as UTC, and classify wrote the instant half a
+    # second from the one the line named.
+    demo = tmp_path / "demo.jsonl"
+    scan_demo(demo)
+    lines = demo.read_text().splitlines()
+    rec = json.loads(lines[0])
+    probe = rec["probes"][0]
+    probe["send_time"] = text = probe["send_time"][:19] + "+00:00:00.5"
+    lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    frac = tmp_path / "frac.jsonl"
+    frac.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "frac-out.jsonl"
+    assert main(["classify", "--in", str(frac), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {frac}:1: bad record: send_time must be in UTC (+00:00), got {text!r}\n"
+    )
+    assert not out.exists()
+
+
 def scan_fixture(fixture, targets, out) -> int:
     return main(["scan", "--targets", str(targets), "--out", str(out),
                  "--transport", f"sim:{fixture}", "--seed", "7"])

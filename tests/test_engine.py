@@ -7,6 +7,7 @@ import itertools
 import logging
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -777,6 +778,35 @@ def test_demo_scan_grid_bytes_are_pinned():
             lines += map(record_to_line, run_scan(cfg, net))
     assert len(lines) == 2259
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DEMO_GRID_SHA256
+
+
+# Python calls into the package up to the demo scan's first record: 80
+# probes crafted, sent and answered, and the replies before it matched.
+# Each layer a packet crosses is one frame; a helper frame per packet adds
+# about 80.  CPython 3.13 counts two fewer than 3.10-3.12.
+FIRST_RECORD_CALL_BUDGET = 920
+
+
+def test_the_demo_scan_reaches_its_first_record_within_a_call_budget():
+    cfg = ScanConfig(
+        targets_path=str(FIXTURES / "demo_targets.txt"), rate_pps=200, seed=7, vantage="demo",
+    )
+    scan = run_scan(cfg, SimNetwork.from_file(FIXTURES / "demo_hosts.txt"))
+    package = str(Path(engine.__file__).parent)
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        next(scan)
+    finally:
+        sys.setprofile(previous)
+    assert calls <= FIRST_RECORD_CALL_BUDGET
 
 
 class RecordingNetwork(SimNetwork):

@@ -370,6 +370,28 @@ def test_craft_is_the_probe_makers_and_the_encoder(kind, dest, now, seed):
     assert wire.verify_checksum(image) is (kind is not ProbeKind.BAD_CHECKSUM)
 
 
+@given(
+    kind=st.sampled_from(ProbeKind),
+    packed=st.binary(min_size=4, max_size=4),
+    now=st.integers(0, 2**53),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_crafted_checksum_is_message_checksum(kind, packed, now, seed):
+    # ``craft`` computes in line what ``wire.message_checksum`` computes.
+    key, orig, checksum, image = probes.craft(kind, packed, now, random.Random(seed))
+    if kind is not ProbeKind.BAD_CLOCK:
+        assert orig == ms_since_utc_midnight(now)
+    stamp = orig if kind is ProbeKind.DUPLICATE else 0
+    tail = (key >> 16, key & 0xFFFF, orig, stamp, stamp)
+    valid = wire.message_checksum(wire.TIMESTAMP_REQUEST, 0, *tail)
+    if kind is ProbeKind.BAD_CHECKSUM:
+        assert image == wire.LAYOUT.pack(wire.TIMESTAMP_REQUEST, 0, checksum, *tail)
+        assert not wire.verify_checksum(image)
+    else:
+        assert checksum == valid
+        assert image == wire.LAYOUT.pack(wire.TIMESTAMP_REQUEST, 0, valid, *tail)
+
+
 # Crafts each case of a JSON list read from stdin, with CPython's built-in
 # MD5 blocked as in a build made without it, and writes the results.
 _CRAFT_WITHOUT_BUILTIN_MD5 = """

@@ -1,5 +1,6 @@
 """Simulated responder behavior and the in-memory network."""
 
+import dataclasses
 import functools
 import random
 import struct
@@ -306,6 +307,31 @@ class TestRespondMatchesFormerPath:
     @given(configs(), valid_requests(), st.integers(0, DAY_MS - 1), st.integers(0, 2**32))
     def test_same_reply_to_valid_requests(self, cfg, payload, ms, seed):
         self.check(cfg, payload, ms, seed)
+
+
+@st.composite
+def requests_with_any_checksum(draw):
+    """A type-13 buffer of 20 to 23 bytes, odd lengths included: a valid
+    request, its checksum redrawn half the time, then a tail."""
+    image = bytearray(draw(valid_requests()))
+    if draw(st.booleans()):
+        struct.pack_into("!H", image, 2, draw(st.integers(0, 0xFFFF)))
+    return bytes(image) + draw(st.binary(max_size=3))
+
+
+@settings(max_examples=300)
+@given(configs().map(lambda cfg: dataclasses.replace(cfg, loss_rate=0.0)),
+       requests_with_any_checksum(), st.integers(0, DAY_MS - 1), st.integers(0, 2**32))
+def test_respond_checks_and_packs_as_wire_does(cfg, request, ms, seed):
+    # ``respond`` checks and sums in line what ``wire.verify_checksum`` and
+    # ``wire.pack_message`` do, for every class and tamper mode.
+    reply = respond(cfg, request, at_ms(ms), random.Random(seed))
+    lazy = cfg.impl_class is ImplClass.CHECKSUM_LAZY
+    assert (reply is not None) is (lazy or wire.verify_checksum(request))
+    if reply is not None:
+        assert wire.verify_checksum(reply)
+        fields = wire.LAYOUT.unpack(reply)
+        assert reply == wire.pack_message(wire.TIMESTAMP_REPLY, *fields[3:])
 
 
 class TestSimNetwork:

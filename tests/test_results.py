@@ -3,6 +3,7 @@ the line template against ``json.dumps``, and the reader's type checks."""
 
 import json
 import random
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -324,10 +325,9 @@ def test_instants_in_different_offsets_are_a_bad_record(tmp_path, probe_no, key)
     )
 
 
-# Every whole-second offset ``datetime`` can hold but zero.  (Python 3.11's
-# ``fromisoformat`` drops an offset's microseconds.)
-nonzero_offsets = st.integers(-86_399, 86_399).filter(bool).map(
-    lambda seconds: timezone(timedelta(seconds=seconds))
+# Every offset ``datetime`` can hold but zero, to the microsecond.
+nonzero_offsets = st.integers(-86_399_999_999, 86_399_999_999).filter(bool).map(
+    lambda us: timezone(timedelta(microseconds=us))
 )
 
 
@@ -337,9 +337,61 @@ def test_any_instant_off_utc_is_refused(rec, tz, key):
     instants = [p for p in d["probes"] if p[key] is not None]
     if not instants:
         return
-    instants[-1][key] = moved(instants[-1][key], tz)
+    # The instant's UTC wall time with ``tz``'s offset: moving the instant
+    # itself overflows at either end of the calendar.
+    offset = datetime(2000, 1, 1, tzinfo=tz).isoformat()[19:]
+    instants[-1][key] = instants[-1][key][:-6] + offset
     with pytest.raises(ValueError, match=f"^{key} must be in UTC"):
         record_from_line(json.dumps(d))
+
+
+@given(records(), st.integers(1, 999_999), st.sampled_from("+-"), st.booleans(),
+       st.sampled_from(["send_time", "arrival"]))
+def test_an_offset_of_a_fraction_of_a_second_is_refused(rec, us, sign, trimmed, key):
+    # ``fromisoformat`` reads ``+00:00:00.5`` as UTC, dropping the fraction.
+    d = json.loads(record_to_line(rec))
+    instants = [p for p in d["probes"] if p[key] is not None]
+    if not instants:
+        return
+    fraction = f"{us:06d}".rstrip("0") if trimmed else f"{us:06d}"
+    text = instants[-1][key][:-6] + f"{sign}00:00:00.{fraction}"
+    instants[-1][key] = text
+    with pytest.raises(ValueError) as info:
+        record_from_line(json.dumps(d))
+    assert str(info.value) == f"{key} must be in UTC (+00:00), got {text!r}"
+
+
+@pytest.mark.parametrize("text", [
+    "2018-10-06T09:13:27+00:00:00.5",
+    "2000-01-01T00:00:00.000000+00:00:00.000001",
+    "2018-10-06T09:13:27-00:00:00,5",
+    "20181006T091327+000000.5",
+])
+def test_a_fractional_zero_offset_is_not_read_as_utc(tmp_path, text):
+    # Each of these once read as UTC, its offset's fraction dropped.
+    d = json.loads(record_to_line(sample_record()))
+    d["probes"][0]["send_time"] = text
+    path = tmp_path / "frac.jsonl"
+    path.write_text(json.dumps(d) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_records(path)
+    assert str(info.value) == (
+        f"{path}:1: bad record: send_time must be in UTC (+00:00), got {text!r}"
+    )
+
+
+# Python 3.10's ``fromisoformat`` reads only ``+HH:MM[:SS[.ffffff]]`` offsets.
+ZERO_OFFSETS = ["+00:00", "+00:00:00", "-00:00"] + (
+    ["Z", "+0000", "+00"] if sys.version_info >= (3, 11) else []
+)
+
+
+@pytest.mark.parametrize("suffix", ZERO_OFFSETS)
+def test_a_zero_offset_with_no_fraction_is_utc(suffix):
+    d = json.loads(record_to_line(sample_record()))
+    written = d["probes"][0]["send_time"]
+    d["probes"][0]["send_time"] = written[:-6] + suffix
+    assert record_from_line(json.dumps(d)) == sample_record()
 
 
 # Where in a written line's dict to put what.  Each value was once read

@@ -3,7 +3,7 @@
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from builders import reference_checksum
@@ -209,6 +209,40 @@ class TestUnpackReply:
                 unpack_reply(buf)
         else:
             assert unpack_reply(buf) == tuple(msg)
+
+
+@st.composite
+def padded_replies(draw):
+    """A type-14 buffer of 20 to 27 bytes, odd lengths included: its tail
+    zero or drawn, its checksum drawn or the one that makes the whole
+    buffer, tail included, verify."""
+    fields = draw(messages.map(lambda m: m._replace(icmp_type=14)))
+    tail = draw(st.one_of(st.binary(max_size=7).map(lambda b: bytes(len(b))),
+                          st.binary(max_size=7)))
+    buf = bytearray(encode(fields._replace(checksum=0)) + tail)
+    checksum = draw(st.one_of(st.just(internet_checksum(buf)), st.integers(0, 0xFFFF)))
+    struct.pack_into("!H", buf, 2, checksum)
+    return bytes(buf)
+
+
+@given(padded_replies())
+@example(bytes(20))
+@example(bytes(21))
+@example(bytes([14]) + bytes(19))
+@example(bytes([14]) + bytes(20))
+def test_unpack_reply_refuses_exactly_what_verify_checksum_refuses(buf):
+    # ``unpack_reply`` sums in line what ``verify_checksum`` sums.
+    if buf[0] != 14:
+        # The all-zero buffer, which does not verify, is no reply either.
+        assert not verify_checksum(buf)
+        with pytest.raises(NotATimestamp):
+            unpack_reply(buf)
+        return
+    if verify_checksum(buf):
+        assert unpack_reply(buf) == wire.LAYOUT.unpack_from(buf)
+    else:
+        with pytest.raises(BadChecksum):
+            unpack_reply(buf)
 
 
 class TestInternetChecksum:
