@@ -44,6 +44,19 @@ test of their types and ranges; only a message that fails it goes
 through the ``TimestampMessage`` constructor, which names the first bad
 field.  Every enum value maps through a dict; only a value not in it
 goes through the enum itself, which words the error.
+
+A line is decoded with ``orjson.loads`` where orjson imports, and with
+``json.loads`` otherwise; ``json`` is the reference, and what is accepted
+and every error text are json's.  The dict orjson decodes goes through the
+same checks, and a line whose fast read raises any error of a bad record
+is decoded again with ``json``: orjson refuses NaN and the infinities, a
+lone surrogate escape, a byte order mark and numbers beyond a double,
+which ``json`` words its own way or accepts.  A line of more than 256
+``{`` or ``[`` (a written line holds at most 17) is not given to orjson:
+orjson 3.8.3 crashes the process on a line nested a million deep, and
+reads one nested deeper than ``json``'s recursion limit.  A record whose
+``tz_offset`` orjson reads as a float of magnitude 2**63 or more is read
+again with ``json``: orjson reads an integer beyond 64 bits as a float.
 """
 
 from __future__ import annotations
@@ -66,6 +79,19 @@ from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.textfile import replacing
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
+
+try:
+    from orjson import loads as _fast_loads
+except ImportError:
+    _fast_loads = None
+
+# What reading a line raises for a bad record: a missing key, a line nested
+# past the decoder's recursion limit, a value of the wrong type or one out
+# of range (orjson's ``JSONDecodeError`` is a ``ValueError``).
+_REFUSED = (KeyError, RecursionError, TypeError, ValueError)
+# The most ``{`` and ``[`` a line orjson decodes may hold; a written line
+# holds at most 17.
+_MAX_BRACKETS = 256
 
 
 class ResultRecord(NamedTuple):
@@ -220,9 +246,12 @@ def _member(table: dict, enum, value):
 def _tz_offset(value) -> float | None:
     if value is None:
         return None
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"tz_offset must be null or a finite number, got {value!r}")
-    return value
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return value
+    except OverflowError:  # an integer beyond the range of a float
+        pass
+    raise ValueError(f"tz_offset must be null or a finite number, got {value!r}")
 
 
 def fingerprint_from_dict(d: dict, target: str) -> Fingerprint:
@@ -297,6 +326,18 @@ def record_from_dict(d: dict) -> ResultRecord:
 
 
 def record_from_line(line: str) -> ResultRecord:
+    if _fast_loads is not None and line.count("{") + line.count("[") <= _MAX_BRACKETS:
+        try:
+            record = record_from_dict(_fast_loads(line))
+        except _REFUSED:
+            pass
+        else:
+            # orjson reads an integer beyond 64 bits as a float, and
+            # ``tz_offset`` is the one field a float passes; every float
+            # that large goes to ``json``, which keeps such an integer whole.
+            tz_offset = record.fingerprint.tz_offset
+            if type(tz_offset) is not float or abs(tz_offset) < 2.0**63:
+                return record
     return record_from_dict(json.loads(line))
 
 
@@ -327,7 +368,7 @@ def records_in(path, lines, first_lineno: int = 1):
             continue
         try:
             record = record_from_line(raw.decode("utf-8"))
-        except (KeyError, RecursionError, TypeError, ValueError) as exc:
+        except _REFUSED as exc:
             raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
         yield record
 

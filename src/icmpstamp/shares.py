@@ -27,8 +27,9 @@ from typing import BinaryIO, Callable, Iterable, TextIO
 
 # The smallest share a child is forked for.  Forking a 56 MB process,
 # ending the child and reaping it took about 4.4 ms, and classify took
-# about 117 us a line (2 vCPUs, Python 3.11.7): a fork costs what about 40
-# lines do, a sixth of the smallest share's work.
+# about 63 us a line with orjson and 74 us with json (one process over
+# 19,200 lines, 2 vCPUs, Python 3.11.7): a fork costs what about 60-70
+# lines do, a quarter of the smallest share's work.
 MIN_SHARE = 256
 
 # A child's exit status once its file holds the job's text, or the text of

@@ -62,6 +62,14 @@ def scanned(tmp_path):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def child_env() -> dict:
+    """The environment for a child Python that imports this ``icmpstamp``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+
 
 
 def scan_demo(out) -> None:
@@ -455,10 +463,7 @@ class TestScanOutput:
             "cli.make_transport = make_transport\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )}
+        env = child_env()
         done = subprocess.run(
             [sys.executable, "-c", script, "scan", "--targets", str(targets),
              "--out", str(out), "--transport", f"sim:{fixture}"],
@@ -898,6 +903,51 @@ def test_a_deeply_nested_line_is_a_bad_record(scanned, capsys, argv):
         f"error: {deep}:1: bad record: maximum recursion depth exceeded"
     )
     assert not out.exists()
+    # orjson 3.8.3 crashes the process on a line nested a million deep, so
+    # that line is read in a child: with orjson where it imports, and
+    # with it blocked.
+    deep.write_bytes(b"[" * 1_000_000 + b"]" * 1_000_000 + b"\n")
+    for block in ("", "sys.modules['orjson'] = None; "):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; {block}from icmpstamp.cli import main; sys.exit(main(sys.argv[1:]))",
+             *[arg.format(**paths) for arg in argv]],
+            env=child_env(), capture_output=True, timeout=120,
+        )
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert done.stderr.decode().startswith(
+            f"error: {deep}:1: bad record: maximum recursion depth exceeded"
+        )
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--in", "{huge}", "--out", "{out}"],
+    ["report", "pmf", "--in", "{huge}"],
+    ["report", "geo", "--in", "{huge}", "--tzdb", "{tzdb}"],
+    ["merge", "{good}", "{huge}", "--out", "{out}"],
+])
+def test_an_integer_tz_offset_beyond_a_float_is_a_bad_record(scanned, capsys, argv):
+    # Testing such an offset for finiteness raised OverflowError, which
+    # ended the command with a traceback.
+    tmp_path, good = scanned
+    lines = good.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["fingerprint"]["tz_offset"] = 10**400
+    huge = tmp_path / "huge.jsonl"
+    huge.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    tzdb = tmp_path / "tz.db"
+    tzdb.write_text(TZ_DB)
+    out = tmp_path / "huge-out.jsonl"
+    paths = {"huge": huge, "good": good, "out": out, "tzdb": tzdb}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {huge}:2: bad record: tz_offset must be null or a finite number, "
+        f"got {10**400!r}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_classify_reads_a_pipe_once(tmp_path):
@@ -908,10 +958,7 @@ def test_classify_reads_a_pipe_once(tmp_path):
     scan_demo(out)
     data = out.read_bytes() * 100
     piped = tmp_path / "piped.jsonl"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
+    env = child_env()
     done = subprocess.run(
         [sys.executable, "-m", "icmpstamp", "classify", "--in", "/dev/stdin",
          "--out", str(piped)],

@@ -3,6 +3,7 @@ the line template against ``json.dumps``, and the reader's type checks."""
 
 import json
 import random
+import re
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from builders import EPOCH, at_ms, echo_reply, epoch_us, pair_for
+from icmpstamp import results
 from icmpstamp.classify import (
     Correctness,
     Fingerprint,
@@ -36,6 +38,7 @@ from icmpstamp.results import (
     ResultRecord,
     observation_from_record,
     read_records,
+    record_from_dict,
     record_from_line,
     record_to_line,
     write_records,
@@ -565,3 +568,86 @@ def test_unknown_probe_kind_is_a_value_error(value):
     d["probes"][0]["kind"] = value
     with pytest.raises(ValueError, match="is not a valid ProbeKind"):
         record_from_line(json.dumps(d))
+
+
+def with_tz_offset(text):
+    """A written line whose fingerprint's ``tz_offset`` is the JSON ``text``."""
+    d = json.loads(record_to_line(sample_record()))
+    d["fingerprint"]["tz_offset"] = "TZ"
+    return json.dumps(d).replace('"TZ"', text)
+
+
+def test_an_integer_tz_offset_beyond_a_float_is_refused():
+    # Testing it for finiteness raised OverflowError, which no reader caught.
+    with pytest.raises(ValueError) as info:
+        record_from_line(with_tz_offset(str(10**400)))
+    assert str(info.value) == f"tz_offset must be null or a finite number, got {10**400!r}"
+
+
+# A string, a number or a literal in a written line (all of its text is
+# ASCII), in order.
+TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[-\d][-+.\deE]*|null|true|false')
+# JSON texts that orjson and json read apart, or one refuses: integers
+# beyond 64 bits, numbers beyond a double, NaN and the infinities, lone
+# surrogates, negative zero; and values of every other type.
+ODD_VALUES = (
+    st.sampled_from([
+        str(2**64), str(2**64 - 1), str(-2**63 - 1), str(-2**63), "1" + "0" * 400,
+        "1e400", "-1e400", "1e-400", "-1e-400", "NaN", "Infinity", "-Infinity",
+        "-0", "-0.0", '"\\ud800"', '"\\udfff\\ud800"', "[]", "[1]", "{}", "null", "true",
+    ])
+    | st.integers(-2**65, 2**65).map(str)
+    | st.floats().map(json.dumps)
+    | texts.map(json.dumps)
+)
+blanks = st.text(st.sampled_from(" \t\n\r"), max_size=3)
+
+
+@st.composite
+def odd_lines(draw):
+    """A written line with one string, number or literal replaced, maybe
+    with blanks around it, a key given twice and a byte order mark."""
+    line = record_to_line(draw(records()))
+    tokens = list(TOKEN.finditer(line))
+    token = draw(st.sampled_from(tokens))
+    line = (
+        f"{line[:token.start()]}{draw(blanks)}{draw(ODD_VALUES)}{draw(blanks)}"
+        f"{line[token.end():]}"
+    )
+    keys = [t for t in TOKEN.finditer(line) if line[t.end():t.end() + 1] == ":"]
+    if keys and draw(st.booleans()):
+        # json keeps the value of a key's last pair.
+        key = draw(st.sampled_from(keys))
+        line = f"{line[:key.start()]}{key.group()}:{draw(ODD_VALUES)},{line[key.start():]}"
+    return draw(st.sampled_from(["", "\ufeff"])) + line
+
+
+def read_or_refusal(read, line):
+    """The line the record ``read(line)`` returns writes, or the type and
+    text of what it raises for a bad record."""
+    try:
+        return record_to_line(read(line))
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def deep_extra_key():
+    """A written line with one more key, nested past json's recursion limit."""
+    line = record_to_line(sample_record())
+    return '{"deep":' + "[" * 100_000 + "]" * 100_000 + "," + line[1:]
+
+
+@given(odd_lines())
+@example(with_tz_offset(str(2**64)))
+@example(with_tz_offset(str(-2**63 - 1)))
+@example(with_tz_offset(str(10**400)))
+@example(record_to_line(sample_record()._replace(fingerprint=sample_record().fingerprint._replace(
+    flags=frozenset({"\ud800"})))))
+@example(deep_extra_key())
+def test_the_fast_decoder_reads_every_line_as_json_does(line):
+    # Where orjson imports, ``record_from_line`` decodes with it; each line
+    # must read to the record json reads, or fail with json's error.
+    orjson = pytest.importorskip("orjson", exc_type=ImportError)
+    assert results._fast_loads is orjson.loads
+    reference = read_or_refusal(lambda text: record_from_dict(json.loads(text)), line)
+    assert read_or_refusal(record_from_line, line) == reference
