@@ -19,6 +19,7 @@ influence classes, timekeeping or correctness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,13 +85,35 @@ _CORRECT, _CORRECT_LE, _CORRECT_MSB, _INCORRECT = Correctness
 
 @dataclass(frozen=True)
 class CorrectnessPolicy:
-    """Error margin for calling a timestamp correct (strict less-than)."""
+    """The classification setting: the error margin for calling a timestamp
+    correct (strict less-than) and the candidate offsets a timezone is read
+    from, within that same margin.
+
+    The margin must be usable with the table (``OffsetTable.check_margin``),
+    so a policy holds an admitted pair or raises ``ValueError`` when it is
+    made.
+    """
 
     margin_ms: int = 200
+    # Frozen, so every policy made with the default table shares it.
+    table: OffsetTable = OffsetTable()
 
     def __post_init__(self):
         if not 0 < self.margin_ms < 43_200_000:
             raise ValueError(f"margin_ms out of range: {self.margin_ms}")
+        self.table.check_margin(self.margin_ms)
+
+    def offset_near(self, point_ms: int) -> float | None:
+        """The table's entry less than the margin from ``point_ms`` on the
+        day circle, or None; ``point_ms`` is in [0, DAY_MS).  One binary
+        search over the table's index finds it."""
+        table, margin, points = self.table, self.margin_ms, self.table._points
+        if point_ms < margin:
+            point_ms += DAY_MS
+        lo = bisect_right(points, point_ms - margin)
+        if lo < len(points) and points[lo] < point_ms + margin:
+            return table.offsets[table._entries[lo]]
+        return None
 
 
 class _ObservationFields(NamedTuple):
@@ -163,23 +186,20 @@ def classify_correctness(
 
 
 def infer_timezone(
-    reply: TimestampMessage,
-    probe_orig: int,
-    table: OffsetTable,
-    policy: CorrectnessPolicy,
+    reply: TimestampMessage, probe_orig: int, policy: CorrectnessPolicy
 ) -> float | None:
-    """The candidate offset explaining the receive timestamp, if any.
+    """The offset of the policy's table explaining the receive timestamp
+    within the policy's margin, if any.
 
     The receive value must be interpretable as day milliseconds (most
     significant bit clear, below one day).  Candidate expectations are
     computed modulo one day, so a host nine hours ahead that appears
-    fifteen hours behind still matches +9.  Raises ``ValueError`` (see
-    ``OffsetTable.check_margin``) for a margin the table does not admit.
+    fifteen hours behind still matches +9.
     """
     recv = reply.recv_ts
     if recv & MSB or recv >= DAY_MS:
         return None
-    return table.near((recv - probe_orig) % DAY_MS, policy.margin_ms)
+    return policy.offset_near((recv - probe_orig) % DAY_MS)
 
 
 def detect_htons_bug(obs: HostObservation) -> bool:
@@ -206,7 +226,7 @@ def detect_htons_bug(obs: HostObservation) -> bool:
 
 
 def _implementation(
-    obs: HostObservation, policy: CorrectnessPolicy, table: OffsetTable
+    obs: HostObservation, policy: CorrectnessPolicy
 ) -> tuple[set[ImplClass], float | None]:
     """Every implementation fingerprint rule that fires ({UNKNOWN} if none
     does), and the offset that ``infer_timezone`` found for the standard
@@ -232,7 +252,7 @@ def _implementation(
             classes.add(_LAZY)
         if recv > MSB - 1 and xmit > MSB - 1:
             classes.add(_NON_UTC)
-        tz_offset = infer_timezone(std.reply, orig, table, policy)
+        tz_offset = infer_timezone(std.reply, orig, policy)
         if tz_offset is not None:
             classes.add(_TIMEZONE)
         if abs(circular_diff(byte_swap_32(recv) % DAY_MS, orig)) < policy.margin_ms:
@@ -315,24 +335,25 @@ def classify_timekeeping(obs: HostObservation) -> Timekeeping:
 
 
 def fingerprint_observation(
-    obs: HostObservation,
-    # Both defaults are frozen, so every host classified with them shares them.
-    policy: CorrectnessPolicy = CorrectnessPolicy(),
-    table: OffsetTable = OffsetTable(),
+    obs: HostObservation, policy: CorrectnessPolicy = CorrectnessPolicy()
 ) -> Fingerprint:
     """Full fingerprint for one observation: classes + timekeeping + correctness.
 
     Flags record soft conditions: missing prerequisite replies, the
     all-zero reflection ambiguity, tampered or duplicate replies.  An
-    observation with no clean reply gets {UNKNOWN}, incorrect, no
-    timezone and the ``all_replies_tampered`` flag.
+    observation whose answered probes are all tampered gets {UNKNOWN},
+    incorrect, no timezone and the ``all_replies_tampered`` flag.  One with
+    no answered probe raises ``ValueError``: any verdict would be made up.
+    The default policy is frozen, so every host classified with it shares it.
     """
     if not obs.first:
+        if not obs.tampered:
+            raise ValueError("no answered probe to classify")
         return Fingerprint(
             frozenset({_UNKNOWN}), _TK_UNKNOWN, _INCORRECT,
             flags=frozenset({"all_replies_tampered"}),
         )
-    classes, tz_offset = _implementation(obs, policy, table)
+    classes, tz_offset = _implementation(obs, policy)
     flags: set[str] = set()
 
     std = obs.first.get(_STANDARD)

@@ -90,30 +90,27 @@ def _cmd_scan(args) -> int:
     return EXIT_TRANSPORT
 
 
-def _policy_and_table(args) -> tuple[CorrectnessPolicy, OffsetTable]:
-    """The margin and table, checked as a pair before any input is read."""
-    policy = CorrectnessPolicy(margin_ms=args.margin_ms)
-    table = OffsetTable.from_file(args.offsets) if args.offsets else OffsetTable()
-    table.check_margin(policy.margin_ms)
-    return policy, table
-
-
-def _classify_share(path, policy, table, lines, start, out) -> int:
+def _classify_share(path, policy, lines, start, out) -> int:
     """Write the records on ``lines``, the undecoded lines of ``path`` from
     line ``start + 1`` on, classified again to ``out``; returns how many."""
     count = 0
     for count, rec in enumerate(results.records_in(path, lines, start + 1), 1):
-        fingerprint = fingerprint_observation(results.observation_from_record(rec), policy, table)
+        try:
+            fingerprint = fingerprint_observation(results.observation_from_record(rec), policy)
+        except ValueError as exc:
+            raise ValueError(f"{path}: record of {rec.target!r}: {exc}") from None
         out.write(results.record_to_line(rec._replace(fingerprint=fingerprint)) + "\n")
     return count
 
 
 def _cmd_classify(args) -> int:
-    policy, table = _policy_and_table(args)
+    # The margin and table are checked as a pair before any input is read.
+    table = OffsetTable.from_file(args.offsets) if args.offsets else OffsetTable()
+    policy = CorrectnessPolicy(args.margin_ms, table)
     # --in is opened before --out.  --out is replaced only once every line
     # is classified: a bad line leaves it as it was, and it may be --in.
     with open(args.input, "rb") as src, textfile.replacing(args.out) as fh:
-        job = functools.partial(_classify_share, args.input, policy, table)
+        job = functools.partial(_classify_share, args.input, policy)
         count = shares.run(job, src, fh)
     print(f"reclassified {count} records into {args.out}")
     return EXIT_OK
@@ -199,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     classify = sub.add_parser("classify", help="re-run classification on results")
     classify.add_argument("--in", dest="input", required=True)
     classify.add_argument("--out", required=True)
-    classify.add_argument("--margin-ms", type=int, default=CorrectnessPolicy.margin_ms)
+    classify.add_argument("--margin-ms", type=int, default=CorrectnessPolicy.margin_ms, help=(
+        "error margin, at most half the distance between the table's two closest offsets "
+        "(900,000 ms for the default table)"))
     classify.add_argument("--offsets", help="custom candidate-offset table file")
     classify.set_defaults(func=_cmd_classify)
 

@@ -11,7 +11,6 @@ throughout.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from icmpstamp.textfile import numbered_lines
@@ -97,9 +96,9 @@ class OffsetTable:
     point is within the margin of two entries (``check_margin``).
 
     The table builds one index when it is made: the day-circle point of
-    every entry (its offset in milliseconds modulo a day), sorted.  ``near``
-    answers a lookup from it with one binary search, not a pass over every
-    entry.
+    every entry (its offset in milliseconds modulo a day), sorted.
+    ``CorrectnessPolicy.offset_near`` answers a lookup from it with one
+    binary search, not a pass over every entry.
     """
 
     offsets: tuple[float, ...] = DEFAULT_OFFSET_HOURS
@@ -143,19 +142,3 @@ class OffsetTable:
                 f"margin {margin_ms} ms is more than half the {self._closest_ms} ms "
                 "between the closest candidate offsets; narrow the margin or thin the table"
             )
-
-    def near(self, point_ms: int, margin_ms: int) -> float | None:
-        """The entry less than ``margin_ms`` from ``point_ms`` on the day
-        circle, or None.
-
-        ``point_ms`` is in [0, DAY_MS).  Raises what ``check_margin`` raises
-        for a margin the table does not admit.
-        """
-        self.check_margin(margin_ms)
-        if point_ms < margin_ms:
-            point_ms += DAY_MS
-        points = self._points
-        lo = bisect_right(points, point_ms - margin_ms)
-        if lo < len(points) and points[lo] < point_ms + margin_ms:
-            return self.offsets[self._entries[lo]]
-        return None

@@ -19,7 +19,7 @@ from hashlib import md5
 from ipaddress import IPv4Address
 
 from icmpstamp import wire
-from icmpstamp.classify import CorrectnessPolicy, HostObservation
+from icmpstamp.classify import HostObservation
 from icmpstamp.clock import DAY_MS, OffsetTable, offset_millis
 from icmpstamp.probes import (
     ProbeKind,
@@ -108,15 +108,14 @@ def margin_refusal(margin_ms: int, closest_ms: int) -> str:
 
 
 def former_infer_timezone(
-    reply: TimestampMessage, probe_orig: int, table: OffsetTable, policy: CorrectnessPolicy
+    reply: TimestampMessage, probe_orig: int, table: OffsetTable, margin: int
 ) -> float | None:
-    """The offset of the one table entry within the margin, found by testing
-    every entry in table order; a margin more than half the distance between
-    the two closest entries is refused with the table's text."""
+    """The offset of the one table entry within ``margin`` ms, found by
+    testing every entry in table order; a margin more than half the distance
+    between the two closest entries is refused with the table's text."""
     recv = reply.recv_ts
     if recv & (1 << 31) or recv >= DAY_MS:
         return None
-    margin = policy.margin_ms
     closest = reference_closest_ms(table.offsets)
     if closest is not None and 2 * margin > closest:
         raise ValueError(margin_refusal(margin, closest))

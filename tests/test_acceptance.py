@@ -29,7 +29,7 @@ from icmpstamp.classify import (
     fingerprint_observation,
     Timekeeping,
 )
-from icmpstamp.clock import DAY_MS, DEFAULT_OFFSET_HOURS, OffsetTable, offset_millis
+from icmpstamp.clock import DAY_MS, DEFAULT_OFFSET_HOURS, offset_millis
 from icmpstamp.engine import ScanConfig, run_scan
 from icmpstamp.probes import (
     ProbeKind,
@@ -46,7 +46,6 @@ from icmpstamp.results import record_to_line
 from icmpstamp.wire import TimestampMessage, byte_swap_32
 
 POLICY = CorrectnessPolicy()
-TABLE = OffsetTable()
 GAP_MS = 3000
 SPACING_MS = 10
 GUARD_MS = 2500  # covers the 200 ms margin, probe spacing, and processing slack
@@ -64,7 +63,7 @@ def circ(a, b):
 
 def far_from_candidates(constant, t0):
     """No candidate offset explains ``constant`` anywhere in the probe window."""
-    for off in TABLE.offsets:
+    for off in POLICY.table.offsets:
         if abs(circ(constant - offset_millis(off), t0)) < GAP_MS + GUARD_MS:
             return False
     return True
@@ -189,7 +188,7 @@ def test_c1_taxonomy_round_trip():
         for trial in range(100):
             t0 = draw_instant(rng, accept)
             obs = observe_direct(cfg, t0, rng)
-            classes = fingerprint_observation(obs, POLICY, TABLE).classes
+            classes = fingerprint_observation(obs, POLICY).classes
             assert classes == expected, (
                 f"{cfg.impl_class.value} trial {trial} at t0={t0}: "
                 f"got {sorted(c.value for c in classes)}"
@@ -222,7 +221,7 @@ def test_c2_timezone_sweep():
             reply = wire.decode(respond_once(cfg, raw, t0, rng))
             from icmpstamp.classify import infer_timezone
 
-            inferred = infer_timezone(reply, probe.request.orig_ts, TABLE, POLICY)
+            inferred = infer_timezone(reply, probe.request.orig_ts, POLICY)
             if inferred == off:
                 hits += 1
         if hits == 10:

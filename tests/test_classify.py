@@ -52,7 +52,6 @@ from icmpstamp.probes import (
 from icmpstamp.wire import TimestampMessage, byte_swap_32
 
 POLICY = CorrectnessPolicy()
-TABLE = OffsetTable()
 
 DEST = "198.51.100.7"
 ORIG = 45_296_789  # 12:34:56.789Z
@@ -128,41 +127,40 @@ class TestCorrectness:
 
 class TestInferTimezone:
     def test_plus_nine(self):
-        assert infer_timezone(reply_msg(77_696_789, 0), ORIG, TABLE, POLICY) == 9.0
+        assert infer_timezone(reply_msg(77_696_789, 0), ORIG, POLICY) == 9.0
 
     def test_correct_reply_has_no_offset(self):
-        assert infer_timezone(reply_msg(45_296_800, 0), ORIG, TABLE, POLICY) is None
+        assert infer_timezone(reply_msg(45_296_800, 0), ORIG, POLICY) is None
 
     def test_wrap_looks_fifteen_hours_behind(self):
         # +9 host probed late in the UTC day: 80,000,000 + 9h wraps to 26,000,000.
-        assert infer_timezone(reply_msg(26_000_000, 0), 80_000_000, TABLE, POLICY) == 9.0
+        assert infer_timezone(reply_msg(26_000_000, 0), 80_000_000, POLICY) == 9.0
 
     def test_msb_set_not_interpretable(self):
-        assert infer_timezone(reply_msg(77_696_789 | 2**31, 0), ORIG, TABLE, POLICY) is None
+        assert infer_timezone(reply_msg(77_696_789 | 2**31, 0), ORIG, POLICY) is None
 
     def test_beyond_one_day_not_interpretable(self):
-        assert infer_timezone(reply_msg(DAY_MS + 5, 0), ORIG, TABLE, POLICY) is None
+        assert infer_timezone(reply_msg(DAY_MS + 5, 0), ORIG, POLICY) is None
 
     def test_minus_twelve_stays_table_entry(self):
         recv = (ORIG - 12 * 3_600_000) % DAY_MS
-        assert infer_timezone(reply_msg(recv, 0), ORIG, TABLE, POLICY) == -12.0
+        assert infer_timezone(reply_msg(recv, 0), ORIG, POLICY) == -12.0
 
     def test_wide_margin_is_ambiguous(self):
-        # Wider than half the 30 minutes between +3 and +3.5: refused at
-        # the lookup, wherever the receive value lands.
-        wide = CorrectnessPolicy(margin_ms=900_001)
-        for recv in (11_700_000, 0):  # halfway between +3 and +3.5; near none
-            with pytest.raises(ValueError) as info:
-                infer_timezone(reply_msg(recv, 0), 0, TABLE, wide)
-            assert str(info.value) == margin_refusal(900_001, 1_800_000)
+        # Wider than half the 30 minutes between +3 and +3.5: refused when
+        # the policy is made, before any receive value (halfway between +3
+        # and +3.5, or near none) is looked up.
+        with pytest.raises(ValueError) as info:
+            CorrectnessPolicy(margin_ms=900_001)
+        assert str(info.value) == margin_refusal(900_001, 1_800_000)
 
     def test_fingerprint_refuses_a_margin_the_table_does_not_admit(self):
         obs, _ = build_obs(std=(77_696_789, 77_696_790))  # nine hours ahead
         table = OffsetTable((9.0, 11.0))
-        fp = fingerprint_observation(obs, CorrectnessPolicy(margin_ms=3_600_000), table)
+        fp = fingerprint_observation(obs, CorrectnessPolicy(3_600_000, table))
         assert fp.tz_offset == 9.0
         with pytest.raises(ValueError) as info:
-            fingerprint_observation(obs, CorrectnessPolicy(margin_ms=3_600_001), table)
+            CorrectnessPolicy(3_600_001, table)
         assert str(info.value) == margin_refusal(3_600_001, 7_200_000)
 
     @staticmethod
@@ -190,7 +188,7 @@ class TestInferTimezone:
     @given(day_circle_cases())
     def test_matches_day_circle_formula(self, case):
         recv, orig, margin, offsets = case
-        table, policy = OffsetTable(offsets), CorrectnessPolicy(margin_ms=margin)
+        table = OffsetTable(offsets)
         if recv & 2**31 or recv >= DAY_MS:
             matches = []
         else:
@@ -201,11 +199,13 @@ class TestInferTimezone:
             ]
         if recv & 2**31 or recv >= DAY_MS or admits(offsets, margin):
             assert len(matches) <= 1
+        if admits(offsets, margin):
             expected = matches[0] if matches else None
-            assert infer_timezone(reply_msg(recv, 0, orig=orig), orig, table, policy) == expected
+            policy = CorrectnessPolicy(margin, table)
+            assert infer_timezone(reply_msg(recv, 0, orig=orig), orig, policy) == expected
         else:
             with pytest.raises(ValueError) as info:
-                infer_timezone(reply_msg(recv, 0, orig=orig), orig, table, policy)
+                CorrectnessPolicy(margin, table)
             assert str(info.value) == margin_refusal(margin, reference_closest_ms(offsets))
 
 
@@ -270,21 +270,26 @@ def timezone_lookups(draw):
         recv = (centre + delta) % DAY_MS | draw(st.sampled_from([0, 2**31]))
     else:
         recv = draw(st.integers(0, 2**32 - 1) | st.integers(DAY_MS - 5, DAY_MS + 5))
-    return OffsetTable(offsets), CorrectnessPolicy(margin_ms=margin), orig, recv
+    return OffsetTable(offsets), margin, orig, recv
 
 
 @given(timezone_lookups())
 @settings(max_examples=500)
 def test_timezone_lookup_equals_former_linear_scan(lookup):
-    # Over admitted pairs the lookups agree; a pair the table does not admit
-    # is refused by both with one text, once the receive value is a time of
-    # day.
-    table, policy, orig, recv = lookup
+    # Over admitted pairs the policy's lookup agrees with the former one; a
+    # pair the table does not admit is refused when the policy is made, with
+    # the text the former lookup refuses it with once the receive value is a
+    # time of day.
+    table, margin, orig, recv = lookup
     reply = reply_msg(recv, 0, orig=orig)
-    new = _result(infer_timezone, reply, orig, table, policy)
-    assert new == _result(former_infer_timezone, reply, orig, table, policy)
-    if recv < DAY_MS and not admits(table.offsets, policy.margin_ms):
-        assert new == margin_refusal(policy.margin_ms, reference_closest_ms(table.offsets))
+    former = _result(former_infer_timezone, reply, orig, table, margin)
+    if admits(table.offsets, margin):
+        assert infer_timezone(reply, orig, CorrectnessPolicy(margin, table)) == former
+    else:
+        new = _result(CorrectnessPolicy, margin, table)
+        assert new == margin_refusal(margin, reference_closest_ms(table.offsets))
+        if recv < DAY_MS:
+            assert new == former
 
 
 class TestHtonsBug:
@@ -314,14 +319,14 @@ class TestImplementationClasses:
             std=(ORIG + tz, ORIG + tz),
             dup=((ORIG + 3000 + tz) % DAY_MS, (ORIG + 3000 + tz) % DAY_MS),
         )
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+        assert fingerprint_observation(obs, POLICY).classes == {
             ImplClass.LAZY,
             ImplClass.TIMEZONE,
         }
 
     def test_all_zero_is_stuck_constant_zero(self):
         obs, _ = build_obs(std=(0, 0), dup=(0, 0))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+        assert fingerprint_observation(obs, POLICY).classes == {
             ImplClass.STUCK,
             ImplClass.CONSTANT_0,
         }
@@ -333,19 +338,19 @@ class TestImplementationClasses:
         obs = HostObservation(
             [*pairs, pair_for(dup_probe, echo_reply(dup_probe, dup_orig, dup_orig))]
         )
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.REFLECTION}
+        assert fingerprint_observation(obs, POLICY).classes == {ImplClass.REFLECTION}
 
     def test_normal(self):
         obs, _ = build_obs(std=(ORIG + 40, ORIG + 43))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.NORMAL}
+        assert fingerprint_observation(obs, POLICY).classes == {ImplClass.NORMAL}
 
     def test_lazy(self):
         obs, _ = build_obs(std=(ORIG + 40, ORIG + 40))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.LAZY}
+        assert fingerprint_observation(obs, POLICY).classes == {ImplClass.LAZY}
 
     def test_checksum_lazy(self):
         obs, _ = build_obs(std=(ORIG + 40, ORIG + 40), bad_checksum=(ORIG + 60, ORIG + 60))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+        assert fingerprint_observation(obs, POLICY).classes == {
             ImplClass.LAZY,
             ImplClass.CHECKSUM_LAZY,
         }
@@ -353,20 +358,20 @@ class TestImplementationClasses:
     def test_non_utc_needs_both_fields(self):
         both = ORIG | 2**31
         obs, _ = build_obs(std=(both, both))
-        assert ImplClass.NON_UTC in fingerprint_observation(obs, POLICY, TABLE).classes
+        assert ImplClass.NON_UTC in fingerprint_observation(obs, POLICY).classes
         obs2, _ = build_obs(std=(both, ORIG))
-        assert ImplClass.NON_UTC not in fingerprint_observation(obs2, POLICY, TABLE).classes
+        assert ImplClass.NON_UTC not in fingerprint_observation(obs2, POLICY).classes
 
     def test_little_endian(self):
         swapped = byte_swap_32(ORIG + 5)
         obs, _ = build_obs(std=(swapped, swapped))
-        classes = fingerprint_observation(obs, POLICY, TABLE).classes
+        classes = fingerprint_observation(obs, POLICY).classes
         assert ImplClass.LITTLE_ENDIAN in classes
 
     def test_stuck_nonzero_constant(self):
         c = 123_456
         obs, _ = build_obs(std=(c, c), dup=(c, c))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+        assert fingerprint_observation(obs, POLICY).classes == {
             ImplClass.LAZY,
             ImplClass.STUCK,
         }
@@ -378,12 +383,12 @@ class TestImplementationClasses:
         dup_probe = probes["dup"]
         v = dup_probe.request.orig_ts
         obs = HostObservation([*pairs, pair_for(dup_probe, echo_reply(dup_probe, v, v))])
-        classes = fingerprint_observation(obs, POLICY, TABLE).classes
+        classes = fingerprint_observation(obs, POLICY).classes
         assert ImplClass.STUCK not in classes
 
     def test_constant_one(self):
         obs, _ = build_obs(std=(1, 1), dup=(1, 1))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+        assert fingerprint_observation(obs, POLICY).classes == {
             ImplClass.LAZY,
             ImplClass.STUCK,
             ImplClass.CONSTANT_1,
@@ -392,7 +397,7 @@ class TestImplementationClasses:
     def test_constant_le_one(self):
         le1 = byte_swap_32(1)
         obs, _ = build_obs(std=(le1, le1), dup=(le1, le1))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+        assert fingerprint_observation(obs, POLICY).classes == {
             ImplClass.LAZY,
             ImplClass.STUCK,
             ImplClass.CONSTANT_LE_1,
@@ -403,7 +408,7 @@ class TestImplementationClasses:
         # once the bad-clock reply repeats it; an accepted rule overlap.
         le1 = byte_swap_32(1)
         obs, _ = build_obs(std=(le1, le1), dup=(le1, le1), bad_clock=(le1, le1))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {
+        assert fingerprint_observation(obs, POLICY).classes == {
             ImplClass.LAZY,
             ImplClass.STUCK,
             ImplClass.CONSTANT_LE_1,
@@ -412,7 +417,7 @@ class TestImplementationClasses:
 
     def test_unclassifiable_is_unknown(self):
         obs, _ = build_obs(std=(0, 0x00ABCD01))
-        assert fingerprint_observation(obs, POLICY, TABLE).classes == {ImplClass.UNKNOWN}
+        assert fingerprint_observation(obs, POLICY).classes == {ImplClass.UNKNOWN}
 
     def test_no_clean_replies_is_unknown_and_all_tampered(self):
         pairs, probes = build_pairs()
@@ -432,7 +437,7 @@ class TestImplementationClasses:
                              tamper=TamperVerdict.ORIGINATE_MODIFIED),
             ],
         )
-        assert fingerprint_observation(obs, POLICY, TABLE) == Fingerprint(
+        assert fingerprint_observation(obs, POLICY) == Fingerprint(
             classes=frozenset({ImplClass.UNKNOWN}),
             timekeeping=Timekeeping.UNKNOWN,
             correctness=Correctness.INCORRECT,
@@ -449,7 +454,7 @@ class TestClassSetInvariants:
     @given(reply_fields, st.one_of(st.none(), reply_fields))
     def test_exhaustive_and_constants_imply_stuck(self, std_fields, dup_fields):
         obs, _ = build_obs(std=std_fields, dup=dup_fields)
-        classes = fingerprint_observation(obs, POLICY, TABLE).classes
+        classes = fingerprint_observation(obs, POLICY).classes
         assert classes  # anything with a clean reply gets at least Unknown
         constants = {ImplClass.CONSTANT_0, ImplClass.CONSTANT_1, ImplClass.CONSTANT_LE_1}
         if classes & constants:
@@ -669,7 +674,7 @@ def _former_htons(obs):
     return all(v % 65536 == 0 for v in values)
 
 
-def _former_implementation(obs, policy, table):
+def _former_implementation(obs, policy):
     if not obs.clean_pairs():
         raise ValueError("no clean replies")
     classes = set()
@@ -686,7 +691,7 @@ def _former_implementation(obs, policy, table):
             classes.add(ImplClass.LAZY)
         if recv > MSB - 1 and xmit > MSB - 1:
             classes.add(ImplClass.NON_UTC)
-        if former_infer_timezone(std.reply, orig, table, policy) is not None:
+        if former_infer_timezone(std.reply, orig, policy.table, policy.margin_ms) is not None:
             classes.add(ImplClass.TIMEZONE)
         if abs(circular_diff(byte_swap_32(recv) % DAY_MS, orig)) < policy.margin_ms:
             classes.add(ImplClass.LITTLE_ENDIAN)
@@ -744,7 +749,7 @@ def _former_timekeeping(obs):
     return Timekeeping.UNKNOWN
 
 
-def _former_fingerprint(obs, policy, table):
+def _former_fingerprint(obs, policy):
     if not obs.clean_pairs():
         return Fingerprint(
             classes=frozenset({ImplClass.UNKNOWN}),
@@ -752,7 +757,7 @@ def _former_fingerprint(obs, policy, table):
             correctness=Correctness.INCORRECT,
             flags=frozenset({"all_replies_tampered"}),
         )
-    classes = _former_implementation(obs, policy, table)
+    classes = _former_implementation(obs, policy)
     flags = set()
     std = obs.first_clean(ProbeKind.STANDARD)
     dup = obs.first_clean(ProbeKind.DUPLICATE)
@@ -760,7 +765,9 @@ def _former_fingerprint(obs, policy, table):
     tz_offset = None
     if std is not None:
         correctness = classify_correctness(std.reply, std.request.orig_ts, policy)
-        tz_offset = former_infer_timezone(std.reply, std.request.orig_ts, table, policy)
+        tz_offset = former_infer_timezone(
+            std.reply, std.request.orig_ts, policy.table, policy.margin_ms
+        )
     else:
         correctness = Correctness.INCORRECT
         flags.add("no_standard_reply")
@@ -847,26 +854,32 @@ def _result(fn, *args):
         st.lists(st.integers(-48, 48), max_size=8, unique=True).map(
             lambda ns: OffsetTable(tuple(n / 2 for n in ns))
         ),
-        (st.integers(1, 5_000) | st.integers(900_000, 2_000_000)).map(
-            lambda m: CorrectnessPolicy(margin_ms=m)
-        ),
+        st.integers(1, 5_000) | st.integers(900_000, 2_000_000),
     ),
 )
 @example(  # all-zero replies, duplicate request not zero: constant, not ambiguous
     (build_pairs(std=(0, 0), dup=(0, 0))[0], 0), None
 )
+@example(([], 0), None)  # no answered probe
 @settings(max_examples=300)
 def test_fingerprint_equals_former_lookups(parts, custom):
     pairs, duplicate_replies = parts
-    table, policy = custom if custom is not None else (TABLE, POLICY)
-    new = _result(
-        fingerprint_observation, HostObservation(pairs, duplicate_replies), policy, table
-    )
-    former_obs = _FormerObservation(pairs, duplicate_replies)
-    former = _result(_former_fingerprint, former_obs, policy, table)
-    assert new == former
-    # A pair the table does not admit is refused at the first lookup: the
-    # clean standard reply's, once its receive value is a time of day.
-    std = former_obs.first_clean(ProbeKind.STANDARD)
-    if std is not None and std.reply.recv_ts < DAY_MS and not admits(table.offsets, policy.margin_ms):
-        assert new == margin_refusal(policy.margin_ms, reference_closest_ms(table.offsets))
+    policy = POLICY
+    if custom is not None:
+        table, margin = custom
+        policy = _result(CorrectnessPolicy, margin, table)
+        if not admits(table.offsets, margin):
+            # A pair the table does not admit is refused when the policy is
+            # made, whatever the observation: no lookup is reached.
+            assert policy == margin_refusal(margin, reference_closest_ms(table.offsets))
+            return
+    obs = HostObservation(pairs, duplicate_replies)
+    former = _former_fingerprint(_FormerObservation(pairs, duplicate_replies), policy)
+    if pairs:
+        assert fingerprint_observation(obs, policy) == former
+    else:
+        # Every drawn probe is answered, so no pair means no answered probe:
+        # the former all_replies_tampered verdict would be made up.
+        with pytest.raises(ValueError) as info:
+            fingerprint_observation(obs, policy)
+        assert str(info.value) == "no answered probe to classify"

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import DEMO_SCAN_SHA256
+import test_classify
+from builders import DEMO_SCAN_SHA256, margin_refusal
 from icmpstamp import cli, results
+from icmpstamp.classify import CorrectnessPolicy, fingerprint_observation
 from icmpstamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRIVILEGE, EXIT_TRANSPORT, main
-from icmpstamp.clock import DAY_MS
+from icmpstamp.clock import DAY_MS, DEFAULT_OFFSET_HOURS
 from icmpstamp.engine import ScanConfig
 from icmpstamp.responder import SimNetwork
 from icmpstamp.results import read_records
@@ -112,6 +114,69 @@ def test_demo_classify_and_merge_bytes_are_pinned(tmp_path):
     assert sha256_of(merged) == (
         "dc3e991d35f9d0a403f937e4229bad09484b6c47a3fd2ed401ee656a16619fd6"
     )
+
+
+@pytest.fixture(scope="module")
+def demo_scan(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo") / "demo.jsonl"
+    scan_demo(out)
+    return out
+
+
+def test_a_merged_record_cannot_be_reclassified(tmp_path, demo_scan, capsys):
+    # A consensus record keeps no probe, so any fingerprint classify gave it
+    # would be made up: it used to write every one as unknown, incorrect and
+    # all_replies_tampered, and exit 0.
+    merged, out = tmp_path / "consensus.jsonl", tmp_path / "consensus-re.jsonl"
+    assert main(["merge", str(demo_scan), str(demo_scan), "--out", str(merged)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["classify", "--in", str(merged), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {merged}: record of '192.0.2.1': no answered probe to classify\n"
+    )
+    assert not out.exists()
+
+
+def test_no_demo_record_is_classified_under_an_inadmissible_pair(demo_scan):
+    # 900,001 ms is wider than the default table admits.  The refusal used to
+    # come at a record's timezone lookup, which only a standard reply whose
+    # receive value is a time of day reaches: 6 of the 19 records were
+    # classified.  Now the policy itself is refused.
+    classified, refused = [], []
+    for rec in read_records(demo_scan):
+        try:
+            policy = CorrectnessPolicy(margin_ms=900_001)
+            classified.append(
+                fingerprint_observation(results.observation_from_record(rec), policy)
+            )
+        except ValueError as exc:
+            refused.append(str(exc))
+    assert classified == []
+    assert refused == [margin_refusal(900_001, 1_800_000)] * 19
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    test_classify.TestInferTimezone.day_circle_cases().filter(
+        lambda case: test_classify.admits(case[3], case[2])
+    )
+)
+@example((0, 0, CorrectnessPolicy.margin_ms, DEFAULT_OFFSET_HOURS))  # the default policy
+def test_reclassifying_is_idempotent(tmp_path_factory, demo_scan, case):
+    # Any admitted margin and table: classifying the demo scan's lines again
+    # writes what classifying them once wrote, and at the default policy that
+    # is the scan's own bytes.
+    _, _, margin, offsets = case
+    tmp = tmp_path_factory.mktemp("again")
+    table = tmp / "offsets.txt"
+    table.write_text("".join(f"{o}\n" for o in offsets))
+    once, twice = tmp / "once.jsonl", tmp / "twice.jsonl"
+    setting = ["--margin-ms", str(margin), "--offsets", str(table)]
+    assert main(["classify", "--in", str(demo_scan), "--out", str(once), *setting]) == EXIT_OK
+    assert main(["classify", "--in", str(once), "--out", str(twice), *setting]) == EXIT_OK
+    assert twice.read_bytes() == once.read_bytes()
+    if (margin, offsets) == (CorrectnessPolicy.margin_ms, DEFAULT_OFFSET_HOURS):
+        assert once.read_bytes() == demo_scan.read_bytes()
 
 
 def test_demo_instant_half_a_second_off_utc_is_a_bad_record(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from builders import epoch_us, margin_refusal
+from icmpstamp.classify import CorrectnessPolicy
 from icmpstamp.clock import (
     DAY_MS,
     DEFAULT_OFFSET_HOURS,
@@ -158,10 +159,12 @@ class TestOffsetTable:
             OffsetTable(offsets).check_margin(DAY_MS // 2)
 
     def test_near_refuses_a_margin_the_table_does_not_admit(self):
+        # The policy that would look an offset up is refused when it is made.
         with pytest.raises(ValueError, match="margin 900001 ms"):
-            OffsetTable().near(0, 900_001)
-        assert OffsetTable().near(offset_millis(3.0), 900_000) == 3.0
-        assert OffsetTable().near(offset_millis(3.0) + 900_000, 900_000) is None
+            CorrectnessPolicy(900_001, OffsetTable())
+        policy = CorrectnessPolicy(900_000, OffsetTable())
+        assert policy.offset_near(offset_millis(3.0)) == 3.0
+        assert policy.offset_near(offset_millis(3.0) + 900_000) is None
 
     def test_wraparound_invariant(self):
         for o in OffsetTable().offsets:
@@ -191,13 +194,13 @@ class TestOffsetTable:
 
     def test_offsets_in_milliseconds(self):
         # Each entry sits at its offset in milliseconds on the day circle.
-        table = OffsetTable((9.0, -3.5, 12.0))
-        assert table.near(32_400_000, 1) == 9.0
-        assert table.near(DAY_MS - 12_600_000, 1) == -3.5
-        assert table.near(43_200_000, 1) == 12.0
-        default = OffsetTable()
+        policy = CorrectnessPolicy(1, OffsetTable((9.0, -3.5, 12.0)))
+        assert policy.offset_near(32_400_000) == 9.0
+        assert policy.offset_near(DAY_MS - 12_600_000) == -3.5
+        assert policy.offset_near(43_200_000) == 12.0
+        default = CorrectnessPolicy(1)
         for o in DEFAULT_OFFSET_HOURS:
-            assert default.near(offset_millis(o) % DAY_MS, 1) == o
+            assert default.offset_near(offset_millis(o) % DAY_MS) == o
 
 
 def test_offsets_equal_identifies_circle_points():
