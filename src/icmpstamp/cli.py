@@ -105,7 +105,7 @@ def _classify_share(path, policy, lines, start, out) -> int:
 
 def _cmd_classify(args) -> int:
     # The margin and table are checked as a pair before any input is read.
-    table = OffsetTable.from_file(args.offsets) if args.offsets else OffsetTable()
+    table = OffsetTable.from_file(args.offsets) if args.offsets is not None else OffsetTable()
     policy = CorrectnessPolicy(args.margin_ms, table)
     # --in is opened before --out.  --out is replaced only once every line
     # is classified: a bad line leaves it as it was, and it may be --in.

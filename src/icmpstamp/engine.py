@@ -24,8 +24,10 @@ filing by source is the scan's one check of a reply's source.
 Each packet takes one pass in each direction.  A target's address is
 packed to 4 bytes once, when the targets file is read, and each probe is
 one ``probes.craft`` call that returns the numbers kept and the image
-sent.  Each arriving packet is one ``wire.unpack_reply`` call that checks
-its length, type and checksum and reads its fields.
+sent; its checksum is summed in line, held by the tests to
+``wire.fill_checksum``.  Each arriving packet is one ``wire.unpack_reply``
+call that checks its length, type and checksum, summed in line as
+``wire.verify_checksum`` defines it, and reads its fields.
 
 The scan's state is flat storage by number, allocated whole before the
 first send, so that it holds no object per probe for the collector to
@@ -40,10 +42,12 @@ order, which is the order replies are matched in.  One map files a source
 under its target's number.  Duplicate replies are counted in a map that
 holds only the targets that have one.
 
-Objects are built once, when a target's record is made: each probe's
-``ProbeOutcome`` and request, and a bound reply's ``TimestampMessage`` and
-tamper verdict (``probes.verify_reply``).  A target with no bound reply is
-skipped before anything is built for it.
+Objects are built once, when a target's record is made, by one
+``probes.sent_probe`` call per probe: from the stored numbers and reply
+bytes it builds the probe's ``ProbeOutcome`` and request, and a bound
+reply's message and tamper verdict.  The engine knows neither the
+layout of a message nor how a verdict is reached.  A target with no
+bound reply is skipped before anything is built for it.
 
 The engine knows a transport only by the contract in ``transport``; the
 CLI builds the transport a scan runs on and writes every file.
@@ -63,26 +67,17 @@ from icmpstamp.clock import DAY_MS
 from icmpstamp.draws import shuffle
 from icmpstamp.probes import (
     ProbeKind,
-    ProbeOutcome,
     craft,
     dest_bytes,
     # Not called here: the benchmark's spans wrap each ``make_*`` function
     # on every module that holds it, and its tests check this one.
     make_standard,  # noqa: F401
     sent_probe,
-    verify_reply,
 )
 from icmpstamp.results import ResultRecord
 from icmpstamp.textfile import parse_lines
 from icmpstamp.transport import TransportError
-from icmpstamp.wire import (
-    LAYOUT,
-    MESSAGE_LEN,
-    BadChecksum,
-    TimestampMessage,
-    WireError,
-    unpack_reply,
-)
+from icmpstamp.wire import MESSAGE_LEN, BadChecksum, WireError, unpack_reply
 
 log = logging.getLogger(__name__)
 
@@ -91,12 +86,6 @@ log = logging.getLogger(__name__)
 # reads.  The duplicate is the last kind, sent in the second round.
 _KINDS = tuple(ProbeKind)
 _DUPLICATE_K = 3
-
-# Builds a NamedTuple from a tuple of all its fields, without the class's
-# generated ``__new__``: for the record builder, whose field counts are
-# fixed here.
-_new = tuple.__new__
-_unpack_from = LAYOUT.unpack_from
 
 
 @dataclass(frozen=True)
@@ -306,16 +295,9 @@ def _scan(
         outcomes = []
         for k in order[base:base + n_sent[i]]:
             p = base + k
-            kind = _KINDS[k]
-            probe = sent_probe(kind, send_times[p], keys[p], origs[p], checksums[p])
-            data = replies[p]
-            if data is not None:
-                reply = _new(TimestampMessage, _unpack_from(data))
-                tamper = verify_reply(probe, reply)
-                probe = _new(ProbeOutcome, (
-                    kind, probe.send_time, probe.request, reply, arrivals[p], tamper,
-                ))
-            outcomes.append(probe)
+            outcomes.append(sent_probe(
+                _KINDS[k], send_times[p], keys[p], origs[p], checksums[p], replies[p], arrivals[p],
+            ))
         outcomes = tuple(outcomes)
         duplicates = duplicate_replies.get(i, 0)
         obs = HostObservation(outcomes, duplicates)

@@ -14,12 +14,15 @@ rebuild the request, (id, seq) as one 32-bit key, the originate
 timestamp and the checksum, and the 20-byte wire image: the engine
 stores the numbers in arrays, sends the image as it is, and builds no
 object for the probe until the target's record is made.  ``craft`` holds
-the only copy of both hash recipes; ``sent_probe`` turns its numbers
-into the probe they describe, and the ``make_*`` functions return that
-probe, one function per kind.
+the only copy of both hash recipes, and sums the request's checksum in
+line as ``wire.fill_checksum`` defines it; the tests hold it to that.
+``sent_probe`` is the one builder of a probe: from ``craft``'s numbers
+it builds the request, and from the reply bytes the engine kept, the
+answered outcome with its tamper verdict.  The ``make_*`` functions
+return the unanswered probe, one function per kind.
 
 A probe is one ``ProbeOutcome``: as sent, it is its own unanswered
-outcome, and binding a reply to it makes the answered one.  It holds no
+outcome, and a reply bound to it makes the answered one.  It holds no
 destination: the engine files each reply under its source, so a reply
 with a rewritten source is never compared with its sender's probes.  A
 bound reply is verified against the stored request field by field, not
@@ -90,11 +93,12 @@ class TamperVerdict(IdentityEnum):
 
 _CLEAN, _ORIGINATE_MODIFIED, _ID_SEQ_MODIFIED, _ = TamperVerdict
 
-# ``sent_probe`` builds each probe and its request from all their fields
-# with this, skipping the generated ``__new__`` (and its defaults) of each
-# class.
+# ``sent_probe`` builds each probe, its request and its reply from all
+# their fields with this, skipping the generated ``__new__`` (and its
+# defaults) of each class.
 _new = tuple.__new__
 _pack = wire.LAYOUT.pack
+_unpack_from = wire.LAYOUT.unpack_from
 
 # The hash inputs (see the module docstring) and the digest's low 32 bits.
 _orig_input = struct.Struct("!4sI").pack
@@ -144,10 +148,10 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
     hashed; a bad-checksum probe's checksum, redrawn until the message
     fails verification.  Standard and duplicate probes draw nothing.
 
-    The time of day, the duplicate's preset stamps and the valid checksum
-    are computed here, in this one frame per probe, as
-    ``clock.ms_since_utc_midnight``, ``_request_tail`` and
-    ``wire.message_checksum`` define them.
+    The time of day and the valid checksum are computed here, in this one
+    frame per probe, as ``clock.ms_since_utc_midnight`` and
+    ``wire.fill_checksum`` define them; the duplicate's preset stamps are
+    the ones ``sent_probe`` puts in its request.
     """
     if kind is _BAD_CLOCK:
         ident = rng.getrandbits(16)
@@ -160,7 +164,7 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
         ident = key >> 16
         seq = key & 0xFFFF
     stamp = orig if kind is _DUPLICATE else 0
-    # ``wire.message_checksum`` of these fields, every one in range: the type
+    # ``wire.fill_checksum`` of these fields, every one in range: the type
     # counts 256 times and makes the sum nonzero, so it folds into [1, 0xFFFF].
     total = (TIMESTAMP_REQUEST << 8) + ident + seq + orig + stamp + stamp
     checksum = ~((total - 1) % 0xFFFF + 1) & 0xFFFF
@@ -177,19 +181,32 @@ def craft(kind: ProbeKind, packed: bytes, now: int, rng) -> tuple[int, int, int,
     return key, orig, checksum, image
 
 
-def sent_probe(kind: ProbeKind, now: int, key: int, orig: int, checksum: int) -> ProbeOutcome:
-    """The unanswered probe of ``kind`` sent at ``now`` whose request
-    ``craft`` described by ``key``, ``orig`` and ``checksum``."""
-    request = (TIMESTAMP_REQUEST, 0, checksum, *_request_tail(kind, key >> 16, key & 0xFFFF, orig))
-    return _new(ProbeOutcome, (kind, now, _new(TimestampMessage, request), None, None, None))
+def sent_probe(
+    kind: ProbeKind, now: int, key: int, orig: int, checksum: int,
+    reply: bytes | None = None, arrival: int | None = None,
+) -> ProbeOutcome:
+    """The probe of ``kind`` sent at ``now`` whose request ``craft``
+    described by ``key``, ``orig`` and ``checksum``.
 
-
-def _request_tail(kind: ProbeKind, ident: int, seq: int, orig: int) -> tuple[int, ...]:
-    """A request's fields after its checksum, in wire order: a duplicate
-    presets all three timestamps to the same value, every other kind
-    zeroes receive and transmit."""
+    Without ``reply`` it is unanswered.  Given ``reply``, the 20 bytes of
+    a timestamp reply that ``wire.unpack_reply`` accepted, and its
+    ``arrival``, it is answered, with the verdict of ``verify_reply``.
+    """
+    # A duplicate presets all three timestamps to the same value, every
+    # other kind zeroes receive and transmit.
     stamp = orig if kind is _DUPLICATE else 0
-    return ident, seq, orig, stamp, stamp
+    request = _new(TimestampMessage, (
+        TIMESTAMP_REQUEST, 0, checksum, key >> 16, key & 0xFFFF, orig, stamp, stamp,
+    ))
+    probe = _new(ProbeOutcome, (kind, now, request, None, None, None))
+    if reply is None:
+        return probe
+    message = _new(TimestampMessage, _unpack_from(reply))
+    # ``verify_reply`` is read from the module on each call, so a wrapper
+    # put on it sees every bind.
+    return _new(ProbeOutcome, (
+        kind, now, request, message, arrival, verify_reply(probe, message),
+    ))
 
 
 class _Given:

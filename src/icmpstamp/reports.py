@@ -211,7 +211,6 @@ class RequestSummary:
 
     total_requests: int = 0
     nmap_like: int = 0
-    per_source: Counter = field(default_factory=Counter)
     top_sources: list[tuple[str, int]] = field(default_factory=list)
 
     @property
@@ -222,15 +221,16 @@ class RequestSummary:
 def analyze_requests(entries: list[CaptureEntry], top_n: int = 10) -> RequestSummary:
     """Count requesters and how many bear the zero-originate scanner mark."""
     summary = RequestSummary()
+    per_source: Counter = Counter()
     for entry in entries:
         if entry.message.icmp_type != wire.TIMESTAMP_REQUEST:
             continue
         summary.total_requests += 1
-        summary.per_source[entry.src] += 1
+        per_source[entry.src] += 1
         # A zero originate timestamp is the mark of nmap host discovery.
         if entry.message.orig_ts == 0:
             summary.nmap_like += 1
-    summary.top_sources = summary.per_source.most_common(top_n)
+    summary.top_sources = per_source.most_common(top_n)
     return summary
 
 

@@ -17,7 +17,7 @@ are integer microseconds since the Unix epoch, as everywhere.
 A request is read in one pass: a length and type test, the checksum
 unless the host is checksum-lazy, then one ``wire.LAYOUT.unpack_from``.
 ``respond`` tests the checksum and sums the reply's in line, as
-``wire.verify_checksum`` and ``wire.pack_message`` define them, so a
+``wire.verify_checksum`` and ``wire.fill_checksum`` define them, so a
 request is one frame in this layer.  The delays drawn per request, a
 path's jitter and a normal host's processing time, are ``draws.below``
 calls that make the draws ``Random.randint`` makes, with fewer Python
@@ -221,7 +221,8 @@ def respond(
     elif cfg.tamper == "id_seq":
         ident ^= 0x0001
 
-    # ``wire.pack_message``, summed as ``probes.craft`` sums a request.
+    # The checksum ``wire.fill_checksum`` gives this reply, summed as
+    # ``probes.craft`` sums a request.
     total = (TIMESTAMP_REPLY << 8) + ident + seq + orig + recv + xmit
     checksum = ~((total - 1) % 0xFFFF + 1) & 0xFFFF
     return _pack(TIMESTAMP_REPLY, 0, checksum, ident, seq, orig, recv, xmit)

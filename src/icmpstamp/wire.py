@@ -24,19 +24,19 @@ constructor checks every field and names the first out of range;
 The checksum and byte swap are plain Python.  Since 2**16 is 1 modulo
 0xFFFF, the sum of a buffer's 16-bit words is congruent to the buffer
 read as one integer, and a message's to the sum of its fields with the
-type counted 256 times, so ``message_checksum`` packs no image.
-``pack_message`` packs a message with a valid checksum straight to its
-wire image, for callers that need no ``TimestampMessage``.
+type counted 256 times, so ``fill_checksum`` packs no image.
 
 Each packet of a scan is one Python frame in each layer it crosses, and
 these functions define what those frames compute without calling them:
-``probes.craft`` sums a probe's fields as ``message_checksum`` does and
+``probes.craft`` sums a probe's fields as ``fill_checksum`` does and
 packs them with ``LAYOUT``, ``responder.respond`` checks a request as
-``verify_checksum`` does and packs its reply as ``pack_message`` does,
+``verify_checksum`` does and sums its reply as ``fill_checksum`` does,
 and ``unpack_reply`` checks a received packet's length, type and
 checksum and reads its fields in one call, summing it in line, so the
 engine builds no ``TimestampMessage`` while it matches replies.  The
-tests hold each in-line copy to the definition here.
+tests hold each in-line sum to ``fill_checksum``, and each in-line check
+to ``verify_checksum``, which with ``internet_checksum`` defines the
+checksum over bytes.
 """
 
 from __future__ import annotations
@@ -215,42 +215,19 @@ def byte_swap_32(x: int) -> int:
     )
 
 
-def message_checksum(
-    icmp_type: int, code: int, ident: int, seq: int,
-    orig_ts: int, recv_ts: int, xmit_ts: int,
-) -> int:
-    """The valid checksum of a message with these fields.
+def fill_checksum(msg: TimestampMessage) -> TimestampMessage:
+    """Return ``msg`` with a freshly computed, valid checksum field.
 
     Modulo 0xFFFF, the first word is congruent to 256 times the type plus
     the code, and each timestamp's two words to the timestamp, so the
-    fields' sum folds to the words' folded sum.  A field out of range
-    raises the ``WireError`` the constructor would raise.
+    fields' sum folds to the words' folded sum.  A field out of range (a
+    ``_replace``d one) raises the ``WireError`` the constructor would
+    raise, naming it.
     """
+    icmp_type, code, _, ident, seq, orig_ts, recv_ts, xmit_ts = msg
     # A field out of range (see ``_WIDTHS``): the constructor raises, naming it.
     if (icmp_type | code) >> 8 or (ident | seq) >> 16 or (orig_ts | recv_ts | xmit_ts) >> 32:
         TimestampMessage(icmp_type, code, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
     total = (icmp_type << 8) + code + ident + seq + orig_ts + recv_ts + xmit_ts
     # Only an all-zero message sums to 0; any other folds into [1, 0xFFFF].
-    return ~((total - 1) % _U16 + 1 if total else 0) & _U16
-
-
-def pack_message(
-    icmp_type: int, ident: int, seq: int,
-    orig_ts: int, recv_ts: int = 0, xmit_ts: int = 0,
-) -> bytes:
-    """The wire image of the code-0 message with these fields and a valid
-    checksum, with no message built.
-
-    A field out of range raises the ``WireError`` the constructor would.
-    """
-    if icmp_type != TIMESTAMP_REQUEST and icmp_type != TIMESTAMP_REPLY:
-        raise NotATimestamp(f"icmp_type must be 13 or 14, got {icmp_type}")
-    checksum = message_checksum(icmp_type, 0, ident, seq, orig_ts, recv_ts, xmit_ts)
-    return LAYOUT.pack(icmp_type, 0, checksum, ident, seq, orig_ts, recv_ts, xmit_ts)
-
-
-def fill_checksum(msg: TimestampMessage) -> TimestampMessage:
-    """Return ``msg`` with a freshly computed, valid checksum field."""
-    return msg._replace(checksum=message_checksum(
-        msg.icmp_type, msg.code, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
-    ))
+    return msg._replace(checksum=~((total - 1) % _U16 + 1 if total else 0) & _U16)

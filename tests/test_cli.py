@@ -741,6 +741,16 @@ class TestClassifyCommand:
                      "--offsets", str(offsets)])
         assert code == EXIT_OK
 
+    def test_empty_offsets_path_is_an_error(self, scanned, capsys):
+        # An empty path names no file, as for --targets; it used to select
+        # the default table.
+        tmp_path, out = scanned
+        re_out = tmp_path / "re.jsonl"
+        code = main(["classify", "--in", str(out), "--out", str(re_out), "--offsets", ""])
+        assert code == EXIT_CONFIG == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        assert not re_out.exists()
+
 
 FIXTURE_ERRORS = {
     "fixture": "10.9.0.1 timezone tz=inf\n",

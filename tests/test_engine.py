@@ -137,7 +137,8 @@ class ChaosTransport(RecordingTransport):
             copies.append(bytes([rng.choice((0, 3, 8))]) + data[1:])
         if rng.random() < 0.3:
             _, _, _, ident, seq, orig, recv, xmit = wire.decode(data)
-            copies.append(wire.pack_message(wire.TIMESTAMP_REQUEST, ident, seq, orig, recv, xmit))
+            request = wire.TimestampMessage(wire.TIMESTAMP_REQUEST, 0, 0, ident, seq, orig, recv, xmit)
+            copies.append(wire.encode(wire.fill_checksum(request)))
         return copies
 
 

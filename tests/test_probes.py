@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import at_ms, echo_reply, former_verify_reply
+from builders import at_ms, echo_reply, former_verify_reply, pair_for
 from icmpstamp import wire
 from icmpstamp import probes
 from icmpstamp.clock import ms_since_utc_midnight
@@ -331,7 +331,9 @@ def former_probe(kind, dest, now, rng):
         ident, seq = low32 >> 16, low32 & 0xFFFF
         if kind is ProbeKind.DUPLICATE:
             recv = orig
-    msg = wire.decode(wire.pack_message(wire.TIMESTAMP_REQUEST, ident, seq, orig, recv, recv))
+    msg = wire.fill_checksum(
+        wire.TimestampMessage(wire.TIMESTAMP_REQUEST, 0, 0, ident, seq, orig, recv, recv)
+    )
     if kind is ProbeKind.BAD_CHECKSUM:
         while True:
             candidate = msg._replace(checksum=rng.getrandbits(16))
@@ -377,19 +379,79 @@ def test_craft_is_the_probe_makers_and_the_encoder(kind, dest, now, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_crafted_checksum_is_message_checksum(kind, packed, now, seed):
-    # ``craft`` computes in line what ``wire.message_checksum`` computes.
+    # ``craft`` computes in line what ``wire.fill_checksum`` computes.
     key, orig, checksum, image = probes.craft(kind, packed, now, random.Random(seed))
     if kind is not ProbeKind.BAD_CLOCK:
         assert orig == ms_since_utc_midnight(now)
     stamp = orig if kind is ProbeKind.DUPLICATE else 0
     tail = (key >> 16, key & 0xFFFF, orig, stamp, stamp)
-    valid = wire.message_checksum(wire.TIMESTAMP_REQUEST, 0, *tail)
+    valid = wire.fill_checksum(wire.TimestampMessage(wire.TIMESTAMP_REQUEST, 0, 0, *tail)).checksum
     if kind is ProbeKind.BAD_CHECKSUM:
         assert image == wire.LAYOUT.pack(wire.TIMESTAMP_REQUEST, 0, checksum, *tail)
         assert not wire.verify_checksum(image)
     else:
         assert checksum == valid
         assert image == wire.LAYOUT.pack(wire.TIMESTAMP_REQUEST, 0, valid, *tail)
+
+
+# A reply as its responder sent it: echoed, or with one field group
+# rewritten in flight as the simulator's tamper modes rewrite it, and the
+# verdict that names it.
+_REWRITES = {
+    None: (lambda msg: msg, TamperVerdict.CLEAN),
+    "orig_ts": (
+        lambda msg: msg._replace(orig_ts=(msg.orig_ts + 1) & 0xFFFFFFFF),
+        TamperVerdict.ORIGINATE_MODIFIED,
+    ),
+    "id_seq": (lambda msg: msg._replace(ident=msg.ident ^ 1), TamperVerdict.ID_SEQ_MODIFIED),
+}
+
+
+@given(
+    kind=st.sampled_from(ProbeKind),
+    packed=st.binary(min_size=4, max_size=4),
+    now=st.integers(0, 2**53),
+    seed=st.integers(0, 2**32 - 1),
+    stamps=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    rewrite=st.sampled_from(list(_REWRITES)),
+    arrival=st.integers(0, 2**53),
+)
+def test_sent_probe_with_a_reply_is_the_two_step_build(
+    kind, packed, now, seed, stamps, rewrite, arrival,
+):
+    # Given the 20 reply bytes the engine keeps, ``sent_probe`` builds what
+    # the unanswered probe and the decoded reply built in two steps.
+    key, orig, checksum, _ = probes.craft(kind, packed, now, random.Random(seed))
+    probe = probes.sent_probe(kind, now, key, orig, checksum)
+    # Unanswered, it is the probe as before: the former request tail, in
+    # which a duplicate presets all three timestamps.
+    stamp = orig if kind is ProbeKind.DUPLICATE else 0
+    request = (wire.TIMESTAMP_REQUEST, 0, checksum, key >> 16, key & 0xFFFF, orig, stamp, stamp)
+    assert probe == ProbeOutcome(kind, now, wire.TimestampMessage(*request))
+    # The engine passes an unanswered probe's unset arrival along.
+    assert probes.sent_probe(kind, now, key, orig, checksum, None, 0) == probe
+    change, verdict = _REWRITES[rewrite]
+    data = wire.encode(wire.fill_checksum(change(echo_reply(probe, *stamps))))
+    answered = probes.sent_probe(kind, now, key, orig, checksum, data, arrival)
+    assert answered == pair_for(probe, wire.decode(data))._replace(arrival=arrival)
+    assert type(answered) is ProbeOutcome and type(answered.reply) is wire.TimestampMessage
+    assert answered.tamper is verdict
+
+
+def test_sent_probe_verifies_through_the_module_global(monkeypatch):
+    # A wrapper put on ``probes.verify_reply`` sees every bind.
+    verdicts = []
+
+    def counting(probe, reply):
+        verdicts.append(verify_reply(probe, reply))
+        return verdicts[-1]
+
+    monkeypatch.setattr(probes, "verify_reply", counting)
+    key, orig, checksum, _ = probes.craft(ProbeKind.STANDARD, bytes(4), NOON_ISH, None)
+    probe = probes.sent_probe(ProbeKind.STANDARD, NOON_ISH, key, orig, checksum)
+    data = wire.encode(echo_reply(probe, 1, 2))
+    answered = probes.sent_probe(ProbeKind.STANDARD, NOON_ISH, key, orig, checksum, data, 5)
+    assert verdicts == [TamperVerdict.CLEAN] and answered.tamper is TamperVerdict.CLEAN
 
 
 # Crafts each case of a JSON list read from stdin, with CPython's built-in

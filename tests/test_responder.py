@@ -1,7 +1,6 @@
 """Simulated responder behavior and the in-memory network."""
 
 import dataclasses
-import functools
 import random
 import struct
 from datetime import datetime, timedelta, timezone
@@ -246,7 +245,9 @@ def former_respond(cfg, request_bytes, now, rng):
         orig = (orig + 1) & 0xFFFFFFFF
     elif cfg.tamper == "id_seq":
         ident ^= 0x0001
-    return wire.pack_message(wire.TIMESTAMP_REPLY, ident, seq, orig, recv, xmit)
+    return wire.encode(wire.fill_checksum(
+        wire.TimestampMessage(wire.TIMESTAMP_REPLY, 0, 0, ident, seq, orig, recv, xmit)
+    ))
 
 
 @st.composite
@@ -272,7 +273,9 @@ def payloads(draw):
     code = draw(st.sampled_from([0, 0, 0, 1, 255]))
     words = draw(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)))
     stamps = draw(st.tuples(*[st.integers(0, 0xFFFFFFFF)] * 3))
-    checksum = wire.message_checksum(icmp_type, code, *words, *stamps)
+    # ``_make`` skips the constructor's type check: any type is summed.
+    unchecked = wire.TimestampMessage._make((icmp_type, code, 0, *words, *stamps))
+    checksum = wire.fill_checksum(unchecked).checksum
     if draw(st.booleans()):
         checksum = draw(st.integers(0, 0xFFFF))
     image = struct.pack("!BBHHHIII", icmp_type, code, checksum, *words, *stamps)
@@ -284,8 +287,9 @@ def valid_requests():
     """Well-formed type-13 requests with a valid checksum, the payloads
     that reach a host's class."""
     u16, u32 = st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF)
-    return st.builds(functools.partial(wire.pack_message, wire.TIMESTAMP_REQUEST),
-                     u16, u16, u32, u32, u32)
+    return st.builds(lambda *fields: wire.encode(wire.fill_checksum(
+        wire.TimestampMessage(wire.TIMESTAMP_REQUEST, 0, 0, *fields)
+    )), u16, u16, u32, u32, u32)
 
 
 class TestRespondMatchesFormerPath:
@@ -324,14 +328,15 @@ def requests_with_any_checksum(draw):
        requests_with_any_checksum(), st.integers(0, DAY_MS - 1), st.integers(0, 2**32))
 def test_respond_checks_and_packs_as_wire_does(cfg, request, ms, seed):
     # ``respond`` checks and sums in line what ``wire.verify_checksum`` and
-    # ``wire.pack_message`` do, for every class and tamper mode.
+    # ``wire.fill_checksum`` do, for every class and tamper mode.
     reply = respond(cfg, request, at_ms(ms), random.Random(seed))
     lazy = cfg.impl_class is ImplClass.CHECKSUM_LAZY
     assert (reply is not None) is (lazy or wire.verify_checksum(request))
     if reply is not None:
         assert wire.verify_checksum(reply)
         fields = wire.LAYOUT.unpack(reply)
-        assert reply == wire.pack_message(wire.TIMESTAMP_REPLY, *fields[3:])
+        expected = wire.TimestampMessage(wire.TIMESTAMP_REPLY, 0, 0, *fields[3:])
+        assert reply == wire.encode(wire.fill_checksum(expected))
 
 
 class TestSimNetwork:

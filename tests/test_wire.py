@@ -19,8 +19,6 @@ from icmpstamp.wire import (
     encode,
     fill_checksum,
     internet_checksum,
-    message_checksum,
-    pack_message,
     unpack_reply,
     verify_checksum,
 )
@@ -149,13 +147,15 @@ class TestDecode:
 
 
 class TestUnpackReply:
-    REPLY = pack_message(14, 0x1234, 0x5678, 45_296_789, 45_296_800, 45_296_801)
+    REPLY = encode(fill_checksum(
+        TimestampMessage(14, 0, 0, 0x1234, 0x5678, 45_296_789, 45_296_800, 45_296_801)
+    ))
 
     def test_valid_reply_is_its_fields(self):
         assert unpack_reply(self.REPLY) == tuple(decode(self.REPLY))
 
     def test_request_is_none(self):
-        assert unpack_reply(pack_message(13, 1, 2, 3)) is None
+        assert unpack_reply(encode(fill_checksum(TimestampMessage(13, 0, 0, 1, 2, 3)))) is None
         assert unpack_reply(bytes([13]) + bytes(19)) is None  # whatever its checksum
 
     def test_zero_padding_keeps_the_checksum(self):
@@ -344,8 +344,7 @@ def test_fill_checksum_round_trips_valid():
 
 def build_message(icmp_type, ident, seq, orig_ts, recv_ts=0, xmit_ts=0):
     """The code-0 message with these fields and a valid checksum, built by
-    the checking constructor and ``fill_checksum``: what ``pack_message``
-    packs."""
+    the checking constructor and ``fill_checksum``."""
     return fill_checksum(TimestampMessage(icmp_type, 0, 0, ident, seq, orig_ts, recv_ts, xmit_ts))
 
 
@@ -365,18 +364,7 @@ class TestMessageBuilding:
         zeroed = encode(msg._replace(checksum=0))
         assert filled.checksum == reference_checksum(zeroed)
 
-    @given(messages)
-    def test_packed_message_matches_fill_checksum(self, msg):
-        msg = msg._replace(code=0)
-        built = decode(pack_message(
-            msg.icmp_type, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
-        ))
-        assert built == fill_checksum(msg)
-        assert message_checksum(
-            msg.icmp_type, 0, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts
-        ) == built.checksum
-
-    # Types 13 and 14 and code 0 are drawn often, so pack_message runs.
+    # Types 13 and 14 and code 0 are drawn often, so the checked build runs.
     @given(
         st.sampled_from([13, 14]) | st.integers(0, 0xFF),
         st.just(0) | st.integers(0, 0xFF),
@@ -384,12 +372,14 @@ class TestMessageBuilding:
         st.tuples(*[st.integers(0, 0xFFFFFFFF)] * 3),
     )
     def test_field_sum_is_the_image_checksum(self, icmp_type, code, words, stamps):
-        # message_checksum sums fields, not the packed zero-checksum image.
+        # fill_checksum sums fields, not the packed zero-checksum image; ``_make``
+        # skips the constructor's type check, so any type is summed.
         image = struct.pack("!BBHHHIII", icmp_type, code, 0, *words, *stamps)
-        checksum = message_checksum(icmp_type, code, *words, *stamps)
+        unchecked = TimestampMessage._make((icmp_type, code, 0, *words, *stamps))
+        checksum = fill_checksum(unchecked).checksum
         assert checksum == internet_checksum(image) == reference_checksum(image)
         if icmp_type in (13, 14) and code == 0:
-            packed = pack_message(icmp_type, *words, *stamps)
+            packed = encode(build_message(icmp_type, *words, *stamps))
             assert packed == image[:2] + checksum.to_bytes(2, "big") + image[4:]
             assert verify_checksum(packed)
 
@@ -401,29 +391,11 @@ class TestMessageBuilding:
          ((13, 256, 0, 0, 0, 0, 0), "code")],
     )
     def test_out_of_range_field_is_a_wire_error(self, fields, name):
+        # ``_make``, which ``_replace`` calls, skips the constructor's checks.
+        msg = TimestampMessage._make(fields[:2] + (0,) + fields[2:])
         with pytest.raises(WireError, match=f"^{name} out of"):
-            message_checksum(*fields)
+            fill_checksum(msg)
 
     def test_bad_type_is_not_a_timestamp(self):
         with pytest.raises(NotATimestamp):
             build_message(8, 0, 0, 0)
-        with pytest.raises(NotATimestamp):
-            pack_message(8, 0, 0, 0)
-
-    @given(messages)
-    def test_pack_message_is_the_built_message_encoded(self, msg):
-        fields = (msg.icmp_type, msg.ident, msg.seq, msg.orig_ts, msg.recv_ts, msg.xmit_ts)
-        packed = pack_message(*fields)
-        assert type(packed) is bytes
-        assert packed == encode(build_message(*fields))
-
-    @pytest.mark.parametrize(
-        "fields, name",
-        [((13, -1, 0, 0), "ident"),
-         ((14, 0, 0x1_0000, 0), "seq"),
-         ((14, 0, 0, 0, 1 << 32), "recv_ts")],
-    )
-    def test_pack_message_range_errors_match_build_message(self, fields, name):
-        for build in (build_message, pack_message):
-            with pytest.raises(WireError, match=f"^{name} out of"):
-                build(*fields)
