@@ -166,6 +166,11 @@ class Fingerprint(NamedTuple):
     flags: frozenset[str] = frozenset()
 
 
+# ``fingerprint_observation`` builds each ``Fingerprint`` from all its
+# fields with this, skipping the generated ``__new__``.
+_new = tuple.__new__
+
+
 def classify_correctness(
     reply: TimestampMessage, probe_orig: int, policy: CorrectnessPolicy
 ) -> Correctness:
@@ -214,15 +219,10 @@ def detect_htons_bug(obs: HostObservation) -> bool:
     bad_clock = obs.first.get(_BAD_CLOCK)
     if std is None or bad_clock is None:
         return False
-    values = (
-        std.reply.recv_ts,
-        std.reply.xmit_ts,
-        bad_clock.reply.recv_ts,
-        bad_clock.reply.xmit_ts,
-    )
-    if all(v == 0 for v in values):
-        return False
-    return all(v % 65536 == 0 for v in values)
+    # The four values' OR is 0 only if all are zero, and has zeroed low
+    # 16 bits only if each has.
+    v = std.reply.recv_ts | std.reply.xmit_ts | bad_clock.reply.recv_ts | bad_clock.reply.xmit_ts
+    return v != 0 and not v & 0xFFFF
 
 
 def _implementation(
@@ -349,10 +349,10 @@ def fingerprint_observation(
     if not obs.first:
         if not obs.tampered:
             raise ValueError("no answered probe to classify")
-        return Fingerprint(
-            frozenset({_UNKNOWN}), _TK_UNKNOWN, _INCORRECT,
-            flags=frozenset({"all_replies_tampered"}),
-        )
+        return _new(Fingerprint, (
+            frozenset({_UNKNOWN}), _TK_UNKNOWN, _INCORRECT, None,
+            frozenset({"all_replies_tampered"}),
+        ))
     classes, tz_offset = _implementation(obs, policy)
     flags: set[str] = set()
 
@@ -378,9 +378,9 @@ def fingerprint_observation(
     if obs.tampered:
         flags.add("tampered_replies")
 
-    return Fingerprint(
-        frozenset(classes), timekeeping, correctness, tz_offset, frozenset(flags)
-    )
+    return _new(Fingerprint, (
+        frozenset(classes), timekeeping, correctness, tz_offset, frozenset(flags),
+    ))
 
 
 def _merge_offset(a: float | None, b: float | None) -> float | None:

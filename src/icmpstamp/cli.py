@@ -43,6 +43,10 @@ EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_PRIVILEGE = 4
 
+# Builds a reclassified record from all its fields, skipping the generated
+# ``__new__``.
+_new = tuple.__new__
+
 
 def make_transport(spec: str):
     """Build a transport from its CLI spelling: ``raw`` or ``sim:<fixture>``."""
@@ -95,11 +99,13 @@ def _classify_share(path, policy, lines, start, out) -> int:
     line ``start + 1`` on, classified again to ``out``; returns how many."""
     count = 0
     for count, rec in enumerate(results.records_in(path, lines, start + 1), 1):
+        target, vantage, outcomes, _, duplicates = rec
         try:
             fingerprint = fingerprint_observation(results.observation_from_record(rec), policy)
         except ValueError as exc:
-            raise ValueError(f"{path}: record of {rec.target!r}: {exc}") from None
-        out.write(results.record_to_line(rec._replace(fingerprint=fingerprint)) + "\n")
+            raise ValueError(f"{path}: record of {target!r}: {exc}") from None
+        rec = _new(results.ResultRecord, (target, vantage, outcomes, fingerprint, duplicates))
+        out.write(results.record_to_line(rec) + "\n")
     return count
 
 

@@ -86,6 +86,9 @@ log = logging.getLogger(__name__)
 # reads.  The duplicate is the last kind, sent in the second round.
 _KINDS = tuple(ProbeKind)
 _DUPLICATE_K = 3
+# Builds each ``ResultRecord`` from all its fields, skipping the generated
+# ``__new__``.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -288,6 +291,7 @@ def _scan(
     log.info("sent %d probes; discarded %d unmatched or malformed replies",
              sum(n_sent), discarded)
 
+    vantage = cfg.vantage
     for i, target in enumerate(names):
         base = i << 2
         if not any(replies[base:base + 4]):
@@ -301,9 +305,9 @@ def _scan(
         outcomes = tuple(outcomes)
         duplicates = duplicate_replies.get(i, 0)
         obs = HostObservation(outcomes, duplicates)
-        yield ResultRecord(
-            target, cfg.vantage, outcomes, fingerprint_observation(obs), duplicates,
-        )
+        yield _new(ResultRecord, (
+            target, vantage, outcomes, fingerprint_observation(obs), duplicates,
+        ))
 
     if aborted is not None:
         # A target's duplicate is the last of its four probes.

@@ -17,6 +17,15 @@ escaping: a ``Fingerprint`` holds no target of its own.
 Flags are sorted as JSON reads them back, so a line read back writes
 the same line.
 
+A scan's verdicts repeat far more often than its hosts do, so the text of
+a fingerprint is made once per verdict: its classes, timekeeping,
+correctness and flags key a dict whose value is the text up to the
+target and the text from the target up to ``tz_offset``.  The offset is
+written on each record and is not in the key: ``0``, ``0.0`` and ``-0.0``
+are equal keys, as are ``1`` and ``1.0``, yet each is written as itself
+and reads back as written.  The dict holds at most 1024 verdicts and is
+cleared when full; a scan writes a few dozen.
+
 Instants are integer microseconds since the Unix epoch everywhere else in
 the program; here they become ISO text in UTC, exactly as
 ``datetime.isoformat(timespec="microseconds")`` writes the same instant
@@ -46,17 +55,20 @@ field.  Every enum value maps through a dict; only a value not in it
 goes through the enum itself, which words the error.
 
 A line is decoded with ``orjson.loads`` where orjson imports, and with
-``json.loads`` otherwise; ``json`` is the reference, and what is accepted
-and every error text are json's.  The dict orjson decodes goes through the
-same checks, and a line whose fast read raises any error of a bad record
-is decoded again with ``json``: orjson refuses NaN and the infinities, a
-lone surrogate escape, a byte order mark and numbers beyond a double,
-which ``json`` words its own way or accepts.  A line of more than 256
-``{`` or ``[`` (a written line holds at most 17) is not given to orjson:
-orjson 3.8.3 crashes the process on a line nested a million deep, and
-reads one nested deeper than ``json``'s recursion limit.  A record whose
-``tz_offset`` orjson reads as a float of magnitude 2**63 or more is read
-again with ``json``: orjson reads an integer beyond 64 bits as a float.
+``json.loads`` otherwise.  orjson is imported when the first line is
+read, once per process, and a failed import is remembered: a scan, which
+reads no line, never imports it.  ``json`` is the reference, and what is
+accepted and every error text are json's.  The dict orjson decodes goes
+through the same checks, and a line whose fast read raises any error of a
+bad record is decoded again with ``json``: orjson refuses NaN and the
+infinities, a lone surrogate escape, a byte order mark and numbers beyond
+a double, which ``json`` words its own way or accepts.  A line of more
+than 256 ``{`` or ``[`` (a written line holds at most 17) is not given to
+orjson: orjson 3.8.3 crashes the process on a line nested a million deep,
+and reads one nested deeper than ``json``'s recursion limit.  A record
+whose ``tz_offset`` orjson reads as a float of magnitude 2**63 or more is
+read again with ``json``: orjson reads an integer beyond 64 bits as a
+float.
 """
 
 from __future__ import annotations
@@ -79,11 +91,6 @@ from icmpstamp.clock import DAY_MS
 from icmpstamp.probes import ProbeKind, ProbeOutcome, TamperVerdict
 from icmpstamp.textfile import replacing
 from icmpstamp.wire import TIMESTAMP_REPLY, TIMESTAMP_REQUEST, TimestampMessage
-
-try:
-    from orjson import loads as _fast_loads
-except ImportError:
-    _fast_loads = None
 
 # What reading a line raises for a bad record: a missing key, a line nested
 # past the decoder's recursion limit, a value of the wrong type or one out
@@ -166,27 +173,43 @@ def _as_read(text: str) -> str:
     return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
 
-def _fingerprint_json(fp: Fingerprint, target: str) -> str:
-    """``fp`` as its line writes it; ``target`` is the record's, as JSON."""
-    classes = ",".join([f'"{v}"' for v in sorted([_VALUE[c] for c in fp.classes])])
+# (classes, timekeeping, correctness, flags) -> the fingerprint's text up
+# to its target and from its target up to its ``tz_offset``; cleared when
+# full, and a scan writes a few dozen verdicts.
+_FINGERPRINT_TEXT: dict[tuple, tuple[str, str]] = {}
+_MAX_FINGERPRINTS = 1024
+
+
+def _fingerprint_text(verdict: tuple) -> tuple[str, str]:
+    """The text around the target and ``tz_offset`` of every fingerprint
+    whose other fields are ``verdict``, made and cached."""
+    classes, timekeeping, correctness, flags = verdict
+    classes = ",".join([f'"{v}"' for v in sorted([_VALUE[c] for c in classes])])
     # Sorted as read back, so a written line reads into a record that
     # writes the same line.
-    flags = ",".join(map(_json_str, sorted({_as_read(f) for f in fp.flags})))
-    tz = "null" if fp.tz_offset is None else repr(fp.tz_offset)
-    return (
-        f'{{"classes":[{classes}],"correctness":"{_VALUE[fp.correctness]}",'
-        f'"flags":[{flags}],"target":{target},'
-        f'"timekeeping":"{_VALUE[fp.timekeeping]}","tz_offset":{tz}}}'
+    flags = ",".join(map(_json_str, sorted({_as_read(f) for f in flags})))
+    if len(_FINGERPRINT_TEXT) >= _MAX_FINGERPRINTS:
+        _FINGERPRINT_TEXT.clear()
+    text = _FINGERPRINT_TEXT[verdict] = (
+        f'{{"classes":[{classes}],"correctness":"{_VALUE[correctness]}",'
+        f'"flags":[{flags}],"target":',
+        f',"timekeeping":"{_VALUE[timekeeping]}","tz_offset":',
     )
+    return text
 
 
 def record_to_line(rec: ResultRecord) -> str:
-    probes = ",".join([_outcome_json(o) for o in rec.outcomes])
-    target = _json_str(rec.target)
+    target, vantage, outcomes, fingerprint, duplicates = rec
+    classes, timekeeping, correctness, tz, flags = fingerprint
+    verdict = classes, timekeeping, correctness, flags
+    head, tail = _FINGERPRINT_TEXT.get(verdict) or _fingerprint_text(verdict)
+    probes = ",".join([_outcome_json(o) for o in outcomes])
+    target = _json_str(target)
+    tz = "null" if tz is None else repr(tz)
     return (
-        f'{{"duplicate_replies":{rec.duplicate_replies},'
-        f'"fingerprint":{_fingerprint_json(rec.fingerprint, target)},"probes":[{probes}],'
-        f'"target":{target},"vantage":{_json_str(rec.vantage)}}}'
+        f'{{"duplicate_replies":{duplicates},'
+        f'"fingerprint":{head}{target}{tail}{tz}}},"probes":[{probes}],'
+        f'"target":{target},"vantage":{_json_str(vantage)}}}'
     )
 
 
@@ -323,6 +346,25 @@ def record_from_dict(d: dict) -> ResultRecord:
     if duplicates < 0:
         raise ValueError(f"duplicate_replies must not be negative, got {duplicates}")
     return _new(ResultRecord, (target, vantage, tuple(outcomes), fingerprint, duplicates))
+
+
+def _first_fast_loads(line: str):
+    """``line`` decoded as every line after it will be: binds
+    ``_fast_loads`` to orjson's ``loads`` where orjson imports, and to
+    None (which leaves every line to ``json``) where it does not."""
+    global _fast_loads
+    try:
+        from orjson import loads
+    except ImportError:
+        _fast_loads = None
+        return json.loads(line)
+    _fast_loads = loads
+    return loads(line)
+
+
+# The fast decoder: orjson is imported on the first line read, not when a
+# scan, which reads no line, imports this module.
+_fast_loads = _first_fast_loads
 
 
 def record_from_line(line: str) -> ResultRecord:

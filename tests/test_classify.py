@@ -292,6 +292,16 @@ def test_timezone_lookup_equals_former_linear_scan(lookup):
             assert new == former
 
 
+# 32-bit timestamps, weighted to where the htons rule turns: zero, a
+# multiple of 65,536, and a multiple of 65,536 with one low bit set.
+htons_values = st.one_of(
+    st.just(0),
+    st.integers(0, 0xFFFF).map(lambda high: high << 16),
+    st.builds(lambda high, bit: high << 16 | 1 << bit, st.integers(0, 0xFFFF), st.integers(0, 15)),
+    st.integers(0, 2**32 - 1),
+)
+
+
 class TestHtonsBug:
     def test_both_replies_truncated(self):
         obs, _ = build_obs(std=(0x00020000, 0x00020000), bad_clock=(0x00020000, 0x00020000))
@@ -310,6 +320,18 @@ class TestHtonsBug:
         assert not detect_htons_bug(obs)
         fp = fingerprint_observation(obs)
         assert "htons_indeterminate" in fp.flags
+
+    @given(st.none() | st.tuples(htons_values, htons_values),
+           st.none() | st.tuples(htons_values, htons_values))
+    @example((0, 0), (0, 0))
+    @example((0, 0), (0, 1))
+    @example((0x10000, 0), (0, 0))
+    @example((0x10000, 0x10000), None)
+    def test_equals_former_definition(self, std, bad_clock):
+        # ``_former_htons`` is the rule as two ``all(...)`` tests defined it.
+        pairs, _ = build_pairs(std=std, bad_clock=bad_clock)
+        former = _former_htons(_FormerObservation(pairs, 0))
+        assert detect_htons_bug(HostObservation(pairs)) == former
 
 
 class TestImplementationClasses:

@@ -289,6 +289,25 @@ class TestLineTemplate:
         for rec in scanned:
             assert record_to_line(rec) == former_line(rec)
 
+    @pytest.mark.parametrize("offsets", [[0, 0.0, -0.0, 1, 1.0], [1.0, 1, -0.0, 0.0, 0]])
+    def test_offsets_of_one_verdict_are_written_as_they_are(self, offsets):
+        # 0, 0.0 and -0.0 are equal, as are 1 and 1.0, yet each is written
+        # as itself; the verdict's text is cached without its offset.
+        fp = sample_record().fingerprint
+        for tz_offset in offsets:
+            rec = ResultRecord("t", "v", (), fp._replace(tz_offset=tz_offset))
+            line = record_to_line(rec)
+            assert line == former_line(rec)
+            assert record_to_line(record_from_line(line)) == line
+
+    def test_the_verdict_cache_is_bounded(self):
+        fp = sample_record().fingerprint
+        bound = results._MAX_FINGERPRINTS
+        for n in range(bound + 10):
+            rec = ResultRecord("t", "v", (), fp._replace(flags=frozenset({f"flag{n}"})))
+            assert record_to_line(rec) == former_line(rec)
+            assert len(results._FINGERPRINT_TEXT) <= bound
+
 
 @given(instants)
 @example(0)
@@ -648,6 +667,7 @@ def test_the_fast_decoder_reads_every_line_as_json_does(line):
     # Where orjson imports, ``record_from_line`` decodes with it; each line
     # must read to the record json reads, or fail with json's error.
     orjson = pytest.importorskip("orjson", exc_type=ImportError)
-    assert results._fast_loads is orjson.loads
     reference = read_or_refusal(lambda text: record_from_dict(json.loads(text)), line)
     assert read_or_refusal(record_from_line, line) == reference
+    # orjson is imported on the first line read, which this line may be.
+    assert results._fast_loads is orjson.loads
